@@ -24,6 +24,7 @@ from .exceptions import (
     DimensionMismatchError,
     NonFiniteInputError,
     PhaseSearchExhaustedError,
+    RateFormMismatchError,
     ZeroCombinerRowError,
 )
 from .network import (
@@ -347,6 +348,8 @@ def milac_rate(
     Raises:
         ZeroCombinerRowError: if a row of g is identically zero.
         DimensionMismatchError: if the operand shapes are inconsistent.
+        RateFormMismatchError: if the raw and row-normalized rates disagree
+            beyond RATE_FORM_CHECK_TOL.
     """
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -372,9 +375,8 @@ def milac_rate(
     normalized = effective / np.sqrt(row_power)[:, None]
     sinr_norm = _per_stream_sinr(normalized, np.ones(n_streams), p, total_power, noise_power)
     rate_norm = float(np.sum(np.log1p(sinr_norm)) / np.log(2.0))
-    assert abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * max(1.0, abs(rate)), (
-        f"rate forms disagree: {rate!r} vs {rate_norm!r}"
-    )
+    if not abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * max(1.0, abs(rate)):
+        raise RateFormMismatchError(f"rate forms disagree: {rate!r} vs {rate_norm!r}")
     return rate, sinr
 
 

@@ -54,72 +54,88 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(f"{self.prog}: {message}")
 
 
-_DEFAULTS = {
-    "sweep-snr": {
-        "trials": 100,
-        "seed": 0,
-        "noise_power": 1.0,
-        "z0": 50.0,
-        "snr_min": -10.0,
-        "snr_max": 20.0,
-        "snr_step": 2.0,
-    },
-    "sweep-antennas": {
-        "trials": 100,
-        "seed": 0,
-        "noise_power": 1.0,
-        "z0": 50.0,
-        "antenna_points": (16, 32, 64, 128),
-        "snr_db": 0.0,
-    },
-    "verify": {"seed": 0, "cases": 25},
-    "design-dump": {
-        "streams": 2,
-        "tx_antennas": 4,
-        "rx_antennas": 4,
-        "snr_db": 0.0,
-        "seed": 0,
-        "noise_power": 1.0,
-        "z0": 50.0,
-    },
-}
-
-_REQUIRED = {
-    "sweep-snr": ("streams", "antennas", "out"),
-    "sweep-antennas": ("streams", "out"),
-    "verify": (),
-    "design-dump": ("out_dir",),
-}
-
-
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise _CliError(f"expected a comma-separated list of integers, got {text!r}") from exc
 
 
-_CONVERTERS = {
-    "streams": int,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "noise_power": float,
-    "z0": float,
-    "workers": int,
-    "antennas": int,
-    "snr_min": float,
-    "snr_max": float,
-    "snr_step": float,
-    "antenna_points": _parse_int_list,
-    "snr_db": float,
-    "cases": int,
-    "tx_antennas": int,
-    "rx_antennas": int,
-    "out_dir": str,
+# Every flag's value type and help text.  Config-file values go through the
+# same type as the command-line flag.
+_FLAGS = {
+    "streams": (int, "spatial stream count"),
+    "antennas": (int, "antenna count per side"),
+    "antenna_points": (_parse_int_list, "comma-separated antenna counts"),
+    "tx_antennas": (int, "transmit antenna count"),
+    "rx_antennas": (int, "receive antenna count"),
+    "trials": (int, "Monte-Carlo trials per sweep point"),
+    "cases": (int, "instances per check"),
+    "seed": (int, "64-bit master seed"),
+    "snr_min": (float, "sweep start in dB"),
+    "snr_max": (float, "sweep end in dB, inclusive"),
+    "snr_step": (float, "sweep step in dB"),
+    "snr_db": (float, "SNR in dB"),
+    "noise_power": (float, "noise power in watts, linear"),
+    "z0": (float, "reference impedance in ohms"),
+    "workers": (int, f"worker process count (default ${WORKERS_ENV_VAR} or the CPU count)"),
+    "out": (str, "output CSV path; a .manifest.txt is written next to it"),
+    "out_dir": (str, "directory for the CSV files"),
 }
+
+# Marks a flag that has no default and must be given.
+_REQUIRED = object()
+
+_SWEEP_FLAGS = {
+    "streams": _REQUIRED,
+    "trials": 100,
+    "seed": 0,
+    "out": _REQUIRED,
+    "noise_power": 1.0,
+    "z0": 50.0,
+    "workers": None,
+}
+
+# Per subcommand: its help line, and the default of each flag it takes
+# (_REQUIRED for a flag that must be given, None where the handler resolves it).
+_COMMANDS = {
+    "sweep-snr": (
+        "mean rate versus SNR at a fixed antenna count",
+        {**_SWEEP_FLAGS, "antennas": _REQUIRED, "snr_min": -10.0, "snr_max": 20.0, "snr_step": 2.0},
+    ),
+    "sweep-antennas": (
+        "mean rate versus antenna count at a fixed SNR",
+        {**_SWEEP_FLAGS, "antenna_points": (16, 32, 64, 128), "snr_db": 0.0},
+    ),
+    "verify": (
+        "run the randomized invariant suite and print a pass/fail table",
+        {"seed": 0, "cases": 25},
+    ),
+    "design-dump": (
+        "write one seeded design (matrices and allocation) as CSV files",
+        {
+            "streams": 2,
+            "tx_antennas": 4,
+            "rx_antennas": 4,
+            "snr_db": 0.0,
+            "seed": 0,
+            "noise_power": 1.0,
+            "z0": 50.0,
+            "out_dir": _REQUIRED,
+        },
+    ),
+}
+
+
+def _flag_help(name: str, default) -> str:
+    text = _FLAGS[name][1]
+    if default is _REQUIRED:
+        return f"{text} (required)"
+    if default is None:
+        return text
+    if isinstance(default, tuple):
+        default = ",".join(str(x) for x in default)
+    return f"{text} (default {default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,45 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Default worker count comes from ${WORKERS_ENV_VAR} or the CPU count.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    sup = argparse.SUPPRESS
-
-    def common_sweep_flags(p):
-        p.add_argument("--streams", type=int, default=sup, help="spatial stream count (required)")
-        p.add_argument("--trials", type=int, default=sup, help="Monte-Carlo trials per sweep point (default 100)")
-        p.add_argument("--seed", type=int, default=sup, help="64-bit master seed (default 0)")
-        p.add_argument("--out", default=sup, help="output CSV path (required); a .manifest.txt is written next to it")
-        p.add_argument("--noise-power", type=float, default=sup, help="noise power in watts, linear (default 1.0)")
-        p.add_argument("--z0", type=float, default=sup, help="reference impedance in ohms (default 50)")
-        p.add_argument("--workers", type=int, default=sup, help="worker process count (default: environment or CPU count)")
-        p.add_argument("--config", default=sup, help="key = value config file; command-line flags override it")
-
-    p_snr = sub.add_parser("sweep-snr", help="mean rate versus SNR at a fixed antenna count")
-    common_sweep_flags(p_snr)
-    p_snr.add_argument("--antennas", type=int, default=sup, help="antenna count per side (required)")
-    p_snr.add_argument("--snr-min", type=float, default=sup, help="sweep start in dB (default -10)")
-    p_snr.add_argument("--snr-max", type=float, default=sup, help="sweep end in dB, inclusive (default 20)")
-    p_snr.add_argument("--snr-step", type=float, default=sup, help="sweep step in dB (default 2)")
-
-    p_ant = sub.add_parser("sweep-antennas", help="mean rate versus antenna count at a fixed SNR")
-    common_sweep_flags(p_ant)
-    p_ant.add_argument("--antenna-points", default=sup, help="comma-separated antenna counts (default 16,32,64,128)")
-    p_ant.add_argument("--snr-db", type=float, default=sup, help="fixed SNR in dB (default 0)")
-
-    p_ver = sub.add_parser("verify", help="run the randomized invariant suite and print a pass/fail table")
-    p_ver.add_argument("--seed", type=int, default=sup, help="master seed (default 0)")
-    p_ver.add_argument("--cases", type=int, default=sup, help="instances per check (default 25)")
-    p_ver.add_argument("--config", default=sup, help="key = value config file; command-line flags override it")
-
-    p_dump = sub.add_parser("design-dump", help="write one seeded design (matrices and allocation) as CSV files")
-    p_dump.add_argument("--streams", type=int, default=sup, help="spatial stream count (default 2)")
-    p_dump.add_argument("--tx-antennas", type=int, default=sup, help="transmit antenna count (default 4)")
-    p_dump.add_argument("--rx-antennas", type=int, default=sup, help="receive antenna count (default 4)")
-    p_dump.add_argument("--snr-db", type=float, default=sup, help="SNR in dB (default 0)")
-    p_dump.add_argument("--seed", type=int, default=sup, help="master seed (default 0)")
-    p_dump.add_argument("--noise-power", type=float, default=sup, help="noise power in watts, linear (default 1.0)")
-    p_dump.add_argument("--z0", type=float, default=sup, help="reference impedance in ohms (default 50)")
-    p_dump.add_argument("--out-dir", default=sup, help="directory for the CSV files (required)")
-    p_dump.add_argument("--config", default=sup, help="key = value config file; command-line flags override it")
+    for command, (summary, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, default in defaults.items():
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=_FLAGS[name][0],
+                default=argparse.SUPPRESS,
+                help=_flag_help(name, default),
+            )
+        p.add_argument(
+            "--config",
+            default=argparse.SUPPRESS,
+            help="key = value config file; command-line flags override it",
+        )
     return parser
 
 
@@ -193,19 +184,19 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
     """Layer built-in defaults, config-file values, then explicit flags."""
     explicit = vars(args).copy()
     explicit.pop("command", None)
-    merged = dict(_DEFAULTS[command])
+    defaults = _COMMANDS[command][1]
+    merged = {key: value for key, value in defaults.items() if value is not _REQUIRED}
     config_path = explicit.pop("config", None)
     if config_path:
-        allowed = set(_DEFAULTS[command]) | set(_REQUIRED[command]) | {"workers"}
         for key, raw in _load_config(config_path).items():
-            if key not in allowed:
+            if key not in defaults:
                 raise _CliError(f"config key {key!r} is not a flag of {command}")
             try:
-                merged[key] = _CONVERTERS[key](raw)
+                merged[key] = _FLAGS[key][0](raw)
             except (ValueError, TypeError) as exc:
                 raise _CliError(f"config key {key!r}: cannot parse {raw!r}") from exc
     merged.update(explicit)
-    for key in _REQUIRED[command]:
+    for key in defaults:
         if key not in merged:
             raise _CliError(f"missing required flag --{key.replace('_', '-')}")
     return merged
@@ -231,10 +222,11 @@ def _run_sweep_command(spec: SweepSpec, opts: dict) -> int:
         noise_power=opts["noise_power"],
         ref_admittance=1.0 / opts["z0"],
     )
-    result = run_sweep(spec, template, workers=opts.get("workers"))
-    write_csv(result, spec.out_path)
-    write_manifest(spec, spec.out_path + ".manifest.txt", spec.out_path)
-    _print_sweep(result, spec.out_path)
+    result = run_sweep(spec, template, workers=opts["workers"])
+    out = opts["out"]
+    write_csv(result, out)
+    write_manifest(spec, out + ".manifest.txt", out)
+    _print_sweep(result, out)
     return 0
 
 
@@ -257,13 +249,12 @@ def _cmd_sweep_snr(opts: dict) -> int:
         n_streams=opts["streams"],
         n_trials=opts["trials"],
         master_seed=opts["seed"],
-        out_path=opts["out"],
     )
     return _run_sweep_command(spec, opts)
 
 
 def _cmd_sweep_antennas(opts: dict) -> int:
-    points = _parse_int_list(opts["antenna_points"])
+    points = opts["antenna_points"]
     if opts["streams"] > min(points):
         raise _CliError(
             f"--streams ({opts['streams']}) must not exceed the smallest --antenna-points entry ({min(points)})"
@@ -275,7 +266,6 @@ def _cmd_sweep_antennas(opts: dict) -> int:
         n_streams=opts["streams"],
         n_trials=opts["trials"],
         master_seed=opts["seed"],
-        out_path=opts["out"],
     )
     return _run_sweep_command(spec, opts)
 
@@ -385,10 +375,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits directly for --help; propagate its status.
         return int(exc.code or 0)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MilacError, OSError) as exc:

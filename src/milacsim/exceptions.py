@@ -43,5 +43,9 @@ class ZeroCombinerRowError(MilacError):
     """A receive combining row is identically zero, making the stream rate undefined."""
 
 
+class RateFormMismatchError(MilacError):
+    """The raw and the row-normalized forms of an analog rate disagree beyond tolerance."""
+
+
 class TrialIndexError(MilacError, IndexError):
     """A Monte-Carlo trial index lies outside the configured ensemble."""

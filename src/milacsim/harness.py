@@ -18,6 +18,7 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from .beamforming import (
+    PowerAllocation,
     RateReport,
     SystemConfig,
     capacity_closed_form,
@@ -46,7 +47,7 @@ from .network import (
 
 _LOG = logging.getLogger(__name__)
 
-SWEEP_MODES = ("snr_sweep", "antenna_sweep", "verify")
+SWEEP_MODES = ("snr_sweep", "antenna_sweep")
 
 WORKERS_ENV_VAR = "MILACSIM_WORKERS"
 
@@ -72,7 +73,6 @@ class SweepSpec:
     n_streams: int
     n_trials: int = 100
     master_seed: int = 0
-    out_path: str = ""
 
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
@@ -229,14 +229,9 @@ def run_sweep(spec: SweepSpec, cfg_template: SystemConfig | None = None, workers
     )
     if spec.mode == "snr_sweep":
         points = [(float(s), spec.antenna_points[0], s) for s in spec.snr_points_db]
-    elif spec.mode == "antenna_sweep":
+    else:
         fixed_snr = spec.snr_points_db[0]
         points = [(float(n), n, fixed_snr) for n in spec.antenna_points]
-    else:
-        raise ValueError(
-            f"run_sweep handles sweep modes only, not {spec.mode!r}; "
-            "use run_verification for the invariant suite"
-        )
 
     tasks = [
         (n, snr_db, spec.n_streams, spec.n_trials, spec.master_seed, noise_power, ref_admittance, t)
@@ -256,7 +251,8 @@ def run_sweep(spec: SweepSpec, cfg_template: SystemConfig | None = None, workers
     for (sweep_value, _, _), block in zip(points, values):
         # 1-D contiguous sums so numpy's pairwise summation applies per column.
         means = [float(np.sum(np.ascontiguousarray(block[:, i])) / spec.n_trials) for i in range(3)]
-        gaps = np.abs(block[:, 0] - block[:, 2]) / block[:, 2]
+        # Worst of the analog and digital gaps to capacity over the row's trials.
+        gaps = np.abs(block[:, :2] - block[:, 2:]) / block[:, 2:]
         rows.append(
             SweepRow(
                 sweep_value=sweep_value,
@@ -283,7 +279,7 @@ def write_csv(result: SweepResult, path) -> None:
         fh.write("\n")
 
 
-def write_manifest(spec: SweepSpec, path, csv_path="") -> None:
+def write_manifest(spec: SweepSpec, path, csv_path) -> None:
     """Record the sweep description, seed, and package version next to a CSV."""
     from . import __version__
 
@@ -294,7 +290,7 @@ def write_manifest(spec: SweepSpec, path, csv_path="") -> None:
         f"n_streams = {spec.n_streams}",
         f"n_trials = {spec.n_trials}",
         f"master_seed = {spec.master_seed}",
-        f"csv = {csv_path or spec.out_path}",
+        f"csv = {csv_path}",
         f"package_version = {__version__}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
@@ -313,17 +309,18 @@ class VerificationRow:
     passed: bool
 
 
-def _wf_objective(p, lam, total_power, noise_power) -> float:
-    return float(np.sum(np.log1p(total_power * p * lam / (4.0 * noise_power))) / np.log(2.0))
-
-
 def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[VerificationRow, ...]:
     """Randomized end-to-end invariant suite over n_cases instances per check.
 
     Every check draws fresh seeded instances, measures its worst residual,
     and compares it against the tolerance the library promises.  Returns one
     row per check; the suite passes iff every row passes.
+
+    Raises:
+        ValueError: if n_cases is below 1, which would leave every check vacuous.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     rng = np.random.default_rng(master_seed)
     rows = []
 
@@ -429,10 +426,10 @@ def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[Verificat
         )[:n_s] ** 2
         total_power = 10.0 ** rng.uniform(-1, 2)
         alloc = water_filling(lam, total_power, 1.0)
-        best = _wf_objective(alloc.p, lam, total_power, 1.0)
+        best = capacity_closed_form(lam, alloc, total_power, 1.0)
         for _ in range(100):
-            q = rng.dirichlet(np.ones(n_s))
-            worst = max(worst, _wf_objective(q, lam, total_power, 1.0) - best)
+            q = PowerAllocation(p=rng.dirichlet(np.ones(n_s)), water_level=np.nan)
+            worst = max(worst, capacity_closed_form(lam, q, total_power, 1.0) - best)
     record("water-filling never beaten by random allocations", worst, 1e-12)
 
     # Full chain: analog rate through the circuit equals closed-form capacity,

@@ -305,6 +305,37 @@ def _check_unitary(q: np.ndarray, tol: float, context: str) -> None:
         raise NotUnitaryInputError(f"{context}: unitarity residual {resid:.3e} exceeds {tol:.3e}")
 
 
+def _port_slices(n_antennas: int, n_streams: int, receive: bool) -> tuple[slice, slice]:
+    """Symbol-port and antenna-port slices; the receive side puts the symbol ports last."""
+    if receive:
+        return slice(n_antennas, None), slice(0, n_antennas)
+    return slice(0, n_streams), slice(n_streams, None)
+
+
+def _complete_scattering(q_bar, q_tilde, unitary_tol: float, receive: bool) -> ScatteringMatrix:
+    """Scattering completion of [q_bar, q_tilde]; see complete_scattering_tx and _rx."""
+    caller = "complete_scattering_rx" if receive else "complete_scattering_tx"
+    q_bar = np.asarray(q_bar, dtype=complex)
+    q_tilde = np.asarray(q_tilde, dtype=complex)
+    if receive:
+        q_bar, q_tilde = np.conj(q_bar), np.conj(q_tilde)
+    if q_bar.ndim != 2 or q_tilde.ndim != 2 or q_bar.shape[0] != q_tilde.shape[0]:
+        raise DimensionMismatchError(f"{caller}: the two column blocks must share their row count")
+    n = q_bar.shape[0]
+    n_s = q_bar.shape[1]
+    if n_s < 1 or n_s + q_tilde.shape[1] != n:
+        raise DimensionMismatchError(
+            f"{caller}: column blocks ({n_s} + {q_tilde.shape[1]}) must fill a square {n} x {n} matrix"
+        )
+    _check_unitary(np.hstack([q_bar, q_tilde]), unitary_tol, caller)
+    sym, ant = _port_slices(n, n_s, receive)
+    theta = np.zeros((n + n_s, n + n_s), dtype=complex)
+    theta[sym, ant] = q_bar.T
+    theta[ant, sym] = q_bar
+    theta[ant, ant] = -(q_tilde @ q_tilde.T)
+    return ScatteringMatrix(_mirror_upper(theta))
+
+
 def complete_scattering_tx(
     v_bar, v_tilde, unitary_tol: float = DEFAULT_UNITARY_TOL
 ) -> ScatteringMatrix:
@@ -330,22 +361,7 @@ def complete_scattering_tx(
         NotUnitaryInputError: if the stacked matrix is not unitary within tol.
         DimensionMismatchError: if the blocks do not stack to a square matrix.
     """
-    v_bar = np.asarray(v_bar, dtype=complex)
-    v_tilde = np.asarray(v_tilde, dtype=complex)
-    if v_bar.ndim != 2 or v_tilde.ndim != 2 or v_bar.shape[0] != v_tilde.shape[0]:
-        raise DimensionMismatchError("v_bar and v_tilde must share their row count")
-    n = v_bar.shape[0]
-    n_s = v_bar.shape[1]
-    if n_s < 1 or n_s + v_tilde.shape[1] != n:
-        raise DimensionMismatchError(
-            f"column blocks ({n_s} + {v_tilde.shape[1]}) must fill a square {n} x {n} matrix"
-        )
-    _check_unitary(np.hstack([v_bar, v_tilde]), unitary_tol, "complete_scattering_tx")
-    theta = np.zeros((n + n_s, n + n_s), dtype=complex)
-    theta[:n_s, n_s:] = v_bar.T
-    theta[n_s:, :n_s] = v_bar
-    theta[n_s:, n_s:] = -(v_tilde @ v_tilde.T)
-    return ScatteringMatrix(_mirror_upper(theta))
+    return _complete_scattering(v_bar, v_tilde, unitary_tol, receive=False)
 
 
 def complete_scattering_rx(
@@ -353,30 +369,12 @@ def complete_scattering_rx(
 ) -> ScatteringMatrix:
     """Lossless reciprocal scattering completion for the receive-side network.
 
-    Given the split [u_bar, u_tilde] of a unitary matrix, builds
-
-        [[-conj(u_tilde) u_tilde^H,  conj(u_bar)],
-         [u_bar^H,                   0          ]]
-
-    which is unitary, exactly symmetric, and realizes u_bar^H / 2 as its
-    antenna-to-symbol transfer block.
+    The transmit completion of [conj(u_bar), conj(u_tilde)] with the symbol
+    ports placed last: unitary, exactly symmetric, and realizing u_bar^H / 2
+    as its antenna-to-symbol transfer block.  Arguments and errors are those
+    of complete_scattering_tx.
     """
-    u_bar = np.asarray(u_bar, dtype=complex)
-    u_tilde = np.asarray(u_tilde, dtype=complex)
-    if u_bar.ndim != 2 or u_tilde.ndim != 2 or u_bar.shape[0] != u_tilde.shape[0]:
-        raise DimensionMismatchError("u_bar and u_tilde must share their row count")
-    n = u_bar.shape[0]
-    n_s = u_bar.shape[1]
-    if n_s < 1 or n_s + u_tilde.shape[1] != n:
-        raise DimensionMismatchError(
-            f"column blocks ({n_s} + {u_tilde.shape[1]}) must fill a square {n} x {n} matrix"
-        )
-    _check_unitary(np.hstack([u_bar, u_tilde]), unitary_tol, "complete_scattering_rx")
-    theta = np.zeros((n + n_s, n + n_s), dtype=complex)
-    theta[:n, :n] = -(np.conj(u_tilde) @ np.conj(u_tilde).T)
-    theta[:n, n:] = np.conj(u_bar)
-    theta[n:, :n] = np.conj(u_bar).T
-    return ScatteringMatrix(_mirror_upper(theta))
+    return _complete_scattering(u_bar, u_tilde, unitary_tol, receive=True)
 
 
 def _imag_part_inverse(m: np.ndarray, rel_tol: float, context: str) -> np.ndarray:
@@ -388,6 +386,30 @@ def _imag_part_inverse(m: np.ndarray, rel_tol: float, context: str) -> np.ndarra
             f"{rel_tol:.1e} of the spectral norm {sv[0]:.3e}"
         )
     return np.linalg.solve(m, np.eye(m.shape[0]))
+
+
+def _synthesize_susceptance(
+    q, n_streams: int, y0: float, singular_rel_tol: float, receive: bool
+) -> SusceptanceMatrix:
+    """Closed-form susceptance synthesis; see susceptance_tx and susceptance_rx."""
+    caller = "susceptance_rx" if receive else "susceptance_tx"
+    q = _as_square_complex(q, "unitary factor")
+    if receive:
+        np.conjugate(q, out=q)
+    n = q.shape[0]
+    if not 1 <= n_streams <= n:
+        raise DimensionMismatchError(f"{caller}: n_streams {n_streams} out of range for {n} antennas")
+    if y0 <= 0:
+        raise ValueError("reference admittance must be positive")
+    minv = _imag_part_inverse(q.imag, singular_rel_tol, caller)
+    r = q.real
+    sym, ant = _port_slices(n, n_streams, receive)
+    b = np.empty((n + n_streams, n + n_streams))
+    b[sym, sym] = (minv @ r)[:n_streams, :n_streams]
+    b[sym, ant] = -minv[:n_streams, :]
+    b[ant, sym] = -minv[:n_streams, :].T
+    b[ant, ant] = r @ minv
+    return SusceptanceMatrix(_mirror_upper(y0 * b))
 
 
 def susceptance_tx(
@@ -417,20 +439,7 @@ def susceptance_tx(
         SingularImaginaryPartError: if Im{v} is singular at the threshold;
             rotate the columns of v by nonreal phases and retry.
     """
-    v = _as_square_complex(v, "unitary factor")
-    n = v.shape[0]
-    if not 1 <= n_streams <= n:
-        raise DimensionMismatchError(f"n_streams {n_streams} out of range for {n} antennas")
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
-    minv = _imag_part_inverse(v.imag, singular_rel_tol, "susceptance_tx")
-    r = v.real
-    b = np.empty((n + n_streams, n + n_streams))
-    b[:n_streams, :n_streams] = (minv @ r)[:n_streams, :n_streams]
-    b[:n_streams, n_streams:] = -minv[:n_streams, :]
-    b[n_streams:, :n_streams] = -minv[:n_streams, :].T
-    b[n_streams:, n_streams:] = r @ minv
-    return SusceptanceMatrix(_mirror_upper(y0 * b))
+    return _synthesize_susceptance(v, n_streams, y0, singular_rel_tol, receive=False)
 
 
 def susceptance_rx(
@@ -441,28 +450,11 @@ def susceptance_rx(
 ) -> SusceptanceMatrix:
     """Susceptance matrix of the receive-side network realizing u_bar^H / 2.
 
-    Counterpart of susceptance_tx with the antenna ports first and the symbol
-    ports last.  Writing R = Re{u} and M = Im{u}:
-
-        y0 * [[ -R M^-1,          (M^-1)[:s, :]^T   ],
-              [ (M^-1)[:s, :],    -(M^-1 R)[:s, :s] ]]
-
-    with s = n_streams.  The result is exactly symmetric by construction.
+    The network is reciprocal, so it is the transmit synthesis of conj(u)
+    with the antenna ports first and the symbol ports last.  Arguments and
+    errors are those of susceptance_tx.
     """
-    u = _as_square_complex(u, "unitary factor")
-    n = u.shape[0]
-    if not 1 <= n_streams <= n:
-        raise DimensionMismatchError(f"n_streams {n_streams} out of range for {n} antennas")
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
-    minv = _imag_part_inverse(u.imag, singular_rel_tol, "susceptance_rx")
-    r = u.real
-    b = np.empty((n + n_streams, n + n_streams))
-    b[:n, :n] = -(r @ minv)
-    b[:n, n:] = minv[:n_streams, :].T
-    b[n:, :n] = minv[:n_streams, :]
-    b[n:, n:] = -(minv @ r)[:n_streams, :n_streams]
-    return SusceptanceMatrix(_mirror_upper(y0 * b))
+    return _synthesize_susceptance(u, n_streams, y0, singular_rel_tol, receive=True)
 
 
 def dump_matrix_csv(matrix, path) -> None:

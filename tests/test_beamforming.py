@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import milacsim.beamforming as beamforming
 from milacsim import (
     AdmittanceMatrix,
     AllZeroEigenvaluesError,
@@ -11,6 +12,7 @@ from milacsim import (
     PhaseSearchExhaustedError,
     PortPartition,
     PowerAllocation,
+    RateFormMismatchError,
     SvdFactors,
     SystemConfig,
     ZeroCombinerRowError,
@@ -297,6 +299,15 @@ def test_milac_rate_rejects_zero_combiner_row():
     alloc = PowerAllocation(p=np.array([0.5, 0.5]), water_level=np.nan)
     with pytest.raises(ZeroCombinerRowError):
         milac_rate(g, np.eye(2), np.eye(2), alloc, 1.0, 1.0)
+
+
+def test_milac_rate_form_disagreement_raises_milac_error(monkeypatch):
+    # A negative tolerance fails even forms that agree exactly, so the check
+    # must raise a MilacError (an assert would vanish under python -O).
+    monkeypatch.setattr(beamforming, "RATE_FORM_CHECK_TOL", -1.0)
+    alloc = PowerAllocation(p=np.array([0.5, 0.5]), water_level=np.nan)
+    with pytest.raises(RateFormMismatchError, match="rate forms disagree"):
+        milac_rate(np.eye(2), np.eye(2), np.eye(2), alloc, 1.0, 1.0)
 
 
 def test_milac_rate_validates_shapes():

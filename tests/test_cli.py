@@ -39,6 +39,72 @@ def test_help_exits_zero_and_documents_flags(capsys):
     assert "ohms" in out
 
 
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (
+            "sweep-snr",
+            [
+                "--streams STREAMS spatial stream count (required)",
+                "--trials TRIALS Monte-Carlo trials per sweep point (default 100)",
+                "--seed SEED 64-bit master seed (default 0)",
+                "--out OUT output CSV path; a .manifest.txt is written next to it (required)",
+                "--noise-power NOISE_POWER noise power in watts, linear (default 1.0)",
+                "--z0 Z0 reference impedance in ohms (default 50.0)",
+                "--workers WORKERS worker process count (default $MILACSIM_WORKERS or the CPU count)",
+                "--antennas ANTENNAS antenna count per side (required)",
+                "--snr-min SNR_MIN sweep start in dB (default -10.0)",
+                "--snr-max SNR_MAX sweep end in dB, inclusive (default 20.0)",
+                "--snr-step SNR_STEP sweep step in dB (default 2.0)",
+                "--config CONFIG",
+            ],
+        ),
+        (
+            "sweep-antennas",
+            [
+                "--streams STREAMS spatial stream count (required)",
+                "--trials TRIALS Monte-Carlo trials per sweep point (default 100)",
+                "--seed SEED 64-bit master seed (default 0)",
+                "--out OUT output CSV path; a .manifest.txt is written next to it (required)",
+                "--noise-power NOISE_POWER noise power in watts, linear (default 1.0)",
+                "--z0 Z0 reference impedance in ohms (default 50.0)",
+                "--workers WORKERS worker process count (default $MILACSIM_WORKERS or the CPU count)",
+                "--antenna-points ANTENNA_POINTS comma-separated antenna counts (default 16,32,64,128)",
+                "--snr-db SNR_DB SNR in dB (default 0.0)",
+                "--config CONFIG",
+            ],
+        ),
+        (
+            "verify",
+            [
+                "--seed SEED 64-bit master seed (default 0)",
+                "--cases CASES instances per check (default 25)",
+                "--config CONFIG",
+            ],
+        ),
+        (
+            "design-dump",
+            [
+                "--streams STREAMS spatial stream count (default 2)",
+                "--tx-antennas TX_ANTENNAS transmit antenna count (default 4)",
+                "--rx-antennas RX_ANTENNAS receive antenna count (default 4)",
+                "--snr-db SNR_DB SNR in dB (default 0.0)",
+                "--seed SEED 64-bit master seed (default 0)",
+                "--noise-power NOISE_POWER noise power in watts, linear (default 1.0)",
+                "--z0 Z0 reference impedance in ohms (default 50.0)",
+                "--out-dir OUT_DIR directory for the CSV files (required)",
+                "--config CONFIG",
+            ],
+        ),
+    ],
+)
+def test_help_lists_every_flag_with_its_default(command, expected, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for entry in expected:
+        assert entry in text
+
+
 def test_no_command_exits_one(capsys):
     assert main([]) == 1
     assert "command is required" in capsys.readouterr().err
@@ -223,6 +289,21 @@ def test_verify_exits_zero_when_all_pass(capsys):
     assert "all checks passed" in out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_rejects_zero_cases(capsys):
+    assert main(["verify", "--cases", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "n_cases must be at least 1" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+def test_verify_config_rejects_workers(tmp_path, capsys):
+    # verify has no --workers flag, so its config file may not set one.
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("cases = 1\nworkers = 1\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert "'workers' is not a flag of verify" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from milacsim import (
     write_csv,
     write_manifest,
 )
+from milacsim.harness import _design_seed
 
 
 def test_snr_db_to_tx_power():
@@ -116,15 +117,41 @@ def test_noise_template_changes_only_the_scale():
 
 
 def test_run_sweep_rejects_verify_mode():
-    spec = SweepSpec(
-        mode="verify",
-        snr_points_db=(0.0,),
-        antenna_points=(4,),
-        n_streams=2,
-        n_trials=1,
-    )
     with pytest.raises(ValueError):
-        run_sweep(spec, workers=1)
+        SweepSpec(
+            mode="verify",
+            snr_points_db=(0.0,),
+            antenna_points=(4,),
+            n_streams=2,
+            n_trials=1,
+        )
+
+
+def test_max_rel_gap_is_the_worst_analog_or_digital_gap_per_row():
+    spec = _small_snr_spec()
+    result = run_sweep(spec, workers=1)
+    n = spec.antenna_points[0]
+    ensemble = ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=spec.n_trials, master_seed=spec.master_seed)
+    digital_decides = 0
+    for row, snr_db in zip(result.rows, spec.snr_points_db):
+        config = SystemConfig(
+            n_streams=spec.n_streams,
+            n_tx=n,
+            n_rx=n,
+            tx_power=snr_db_to_tx_power(snr_db, 1.0),
+            noise_power=1.0,
+        )
+        analog_gaps, digital_gaps = [], []
+        for t in range(spec.n_trials):
+            report = run_trial(
+                rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t, 0)
+            )
+            analog_gaps.append(abs(report.milac_rate - report.capacity) / report.capacity)
+            digital_gaps.append(abs(report.digital_rate - report.capacity) / report.capacity)
+        assert row.max_rel_gap == max(analog_gaps + digital_gaps)
+        digital_decides += max(digital_gaps) > max(analog_gaps)
+    # The seeds are such that the digital gap is the worst in some row.
+    assert digital_decides >= 1
 
 
 def test_sweep_spec_validation():

@@ -331,6 +331,44 @@ def test_circuit_oracle_susceptance_realizes_half_target():
         assert np.abs(g - u[:, :n_s].conj().T / 2.0).max() <= 1e-8
 
 
+def _reference_susceptance_rx(u, n_s, y0):
+    """Receive synthesis written out block by block, with the antenna ports first."""
+    n = u.shape[0]
+    minv = np.linalg.solve(u.imag, np.eye(n))
+    r = u.real
+    b = np.empty((n + n_s, n + n_s))
+    b[:n, :n] = -(r @ minv)
+    b[:n, n:] = minv[:n_s, :].T
+    b[n:, :n] = minv[:n_s, :]
+    b[n:, n:] = -(minv @ r)[:n_s, :n_s]
+    b = y0 * b
+    return np.triu(b) + np.triu(b, 1).T
+
+
+def _reference_scattering_rx(u_bar, u_tilde):
+    """Receive completion written out block by block, with the antenna ports first."""
+    n, n_s = u_bar.shape
+    theta = np.zeros((n + n_s, n + n_s), dtype=complex)
+    theta[:n, :n] = -(np.conj(u_tilde) @ np.conj(u_tilde).T)
+    theta[:n, n:] = np.conj(u_bar)
+    theta[n:, :n] = np.conj(u_bar).T
+    return np.triu(theta) + np.triu(theta, 1).T
+
+
+def test_receive_side_equals_its_block_reference_exactly():
+    # The receive network is derived from the transmit synthesis on conj(u);
+    # it must reproduce the explicit receive formulas bit for bit.
+    rng = np.random.default_rng(2024)
+    for n in range(1, 33):
+        u = unitary_group.rvs(n, random_state=rng) if n > 1 else np.ones((1, 1))
+        u = u * np.exp(2j * np.pi * rng.random(n))
+        for n_s in range(1, n + 1):
+            b = susceptance_rx(u, n_s, Y0)
+            assert np.array_equal(b.b, _reference_susceptance_rx(u, n_s, Y0)), (n, n_s)
+            theta = complete_scattering_rx(u[:, :n_s], u[:, n_s:])
+            assert np.array_equal(theta.theta, _reference_scattering_rx(u[:, :n_s], u[:, n_s:])), (n, n_s)
+
+
 def test_susceptance_stream_count_validated():
     v = rotated_unitary(4, 1)
     with pytest.raises(DimensionMismatchError):
