@@ -132,14 +132,39 @@ class PowerAllocation:
 
 
 @dataclass(frozen=True, eq=False)
+class Design:
+    """Closed-form design of one link, built from a single SVD of its channel.
+
+    Attributes:
+        factors: ordered SVD after phase repair; its leading columns are the
+            singular vectors both networks realize and the digital precoder uses.
+        allocation: water-filling fractions over the leading eigenvalues.
+        b_tx: transmit susceptance matrix.
+        b_rx: receive susceptance matrix.
+    """
+
+    factors: SvdFactors
+    allocation: PowerAllocation
+    b_tx: SusceptanceMatrix
+    b_rx: SusceptanceMatrix
+
+    def __iter__(self):
+        # perfbench's drive_link unpacks (b_tx, b_rx, allocation); drop once it reads attributes.
+        return iter((self.b_tx, self.b_rx, self.allocation))
+
+
+@dataclass(frozen=True, eq=False)
 class RateReport:
-    """Per-trial record of the analog rate, digital benchmark, and capacity."""
+    """Per-trial record of the analog rate, digital benchmark, and capacity,
+    with the design and its circuit-realized precoder f and combiner g."""
 
     milac_rate: float
     digital_rate: float
     capacity: float
-    allocation: PowerAllocation
     per_stream_sinr: np.ndarray
+    design: Design
+    f: np.ndarray
+    g: np.ndarray
 
 
 def svd_ordered(h) -> SvdFactors:
@@ -263,7 +288,8 @@ def water_filling(
         PowerAllocation with fractions summing to one.
 
     Raises:
-        AllZeroEigenvaluesError: if every eigenvalue is zero.
+        AllZeroEigenvaluesError: if every eigenvalue is zero, or so small
+            that its floor overflows.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
@@ -272,24 +298,24 @@ def water_filling(
         raise ValueError("eigenvalues must be nonnegative and finite")
     if total_power <= 0 or noise_power <= 0 or quarter_factor <= 0:
         raise ValueError("powers and quarter_factor must be positive")
-    if not np.any(lam > 0):
-        raise AllZeroEigenvaluesError("all channel eigenvalues are zero")
-
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         floors = np.where(lam > 0, quarter_factor * noise_power / (total_power * lam), np.inf)
-    order = np.argsort(floors, kind="stable")
-    sorted_floors = floors[order]
-    n_finite = int(np.sum(np.isfinite(sorted_floors)))
-    csum = np.cumsum(sorted_floors[:n_finite])
-    water_level = None
+    if not np.any(np.isfinite(floors)):
+        raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
+    # Search on the floors above the lowest one: on weak channels a_min can
+    # exceed 2**53, where 1 + a_min == a_min would disqualify every candidate.
+    a_min = floors.min()
+    excess = floors - a_min
+    sorted_excess = np.sort(excess)
+    n_finite = int(np.sum(np.isfinite(sorted_excess)))
+    csum = np.cumsum(sorted_excess[:n_finite])
     for m in range(n_finite, 0, -1):
-        candidate = (1.0 + csum[m - 1]) / m
-        if candidate > sorted_floors[m - 1]:
-            water_level = candidate
+        level = (1.0 + csum[m - 1]) / m
+        # m = 1 always qualifies: level 1 > excess 0.
+        if level > sorted_excess[m - 1]:
             break
-    # m = 1 always qualifies: (1 + a_min) / 1 > a_min.
-    p = np.maximum(0.0, water_level - floors)
-    return PowerAllocation(p=p, water_level=float(water_level))
+    p = np.maximum(0.0, level - excess)
+    return PowerAllocation(p=p, water_level=float(a_min + level))
 
 
 def capacity_closed_form(
@@ -391,11 +417,7 @@ def _per_stream_sinr(effective, row_power, p, total_power, noise_power) -> np.nd
     return signal / denom
 
 
-def design_milac(
-    h,
-    config: SystemConfig,
-    rng_seed,
-) -> tuple[SusceptanceMatrix, SusceptanceMatrix, PowerAllocation]:
+def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
     Pipeline: ordered SVD of the channel, phase repair so both unitary
@@ -409,7 +431,8 @@ def design_milac(
         rng_seed: seed for the deterministic phase repair.
 
     Returns:
-        Tuple (transmit susceptance, receive susceptance, power allocation).
+        Design holding the repaired factors, the power allocation and both
+        susceptance matrices; it unpacks as (b_tx, b_rx, allocation).
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (config.n_rx, config.n_tx):
@@ -422,14 +445,16 @@ def design_milac(
     allocation = water_filling(lam, config.tx_power, config.noise_power)
     b_tx = susceptance_tx(factors.v, config.n_streams, config.ref_admittance)
     b_rx = susceptance_rx(factors.u, config.n_streams, config.ref_admittance)
-    return b_tx, b_rx, allocation
+    return Design(factors, allocation, b_tx, b_rx)
 
 
-def digital_design_and_rate(h, config: SystemConfig) -> tuple[np.ndarray, float]:
-    """Optimal fully digital precoder and its achievable rate.
+def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np.ndarray, float]:
+    """Optimal fully digital precoder on a design's factors and its achievable rate.
 
-    The precoder is W = v_bar diag(sqrt(p)) with p the water-filling
-    fractions, so ||W||_F^2 = 1.  The rate is
+    The precoder is W = v_bar diag(sqrt(p)) with v_bar the leading n_streams
+    columns of design.factors.v and p the design's water-filling fractions,
+    so ||W||_F^2 = 1.  Phase repair rotates the columns of v but leaves the
+    singular values, and hence p and the rate, unchanged.  The rate is
 
         log2 det(I + total_power / (quarter_factor * noise_power) * H W W^H H^H)
 
@@ -445,10 +470,9 @@ def digital_design_and_rate(h, config: SystemConfig) -> tuple[np.ndarray, float]
         raise DimensionMismatchError(
             f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx})"
         )
-    factors = svd_ordered(h)
-    lam = factors.sigma[: config.n_streams] ** 2
-    allocation = water_filling(lam, config.tx_power, config.noise_power)
-    w = factors.v[:, : config.n_streams] * np.sqrt(allocation.p)
+    if design.factors.v.shape[0] != config.n_tx or design.allocation.p.shape[0] != config.n_streams:
+        raise DimensionMismatchError("design does not match config")
+    w = design.factors.v[:, : config.n_streams] * np.sqrt(design.allocation.p)
     a = h @ w
     scale = config.tx_power / (DEFAULT_QUARTER_FACTOR * config.noise_power)
     gram = np.eye(config.n_streams) + scale * (a.conj().T @ a)

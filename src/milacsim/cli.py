@@ -12,35 +12,20 @@ import sys
 
 import numpy as np
 
-from .beamforming import (
-    SystemConfig,
-    capacity_closed_form,
-    ensure_invertible_imag,
-    milac_rate,
-    svd_ordered,
-    water_filling,
-)
+from .beamforming import SystemConfig
 from .channel import ChannelEnsembleSpec, rayleigh_channel
 from .exceptions import MilacError
 from .harness import (
     SweepSpec,
     WORKERS_ENV_VAR,
     run_sweep,
+    run_trial,
     run_verification,
     snr_db_to_tx_power,
     write_csv,
     write_manifest,
 )
-from .network import (
-    AdmittanceMatrix,
-    PortPartition,
-    complete_scattering_rx,
-    complete_scattering_tx,
-    dump_matrix_csv,
-    susceptance_rx,
-    susceptance_tx,
-    transfer_block_from_admittance,
-)
+from .network import complete_scattering_rx, complete_scattering_tx, dump_matrix_csv
 
 
 class _CliError(Exception):
@@ -231,10 +216,6 @@ def _run_sweep_command(spec: SweepSpec, opts: dict) -> int:
 
 
 def _cmd_sweep_snr(opts: dict) -> int:
-    if opts["streams"] > opts["antennas"]:
-        raise _CliError(
-            f"--streams ({opts['streams']}) must not exceed --antennas ({opts['antennas']})"
-        )
     if opts["snr_step"] <= 0:
         raise _CliError("--snr-step must be positive")
     if opts["snr_max"] < opts["snr_min"]:
@@ -254,15 +235,10 @@ def _cmd_sweep_snr(opts: dict) -> int:
 
 
 def _cmd_sweep_antennas(opts: dict) -> int:
-    points = opts["antenna_points"]
-    if opts["streams"] > min(points):
-        raise _CliError(
-            f"--streams ({opts['streams']}) must not exceed the smallest --antenna-points entry ({min(points)})"
-        )
     spec = SweepSpec(
         mode="antenna_sweep",
         snr_points_db=(opts["snr_db"],),
-        antenna_points=points,
+        antenna_points=opts["antenna_points"],
         n_streams=opts["streams"],
         n_trials=opts["trials"],
         master_seed=opts["seed"],
@@ -285,54 +261,36 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def _cmd_design_dump(opts: dict) -> int:
-    if opts["streams"] > min(opts["tx_antennas"], opts["rx_antennas"]):
-        raise _CliError(
-            f"--streams ({opts['streams']}) must not exceed --tx-antennas/--rx-antennas"
-        )
-    y0 = 1.0 / opts["z0"]
     config = SystemConfig(
         n_streams=opts["streams"],
         n_tx=opts["tx_antennas"],
         n_rx=opts["rx_antennas"],
         tx_power=snr_db_to_tx_power(opts["snr_db"], opts["noise_power"]),
         noise_power=opts["noise_power"],
-        ref_admittance=y0,
+        ref_admittance=1.0 / opts["z0"],
     )
     ensemble = ChannelEnsembleSpec(
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=1, master_seed=opts["seed"]
     )
     h = rayleigh_channel(ensemble, 0)
-    factors = ensure_invertible_imag(svd_ordered(h), config.n_streams, opts["seed"])
+    report = run_trial(h, config, opts["seed"])
+    design = report.design
     n_s = config.n_streams
-    theta_tx = complete_scattering_tx(factors.v[:, :n_s], factors.v[:, n_s:])
-    theta_rx = complete_scattering_rx(factors.u[:, :n_s], factors.u[:, n_s:])
-    b_tx = susceptance_tx(factors.v, n_s, y0)
-    b_rx = susceptance_rx(factors.u, n_s, y0)
-    f = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * b_tx.b), PortPartition(n_s, config.n_tx), y0
-    )
-    g = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * b_rx.b), PortPartition(config.n_rx, n_s), y0
-    )
-    allocation = water_filling(
-        factors.sigma[:n_s] ** 2, config.tx_power, config.noise_power
-    )
-    rate, _ = milac_rate(g, h, f, allocation, config.tx_power, config.noise_power)
-    capacity = capacity_closed_form(
-        factors.sigma[:n_s] ** 2, allocation, config.tx_power, config.noise_power
-    )
+    u, v = design.factors.u, design.factors.v
+    theta_tx = complete_scattering_tx(v[:, :n_s], v[:, n_s:])
+    theta_rx = complete_scattering_rx(u[:, :n_s], u[:, n_s:])
 
     out_dir = opts["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    dump_matrix_csv(b_tx.b, os.path.join(out_dir, "susceptance_tx.csv"))
-    dump_matrix_csv(b_rx.b, os.path.join(out_dir, "susceptance_rx.csv"))
+    dump_matrix_csv(design.b_tx.b, os.path.join(out_dir, "susceptance_tx.csv"))
+    dump_matrix_csv(design.b_rx.b, os.path.join(out_dir, "susceptance_rx.csv"))
     dump_matrix_csv(theta_tx.theta, os.path.join(out_dir, "scattering_tx.csv"))
     dump_matrix_csv(theta_rx.theta, os.path.join(out_dir, "scattering_rx.csv"))
-    dump_matrix_csv(f, os.path.join(out_dir, "precoder_block.csv"))
-    dump_matrix_csv(g, os.path.join(out_dir, "combiner_block.csv"))
+    dump_matrix_csv(report.f, os.path.join(out_dir, "precoder_block.csv"))
+    dump_matrix_csv(report.g, os.path.join(out_dir, "combiner_block.csv"))
     with open(os.path.join(out_dir, "allocation.csv"), "w", encoding="utf-8") as fh:
         fh.write("stream,power_fraction\n")
-        for s, p in enumerate(allocation.p):
+        for s, p in enumerate(design.allocation.p):
             fh.write(f"{s},{p:.17e}\n")
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(
@@ -343,14 +301,17 @@ def _cmd_design_dump(opts: dict) -> int:
                     f"rx_antennas = {config.n_rx}",
                     f"snr_db = {opts['snr_db']!r}",
                     f"master_seed = {opts['seed']}",
-                    f"water_level = {allocation.water_level:.17e}",
-                    f"milac_rate_bits = {rate:.17e}",
-                    f"capacity_bits = {capacity:.17e}",
+                    f"water_level = {design.allocation.water_level:.17e}",
+                    f"milac_rate_bits = {report.milac_rate:.17e}",
+                    f"capacity_bits = {report.capacity:.17e}",
                 ]
             )
             + "\n"
         )
-    print(f"wrote design files to {out_dir} (rate {rate:.6f} bits, capacity {capacity:.6f} bits)")
+    print(
+        f"wrote design files to {out_dir} "
+        f"(rate {report.milac_rate:.6f} bits, capacity {report.capacity:.6f} bits)"
+    )
     return 0
 
 

@@ -129,31 +129,35 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
 
     The rate is evaluated on the transfer blocks recovered from the
     synthesized susceptance matrices, not on the singular vectors directly,
-    so the whole admittance pipeline is exercised on every trial.
+    so the whole admittance pipeline is exercised on every trial.  The
+    digital benchmark reuses the design's SVD and allocation.
     """
-    b_tx, b_rx, allocation = design_milac(h, config, rng_seed)
+    design = design_milac(h, config, rng_seed)
     f = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * b_tx.b),
+        AdmittanceMatrix(1j * design.b_tx.b),
         PortPartition(n_inputs=config.n_streams, n_outputs=config.n_tx),
         config.ref_admittance,
     )
     g = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * b_rx.b),
+        AdmittanceMatrix(1j * design.b_rx.b),
         PortPartition(n_inputs=config.n_rx, n_outputs=config.n_streams),
         config.ref_admittance,
     )
-    rate, sinr = milac_rate(g, h, f, allocation, config.tx_power, config.noise_power)
+    rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
+    # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)
     capacity = capacity_closed_form(
-        lam[: config.n_streams] ** 2, allocation, config.tx_power, config.noise_power
+        lam[: config.n_streams] ** 2, design.allocation, config.tx_power, config.noise_power
     )
-    _, digital = digital_design_and_rate(h, config)
+    _, digital = digital_design_and_rate(h, config, design)
     return RateReport(
         milac_rate=rate,
         digital_rate=digital,
         capacity=capacity,
-        allocation=allocation,
         per_stream_sinr=sinr,
+        design=design,
+        f=f,
+        g=g,
     )
 
 

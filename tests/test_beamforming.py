@@ -228,9 +228,19 @@ def test_water_filling_zero_modes_get_zero_power():
     assert abs(alloc.p.sum() - 1.0) <= 1e-12
 
 
+def test_water_filling_weak_channel_floors_beyond_2_pow_53():
+    # Floors near 4e299: 1 + a_min == a_min, yet the stronger mode takes all power.
+    alloc = water_filling(np.array([9.7e-300, 5.7e-300]), 1.0, 1.0)
+    assert np.array_equal(alloc.p, [1.0, 0.0])
+    assert np.isfinite(alloc.water_level)
+
+
 def test_water_filling_rejects_degenerate_inputs():
     with pytest.raises(AllZeroEigenvaluesError):
         water_filling(np.zeros(3), 1.0, 1.0)
+    # Floors that overflow leave no finite water level either.
+    with pytest.raises(AllZeroEigenvaluesError):
+        water_filling(np.array([1e-310, 0.0]), 1.0, 1.0)
     with pytest.raises(ValueError):
         water_filling(np.array([-1.0, 2.0]), 1.0, 1.0)
     with pytest.raises(DimensionMismatchError):
@@ -394,6 +404,15 @@ def test_design_survives_rank_deficient_channel():
     assert abs(rate - cap) <= 1e-9 * max(1.0, cap)
 
 
+def test_design_unpacks_as_b_tx_b_rx_allocation():
+    h = random_channel(4, 3, 12)
+    config = SystemConfig(n_streams=2, n_tx=3, n_rx=4, tx_power=1.0, noise_power=1.0)
+    design = design_milac(h, config, rng_seed=0)
+    b_tx, b_rx, alloc = design
+    assert b_tx is design.b_tx and b_rx is design.b_rx and alloc is design.allocation
+    assert np.array_equal(design.factors.sigma, svd_ordered(h).sigma)
+
+
 def test_design_rejects_mismatched_channel_shape():
     config = SystemConfig(n_streams=1, n_tx=3, n_rx=2, tx_power=1.0, noise_power=1.0)
     with pytest.raises(DimensionMismatchError):
@@ -432,15 +451,23 @@ def test_design_rate_invariant_to_phase_repair_seed():
 def test_digital_single_stream_closed_form():
     h = np.diag([3.0, 1.0]).astype(complex)
     config = SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=2.0, noise_power=0.5)
-    w, rate = digital_design_and_rate(h, config)
+    w, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=0))
     assert w.shape == (2, 1)
     assert abs(rate - np.log2(1.0 + 2.0 * 9.0 / (4.0 * 0.5))) <= 1e-12
+
+
+def test_digital_rejects_a_design_for_another_config():
+    h = random_channel(3, 3, 5)
+    one = SystemConfig(n_streams=1, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
+    two = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
+    with pytest.raises(DimensionMismatchError):
+        digital_design_and_rate(h, two, design_milac(h, one, rng_seed=0))
 
 
 def test_digital_scaled_unitary_uses_uniform_allocation():
     h = 2.0 * np.eye(4)
     config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
-    w, rate = digital_design_and_rate(h, config)
+    w, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=0))
     expected = 4.0 * np.log2(1.0 + 1.0 * 4.0 / (4.0 * 1.0 * 4.0))
     assert abs(rate - expected) <= 1e-12
     col_power = np.sum(np.abs(w) ** 2, axis=0)
@@ -451,7 +478,7 @@ def test_digital_precoder_spends_unit_power():
     for seed in range(10):
         h = random_channel(5, 6, 300 + seed)
         config = SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=2.0, noise_power=1.0)
-        w, _ = digital_design_and_rate(h, config)
+        w, _ = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
         assert abs(np.linalg.norm(w) ** 2 - 1.0) <= 1e-12
 
 
@@ -459,7 +486,7 @@ def test_digital_rate_equals_eigenvalue_capacity():
     for seed in range(20):
         h = random_channel(4, 4, 600 + seed)
         config = SystemConfig(n_streams=3, n_tx=4, n_rx=4, tx_power=6.0, noise_power=1.0)
-        _, rate = digital_design_and_rate(h, config)
+        _, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
         factors = svd_ordered(h)
         lam = factors.sigma[:3] ** 2
         alloc = water_filling(lam, config.tx_power, config.noise_power)
@@ -473,7 +500,7 @@ def test_analog_and_digital_rates_agree():
         config = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=3.0, noise_power=1.0)
         f, g, alloc = _circuit_blocks(h, config, seed)
         analog, _ = milac_rate(g, h, f, alloc, config.tx_power, config.noise_power)
-        _, digital = digital_design_and_rate(h, config)
+        _, digital = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
         assert abs(analog - digital) <= 1e-9 * max(1.0, digital)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from milacsim import ChannelEnsembleSpec, SystemConfig, rayleigh_channel, run_trial
 from milacsim.cli import build_parser, main
 
 
@@ -121,11 +122,25 @@ def test_unknown_flag_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_streams_exceeding_antennas_exits_one(tmp_path, capsys):
-    code = main(_sweep_args(tmp_path / "r.csv", extra=["--streams", "9"]))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "--streams" in err and "--antennas" in err
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-snr", "--antennas", "4", "--trials", "1", "--workers", "1"],
+        ["sweep-antennas", "--antenna-points", "4,8", "--trials", "1", "--workers", "1"],
+        ["design-dump", "--tx-antennas", "4", "--rx-antennas", "6"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_streams_exceeding_antennas_exits_one(tmp_path, capsys, args):
+    # The sweep spec and the link config reject the stream count; the CLI
+    # maps their ValueError to exit 1.
+    if args[0] == "design-dump":
+        out = ["--out-dir", str(tmp_path / "d")]
+    else:
+        out = ["--out", str(tmp_path / "r.csv")]
+    assert main([*args, "--streams", "9", *out]) == 1
+    assert "n_streams=9 exceeds" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_bad_snr_grid_exits_one(tmp_path, capsys):
@@ -347,10 +362,15 @@ def test_design_dump_writes_all_files(tmp_path, capsys):
     assert all(v == 0.0 for v in values[1::2])
 
 
-def test_design_dump_rejects_too_many_streams(tmp_path, capsys):
-    code = main(
-        ["design-dump", "--streams", "5", "--tx-antennas", "4", "--rx-antennas", "4",
-         "--out-dir", str(tmp_path / "d")]
-    )
-    assert code == 1
+def test_design_dump_summary_reports_the_run_trial_rate(tmp_path, capsys):
+    out_dir = tmp_path / "design"
+    assert main(["design-dump", "--seed", "5", "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
+    summary = dict(
+        line.split(" = ") for line in (out_dir / "summary.txt").read_text().splitlines()
+    )
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=5), 0)
+    config = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    report = run_trial(h, config, 5)
+    assert float(summary["milac_rate_bits"]) == report.milac_rate
+    assert float(summary["capacity_bits"]) == report.capacity

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import milacsim.beamforming as beamforming
 from milacsim import (
     CSV_HEADER,
     ChannelEnsembleSpec,
@@ -35,13 +36,44 @@ def test_run_trial_report_is_self_consistent():
     report = run_trial(h, config, rng_seed=0)
     assert report.per_stream_sinr.shape == (4,)
     assert np.all(report.per_stream_sinr >= 0)
-    assert abs(report.allocation.p.sum() - 1.0) <= 1e-12
+    assert abs(report.design.allocation.p.sum() - 1.0) <= 1e-12
     # The closed-form capacity is reproduced by both implemented designs.
     assert abs(report.milac_rate - report.capacity) <= 1e-9 * max(1.0, report.capacity)
     assert abs(report.digital_rate - report.capacity) <= 1e-9 * max(1.0, report.capacity)
     # Rate equals the sum of per-stream contributions.
     from_sinr = float(np.sum(np.log2(1.0 + report.per_stream_sinr)))
     assert abs(report.milac_rate - from_sinr) <= 1e-12 * max(1.0, from_sinr)
+
+
+def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
+    calls = {"svd_ordered": 0, "water_filling": 0}
+
+    def counted(name):
+        inner = getattr(beamforming, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(beamforming, name, counted(name))
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
+    config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=2.0, noise_power=1.0)
+    run_trial(h, config, rng_seed=0)
+    assert calls == {"svd_ordered": 1, "water_filling": 1}
+
+
+def test_run_trial_on_a_weak_channel_reaches_capacity():
+    # Entries near 1e-150 put every water-filling floor far beyond 2**53.
+    h = 1e-150 * rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=1), 0)
+    for snr_db in (-40.0, 0.0, 100.0):
+        config = SystemConfig(
+            n_streams=4, n_tx=4, n_rx=4, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
+        )
+        report = run_trial(h, config, rng_seed=0)
+        assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
 
 
 def _small_snr_spec(**overrides):
