@@ -25,12 +25,14 @@ from .exceptions import (
     NonFiniteInputError,
     PhaseSearchExhaustedError,
     RateFormMismatchError,
+    SingularImaginaryPartError,
     ZeroCombinerRowError,
 )
 from .network import (
     DEFAULT_IMAG_SV_REL,
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
+    _imag_part_inverse,
     susceptance_rx,
     susceptance_tx,
 )
@@ -204,13 +206,6 @@ def _phase_fix_columns(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * phases.conj(), phases
 
 
-def _min_rel_singular(m: np.ndarray) -> float:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
-
-
 def ensure_invertible_imag(
     factors: SvdFactors,
     n_streams: int,
@@ -241,7 +236,12 @@ def ensure_invertible_imag(
         raise DimensionMismatchError(f"n_streams {n_streams} out of range for these factors")
 
     def ok(m: np.ndarray) -> bool:
-        return _min_rel_singular(m) > singular_rel_tol
+        # The synthesis's own test, so a factor passes here iff it synthesizes.
+        try:
+            _imag_part_inverse(m, singular_rel_tol, "ensure_invertible_imag")
+        except SingularImaginaryPartError:
+            return False
+        return True
 
     if ok(factors.v.imag) and ok(factors.u.imag):
         return factors
@@ -420,10 +420,10 @@ def _per_stream_sinr(effective, row_power, p, total_power, noise_power) -> np.nd
 def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
-    Pipeline: ordered SVD of the channel, phase repair so both unitary
-    factors have invertible imaginary parts, water-filling over the leading
-    n_streams eigenvalues, then closed-form susceptance synthesis on each
-    side.
+    Pipeline: ordered SVD of the channel, closed-form susceptance synthesis
+    on each side, and water-filling over the leading n_streams eigenvalues.
+    Only when the synthesis rejects Im{v} or Im{u} as singular are the
+    factors phase-repaired and synthesized again.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config.
@@ -440,12 +440,21 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
             f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx})"
         )
     factors = svd_ordered(h)
-    factors = ensure_invertible_imag(factors, config.n_streams, rng_seed)
+    try:
+        b_tx, b_rx = _synthesize_both(factors, config)
+    except SingularImaginaryPartError:
+        factors = ensure_invertible_imag(factors, config.n_streams, rng_seed)
+        b_tx, b_rx = _synthesize_both(factors, config)
     lam = factors.sigma[: config.n_streams] ** 2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
+    return Design(factors, allocation, b_tx, b_rx)
+
+
+def _synthesize_both(factors: SvdFactors, config: SystemConfig):
+    """Transmit and receive susceptance matrices of the factors' leading columns."""
     b_tx = susceptance_tx(factors.v, config.n_streams, config.ref_admittance)
     b_rx = susceptance_rx(factors.u, config.n_streams, config.ref_admittance)
-    return Design(factors, allocation, b_tx, b_rx)
+    return b_tx, b_rx
 
 
 def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np.ndarray, float]:
@@ -458,8 +467,9 @@ def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np
 
         log2 det(I + total_power / (quarter_factor * noise_power) * H W W^H H^H)
 
-    evaluated on the n_streams x n_streams Gram form via a Cholesky
-    factorization.
+    evaluated on the n_streams x n_streams Gram form as a sum of log1p over
+    its eigenvalues, which keeps the digits of weak channels where
+    I + Gram rounds to I.
 
     Returns:
         Tuple (precoder W of shape (n_tx, n_streams), rate in bits per
@@ -475,7 +485,7 @@ def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np
     w = design.factors.v[:, : config.n_streams] * np.sqrt(design.allocation.p)
     a = h @ w
     scale = config.tx_power / (DEFAULT_QUARTER_FACTOR * config.noise_power)
-    gram = np.eye(config.n_streams) + scale * (a.conj().T @ a)
-    chol = np.linalg.cholesky(gram)
-    rate = float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    # Round-off can leave a Gram eigenvalue slightly negative.
+    eig = np.maximum(np.linalg.eigvalsh(scale * (a.conj().T @ a)), 0.0)
+    rate = float(np.sum(np.log1p(eig)) / np.log(2.0))
     return w, rate

@@ -65,15 +65,58 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
     assert calls == {"svd_ordered": 1, "water_filling": 1}
 
 
+def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch):
+    # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses alone.
+    calls = {"svd_full": 0, "svd_values": 0, "solve": 0}
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd_full" if kwargs.get("compute_uv", True) else "svd_values"] += 1
+        return svd(a, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
+    config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=2.0, noise_power=1.0)
+    run_trial(h, config, rng_seed=0)
+    assert calls == {"svd_full": 1, "svd_values": 1, "solve": 2}
+
+
+def test_run_trial_repairs_a_real_channel_and_reaches_capacity(monkeypatch):
+    # A real channel has real singular vectors, so the synthesis rejects Im{V}.
+    repairs = []
+    ensure = beamforming.ensure_invertible_imag
+
+    def counted(*args, **kwargs):
+        repairs.append(1)
+        return ensure(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=5, n_tx=6, n_trials=1, master_seed=2), 0).real
+    config = SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=4.0, noise_power=1.0)
+    report = run_trial(h, config, rng_seed=1)
+    assert len(repairs) == 1
+    assert np.any(report.design.factors.v.imag != 0)
+    for rate in (report.milac_rate, report.digital_rate):
+        assert abs(rate - report.capacity) <= 1e-9 * report.capacity
+
+
 def test_run_trial_on_a_weak_channel_reaches_capacity():
-    # Entries near 1e-150 put every water-filling floor far beyond 2**53.
-    h = 1e-150 * rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=1), 0)
-    for snr_db in (-40.0, 0.0, 100.0):
-        config = SystemConfig(
-            n_streams=4, n_tx=4, n_rx=4, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
-        )
-        report = run_trial(h, config, rng_seed=0)
-        assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
+    # Entries near 1e-150 put every water-filling floor far beyond 2**53, and
+    # I + Gram rounds to I in the digital log-det.
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=1), 0)
+    for scale in (1e-150, 1e-100):
+        for snr_db in (-40.0, 0.0, 100.0):
+            config = SystemConfig(
+                n_streams=4, n_tx=4, n_rx=4, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
+            )
+            report = run_trial(scale * h, config, rng_seed=0)
+            assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
+            assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
 
 
 def _small_snr_spec(**overrides):

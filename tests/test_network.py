@@ -24,6 +24,7 @@ from milacsim import (
     transfer_block_from_admittance,
     transfer_block_from_scattering,
 )
+from milacsim.network import DEFAULT_IMAG_SV_REL, _imag_part_inverse
 
 Y0 = 1.0 / 50.0
 
@@ -261,6 +262,56 @@ def test_susceptance_tx_rejects_real_unitary():
 def test_susceptance_rx_rejects_real_unitary():
     with pytest.raises(SingularImaginaryPartError):
         susceptance_rx(np.eye(2), 1, Y0)
+
+
+def _small_one_norm_matrix(n, kappa, rng):
+    """Singular pairs (e1, w) on top and (w, e1) at the bottom, w = (0, 1, ..., 1)/sqrt(n - 1),
+    so that kappa_1 is about kappa_2 / (n - 1): only the factor n of kappa_2 <= n kappa_1
+    keeps such a matrix from passing the inverse's bound."""
+    w = np.r_[0.0, np.ones(n - 1)] / np.sqrt(n - 1)
+    q = [np.linalg.qr(np.column_stack([np.eye(n)[:, 0], w, rng.standard_normal((n, n - 2))]))[0]
+         for _ in range(2)]
+    u = np.column_stack([q[0][:, 0], q[0][:, 2:], q[0][:, 1]])
+    v = np.column_stack([q[1][:, 1], q[1][:, 2:], q[1][:, 0]])
+    sigma = np.r_[1.0, np.full(n - 2, kappa ** -0.5), 1.0 / kappa]
+    return (u * sigma) @ v.T
+
+
+def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
+    # Singular iff sigma_min / sigma_max <= DEFAULT_IMAG_SV_REL, whichever way it
+    # is decided; an accepted inverse is np.linalg.solve's, bit for bit.
+    rng = np.random.default_rng(17)
+    kappas = [1e4, 1e6, 0.99e8, 0.999e8, 1.001e8, 1.01e8, 1e10, 1e12]
+    cases = [np.array([[0.0]]), np.array([[-0.25]])]
+    for n in (2, 8, 64, 129):
+        for kappa in kappas:
+            q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cases.append((q1 * np.geomspace(1.0, 1.0 / kappa, n)) @ q2.T)
+            if n > 2:
+                cases.append(_small_one_norm_matrix(n, kappa, rng))
+    svd = np.linalg.svd
+    svd_calls = []
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    accepted_with_svd = set()
+    for m in cases:
+        sv = svd(m, compute_uv=False)
+        singular = sv[0] == 0.0 or sv[-1] <= DEFAULT_IMAG_SV_REL * sv[0]
+        del svd_calls[:]
+        if singular:
+            with pytest.raises(SingularImaginaryPartError):
+                _imag_part_inverse(m, DEFAULT_IMAG_SV_REL, "test")
+        else:
+            minv = _imag_part_inverse(m, DEFAULT_IMAG_SV_REL, "test")
+            assert np.array_equal(minv, np.linalg.solve(m, np.eye(m.shape[0])))
+            accepted_with_svd.add(bool(svd_calls))
+    # Both the inverse's own bound and the singular-value fallback accept some case.
+    assert accepted_with_svd == {False, True}
 
 
 def test_susceptance_tx_imaginary_identity_substitution():
