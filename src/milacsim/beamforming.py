@@ -29,7 +29,6 @@ from .exceptions import (
     ZeroCombinerRowError,
 )
 from .network import (
-    DEFAULT_IMAG_SV_REL,
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
     _imag_part_inverse,
@@ -40,7 +39,8 @@ from .network import (
 # Two-sided matched source/load voltage division factor in the rate formulas.
 DEFAULT_QUARTER_FACTOR = 4.0
 
-# Attempt budget of the random phase search in ensure_invertible_imag.
+# Attempt budget of the random phase search in ensure_invertible_imag; the
+# only repair budget, so an exhausted search fails the trial.
 DEFAULT_PHASE_ATTEMPTS = 32
 
 # Internal consistency tolerance between the raw and row-normalized rate forms.
@@ -206,39 +206,28 @@ def _phase_fix_columns(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * phases.conj(), phases
 
 
-def ensure_invertible_imag(
-    factors: SvdFactors,
-    n_streams: int,
-    rng_seed,
-    singular_rel_tol: float = DEFAULT_IMAG_SV_REL,
-    max_attempts: int = DEFAULT_PHASE_ATTEMPTS,
-) -> SvdFactors:
+def ensure_invertible_imag(factors: SvdFactors, rng_seed) -> SvdFactors:
     """Phase-rotate SVD factors until Im{v} and Im{u} are safely invertible.
 
     The susceptance synthesis needs the imaginary parts of both unitary
-    factors to be invertible.  Factors that already satisfy the threshold
-    are returned unchanged.  Otherwise random common phases are applied to
-    the paired columns of u and v (preserving the reconstruction) plus
-    independent phases to trailing null-space columns, retrying with fresh
-    draws up to max_attempts times.
+    factors to be invertible at network.DEFAULT_IMAG_SV_REL.  Factors that
+    already pass are returned unchanged.  Otherwise random common phases are
+    applied to the paired columns of u and v (preserving the reconstruction)
+    plus independent phases to trailing null-space columns, retrying with
+    fresh draws up to DEFAULT_PHASE_ATTEMPTS times.
 
     Args:
         factors: decomposition to repair.
-        n_streams: stream count of the design the factors will feed.
         rng_seed: seed for the deterministic phase draws.
-        singular_rel_tol: relative singular-value threshold to exceed.
-        max_attempts: bound on the number of random draws.
 
     Raises:
-        PhaseSearchExhaustedError: if no draw satisfies the threshold.
+        PhaseSearchExhaustedError: if no draw passes.
     """
-    if not 1 <= n_streams <= min(factors.u.shape[0], factors.v.shape[0]):
-        raise DimensionMismatchError(f"n_streams {n_streams} out of range for these factors")
 
     def ok(m: np.ndarray) -> bool:
         # The synthesis's own test, so a factor passes here iff it synthesizes.
         try:
-            _imag_part_inverse(m, singular_rel_tol, "ensure_invertible_imag")
+            _imag_part_inverse(m, "ensure_invertible_imag")
         except SingularImaginaryPartError:
             return False
         return True
@@ -250,7 +239,7 @@ def ensure_invertible_imag(
     k = factors.sigma.shape[0]
     n_t = factors.v.shape[0]
     n_r = factors.u.shape[0]
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_PHASE_ATTEMPTS):
         phase_v = np.exp(2j * np.pi * rng.random(n_t))
         tail = np.exp(2j * np.pi * rng.random(n_r - k)) if n_r > k else np.empty(0, complex)
         phase_u = np.concatenate([phase_v[:k], tail])
@@ -259,30 +248,25 @@ def ensure_invertible_imag(
         if ok(v.imag) and ok(u.imag):
             return SvdFactors(u=u, sigma=factors.sigma, v=v)
     raise PhaseSearchExhaustedError(
-        f"no phase rotation reached threshold {singular_rel_tol:.1e} "
-        f"within {max_attempts} attempts"
+        f"no phase rotation made Im{{v}} and Im{{u}} invertible "
+        f"within {DEFAULT_PHASE_ATTEMPTS} attempts"
     )
 
 
-def water_filling(
-    eigenvalues,
-    total_power: float,
-    noise_power: float,
-    quarter_factor: float = DEFAULT_QUARTER_FACTOR,
-) -> PowerAllocation:
+def water_filling(eigenvalues, total_power: float, noise_power: float) -> PowerAllocation:
     """Water-filling power fractions over per-stream channel eigenvalues.
 
-    Solves max sum_s log2(1 + total_power * p_s * lam_s / (quarter_factor *
+    With q = DEFAULT_QUARTER_FACTOR, the insertion factor of the matched
+    circuits, solves max sum_s log2(1 + total_power * p_s * lam_s / (q *
     noise_power)) subject to sum p_s = 1, p_s >= 0, by the exact sort-based
-    active-set method: with floors a_s = quarter_factor * noise_power /
-    (total_power * lam_s), the water level is mu = (1 + sum of active
-    floors) / |active set|, and p_s = max(0, mu - a_s).
+    active-set method: with floors a_s = q * noise_power / (total_power *
+    lam_s), the water level is mu = (1 + sum of active floors) / |active
+    set|, and p_s = max(0, mu - a_s).
 
     Args:
         eigenvalues: nonnegative per-stream channel eigenvalues.
         total_power: total transmit power, linear scale.
         noise_power: noise power, linear scale.
-        quarter_factor: insertion factor in the effective SNR.
 
     Returns:
         PowerAllocation with fractions summing to one.
@@ -296,10 +280,10 @@ def water_filling(
         raise DimensionMismatchError("eigenvalues must form a nonempty vector")
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be nonnegative and finite")
-    if total_power <= 0 or noise_power <= 0 or quarter_factor <= 0:
-        raise ValueError("powers and quarter_factor must be positive")
+    if total_power <= 0 or noise_power <= 0:
+        raise ValueError("powers must be positive")
     with np.errstate(divide="ignore", over="ignore"):
-        floors = np.where(lam > 0, quarter_factor * noise_power / (total_power * lam), np.inf)
+        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (total_power * lam), np.inf)
     if not np.any(np.isfinite(floors)):
         raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
     # Search on the floors above the lowest one: on weak channels a_min can
@@ -319,16 +303,12 @@ def water_filling(
 
 
 def capacity_closed_form(
-    eigenvalues,
-    allocation: PowerAllocation,
-    total_power: float,
-    noise_power: float,
-    quarter_factor: float = DEFAULT_QUARTER_FACTOR,
+    eigenvalues, allocation: PowerAllocation, total_power: float, noise_power: float
 ) -> float:
-    """Closed-form rate sum_s log2(1 + total_power p_s lam_s / (quarter_factor noise_power)).
+    """Closed-form rate sum_s log2(1 + total_power p_s lam_s / (q noise_power)).
 
-    With the water-filling allocation this is the capacity of the link under
-    the matched-circuit insertion factor.
+    q = DEFAULT_QUARTER_FACTOR is the matched-circuit insertion factor; with
+    the water-filling allocation this is the capacity of the link.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     p = allocation.p
@@ -336,7 +316,7 @@ def capacity_closed_form(
         raise DimensionMismatchError(
             f"eigenvalues {lam.shape} and allocation {p.shape} differ in length"
         )
-    snr = total_power * p * lam / (quarter_factor * noise_power)
+    snr = total_power * p * lam / (DEFAULT_QUARTER_FACTOR * noise_power)
     return float(np.sum(np.log1p(snr)) / np.log(2.0))
 
 
@@ -443,7 +423,7 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     try:
         b_tx, b_rx = _synthesize_both(factors, config)
     except SingularImaginaryPartError:
-        factors = ensure_invertible_imag(factors, config.n_streams, rng_seed)
+        factors = ensure_invertible_imag(factors, rng_seed)
         b_tx, b_rx = _synthesize_both(factors, config)
     lam = factors.sigma[: config.n_streams] ** 2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
@@ -465,7 +445,7 @@ def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np
     so ||W||_F^2 = 1.  Phase repair rotates the columns of v but leaves the
     singular values, and hence p and the rate, unchanged.  The rate is
 
-        log2 det(I + total_power / (quarter_factor * noise_power) * H W W^H H^H)
+        log2 det(I + total_power / (DEFAULT_QUARTER_FACTOR * noise_power) * H W W^H H^H)
 
     evaluated on the n_streams x n_streams Gram form as a sum of log1p over
     its eigenvalues, which keeps the digits of weak channels where

@@ -198,16 +198,24 @@ def _print_sweep(result, out_path: str) -> None:
     print(f"wrote {out_path} and {out_path}.manifest.txt")
 
 
-def _run_sweep_command(spec: SweepSpec, opts: dict) -> int:
-    template = SystemConfig(
-        n_streams=1,
-        n_tx=1,
-        n_rx=1,
-        tx_power=1.0,
+def _ref_admittance(opts: dict) -> float:
+    if not opts["z0"] > 0:
+        raise _CliError(f"--z0 must be positive, got {opts['z0']!r}")
+    return 1.0 / opts["z0"]
+
+
+def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> int:
+    spec = SweepSpec(
+        mode=mode,
+        snr_points_db=snr_points_db,
+        antenna_points=antenna_points,
+        n_streams=opts["streams"],
+        n_trials=opts["trials"],
+        master_seed=opts["seed"],
         noise_power=opts["noise_power"],
-        ref_admittance=1.0 / opts["z0"],
+        ref_admittance=_ref_admittance(opts),
     )
-    result = run_sweep(spec, template, workers=opts["workers"])
+    result = run_sweep(spec, workers=opts["workers"])
     out = opts["out"]
     write_csv(result, out)
     write_manifest(spec, out + ".manifest.txt", out)
@@ -223,27 +231,11 @@ def _cmd_sweep_snr(opts: dict) -> int:
     points = tuple(
         float(x) for x in np.arange(opts["snr_min"], opts["snr_max"] + opts["snr_step"] / 2, opts["snr_step"])
     )
-    spec = SweepSpec(
-        mode="snr_sweep",
-        snr_points_db=points,
-        antenna_points=(opts["antennas"],),
-        n_streams=opts["streams"],
-        n_trials=opts["trials"],
-        master_seed=opts["seed"],
-    )
-    return _run_sweep_command(spec, opts)
+    return _run_sweep_command(opts, "snr_sweep", points, (opts["antennas"],))
 
 
 def _cmd_sweep_antennas(opts: dict) -> int:
-    spec = SweepSpec(
-        mode="antenna_sweep",
-        snr_points_db=(opts["snr_db"],),
-        antenna_points=opts["antenna_points"],
-        n_streams=opts["streams"],
-        n_trials=opts["trials"],
-        master_seed=opts["seed"],
-    )
-    return _run_sweep_command(spec, opts)
+    return _run_sweep_command(opts, "antenna_sweep", (opts["snr_db"],), opts["antenna_points"])
 
 
 def _cmd_verify(opts: dict) -> int:
@@ -267,7 +259,7 @@ def _cmd_design_dump(opts: dict) -> int:
         n_rx=opts["rx_antennas"],
         tx_power=snr_db_to_tx_power(opts["snr_db"], opts["noise_power"]),
         noise_power=opts["noise_power"],
-        ref_admittance=1.0 / opts["z0"],
+        ref_admittance=_ref_admittance(opts),
     )
     ensemble = ChannelEnsembleSpec(
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=1, master_seed=opts["seed"]

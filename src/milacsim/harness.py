@@ -9,7 +9,6 @@ serial and parallel runs byte-identical.
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from .beamforming import (
     water_filling,
 )
 from .channel import ChannelEnsembleSpec, rayleigh_channel
-from .exceptions import PhaseSearchExhaustedError
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -45,16 +43,11 @@ from .network import (
     transfer_block_from_scattering,
 )
 
-_LOG = logging.getLogger(__name__)
-
 SWEEP_MODES = ("snr_sweep", "antenna_sweep")
 
 WORKERS_ENV_VAR = "MILACSIM_WORKERS"
 
 CSV_HEADER = "sweep_value,mean_milac_rate,mean_digital_rate,mean_capacity,max_rel_gap,n_trials"
-
-# Attempts at re-seeding the phase search before a trial is abandoned.
-_DESIGN_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,8 @@ class SweepSpec:
     For an SNR sweep the antenna count is fixed at antenna_points[0] and
     snr_points_db supplies the x-axis; for an antenna sweep the SNR is fixed
     at snr_points_db[0] and antenna_points supplies the x-axis.  Both point
-    vectors must be nonempty and strictly ascending.
+    vectors must be nonempty and strictly ascending.  Every trial uses
+    noise_power and ref_admittance; the transmit power follows from the SNR.
     """
 
     mode: str
@@ -73,6 +67,8 @@ class SweepSpec:
     n_streams: int
     n_trials: int = 100
     master_seed: int = 0
+    noise_power: float = 1.0
+    ref_admittance: float = DEFAULT_REF_ADMITTANCE
 
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
@@ -95,6 +91,10 @@ class SweepSpec:
             )
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if not (self.noise_power > 0 and np.isfinite(self.noise_power)):
+            raise ValueError("noise_power must be positive and finite")
+        if not (self.ref_admittance > 0 and np.isfinite(self.ref_admittance)):
+            raise ValueError("ref_admittance must be positive and finite")
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "antenna_points", ant)
 
@@ -161,42 +161,32 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     )
 
 
-def _design_seed(master_seed: int, trial_index: int, attempt: int) -> int:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index, attempt))
+def _design_seed(master_seed: int, trial_index: int) -> int:
+    """Phase-repair seed of one trial.
+
+    The trailing 0 of the spawn key keeps the seeds, and so the outputs, of
+    versions that re-seeded exhausted trials with 1, 2, ...
+    """
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index, 0))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _trial_with_retries(h, config: SystemConfig, master_seed: int, trial_index: int) -> RateReport:
-    last_error = None
-    for attempt in range(_DESIGN_RETRIES):
-        try:
-            return run_trial(h, config, _design_seed(master_seed, trial_index, attempt))
-        except PhaseSearchExhaustedError as exc:
-            last_error = exc
-            _LOG.warning(
-                "trial %d: phase search exhausted (attempt %d); retrying with a fresh seed",
-                trial_index,
-                attempt,
-            )
-    raise last_error
 
 
 def _sweep_task(task: tuple) -> tuple[float, float, float]:
     """One (sweep point, trial) evaluation; top-level so it pickles for worker pools."""
-    n_antennas, snr_db, n_streams, n_trials, master_seed, noise_power, ref_admittance, trial = task
+    spec, n_antennas, snr_db, trial = task
     ensemble = ChannelEnsembleSpec(
-        n_rx=n_antennas, n_tx=n_antennas, n_trials=n_trials, master_seed=master_seed
+        n_rx=n_antennas, n_tx=n_antennas, n_trials=spec.n_trials, master_seed=spec.master_seed
     )
     h = rayleigh_channel(ensemble, trial)
     config = SystemConfig(
-        n_streams=n_streams,
+        n_streams=spec.n_streams,
         n_tx=n_antennas,
         n_rx=n_antennas,
-        tx_power=snr_db_to_tx_power(snr_db, noise_power),
-        noise_power=noise_power,
-        ref_admittance=ref_admittance,
+        tx_power=snr_db_to_tx_power(snr_db, spec.noise_power),
+        noise_power=spec.noise_power,
+        ref_admittance=spec.ref_admittance,
     )
-    report = _trial_with_retries(h, config, master_seed, trial)
+    report = run_trial(h, config, _design_seed(spec.master_seed, trial))
     return report.milac_rate, report.digital_rate, report.capacity
 
 
@@ -213,13 +203,15 @@ def _resolve_workers(workers) -> int:
     return workers
 
 
-def run_sweep(spec: SweepSpec, cfg_template: SystemConfig | None = None, workers=None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     """Run a sweep and aggregate per-point means over the trial ensemble.
 
+    A trial whose phase search is exhausted raises PhaseSearchExhaustedError;
+    it is not re-run with another seed.
+
     Args:
-        spec: sweep description (mode, points, trials, seed).
-        cfg_template: optional source of noise_power and ref_admittance;
-            antenna counts and transmit power are derived per sweep point.
+        spec: sweep description (mode, points, trials, seed, noise power and
+            reference admittance).
         workers: process count; defaults to the MILACSIM_WORKERS environment
             variable or, failing that, the available CPU count.  Results are
             identical for any worker count.
@@ -227,21 +219,13 @@ def run_sweep(spec: SweepSpec, cfg_template: SystemConfig | None = None, workers
     Returns:
         SweepResult with one row per sweep point, in point order.
     """
-    noise_power = cfg_template.noise_power if cfg_template is not None else 1.0
-    ref_admittance = (
-        cfg_template.ref_admittance if cfg_template is not None else DEFAULT_REF_ADMITTANCE
-    )
     if spec.mode == "snr_sweep":
         points = [(float(s), spec.antenna_points[0], s) for s in spec.snr_points_db]
     else:
         fixed_snr = spec.snr_points_db[0]
         points = [(float(n), n, fixed_snr) for n in spec.antenna_points]
 
-    tasks = [
-        (n, snr_db, spec.n_streams, spec.n_trials, spec.master_seed, noise_power, ref_admittance, t)
-        for (_, n, snr_db) in points
-        for t in range(spec.n_trials)
-    ]
+    tasks = [(spec, n, snr_db, t) for (_, n, snr_db) in points for t in range(spec.n_trials)]
     n_workers = _resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -294,6 +278,8 @@ def write_manifest(spec: SweepSpec, path, csv_path) -> None:
         f"n_streams = {spec.n_streams}",
         f"n_trials = {spec.n_trials}",
         f"master_seed = {spec.master_seed}",
+        f"noise_power = {spec.noise_power!r}",
+        f"ref_admittance = {spec.ref_admittance!r}",
         f"csv = {csv_path}",
         f"package_version = {__version__}",
     ]
@@ -453,7 +439,7 @@ def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[Verificat
             tx_power=snr_db_to_tx_power(float(rng.uniform(-10, 20)), 1.0),
             noise_power=1.0,
         )
-        report = _trial_with_retries(h, config, ensemble.master_seed, 0)
+        report = run_trial(h, config, _design_seed(ensemble.master_seed, 0))
         worst = max(
             worst,
             abs(report.milac_rate - report.capacity) / report.capacity,

@@ -104,7 +104,6 @@ class SusceptanceMatrix:
     """Real symmetric susceptance matrix B of a lossless reciprocal network (Y = jB)."""
 
     b: np.ndarray
-    symmetry_tol: float = DEFAULT_SYMMETRY_TOL
 
     def __post_init__(self):
         b = np.asarray(self.b)
@@ -119,7 +118,7 @@ class SusceptanceMatrix:
             raise ValueError("susceptance matrix contains non-finite entries")
         scale = np.abs(b).max(initial=0.0)
         asym = np.abs(b - b.T).max(initial=0.0)
-        if asym > self.symmetry_tol * max(scale, 1.0):
+        if asym > DEFAULT_SYMMETRY_TOL * max(scale, 1.0):
             raise ValueError(f"susceptance matrix asymmetry {asym:.3e} exceeds tolerance")
         object.__setattr__(self, "b", _frozen(b))
 
@@ -162,8 +161,8 @@ class LosslessReciprocalReport:
         return self.unitarity <= self.tol and self.asymmetry <= self.tol
 
 
-def _solve_checked(a: np.ndarray, rhs: np.ndarray, cond_cap: float, context: str) -> np.ndarray:
-    """LU solve of a x = rhs that rejects matrices beyond the condition cap."""
+def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
     a = np.ascontiguousarray(a, dtype=complex)
     anorm = np.linalg.norm(a, 1)
     try:
@@ -176,10 +175,10 @@ def _solve_checked(a: np.ndarray, rhs: np.ndarray, cond_cap: float, context: str
         raise SingularMatrixError(f"{context}: LU factorization failed ({exc})") from exc
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm)
-    if not np.isfinite(rcond) or rcond * cond_cap < 1.0:
+    if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
         est = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularMatrixError(
-            f"{context}: condition estimate {est:.3e} exceeds cap {cond_cap:.3e}"
+            f"{context}: condition estimate {est:.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
@@ -189,36 +188,28 @@ def _mirror_upper(b: np.ndarray) -> np.ndarray:
     return np.triu(b) + np.triu(b, 1).T
 
 
-def admittance_to_scattering(
-    y: AdmittanceMatrix,
-    y0: float = DEFAULT_REF_ADMITTANCE,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> ScatteringMatrix:
+def admittance_to_scattering(y: AdmittanceMatrix, y0: float = DEFAULT_REF_ADMITTANCE) -> ScatteringMatrix:
     """Convert admittance parameters to scattering parameters.
 
     Args:
         y: admittance matrix of the network.
         y0: real positive reference admittance in siemens.
-        cond_cap: condition-number cap for the internal solve.
 
     Returns:
         ScatteringMatrix with theta = (y0 I + Y)^-1 (y0 I - Y).
 
     Raises:
-        SingularMatrixError: if y0 I + Y is singular or too ill-conditioned.
+        SingularMatrixError: if y0 I + Y is singular or its condition
+            estimate exceeds DEFAULT_COND_CAP.
     """
     if y0 <= 0:
         raise ValueError("reference admittance must be positive")
     eye = np.eye(y.n_ports)
-    theta = _solve_checked(y0 * eye + y.y, y0 * eye - y.y, cond_cap, "admittance_to_scattering")
+    theta = _solve_checked(y0 * eye + y.y, y0 * eye - y.y, "admittance_to_scattering")
     return ScatteringMatrix(theta)
 
 
-def scattering_to_admittance(
-    theta: ScatteringMatrix,
-    y0: float = DEFAULT_REF_ADMITTANCE,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> AdmittanceMatrix:
+def scattering_to_admittance(theta: ScatteringMatrix, y0: float = DEFAULT_REF_ADMITTANCE) -> AdmittanceMatrix:
     """Convert scattering parameters back to admittance parameters.
 
     Computes Y = y0 (2 (S + I)^-1 - I), the inverse of
@@ -231,15 +222,12 @@ def scattering_to_admittance(
     if y0 <= 0:
         raise ValueError("reference admittance must be positive")
     eye = np.eye(theta.n_ports)
-    inv = _solve_checked(theta.theta + eye, eye, cond_cap, "scattering_to_admittance")
+    inv = _solve_checked(theta.theta + eye, eye, "scattering_to_admittance")
     return AdmittanceMatrix(y0 * (2.0 * inv - eye))
 
 
 def transfer_block_from_admittance(
-    y: AdmittanceMatrix,
-    partition: PortPartition,
-    y0: float = DEFAULT_REF_ADMITTANCE,
-    cond_cap: float = DEFAULT_COND_CAP,
+    y: AdmittanceMatrix, partition: PortPartition, y0: float = DEFAULT_REF_ADMITTANCE
 ) -> np.ndarray:
     """Input-to-output voltage transfer block of a terminated network.
 
@@ -252,7 +240,6 @@ def transfer_block_from_admittance(
         y: admittance matrix of the full network.
         partition: port split; inputs come first in the port ordering.
         y0: reference admittance in siemens.
-        cond_cap: condition-number cap for the internal solve.
 
     Returns:
         Complex (n_outputs x n_inputs) transfer block.
@@ -265,7 +252,7 @@ def transfer_block_from_admittance(
         )
     n = y.n_ports
     rhs = np.eye(n)[:, : partition.n_inputs]
-    x = _solve_checked(y.y / y0 + np.eye(n), rhs, cond_cap, "transfer_block_from_admittance")
+    x = _solve_checked(y.y / y0 + np.eye(n), rhs, "transfer_block_from_admittance")
     return np.array(x[partition.n_inputs :, :])
 
 
@@ -299,10 +286,12 @@ def check_lossless_reciprocal(
     return LosslessReciprocalReport(unitarity=unitarity, asymmetry=asymmetry, tol=tol)
 
 
-def _check_unitary(q: np.ndarray, tol: float, context: str) -> None:
+def _check_unitary(q: np.ndarray, context: str) -> None:
     resid = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0)
-    if resid > tol:
-        raise NotUnitaryInputError(f"{context}: unitarity residual {resid:.3e} exceeds {tol:.3e}")
+    if resid > DEFAULT_UNITARY_TOL:
+        raise NotUnitaryInputError(
+            f"{context}: unitarity residual {resid:.3e} exceeds {DEFAULT_UNITARY_TOL:.3e}"
+        )
 
 
 def _port_slices(n_antennas: int, n_streams: int, receive: bool) -> tuple[slice, slice]:
@@ -312,7 +301,7 @@ def _port_slices(n_antennas: int, n_streams: int, receive: bool) -> tuple[slice,
     return slice(0, n_streams), slice(n_streams, None)
 
 
-def _complete_scattering(q_bar, q_tilde, unitary_tol: float, receive: bool) -> ScatteringMatrix:
+def _complete_scattering(q_bar, q_tilde, receive: bool) -> ScatteringMatrix:
     """Scattering completion of [q_bar, q_tilde]; see complete_scattering_tx and _rx."""
     caller = "complete_scattering_rx" if receive else "complete_scattering_tx"
     q_bar = np.asarray(q_bar, dtype=complex)
@@ -327,7 +316,7 @@ def _complete_scattering(q_bar, q_tilde, unitary_tol: float, receive: bool) -> S
         raise DimensionMismatchError(
             f"{caller}: column blocks ({n_s} + {q_tilde.shape[1]}) must fill a square {n} x {n} matrix"
         )
-    _check_unitary(np.hstack([q_bar, q_tilde]), unitary_tol, caller)
+    _check_unitary(np.hstack([q_bar, q_tilde]), caller)
     sym, ant = _port_slices(n, n_s, receive)
     theta = np.zeros((n + n_s, n + n_s), dtype=complex)
     theta[sym, ant] = q_bar.T
@@ -336,9 +325,7 @@ def _complete_scattering(q_bar, q_tilde, unitary_tol: float, receive: bool) -> S
     return ScatteringMatrix(_mirror_upper(theta))
 
 
-def complete_scattering_tx(
-    v_bar, v_tilde, unitary_tol: float = DEFAULT_UNITARY_TOL
-) -> ScatteringMatrix:
+def complete_scattering_tx(v_bar, v_tilde) -> ScatteringMatrix:
     """Lossless reciprocal scattering completion for the transmit-side network.
 
     Given the split [v_bar, v_tilde] of a unitary matrix into the columns to
@@ -355,18 +342,16 @@ def complete_scattering_tx(
         v_bar: complex (n_antennas x n_streams) column block.
         v_tilde: complex (n_antennas x (n_antennas - n_streams)) completion
             columns; may have zero columns when n_streams == n_antennas.
-        unitary_tol: max-abs tolerance on [v_bar, v_tilde] being unitary.
 
     Raises:
-        NotUnitaryInputError: if the stacked matrix is not unitary within tol.
+        NotUnitaryInputError: if the stacked matrix is not unitary within
+            DEFAULT_UNITARY_TOL (max-abs residual of Q^H Q - I).
         DimensionMismatchError: if the blocks do not stack to a square matrix.
     """
-    return _complete_scattering(v_bar, v_tilde, unitary_tol, receive=False)
+    return _complete_scattering(v_bar, v_tilde, receive=False)
 
 
-def complete_scattering_rx(
-    u_bar, u_tilde, unitary_tol: float = DEFAULT_UNITARY_TOL
-) -> ScatteringMatrix:
+def complete_scattering_rx(u_bar, u_tilde) -> ScatteringMatrix:
     """Lossless reciprocal scattering completion for the receive-side network.
 
     The transmit completion of [conj(u_bar), conj(u_tilde)] with the symbol
@@ -374,18 +359,20 @@ def complete_scattering_rx(
     as its antenna-to-symbol transfer block.  Arguments and errors are those
     of complete_scattering_tx.
     """
-    return _complete_scattering(u_bar, u_tilde, unitary_tol, receive=True)
+    return _complete_scattering(u_bar, u_tilde, receive=True)
 
 
-def _imag_part_inverse(m: np.ndarray, rel_tol: float, context: str) -> np.ndarray:
+def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     """Invert the imaginary part of a unitary factor, rejecting near-singular cases.
 
-    M is singular when sigma_min <= rel_tol * sigma_max.  The explicit inverse
-    gives kappa_1 exactly and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1
+    M is singular when sigma_min <= rel_tol * sigma_max, with rel_tol =
+    DEFAULT_IMAG_SV_REL read at call time.  The explicit inverse gives
+    kappa_1 exactly and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1
     proves M regular without an SVD (a NaN bound fails it); the singular
     values decide only when that bound does not, or when the LU breaks down.
     """
     n = m.shape[0]
+    rel_tol = DEFAULT_IMAG_SV_REL
     try:
         minv = np.linalg.solve(m, np.eye(n))
     except np.linalg.LinAlgError:
@@ -402,9 +389,7 @@ def _imag_part_inverse(m: np.ndarray, rel_tol: float, context: str) -> np.ndarra
     return minv
 
 
-def _synthesize_susceptance(
-    q, n_streams: int, y0: float, singular_rel_tol: float, receive: bool
-) -> SusceptanceMatrix:
+def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
     """Closed-form susceptance synthesis; see susceptance_tx and susceptance_rx."""
     caller = "susceptance_rx" if receive else "susceptance_tx"
     q = _as_square_complex(q, "unitary factor")
@@ -415,7 +400,7 @@ def _synthesize_susceptance(
         raise DimensionMismatchError(f"{caller}: n_streams {n_streams} out of range for {n} antennas")
     if y0 <= 0:
         raise ValueError("reference admittance must be positive")
-    minv = _imag_part_inverse(q.imag, singular_rel_tol, caller)
+    minv = _imag_part_inverse(q.imag, caller)
     r = q.real
     sym, ant = _port_slices(n, n_streams, receive)
     b = np.empty((n + n_streams, n + n_streams))
@@ -426,12 +411,7 @@ def _synthesize_susceptance(
     return SusceptanceMatrix(_mirror_upper(y0 * b))
 
 
-def susceptance_tx(
-    v,
-    n_streams: int,
-    y0: float = DEFAULT_REF_ADMITTANCE,
-    singular_rel_tol: float = DEFAULT_IMAG_SV_REL,
-) -> SusceptanceMatrix:
+def susceptance_tx(v, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> SusceptanceMatrix:
     """Susceptance matrix of the transmit-side network realizing v_bar / 2.
 
     Closed-form synthesis from a unitary matrix v whose first n_streams
@@ -447,28 +427,22 @@ def susceptance_tx(
         v: complex unitary (n_antennas x n_antennas) matrix.
         n_streams: number of symbol ports (first columns of v realized).
         y0: reference admittance in siemens.
-        singular_rel_tol: relative threshold under which Im{v} counts as singular.
 
     Raises:
-        SingularImaginaryPartError: if Im{v} is singular at the threshold;
+        SingularImaginaryPartError: if Im{v} is singular at DEFAULT_IMAG_SV_REL;
             rotate the columns of v by nonreal phases and retry.
     """
-    return _synthesize_susceptance(v, n_streams, y0, singular_rel_tol, receive=False)
+    return _synthesize_susceptance(v, n_streams, y0, receive=False)
 
 
-def susceptance_rx(
-    u,
-    n_streams: int,
-    y0: float = DEFAULT_REF_ADMITTANCE,
-    singular_rel_tol: float = DEFAULT_IMAG_SV_REL,
-) -> SusceptanceMatrix:
+def susceptance_rx(u, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> SusceptanceMatrix:
     """Susceptance matrix of the receive-side network realizing u_bar^H / 2.
 
     The network is reciprocal, so it is the transmit synthesis of conj(u)
     with the antenna ports first and the symbol ports last.  Arguments and
     errors are those of susceptance_tx.
     """
-    return _synthesize_susceptance(u, n_streams, y0, singular_rel_tol, receive=True)
+    return _synthesize_susceptance(u, n_streams, y0, receive=True)
 
 
 def dump_matrix_csv(matrix, path) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import milacsim.beamforming as beamforming
+import milacsim.network as network
 from milacsim import (
     AdmittanceMatrix,
     AllZeroEigenvaluesError,
@@ -13,6 +14,7 @@ from milacsim import (
     PortPartition,
     PowerAllocation,
     RateFormMismatchError,
+    SingularImaginaryPartError,
     SvdFactors,
     SystemConfig,
     ZeroCombinerRowError,
@@ -21,6 +23,7 @@ from milacsim import (
     digital_design_and_rate,
     ensure_invertible_imag,
     milac_rate,
+    susceptance_tx,
     svd_ordered,
     transfer_block_from_admittance,
     water_filling,
@@ -110,14 +113,14 @@ def test_svd_factors_validate_ordering():
 
 def test_ensure_returns_same_object_when_already_fine():
     factors = svd_ordered(random_channel(5, 5, 7))
-    repaired = ensure_invertible_imag(factors, 2, rng_seed=0)
+    repaired = ensure_invertible_imag(factors, rng_seed=0)
     assert repaired is factors
 
 
 def test_ensure_repairs_real_factors_without_changing_the_channel():
     h = np.eye(2)
     factors = svd_ordered(h)
-    repaired = ensure_invertible_imag(factors, 1, rng_seed=0)
+    repaired = ensure_invertible_imag(factors, rng_seed=0)
     assert repaired is not factors
     assert np.linalg.norm(repaired.reconstruct() - h) <= 1e-10
     for m in (repaired.v.imag, repaired.u.imag):
@@ -125,32 +128,46 @@ def test_ensure_repairs_real_factors_without_changing_the_channel():
         assert sv[-1] > 1e-8 * sv[0]
 
 
-def test_ensure_single_attempt_succeeds_on_almost_all_real_channels():
+def test_ensure_single_attempt_succeeds_on_almost_all_real_channels(monkeypatch):
     # Real channels always need the repair; one random draw should be enough
     # essentially every time.
+    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 1)
     failures = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         factors = svd_ordered(rng.standard_normal((8, 8)))
         try:
-            ensure_invertible_imag(factors, 4, rng_seed=seed, max_attempts=1)
+            ensure_invertible_imag(factors, rng_seed=seed)
         except PhaseSearchExhaustedError:
             failures += 1
     assert failures <= 1
 
 
-def test_ensure_exhausted_budget_raises():
+def test_ensure_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
     factors = svd_ordered(np.eye(2))
     with pytest.raises(PhaseSearchExhaustedError):
-        ensure_invertible_imag(factors, 1, rng_seed=0, max_attempts=0)
+        ensure_invertible_imag(factors, rng_seed=0)
 
 
 def test_ensure_is_deterministic_in_the_seed():
     factors = svd_ordered(np.eye(3))
-    a = ensure_invertible_imag(factors, 1, rng_seed=42)
-    b = ensure_invertible_imag(factors, 1, rng_seed=42)
+    a = ensure_invertible_imag(factors, rng_seed=42)
+    b = ensure_invertible_imag(factors, rng_seed=42)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.u, b.u)
+
+
+def test_synthesis_and_repair_share_one_threshold(monkeypatch):
+    # At a relative threshold of 1 no matrix is invertible, for both callers.
+    factors = svd_ordered(random_channel(4, 4, 3))
+    susceptance_tx(factors.v, 2)
+    assert ensure_invertible_imag(factors, rng_seed=0) is factors
+    monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", 1.0)
+    with pytest.raises(SingularImaginaryPartError):
+        susceptance_tx(factors.v, 2)
+    with pytest.raises(PhaseSearchExhaustedError):
+        ensure_invertible_imag(factors, rng_seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ def test_streams_exceeding_antennas_exits_one(tmp_path, capsys, args):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("z0", ["0", "-50"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep-snr", "--streams", "2", "--antennas", "4", "--trials", "1", "--workers", "1"],
+        ["sweep-antennas", "--streams", "2", "--antenna-points", "4,8", "--trials", "1", "--workers", "1"],
+        ["design-dump"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_non_positive_z0_exits_one(tmp_path, capsys, args, z0):
+    if args[0] == "design-dump":
+        out = ["--out-dir", str(tmp_path / "d")]
+    else:
+        out = ["--out", str(tmp_path / "r.csv")]
+    assert main([*args, "--z0", z0, *out]) == 1
+    assert "--z0 must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bad_snr_grid_exits_one(tmp_path, capsys):
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-step", "0"])) == 1
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-min", "9", "--snr-max", "1"])) == 1
@@ -171,6 +191,22 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
     for line in lines[1:]:
         toks = [float(t) for t in line.split(",")[:5]]
         assert toks[4] <= 1e-9
+
+
+def test_manifest_records_the_reference_admittance(tmp_path, capsys):
+    # The manifest must tell apart sweeps whose CSVs may differ.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(_sweep_args(a)) == 0
+    assert main(_sweep_args(b, extra=["--z0", "37"])) == 0
+    capsys.readouterr()
+
+    def manifest(path):
+        text = (tmp_path / f"{path.name}.manifest.txt").read_text()
+        return [line for line in text.split("\n") if not line.startswith("csv = ")]
+
+    assert "ref_admittance = 0.02" in manifest(a)
+    assert "ref_admittance = 0.02702702702702703" in manifest(b)
+    assert manifest(a) != manifest(b)
 
 
 def test_sweep_snr_is_deterministic(tmp_path, capsys):

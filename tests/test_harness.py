@@ -7,6 +7,7 @@ import milacsim.beamforming as beamforming
 from milacsim import (
     CSV_HEADER,
     ChannelEnsembleSpec,
+    PhaseSearchExhaustedError,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -105,6 +106,24 @@ def test_run_trial_repairs_a_real_channel_and_reaches_capacity(monkeypatch):
         assert abs(rate - report.capacity) <= 1e-9 * report.capacity
 
 
+def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch):
+    # One phase-repair budget: an exhausted search is not retried with a fresh SVD.
+    svds = []
+    svd_ordered = beamforming.svd_ordered
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd_ordered(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "svd_ordered", counted)
+    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=2), 0).real
+    config = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    with pytest.raises(PhaseSearchExhaustedError):
+        run_trial(h, config, _design_seed(0, 0))
+    assert len(svds) == 1
+
+
 def test_run_trial_on_a_weak_channel_reaches_capacity():
     # Entries near 1e-150 put every water-filling floor far beyond 2**53, and
     # I + Gram rounds to I in the digital log-det.
@@ -183,8 +202,7 @@ def test_workers_env_var_is_honored(monkeypatch):
 def test_noise_template_changes_only_the_scale():
     spec = _small_snr_spec(snr_points_db=(0.0,))
     base = run_sweep(spec, workers=1)
-    template = SystemConfig(n_streams=2, n_tx=8, n_rx=8, tx_power=1.0, noise_power=4.0)
-    scaled = run_sweep(spec, cfg_template=template, workers=1)
+    scaled = run_sweep(_small_snr_spec(snr_points_db=(0.0,), noise_power=4.0), workers=1)
     # Identical SNR grid: tx power scales with the noise, rates are unchanged.
     assert scaled.rows[0].mean_milac_rate == pytest.approx(
         base.rows[0].mean_milac_rate, rel=1e-12
@@ -219,7 +237,7 @@ def test_max_rel_gap_is_the_worst_analog_or_digital_gap_per_row():
         analog_gaps, digital_gaps = [], []
         for t in range(spec.n_trials):
             report = run_trial(
-                rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t, 0)
+                rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t)
             )
             analog_gaps.append(abs(report.milac_rate - report.capacity) / report.capacity)
             digital_gaps.append(abs(report.digital_rate - report.capacity) / report.capacity)
@@ -242,6 +260,13 @@ def test_sweep_spec_validation():
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=8)
     with pytest.raises(ValueError):
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=1, n_trials=0)
+
+
+@pytest.mark.parametrize("field", ["noise_power", "ref_admittance"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_sweep_spec_rejects_bad_noise_power_and_ref_admittance(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        _small_snr_spec(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -305,9 +305,9 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
         del svd_calls[:]
         if singular:
             with pytest.raises(SingularImaginaryPartError):
-                _imag_part_inverse(m, DEFAULT_IMAG_SV_REL, "test")
+                _imag_part_inverse(m, "test")
         else:
-            minv = _imag_part_inverse(m, DEFAULT_IMAG_SV_REL, "test")
+            minv = _imag_part_inverse(m, "test")
             assert np.array_equal(minv, np.linalg.solve(m, np.eye(m.shape[0])))
             accepted_with_svd.add(bool(svd_calls))
     # Both the inverse's own bound and the singular-value fallback accept some case.
