@@ -75,12 +75,15 @@ class SystemConfig:
                 f"n_streams={self.n_streams} exceeds min(n_tx, n_rx)="
                 f"{min(self.n_tx, self.n_rx)}"
             )
-        if not (self.tx_power > 0 and np.isfinite(self.tx_power)):
-            raise ValueError("tx_power must be positive and finite")
-        if not (self.noise_power > 0 and np.isfinite(self.noise_power)):
-            raise ValueError("noise_power must be positive and finite")
-        if not (self.ref_admittance > 0 and np.isfinite(self.ref_admittance)):
-            raise ValueError("ref_admittance must be positive and finite")
+        _check_positive_finite(self, "tx_power", "noise_power", "ref_admittance")
+
+
+def _check_positive_finite(record, *names: str) -> None:
+    """Raise ValueError naming the first of record's fields that is not positive and finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,8 +395,9 @@ def _per_stream_sinr(effective, row_power, p, total_power, noise_power) -> np.nd
     signal = total_power * p * np.diag(abs_sq)
     interference = total_power * (abs_sq @ p) - signal
     denom = interference + row_power * noise_power
-    # Guard the exactly-diagonalized zero-noise corner against 0/0.
-    denom = np.maximum(denom, 1e-300)
+    # Guard the exactly-diagonalized zero-noise corner against 0/0; the floor
+    # lies below every denominator a positive normal noise power gives.
+    denom = np.maximum(denom, np.finfo(float).tiny)
     return signal / denom
 
 

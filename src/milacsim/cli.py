@@ -199,9 +199,10 @@ def _print_sweep(result, out_path: str) -> None:
 
 
 def _ref_admittance(opts: dict) -> float:
-    if not opts["z0"] > 0:
-        raise _CliError(f"--z0 must be positive, got {opts['z0']!r}")
-    return 1.0 / opts["z0"]
+    z0 = opts["z0"]
+    if not (z0 > 0 and 0 < 1.0 / z0 < np.inf):
+        raise _CliError(f"--z0 must be positive and finite with a finite reciprocal, got {z0!r}")
+    return 1.0 / z0
 
 
 def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> int:

@@ -1,14 +1,16 @@
 """Monte-Carlo sweep harness: per-trial evaluation, aggregation, CSV output.
 
-Trials are embarrassingly parallel: each (sweep point, trial index) pair is
+Trials are embarrassingly parallel: each (antenna count, trial index) pair is
 an independent task whose channel comes from a counter-based substream, so
-results do not depend on execution order or worker count.  Aggregation
+results do not depend on execution order or worker count.  A task designs
+its channel once and rates it at every SNR point of its group.  Aggregation
 sums per-trial values in trial order with pairwise summation, which keeps
 serial and parallel runs byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ from .beamforming import (
     PowerAllocation,
     RateReport,
     SystemConfig,
+    _check_positive_finite,
     capacity_closed_form,
     design_milac,
     digital_design_and_rate,
@@ -91,10 +94,7 @@ class SweepSpec:
             )
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if not (self.noise_power > 0 and np.isfinite(self.noise_power)):
-            raise ValueError("noise_power must be positive and finite")
-        if not (self.ref_admittance > 0 and np.isfinite(self.ref_admittance)):
-            raise ValueError("ref_admittance must be positive and finite")
+        _check_positive_finite(self, "noise_power", "ref_admittance")
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "antenna_points", ant)
 
@@ -125,40 +125,72 @@ def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
 
 
 def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
-    """Design, realize, and rate one channel through the full circuit path.
+    """Design, realize, and rate one channel through the full circuit path."""
+    return run_trials(h, (config,), rng_seed)[0]
 
-    The rate is evaluated on the transfer blocks recovered from the
-    synthesized susceptance matrices, not on the singular vectors directly,
-    so the whole admittance pipeline is exercised on every trial.  The
-    digital benchmark reuses the design's SVD and allocation.
+
+def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
+    """Design and realize one channel once, then rate it under each config.
+
+    The networks come from the channel's SVD alone, so one ordered SVD, one
+    synthesis and one circuit solve per side and one capacity spectrum serve
+    every config; only water-filling, the rates and the digital benchmark
+    run per config.  The analog rate is evaluated on the transfer blocks of
+    the synthesized circuits, so the whole admittance pipeline is exercised.
+
+    Args:
+        h: channel matrix (n_rx x n_tx).
+        configs: nonempty sequence of link parameters that differ only in
+            tx_power.
+        rng_seed: seed for the deterministic phase repair.
+
+    Returns:
+        One RateReport per config, in order; they share the factors, the
+        networks, f and g.
+
+    Raises:
+        ValueError: if configs is empty or differs in anything but tx_power.
     """
-    design = design_milac(h, config, rng_seed)
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("configs must be nonempty")
+    base = configs[0]
+    if any(dataclasses.replace(c, tx_power=base.tx_power) != base for c in configs[1:]):
+        raise ValueError("configs may differ only in tx_power")
+    design = design_milac(h, base, rng_seed)
     f = transfer_block_from_admittance(
         AdmittanceMatrix(1j * design.b_tx.b),
-        PortPartition(n_inputs=config.n_streams, n_outputs=config.n_tx),
-        config.ref_admittance,
+        PortPartition(n_inputs=base.n_streams, n_outputs=base.n_tx),
+        base.ref_admittance,
     )
     g = transfer_block_from_admittance(
         AdmittanceMatrix(1j * design.b_rx.b),
-        PortPartition(n_inputs=config.n_rx, n_outputs=config.n_streams),
-        config.ref_admittance,
+        PortPartition(n_inputs=base.n_rx, n_outputs=base.n_streams),
+        base.ref_admittance,
     )
-    rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
     # The capacity takes its own spectrum, so it checks the design independently.
-    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)
-    capacity = capacity_closed_form(
-        lam[: config.n_streams] ** 2, design.allocation, config.tx_power, config.noise_power
-    )
-    _, digital = digital_design_and_rate(h, config, design)
-    return RateReport(
-        milac_rate=rate,
-        digital_rate=digital,
-        capacity=capacity,
-        per_stream_sinr=sinr,
-        design=design,
-        f=f,
-        g=g,
-    )
+    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: base.n_streams] ** 2
+    eigenvalues = design.factors.sigma[: base.n_streams] ** 2
+    reports = []
+    for i, config in enumerate(configs):
+        if i:  # design_milac water-filled the first config already
+            allocation = water_filling(eigenvalues, config.tx_power, config.noise_power)
+            design = dataclasses.replace(design, allocation=allocation)
+        rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
+        capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
+        _, digital = digital_design_and_rate(h, config, design)
+        reports.append(
+            RateReport(
+                milac_rate=rate,
+                digital_rate=digital,
+                capacity=capacity,
+                per_stream_sinr=sinr,
+                design=design,
+                f=f,
+                g=g,
+            )
+        )
+    return tuple(reports)
 
 
 def _design_seed(master_seed: int, trial_index: int) -> int:
@@ -171,23 +203,26 @@ def _design_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep_task(task: tuple) -> tuple[float, float, float]:
-    """One (sweep point, trial) evaluation; top-level so it pickles for worker pools."""
-    spec, n_antennas, snr_db, trial = task
+def _sweep_task(task: tuple) -> list[tuple[float, float, float]]:
+    """One channel (antenna count, trial) rated at each of its SNR points; pickles for pools."""
+    spec, n_antennas, snr_points_db, trial = task
     ensemble = ChannelEnsembleSpec(
         n_rx=n_antennas, n_tx=n_antennas, n_trials=spec.n_trials, master_seed=spec.master_seed
     )
     h = rayleigh_channel(ensemble, trial)
-    config = SystemConfig(
-        n_streams=spec.n_streams,
-        n_tx=n_antennas,
-        n_rx=n_antennas,
-        tx_power=snr_db_to_tx_power(snr_db, spec.noise_power),
-        noise_power=spec.noise_power,
-        ref_admittance=spec.ref_admittance,
-    )
-    report = run_trial(h, config, _design_seed(spec.master_seed, trial))
-    return report.milac_rate, report.digital_rate, report.capacity
+    configs = [
+        SystemConfig(
+            n_streams=spec.n_streams,
+            n_tx=n_antennas,
+            n_rx=n_antennas,
+            tx_power=snr_db_to_tx_power(snr_db, spec.noise_power),
+            noise_power=spec.noise_power,
+            ref_admittance=spec.ref_admittance,
+        )
+        for snr_db in snr_points_db
+    ]
+    reports = run_trials(h, configs, _design_seed(spec.master_seed, trial))
+    return [(r.milac_rate, r.digital_rate, r.capacity) for r in reports]
 
 
 def _resolve_workers(workers) -> int:
@@ -219,13 +254,15 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     Returns:
         SweepResult with one row per sweep point, in point order.
     """
+    # Groups of (antenna count, SNR points): each trial of a group is one task.
     if spec.mode == "snr_sweep":
-        points = [(float(s), spec.antenna_points[0], s) for s in spec.snr_points_db]
+        groups = [(spec.antenna_points[0], spec.snr_points_db)]
+        sweep_values = [float(s) for s in spec.snr_points_db]
     else:
-        fixed_snr = spec.snr_points_db[0]
-        points = [(float(n), n, fixed_snr) for n in spec.antenna_points]
+        groups = [(n, spec.snr_points_db[:1]) for n in spec.antenna_points]
+        sweep_values = [float(n) for n in spec.antenna_points]
 
-    tasks = [(spec, n, snr_db, t) for (_, n, snr_db) in points for t in range(spec.n_trials)]
+    tasks = [(spec, n, snrs, t) for (n, snrs) in groups for t in range(spec.n_trials)]
     n_workers = _resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -234,9 +271,11 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks, chunksize=chunk))
 
-    values = np.array(outcomes, dtype=float).reshape(len(points), spec.n_trials, 3)
+    # (group, trial, point, 3) -> (sweep point, trial, 3), so rows sum in trial order.
+    values = np.array(outcomes, dtype=float).reshape(len(groups), spec.n_trials, -1, 3)
+    values = values.transpose(0, 2, 1, 3).reshape(len(sweep_values), spec.n_trials, 3)
     rows = []
-    for (sweep_value, _, _), block in zip(points, values):
+    for sweep_value, block in zip(sweep_values, values):
         # 1-D contiguous sums so numpy's pairwise summation applies per column.
         means = [float(np.sum(np.ascontiguousarray(block[:, i])) / spec.n_trials) for i in range(3)]
         # Worst of the analog and digital gaps to capacity over the row's trials.

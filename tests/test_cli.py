@@ -163,6 +163,19 @@ def test_non_positive_z0_exits_one(tmp_path, capsys, args, z0):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("z0", ["1e-320", "inf"])
+@pytest.mark.parametrize("command", ["sweep-snr", "design-dump"])
+def test_z0_without_a_finite_nonzero_reciprocal_exits_one_naming_the_flag(tmp_path, capsys, command, z0):
+    # 1/1e-320 overflows to inf and 1/inf is 0: neither is a reference admittance.
+    if command == "design-dump":
+        args = ["design-dump", "--out-dir", str(tmp_path / "d")]
+    else:
+        args = _sweep_args(tmp_path / "r.csv")
+    assert main([*args, "--z0", z0]) == 1
+    assert "--z0 must be positive and finite with a finite reciprocal" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bad_snr_grid_exits_one(tmp_path, capsys):
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-step", "0"])) == 1
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-min", "9", "--snr-max", "1"])) == 1
@@ -191,6 +204,18 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
     for line in lines[1:]:
         toks = [float(t) for t in line.split(",")[:5]]
         assert toks[4] <= 1e-9
+
+
+def test_sweep_at_a_tiny_noise_power_keeps_both_rate_forms_in_agreement(tmp_path, capsys):
+    # Denominators near 1e-300 must not meet the SINR's 0/0 floor, or the raw
+    # and row-normalized rate forms disagree.
+    out = tmp_path / "tiny.csv"
+    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--workers", "1",
+            "--snr-min", "0", "--snr-max", "0", "--noise-power", "1e-300", "--out", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    (row,) = out.read_text().strip().split("\n")[1:]
+    assert float(row.split(",")[4]) <= 1e-9
 
 
 def test_manifest_records_the_reference_admittance(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import milacsim.beamforming as beamforming
+import milacsim.harness as harness
 from milacsim import (
     CSV_HEADER,
     ChannelEnsembleSpec,
@@ -15,6 +16,7 @@ from milacsim import (
     rayleigh_channel,
     run_sweep,
     run_trial,
+    run_trials,
     run_verification,
     snr_db_to_tx_power,
     write_csv,
@@ -138,6 +140,39 @@ def test_run_trial_on_a_weak_channel_reaches_capacity():
             assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
 
 
+def test_run_trials_shares_the_design_and_matches_run_trial_at_each_power():
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
+    configs = [
+        SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=p, noise_power=1.0) for p in (0.1, 2.0, 50.0)
+    ]
+    reports = run_trials(h, configs, rng_seed=0)
+    assert len(reports) == 3
+    for config, report in zip(configs, reports):
+        single = run_trial(h, config, rng_seed=0)
+        assert (report.milac_rate, report.digital_rate, report.capacity) == (
+            single.milac_rate, single.digital_rate, single.capacity
+        )
+        assert np.array_equal(report.design.allocation.p, single.design.allocation.p)
+        assert report.design.factors is reports[0].design.factors
+        assert report.design.b_tx is reports[0].design.b_tx and report.f is reports[0].f
+    # Low power water-fills fewer streams than high power.
+    assert np.count_nonzero(reports[0].design.allocation.p) < np.count_nonzero(reports[2].design.allocation.p)
+
+
+def test_run_trials_rejects_configs_that_differ_beyond_tx_power():
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=4), 0)
+    base = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        run_trials(h, (), rng_seed=0)
+    for other in (
+        SystemConfig(n_streams=1, n_tx=4, n_rx=4, tx_power=2.0, noise_power=1.0),
+        SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=2.0, noise_power=2.0),
+        SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=2.0, noise_power=1.0, ref_admittance=0.1),
+    ):
+        with pytest.raises(ValueError, match="differ only in tx_power"):
+            run_trials(h, (base, other), rng_seed=0)
+
+
 def _small_snr_spec(**overrides):
     base = dict(
         mode="snr_sweep",
@@ -245,6 +280,91 @@ def test_max_rel_gap_is_the_worst_analog_or_digital_gap_per_row():
         digital_decides += max(digital_gaps) > max(analog_gaps)
     # The seeds are such that the digital gap is the worst in some row.
     assert digital_decides >= 1
+
+
+def _rows_from_run_trial(spec):
+    """Sweep rows rebuilt from one run_trial per (sweep point, trial), summed as run_sweep sums."""
+    if spec.mode == "snr_sweep":
+        points = [(s, spec.antenna_points[0], s) for s in spec.snr_points_db]
+    else:
+        points = [(float(n), n, spec.snr_points_db[0]) for n in spec.antenna_points]
+    rows = []
+    for sweep_value, n, snr_db in points:
+        ensemble = ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=spec.n_trials, master_seed=spec.master_seed)
+        config = SystemConfig(
+            n_streams=spec.n_streams, n_tx=n, n_rx=n,
+            tx_power=snr_db_to_tx_power(snr_db, spec.noise_power), noise_power=spec.noise_power,
+        )
+        reports = [
+            run_trial(rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t))
+            for t in range(spec.n_trials)
+        ]
+        columns = [
+            np.array([getattr(r, name) for r in reports])
+            for name in ("milac_rate", "digital_rate", "capacity")
+        ]
+        gaps = [abs(x - r.capacity) / r.capacity for r in reports for x in (r.milac_rate, r.digital_rate)]
+        rows.append(
+            SweepRow(
+                sweep_value=sweep_value,
+                mean_milac_rate=float(np.sum(columns[0]) / spec.n_trials),
+                mean_digital_rate=float(np.sum(columns[1]) / spec.n_trials),
+                mean_capacity=float(np.sum(columns[2]) / spec.n_trials),
+                max_rel_gap=max(gaps),
+                n_trials=spec.n_trials,
+            )
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _small_snr_spec(n_trials=5),
+        SweepSpec(mode="antenna_sweep", snr_points_db=(3.0,), antenna_points=(3, 5), n_streams=2,
+                  n_trials=3, master_seed=8),
+    ],
+    ids=["snr", "antennas"],
+)
+def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers):
+    # One design per channel rates every SNR point exactly as a fresh run_trial does.
+    assert run_sweep(spec, workers=workers).rows == _rows_from_run_trial(spec)
+
+
+def test_snr_sweep_designs_each_channel_once(monkeypatch):
+    calls = {"svd_ordered": 0, "transfer_block": 0, "svd_values": 0, "milac_rate": 0, "digital": 0}
+
+    def counted(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd_values"] += not kwargs.get("compute_uv", True)
+        return svd(a, *args, **kwargs)
+
+    counted(beamforming, "svd_ordered", "svd_ordered")
+    counted(harness, "transfer_block_from_admittance", "transfer_block")
+    counted(harness, "milac_rate", "milac_rate")
+    counted(harness, "digital_design_and_rate", "digital")
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    spec = _small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=3)
+    run_sweep(spec, workers=1)
+    n_points, n_trials = 4, 3
+    assert calls == {
+        "svd_ordered": n_trials,
+        "transfer_block": 2 * n_trials,
+        "svd_values": n_trials,
+        "milac_rate": n_points * n_trials,
+        "digital": n_points * n_trials,
+    }
 
 
 def test_sweep_spec_validation():
