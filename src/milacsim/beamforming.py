@@ -122,15 +122,19 @@ class SvdFactors:
 
 @dataclass(frozen=True, eq=False)
 class PowerAllocation:
-    """Per-stream power fractions (summing to one) and the water level."""
+    """Per-stream power fractions (summing to one) and the water level.
+
+    At one transmit power p is a vector and water_level a float; at K powers
+    p is (K, n_streams) and water_level holds the K levels.
+    """
 
     p: np.ndarray
-    water_level: float
+    water_level: float | np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1:
-            raise DimensionMismatchError("power allocation must be a vector")
+        if p.ndim not in (1, 2):
+            raise DimensionMismatchError("power allocation must be a vector, or one vector per power")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("stream powers must be nonnegative and finite")
         object.__setattr__(self, "p", p)
@@ -256,7 +260,7 @@ def ensure_invertible_imag(factors: SvdFactors, rng_seed) -> SvdFactors:
     )
 
 
-def water_filling(eigenvalues, total_power: float, noise_power: float) -> PowerAllocation:
+def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocation:
     """Water-filling power fractions over per-stream channel eigenvalues.
 
     With q = DEFAULT_QUARTER_FACTOR, the insertion factor of the matched
@@ -268,59 +272,80 @@ def water_filling(eigenvalues, total_power: float, noise_power: float) -> PowerA
 
     Args:
         eigenvalues: nonnegative per-stream channel eigenvalues.
-        total_power: total transmit power, linear scale.
+        total_power: total transmit power, linear scale; a vector of K powers
+            gives one allocation per power, each computed exactly as alone.
         noise_power: noise power, linear scale.
 
     Returns:
-        PowerAllocation with fractions summing to one.
+        PowerAllocation with fractions summing to one (per power).
 
     Raises:
-        AllZeroEigenvaluesError: if every eigenvalue is zero, or so small
-            that its floor overflows.
+        AllZeroEigenvaluesError: if, at some power, every eigenvalue is zero
+            or so small that its floor overflows.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector")
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be nonnegative and finite")
-    if total_power <= 0 or noise_power <= 0:
+    power = np.asarray(total_power, dtype=float)
+    if power.ndim > 1:
+        raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
+    if np.any(power <= 0) or noise_power <= 0:
         raise ValueError("powers must be positive")
     with np.errstate(divide="ignore", over="ignore"):
-        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (total_power * lam), np.inf)
-    if not np.any(np.isfinite(floors)):
+        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power[..., None] * lam), np.inf)
+    if not np.all(np.any(np.isfinite(floors), axis=-1)):
         raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
     # Search on the floors above the lowest one: on weak channels a_min can
     # exceed 2**53, where 1 + a_min == a_min would disqualify every candidate.
-    a_min = floors.min()
+    a_min = floors.min(axis=-1, keepdims=True)
     excess = floors - a_min
-    sorted_excess = np.sort(excess)
-    n_finite = int(np.sum(np.isfinite(sorted_excess)))
-    csum = np.cumsum(sorted_excess[:n_finite])
-    for m in range(n_finite, 0, -1):
-        level = (1.0 + csum[m - 1]) / m
-        # m = 1 always qualifies: level 1 > excess 0.
-        if level > sorted_excess[m - 1]:
-            break
+    sorted_excess = np.sort(excess, axis=-1)
+    # Level of the m smallest floors, m = 1..n; an infinite floor never qualifies.
+    levels = (1.0 + np.cumsum(sorted_excess, axis=-1)) / np.arange(1, lam.shape[0] + 1)
+    # The active set is the largest qualifying m; m = 1 always qualifies
+    # (level 1 > excess 0).
+    qualifies = levels > sorted_excess
+    m = lam.shape[0] - np.argmax(qualifies[..., ::-1], axis=-1, keepdims=True)
+    level = np.take_along_axis(levels, m - 1, axis=-1)
     p = np.maximum(0.0, level - excess)
-    return PowerAllocation(p=p, water_level=float(a_min + level))
+    return PowerAllocation(p=p, water_level=_per_power((a_min + level)[..., 0]))
+
+
+def _per_power(values):
+    """A float for a single power, else the array of per-power values."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _power_axis(allocation: PowerAllocation, total_power) -> np.ndarray:
+    """total_power with a trailing stream axis, one power per row of allocation.p."""
+    power = np.asarray(total_power, dtype=float)
+    if power.shape != allocation.p.shape[:-1]:
+        raise DimensionMismatchError(
+            f"allocation {allocation.p.shape} does not hold one row per power {power.shape}"
+        )
+    return power[..., None]
 
 
 def capacity_closed_form(
-    eigenvalues, allocation: PowerAllocation, total_power: float, noise_power: float
-) -> float:
+    eigenvalues, allocation: PowerAllocation, total_power, noise_power: float
+):
     """Closed-form rate sum_s log2(1 + total_power p_s lam_s / (q noise_power)).
 
     q = DEFAULT_QUARTER_FACTOR is the matched-circuit insertion factor; with
-    the water-filling allocation this is the capacity of the link.
+    the water-filling allocation this is the capacity of the link.  A float
+    for one power; for a vector of K powers (allocation.p of shape
+    (K, n_streams)) the K rates.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     p = allocation.p
-    if lam.shape != p.shape:
+    if lam.shape != p.shape[-1:]:
         raise DimensionMismatchError(
             f"eigenvalues {lam.shape} and allocation {p.shape} differ in length"
         )
-    snr = total_power * p * lam / (DEFAULT_QUARTER_FACTOR * noise_power)
-    return float(np.sum(np.log1p(snr)) / np.log(2.0))
+    snr = _power_axis(allocation, total_power) * p * lam / (DEFAULT_QUARTER_FACTOR * noise_power)
+    return _per_power(np.sum(np.log1p(snr), axis=-1) / np.log(2.0))
 
 
 def milac_rate(
@@ -328,9 +353,9 @@ def milac_rate(
     h,
     f,
     allocation: PowerAllocation,
-    total_power: float,
+    total_power,
     noise_power: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple:
     """Achievable rate of an analog design through its effective channel G H F.
 
     Per stream s, with E = G H F,
@@ -343,57 +368,68 @@ def milac_rate(
     the row) and both forms are required to agree, which guards the
     implementation against inconsistent normalization.
 
+    E, the row powers and the normalized E do not depend on the power, so a
+    vector of K powers (allocation.p of shape (K, n_streams)) is rated from
+    one E, each point exactly as alone.
+
     Args:
         g: receive combining block (n_streams x n_rx).
         h: channel matrix (n_rx x n_tx).
         f: transmit precoding block (n_tx x n_streams).
         allocation: per-stream power fractions.
-        total_power: total transmit power, linear scale.
+        total_power: total transmit power, linear scale, or a vector of K.
         noise_power: per-antenna noise power, linear scale.
 
     Returns:
-        Tuple of (rate in bits per channel use, per-stream SINR vector).
+        Tuple of (rate in bits per channel use, per-stream SINR vector); at K
+        powers, the K rates and the (K, n_streams) SINRs.
 
     Raises:
         ZeroCombinerRowError: if a row of g is identically zero.
         DimensionMismatchError: if the operand shapes are inconsistent.
-        RateFormMismatchError: if the raw and row-normalized rates disagree
-            beyond RATE_FORM_CHECK_TOL.
+        RateFormMismatchError: if the raw and row-normalized rates of a point
+            disagree beyond RATE_FORM_CHECK_TOL; it names the first such point's.
     """
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
     f = np.asarray(f, dtype=complex)
     p = allocation.p
-    n_streams = p.shape[0]
+    n_streams = p.shape[-1]
     if g.shape[0] != n_streams or f.shape[1] != n_streams:
         raise DimensionMismatchError("g rows and f columns must match the stream count")
     if g.shape[1] != h.shape[0] or h.shape[1] != f.shape[0]:
         raise DimensionMismatchError(
             f"incompatible shapes g {g.shape}, h {h.shape}, f {f.shape}"
         )
+    power = _power_axis(allocation, total_power)
     row_power = np.sum(np.abs(g) ** 2, axis=1)
     if np.any(row_power == 0.0):
         raise ZeroCombinerRowError("a combining row of g is identically zero")
 
     effective = g @ h @ f
-    sinr = _per_stream_sinr(effective, row_power, p, total_power, noise_power)
-    rate = float(np.sum(np.log1p(sinr)) / np.log(2.0))
+    sinr = _per_stream_sinr(effective, row_power, p, power, noise_power)
+    rate = np.sum(np.log1p(sinr), axis=-1) / np.log(2.0)
 
     # Row-normalized form: divide each combining row by its norm, which scales
     # the noise identically; the rate must not change.
     normalized = effective / np.sqrt(row_power)[:, None]
-    sinr_norm = _per_stream_sinr(normalized, np.ones(n_streams), p, total_power, noise_power)
-    rate_norm = float(np.sum(np.log1p(sinr_norm)) / np.log(2.0))
-    if not abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * max(1.0, abs(rate)):
-        raise RateFormMismatchError(f"rate forms disagree: {rate!r} vs {rate_norm!r}")
-    return rate, sinr
+    sinr_norm = _per_stream_sinr(normalized, np.ones(n_streams), p, power, noise_power)
+    rate_norm = np.sum(np.log1p(sinr_norm), axis=-1) / np.log(2.0)
+    agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
+    if not np.all(agree):
+        k = np.argmin(np.ravel(agree))
+        raise RateFormMismatchError(
+            f"rate forms disagree: {float(np.ravel(rate)[k])!r} vs {float(np.ravel(rate_norm)[k])!r}"
+        )
+    return _per_power(rate), sinr
 
 
-def _per_stream_sinr(effective, row_power, p, total_power, noise_power) -> np.ndarray:
-    """SINR vector for an effective channel and combining row powers."""
+def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
+    """SINR of each stream (last axis) for an effective channel and combining
+    row powers, at the powers `power` (one per row of p, trailing axis 1)."""
     abs_sq = np.abs(effective) ** 2
-    signal = total_power * p * np.diag(abs_sq)
-    interference = total_power * (abs_sq @ p) - signal
+    signal = power * p * np.diag(abs_sq)
+    interference = power * np.matmul(abs_sq, p[..., None])[..., 0] - signal
     denom = interference + row_power * noise_power
     # Guard the exactly-diagonalized zero-noise corner against 0/0; the floor
     # lies below every denominator a positive normal noise power gives.
@@ -441,7 +477,7 @@ def _synthesize_both(factors: SvdFactors, config: SystemConfig):
     return b_tx, b_rx
 
 
-def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np.ndarray, float]:
+def digital_design_and_rate(h, design: Design, total_power, noise_power: float) -> tuple:
     """Optimal fully digital precoder on a design's factors and its achievable rate.
 
     The precoder is W = v_bar diag(sqrt(p)) with v_bar the leading n_streams
@@ -453,23 +489,30 @@ def digital_design_and_rate(h, config: SystemConfig, design: Design) -> tuple[np
 
     evaluated on the n_streams x n_streams Gram form as a sum of log1p over
     its eigenvalues, which keeps the digits of weak channels where
-    I + Gram rounds to I.
+    I + Gram rounds to I.  For a vector of K powers (design.allocation.p of
+    shape (K, n_streams)) the K Gram forms are diagonalized in one stacked call.
 
     Returns:
         Tuple (precoder W of shape (n_tx, n_streams), rate in bits per
-        channel use).
+        channel use); at K powers, the (K, n_tx, n_streams) precoders and the
+        K rates.
+
+    Raises:
+        DimensionMismatchError: if h is not the design's channel shape, or the
+            allocation does not hold one row per power.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (config.n_rx, config.n_tx):
+    factors = design.factors
+    if h.shape != (factors.u.shape[0], factors.v.shape[0]):
         raise DimensionMismatchError(
-            f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx})"
+            f"channel shape {h.shape} does not match the design's "
+            f"({factors.u.shape[0]}, {factors.v.shape[0]})"
         )
-    if design.factors.v.shape[0] != config.n_tx or design.allocation.p.shape[0] != config.n_streams:
-        raise DimensionMismatchError("design does not match config")
-    w = design.factors.v[:, : config.n_streams] * np.sqrt(design.allocation.p)
+    p = design.allocation.p
+    power = _power_axis(design.allocation, total_power)
+    w = factors.v[:, : p.shape[-1]] * np.sqrt(p)[..., None, :]
     a = h @ w
-    scale = config.tx_power / (DEFAULT_QUARTER_FACTOR * config.noise_power)
+    scale = power[..., None] / (DEFAULT_QUARTER_FACTOR * noise_power)
     # Round-off can leave a Gram eigenvalue slightly negative.
-    eig = np.maximum(np.linalg.eigvalsh(scale * (a.conj().T @ a)), 0.0)
-    rate = float(np.sum(np.log1p(eig)) / np.log(2.0))
-    return w, rate
+    eig = np.maximum(np.linalg.eigvalsh(scale * (a.conj().swapaxes(-1, -2) @ a)), 0.0)
+    return w, _per_power(np.sum(np.log1p(eig), axis=-1) / np.log(2.0))

@@ -134,9 +134,10 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
 
     The networks come from the channel's SVD alone, so one ordered SVD, one
     synthesis and one circuit solve per side and one capacity spectrum serve
-    every config; only water-filling, the rates and the digital benchmark
-    run per config.  The analog rate is evaluated on the transfer blocks of
-    the synthesized circuits, so the whole admittance pipeline is exercised.
+    every config.  Only water-filling, the rates and the digital benchmark
+    depend on the power, and each rates all configs in one vectorized call.
+    The analog rate is evaluated on the transfer blocks of the synthesized
+    circuits, so the whole admittance pipeline is exercised.
 
     Args:
         h: channel matrix (n_rx x n_tx).
@@ -155,7 +156,8 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
     if not configs:
         raise ValueError("configs must be nonempty")
     base = configs[0]
-    if any(dataclasses.replace(c, tx_power=base.tx_power) != base for c in configs[1:]):
+    fixed = dict(vars(base), tx_power=None)
+    if any(dict(vars(c), tx_power=None) != fixed for c in configs[1:]):
         raise ValueError("configs may differ only in tx_power")
     design = design_milac(h, base, rng_seed)
     f = transfer_block_from_admittance(
@@ -170,27 +172,29 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
     )
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: base.n_streams] ** 2
-    eigenvalues = design.factors.sigma[: base.n_streams] ** 2
-    reports = []
-    for i, config in enumerate(configs):
-        if i:  # design_milac water-filled the first config already
-            allocation = water_filling(eigenvalues, config.tx_power, config.noise_power)
-            design = dataclasses.replace(design, allocation=allocation)
-        rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
-        capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
-        _, digital = digital_design_and_rate(h, config, design)
-        reports.append(
-            RateReport(
-                milac_rate=rate,
-                digital_rate=digital,
-                capacity=capacity,
-                per_stream_sinr=sinr,
-                design=design,
-                f=f,
-                g=g,
-            )
+    powers = np.array([c.tx_power for c in configs])
+    p, levels = design.allocation.p[None], [design.allocation.water_level]
+    if len(configs) > 1:  # design_milac water-filled the first config already
+        rest = water_filling(design.factors.sigma[: base.n_streams] ** 2, powers[1:], base.noise_power)
+        p, levels = np.vstack([p, rest.p]), levels + [float(x) for x in rest.water_level]
+    stacked = dataclasses.replace(design, allocation=PowerAllocation(p=p, water_level=np.array(levels)))
+    rates, sinr = milac_rate(g, h, f, stacked.allocation, powers, base.noise_power)
+    capacities = capacity_closed_form(lam, stacked.allocation, powers, base.noise_power)
+    _, digital = digital_design_and_rate(h, stacked, powers, base.noise_power)
+    return tuple(
+        RateReport(
+            milac_rate=float(rates[k]),
+            digital_rate=float(digital[k]),
+            capacity=float(capacities[k]),
+            per_stream_sinr=sinr[k],
+            design=design
+            if k == 0
+            else dataclasses.replace(design, allocation=PowerAllocation(p=p[k], water_level=levels[k])),
+            f=f,
+            g=g,
         )
-    return tuple(reports)
+        for k in range(len(configs))
+    )
 
 
 def _design_seed(master_seed: int, trial_index: int) -> int:

@@ -468,23 +468,30 @@ def test_design_rate_invariant_to_phase_repair_seed():
 def test_digital_single_stream_closed_form():
     h = np.diag([3.0, 1.0]).astype(complex)
     config = SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=2.0, noise_power=0.5)
-    w, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=0))
+    w, rate = digital_design_and_rate(
+        h, design_milac(h, config, rng_seed=0), config.tx_power, config.noise_power
+    )
     assert w.shape == (2, 1)
     assert abs(rate - np.log2(1.0 + 2.0 * 9.0 / (4.0 * 0.5))) <= 1e-12
 
 
 def test_digital_rejects_a_design_for_another_config():
+    # A 3x3 design rated on a 4x3 channel, or at two powers with one allocation.
     h = random_channel(3, 3, 5)
-    one = SystemConfig(n_streams=1, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
-    two = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
+    config = SystemConfig(n_streams=1, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
+    design = design_milac(h, config, rng_seed=0)
     with pytest.raises(DimensionMismatchError):
-        digital_design_and_rate(h, two, design_milac(h, one, rng_seed=0))
+        digital_design_and_rate(random_channel(4, 3, 5), design, 1.0, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        digital_design_and_rate(h, design, np.array([1.0, 2.0]), 1.0)
 
 
 def test_digital_scaled_unitary_uses_uniform_allocation():
     h = 2.0 * np.eye(4)
     config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
-    w, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=0))
+    w, rate = digital_design_and_rate(
+        h, design_milac(h, config, rng_seed=0), config.tx_power, config.noise_power
+    )
     expected = 4.0 * np.log2(1.0 + 1.0 * 4.0 / (4.0 * 1.0 * 4.0))
     assert abs(rate - expected) <= 1e-12
     col_power = np.sum(np.abs(w) ** 2, axis=0)
@@ -495,7 +502,9 @@ def test_digital_precoder_spends_unit_power():
     for seed in range(10):
         h = random_channel(5, 6, 300 + seed)
         config = SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=2.0, noise_power=1.0)
-        w, _ = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
+        w, _ = digital_design_and_rate(
+            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+        )
         assert abs(np.linalg.norm(w) ** 2 - 1.0) <= 1e-12
 
 
@@ -503,7 +512,9 @@ def test_digital_rate_equals_eigenvalue_capacity():
     for seed in range(20):
         h = random_channel(4, 4, 600 + seed)
         config = SystemConfig(n_streams=3, n_tx=4, n_rx=4, tx_power=6.0, noise_power=1.0)
-        _, rate = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
+        _, rate = digital_design_and_rate(
+            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+        )
         factors = svd_ordered(h)
         lam = factors.sigma[:3] ** 2
         alloc = water_filling(lam, config.tx_power, config.noise_power)
@@ -517,7 +528,9 @@ def test_analog_and_digital_rates_agree():
         config = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=3.0, noise_power=1.0)
         f, g, alloc = _circuit_blocks(h, config, seed)
         analog, _ = milac_rate(g, h, f, alloc, config.tx_power, config.noise_power)
-        _, digital = digital_design_and_rate(h, config, design_milac(h, config, rng_seed=seed))
+        _, digital = digital_design_and_rate(
+            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+        )
         assert abs(analog - digital) <= 1e-9 * max(1.0, digital)
 
 

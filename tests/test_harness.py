@@ -333,7 +333,10 @@ def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers)
 
 
 def test_snr_sweep_designs_each_channel_once(monkeypatch):
-    calls = {"svd_ordered": 0, "transfer_block": 0, "svd_values": 0, "milac_rate": 0, "digital": 0}
+    calls = dict.fromkeys(
+        ("svd_ordered", "transfer_block", "svd_values", "water_filling", "milac_rate", "capacity", "digital"),
+        0,
+    )
 
     def counted(owner, attr, key):
         inner = getattr(owner, attr)
@@ -352,18 +355,24 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
 
     counted(beamforming, "svd_ordered", "svd_ordered")
     counted(harness, "transfer_block_from_admittance", "transfer_block")
+    counted(harness, "water_filling", "water_filling")
     counted(harness, "milac_rate", "milac_rate")
+    counted(harness, "capacity_closed_form", "capacity")
     counted(harness, "digital_design_and_rate", "digital")
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     spec = _small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=3)
     run_sweep(spec, workers=1)
-    n_points, n_trials = 4, 3
+    # Each rating function takes all four SNR points of a channel in one call;
+    # design_milac's own water-filling (of the first point) is not counted here.
+    n_trials = 3
     assert calls == {
         "svd_ordered": n_trials,
         "transfer_block": 2 * n_trials,
         "svd_values": n_trials,
-        "milac_rate": n_points * n_trials,
-        "digital": n_points * n_trials,
+        "water_filling": n_trials,
+        "milac_rate": n_trials,
+        "capacity": n_trials,
+        "digital": n_trials,
     }
 
 
