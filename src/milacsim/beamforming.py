@@ -79,11 +79,17 @@ class SystemConfig:
 
 
 def _check_positive_finite(record, *names: str) -> None:
-    """Raise ValueError naming the first of record's fields that is not positive and finite."""
+    """Raise ValueError naming the first of record's fields that is not a
+    positive, finite and normal double.
+
+    A subnormal power carries too few digits for the rate: at a noise power
+    of 1e-320 the raw and row-normalized rate forms disagree.
+    """
+    tiny = float(np.finfo(float).tiny)
     for name in names:
         value = getattr(record, name)
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite")
+        if not (value >= tiny and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, and not subnormal (>= {tiny!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,12 +435,13 @@ def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
     row powers, at the powers `power` (one per row of p, trailing axis 1)."""
     abs_sq = np.abs(effective) ** 2
     signal = power * p * np.diag(abs_sq)
-    interference = power * np.matmul(abs_sq, p[..., None])[..., 0] - signal
-    denom = interference + row_power * noise_power
-    # Guard the exactly-diagonalized zero-noise corner against 0/0; the floor
-    # lies below every denominator a positive normal noise power gives.
-    denom = np.maximum(denom, np.finfo(float).tiny)
-    return signal / denom
+    # Sum the interference over t != s directly: subtracting the signal from
+    # the full row sum cancels it at high SNR.  The denominator is then at
+    # least row_power * noise_power > 0.
+    cross = abs_sq.copy()
+    np.fill_diagonal(cross, 0.0)
+    interference = power * np.sum(p[..., None, :] * cross, axis=-1)
+    return signal / (interference + row_power * noise_power)
 
 
 def design_milac(h, config: SystemConfig, rng_seed) -> Design:

@@ -1,5 +1,7 @@
 """Tests for SVD handling, water-filling, rate formulas, and the full designs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -534,6 +536,47 @@ def test_analog_and_digital_rates_agree():
         assert abs(analog - digital) <= 1e-9 * max(1.0, digital)
 
 
+@pytest.mark.parametrize("scale, streams_on_at_100_db", [(1.0, 3), (1e-150, 1)])
+def test_rating_a_vector_of_powers_equals_rating_each_power_alone(scale, streams_on_at_100_db):
+    # One call over 29 powers from -40 to 100 dB rates each point bit for bit
+    # as a one-point call does, including points that switch streams off.
+    h = scale * random_channel(4, 4, 21)
+    config = SystemConfig(n_streams=3, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    f, g, _ = _circuit_blocks(h, config, seed=0)
+    design = design_milac(h, config, rng_seed=0)
+    lam = design.factors.sigma[:3] ** 2
+    powers = 10.0 ** (np.linspace(-40.0, 100.0, 29) / 10.0)
+    batch = water_filling(lam, powers, 1.0)
+    assert np.count_nonzero(batch.p[0]) == 1
+    assert np.count_nonzero(batch.p[-1]) == streams_on_at_100_db
+    rates, sinr = milac_rate(g, h, f, batch, powers, 1.0)
+    capacities = capacity_closed_form(lam, batch, powers, 1.0)
+    _, digital = digital_design_and_rate(h, replace(design, allocation=batch), powers, 1.0)
+    for k, power in enumerate(powers):
+        alone = water_filling(lam, power, 1.0)
+        assert np.array_equal(batch.p[k], alone.p) and batch.water_level[k] == alone.water_level
+        rate, sinr_alone = milac_rate(g, h, f, alone, power, 1.0)
+        assert rates[k] == rate and np.array_equal(sinr[k], sinr_alone)
+        assert capacities[k] == capacity_closed_form(lam, alone, power, 1.0)
+        assert digital[k] == digital_design_and_rate(h, replace(design, allocation=alone), power, 1.0)[1]
+        assert abs(rate - capacities[k]) <= 1e-9 * capacities[k]
+
+
+def test_rating_rejects_an_allocation_without_one_row_per_power():
+    alloc = water_filling(np.array([2.0, 1.0]), np.array([1.0, 2.0, 4.0]), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        capacity_closed_form(np.array([2.0, 1.0]), alloc, np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        milac_rate(np.eye(2), np.eye(2), np.eye(2), alloc, 1.0, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        water_filling(np.array([2.0, 1.0]), np.ones((2, 2)), 1.0)
+
+
+def test_water_filling_raises_if_any_power_overflows_every_floor():
+    with pytest.raises(AllZeroEigenvaluesError):
+        water_filling(np.array([1e-300, 1e-301]), np.array([1.0, 1e-10]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -547,6 +590,8 @@ def test_system_config_validation():
         SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=1.0, noise_power=-1.0)
     with pytest.raises(ValueError):
         SystemConfig(n_streams=0, n_tx=2, n_rx=2, tx_power=1.0, noise_power=1.0)
+    with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+        SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=1e-310, noise_power=1.0)
 
 
 def test_power_allocation_rejects_negative():

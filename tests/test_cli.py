@@ -163,10 +163,11 @@ def test_non_positive_z0_exits_one(tmp_path, capsys, args, z0):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("z0", ["1e-320", "inf"])
+@pytest.mark.parametrize("z0", ["1e-320", "inf", "1e308"])
 @pytest.mark.parametrize("command", ["sweep-snr", "design-dump"])
 def test_z0_without_a_finite_nonzero_reciprocal_exits_one_naming_the_flag(tmp_path, capsys, command, z0):
-    # 1/1e-320 overflows to inf and 1/inf is 0: neither is a reference admittance.
+    # 1/1e-320 overflows to inf, 1/inf is 0 and 1/1e308 is subnormal: none is a
+    # reference admittance.
     if command == "design-dump":
         args = ["design-dump", "--out-dir", str(tmp_path / "d")]
     else:
@@ -207,8 +208,7 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
 
 
 def test_sweep_at_a_tiny_noise_power_keeps_both_rate_forms_in_agreement(tmp_path, capsys):
-    # Denominators near 1e-300 must not meet the SINR's 0/0 floor, or the raw
-    # and row-normalized rate forms disagree.
+    # The smallest normal powers keep the raw and row-normalized rate forms in agreement.
     out = tmp_path / "tiny.csv"
     args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--workers", "1",
             "--snr-min", "0", "--snr-max", "0", "--noise-power", "1e-300", "--out", str(out)]
@@ -216,6 +216,28 @@ def test_sweep_at_a_tiny_noise_power_keeps_both_rate_forms_in_agreement(tmp_path
     capsys.readouterr()
     (row,) = out.read_text().strip().split("\n")[1:]
     assert float(row.split(",")[4]) <= 1e-9
+
+
+def test_subnormal_noise_power_exits_one_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "sub.csv"
+    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--workers", "1",
+            "--snr-min", "0", "--snr-max", "0", "--noise-power", "1e-310", "--out", str(out)]
+    assert main(args) == 1
+    assert "noise_power must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_high_snr_sweep_at_64_antennas_keeps_every_rate_within_1e9(tmp_path, capsys):
+    # Interference summed off the diagonal, not as a row sum minus the signal,
+    # keeps both rate forms in agreement up to 100 dB.
+    out = tmp_path / "high.csv"
+    args = ["sweep-snr", "--antennas", "64", "--streams", "8", "--trials", "2", "--workers", "1",
+            "--snr-min", "40", "--snr-max", "100", "--snr-step", "20", "--out", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 4
+    assert max(float(row.split(",")[4]) for row in rows) <= 1e-9
 
 
 def test_manifest_records_the_reference_admittance(tmp_path, capsys):

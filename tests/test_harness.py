@@ -140,6 +140,26 @@ def test_run_trial_on_a_weak_channel_reaches_capacity():
             assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
 
 
+@pytest.mark.parametrize("n, n_streams, snr_db", [(8, 2, 20.0), (64, 8, 60.0), (64, 8, 100.0)])
+def test_perturbing_the_precoder_lowers_the_rate(n, n_streams, snr_db):
+    # The rate check is not vacuous: a precoder 1e-6 off the design, with its
+    # column norms kept, leaks interference that the rate must show.
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=1, master_seed=11), 0)
+    config = SystemConfig(
+        n_streams=n_streams, n_tx=n, n_rx=n, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
+    )
+    report = run_trial(h, config, rng_seed=0)
+    rng = np.random.default_rng(5)
+    norms = np.linalg.norm(report.f, axis=0)
+    delta = rng.standard_normal(report.f.shape) + 1j * rng.standard_normal(report.f.shape)
+    f = report.f + 1e-6 * norms * delta / np.linalg.norm(delta, axis=0)
+    f *= norms / np.linalg.norm(f, axis=0)
+    rate, _ = beamforming.milac_rate(
+        report.g, h, f, report.design.allocation, config.tx_power, config.noise_power
+    )
+    assert rate < report.milac_rate
+
+
 def test_run_trials_shares_the_design_and_matches_run_trial_at_each_power():
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
     configs = [
@@ -392,7 +412,7 @@ def test_sweep_spec_validation():
 
 
 @pytest.mark.parametrize("field", ["noise_power", "ref_admittance"])
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, 1e-310])
 def test_sweep_spec_rejects_bad_noise_power_and_ref_admittance(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         _small_snr_spec(**{field: value})
