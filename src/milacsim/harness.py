@@ -173,27 +173,31 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: base.n_streams] ** 2
     powers = np.array([c.tx_power for c in configs])
-    p, levels = design.allocation.p[None], [design.allocation.water_level]
+    allocations = [design.allocation]
     if len(configs) > 1:  # design_milac water-filled the first config already
         rest = water_filling(design.factors.sigma[: base.n_streams] ** 2, powers[1:], base.noise_power)
-        p, levels = np.vstack([p, rest.p]), levels + [float(x) for x in rest.water_level]
-    stacked = dataclasses.replace(design, allocation=PowerAllocation(p=p, water_level=np.array(levels)))
-    rates, sinr = milac_rate(g, h, f, stacked.allocation, powers, base.noise_power)
-    capacities = capacity_closed_form(lam, stacked.allocation, powers, base.noise_power)
-    _, digital = digital_design_and_rate(h, stacked, powers, base.noise_power)
+        allocations += [PowerAllocation(p, float(level)) for p, level in zip(rest.p, rest.water_level)]
+    stacked = PowerAllocation(
+        p=np.array([a.p for a in allocations]), water_level=np.array([a.water_level for a in allocations])
+    )
+    rates, sinr = milac_rate(g, h, f, stacked, powers, base.noise_power)
+    capacities = capacity_closed_form(lam, stacked, powers, base.noise_power)
+    _, digital = digital_design_and_rate(
+        h, dataclasses.replace(design, allocation=stacked), powers, base.noise_power
+    )
     return tuple(
         RateReport(
-            milac_rate=float(rates[k]),
-            digital_rate=float(digital[k]),
-            capacity=float(capacities[k]),
-            per_stream_sinr=sinr[k],
-            design=design
-            if k == 0
-            else dataclasses.replace(design, allocation=PowerAllocation(p=p[k], water_level=levels[k])),
+            milac_rate=float(rate),
+            digital_rate=float(digital_rate),
+            capacity=float(capacity),
+            per_stream_sinr=stream_sinr,
+            design=dataclasses.replace(design, allocation=allocation),
             f=f,
             g=g,
         )
-        for k in range(len(configs))
+        for rate, digital_rate, capacity, stream_sinr, allocation in zip(
+            rates, digital, capacities, sinr, allocations
+        )
     )
 
 
