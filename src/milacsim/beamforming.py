@@ -15,6 +15,7 @@ each side); it cancels out of none of the formulas and is kept explicit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,12 @@ def _check_positive_finite(record, *names: str) -> None:
     A subnormal power carries too few digits for the rate: at a noise power
     of 1e-320 the raw and row-normalized rate forms disagree.
     """
-    tiny = float(np.finfo(float).tiny)
     for name in names:
-        value = getattr(record, name)
-        if not (value >= tiny and np.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, and not subnormal (>= {tiny!r})")
+        # The smallest and largest normal doubles; NaN fails both comparisons.
+        if not sys.float_info.min <= getattr(record, name) <= sys.float_info.max:
+            raise ValueError(
+                f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +143,7 @@ class PowerAllocation:
         p = np.asarray(self.p, dtype=float)
         if p.ndim not in (1, 2):
             raise DimensionMismatchError("power allocation must be a vector, or one vector per power")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if not ((p >= 0) & (p < np.inf)).all():
             raise ValueError("stream powers must be nonnegative and finite")
         object.__setattr__(self, "p", p)
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from .beamforming import (
+    Design,
     PowerAllocation,
     RateReport,
     SystemConfig,
@@ -191,7 +192,7 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
             digital_rate=float(digital_rate),
             capacity=float(capacity),
             per_stream_sinr=stream_sinr,
-            design=dataclasses.replace(design, allocation=allocation),
+            design=Design(design.factors, allocation, design.b_tx, design.b_rx),
             f=f,
             g=g,
         )
