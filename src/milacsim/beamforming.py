@@ -294,20 +294,20 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector")
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+    if not ((lam >= 0) & (lam < np.inf)).all():
         raise ValueError("eigenvalues must be nonnegative and finite")
     power = np.asarray(total_power, dtype=float)
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
-    if np.any(power <= 0) or noise_power <= 0:
+    if not (power > 0).all() or noise_power <= 0:
         raise ValueError("powers must be positive")
     with np.errstate(divide="ignore", over="ignore"):
         floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power[..., None] * lam), np.inf)
-    if not np.all(np.any(np.isfinite(floors), axis=-1)):
+    a_min = floors.min(axis=-1, keepdims=True)
+    if not (a_min < np.inf).all():
         raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
     # Search on the floors above the lowest one: on weak channels a_min can
     # exceed 2**53, where 1 + a_min == a_min would disqualify every candidate.
-    a_min = floors.min(axis=-1, keepdims=True)
     excess = floors - a_min
     sorted_excess = np.sort(excess, axis=-1)
     # Level of the m smallest floors, m = 1..n; an infinite floor never qualifies.
@@ -338,7 +338,7 @@ def _power_axis(allocation: PowerAllocation, total_power) -> np.ndarray:
 
 def capacity_closed_form(
     eigenvalues, allocation: PowerAllocation, total_power, noise_power: float
-):
+) -> float | np.ndarray:
     """Closed-form rate sum_s log2(1 + total_power p_s lam_s / (q noise_power)).
 
     q = DEFAULT_QUARTER_FACTOR is the matched-circuit insertion factor; with
@@ -353,7 +353,7 @@ def capacity_closed_form(
             f"eigenvalues {lam.shape} and allocation {p.shape} differ in length"
         )
     snr = _power_axis(allocation, total_power) * p * lam / (DEFAULT_QUARTER_FACTOR * noise_power)
-    return _per_power(np.sum(np.log1p(snr), axis=-1) / np.log(2.0))
+    return _per_power(np.log1p(snr).sum(axis=-1) / np.log(2.0))
 
 
 def milac_rate(
@@ -396,7 +396,8 @@ def milac_rate(
         ZeroCombinerRowError: if a row of g is identically zero.
         DimensionMismatchError: if the operand shapes are inconsistent.
         RateFormMismatchError: if the raw and row-normalized rates of a point
-            disagree beyond RATE_FORM_CHECK_TOL; it names the first such point's.
+            disagree beyond RATE_FORM_CHECK_TOL; the message gives the first
+            such point's two rates.
     """
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -411,20 +412,20 @@ def milac_rate(
         )
     power = _power_axis(allocation, total_power)
     row_power = np.sum(np.abs(g) ** 2, axis=1)
-    if np.any(row_power == 0.0):
+    if (row_power == 0.0).any():
         raise ZeroCombinerRowError("a combining row of g is identically zero")
 
     effective = g @ h @ f
     sinr = _per_stream_sinr(effective, row_power, p, power, noise_power)
-    rate = np.sum(np.log1p(sinr), axis=-1) / np.log(2.0)
+    rate = np.log1p(sinr).sum(axis=-1) / np.log(2.0)
 
     # Row-normalized form: divide each combining row by its norm, which scales
     # the noise identically; the rate must not change.
     normalized = effective / np.sqrt(row_power)[:, None]
     sinr_norm = _per_stream_sinr(normalized, np.ones(n_streams), p, power, noise_power)
-    rate_norm = np.sum(np.log1p(sinr_norm), axis=-1) / np.log(2.0)
+    rate_norm = np.log1p(sinr_norm).sum(axis=-1) / np.log(2.0)
     agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
-    if not np.all(agree):
+    if not agree.all():
         k = np.argmin(np.ravel(agree))
         raise RateFormMismatchError(
             f"rate forms disagree: {float(np.ravel(rate)[k])!r} vs {float(np.ravel(rate_norm)[k])!r}"
@@ -436,13 +437,13 @@ def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
     """SINR of each stream (last axis) for an effective channel and combining
     row powers, at the powers `power` (one per row of p, trailing axis 1)."""
     abs_sq = np.abs(effective) ** 2
-    signal = power * p * np.diag(abs_sq)
+    signal = power * p * abs_sq.diagonal()
     # Sum the interference over t != s directly: subtracting the signal from
     # the full row sum cancels it at high SNR.  The denominator is then at
     # least row_power * noise_power > 0.
     cross = abs_sq.copy()
     np.fill_diagonal(cross, 0.0)
-    interference = power * np.sum(p[..., None, :] * cross, axis=-1)
+    interference = power * (p[..., None, :] * cross).sum(axis=-1)
     return signal / (interference + row_power * noise_power)
 
 
@@ -524,4 +525,4 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     scale = power[..., None] / (DEFAULT_QUARTER_FACTOR * noise_power)
     # Round-off can leave a Gram eigenvalue slightly negative.
     eig = np.maximum(np.linalg.eigvalsh(scale * (a.conj().swapaxes(-1, -2) @ a)), 0.0)
-    return w, _per_power(np.sum(np.log1p(eig), axis=-1) / np.log(2.0))
+    return w, _per_power(np.log1p(eig).sum(axis=-1) / np.log(2.0))
