@@ -200,7 +200,7 @@ def _print_sweep(result, out_path: str) -> None:
 
 def _ref_admittance(opts: dict) -> float:
     z0 = opts["z0"]
-    if not (z0 > 0 and np.finfo(float).tiny <= 1.0 / z0 < np.inf):
+    if not (z0 > 0 and sys.float_info.min <= 1.0 / z0 < np.inf):
         raise _CliError(
             f"--z0 must be positive and finite with a finite reciprocal that is not subnormal, got {z0!r}"
         )

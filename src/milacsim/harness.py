@@ -10,7 +10,6 @@ serial and parallel runs byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -184,7 +183,7 @@ def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
     rates, sinr = milac_rate(g, h, f, stacked, powers, base.noise_power)
     capacities = capacity_closed_form(lam, stacked, powers, base.noise_power)
     _, digital = digital_design_and_rate(
-        h, dataclasses.replace(design, allocation=stacked), powers, base.noise_power
+        h, Design(design.factors, stacked, design.b_tx, design.b_rx), powers, base.noise_power
     )
     return tuple(
         RateReport(
