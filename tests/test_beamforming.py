@@ -260,10 +260,15 @@ def test_water_filling_rejects_degenerate_inputs():
     # Floors that overflow leave no finite water level either.
     with pytest.raises(AllZeroEigenvaluesError):
         water_filling(np.array([1e-310, 0.0]), 1.0, 1.0)
+    # One point of a power vector whose floors all overflow fails the call.
+    with pytest.raises(AllZeroEigenvaluesError):
+        water_filling(np.array([1e-300, 1e-301]), np.array([1.0, 1e-10]), 1.0)
     with pytest.raises(ValueError):
         water_filling(np.array([-1.0, 2.0]), 1.0, 1.0)
     with pytest.raises(DimensionMismatchError):
         water_filling(np.zeros(0), 1.0, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        water_filling(np.array([2.0, 1.0]), np.ones((2, 2)), 1.0)
     with pytest.raises(ValueError):
         water_filling(np.array([1.0]), 0.0, 1.0)
 
@@ -568,13 +573,6 @@ def test_rating_rejects_an_allocation_without_one_row_per_power():
         capacity_closed_form(np.array([2.0, 1.0]), alloc, np.array([1.0, 2.0]), 1.0)
     with pytest.raises(DimensionMismatchError):
         milac_rate(np.eye(2), np.eye(2), np.eye(2), alloc, 1.0, 1.0)
-    with pytest.raises(DimensionMismatchError):
-        water_filling(np.array([2.0, 1.0]), np.ones((2, 2)), 1.0)
-
-
-def test_water_filling_raises_if_any_power_overflows_every_floor():
-    with pytest.raises(AllZeroEigenvaluesError):
-        water_filling(np.array([1e-300, 1e-301]), np.array([1.0, 1e-10]), 1.0)
 
 
 # ---------------------------------------------------------------------------
