@@ -32,7 +32,6 @@ from .exceptions import (
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
-    _imag_part_inverse,
     susceptance_rx,
     susceptance_tx,
 )
@@ -221,47 +220,35 @@ def _phase_fix_columns(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * phases.conj(), phases
 
 
-def ensure_invertible_imag(factors: SvdFactors, rng_seed) -> SvdFactors:
-    """Phase-rotate SVD factors until Im{v} and Im{u} are safely invertible.
+def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, rng_seed) -> tuple:
+    """Phase-rotate SVD factors until both susceptance syntheses succeed.
 
-    The susceptance synthesis needs the imaginary parts of both unitary
-    factors to be invertible at network.DEFAULT_IMAG_SV_REL.  Factors that
-    already pass are returned unchanged.  Otherwise random common phases are
-    applied to the paired columns of u and v (preserving the reconstruction)
-    plus independent phases to trailing null-space columns, retrying with
-    fresh draws up to DEFAULT_PHASE_ATTEMPTS times.
+    Returns (rotated factors, b_tx, b_rx) of the first seeded draw that
+    synthesizes; the synthesis is the only invertibility test, and
+    design_milac calls this only after it rejected the factors themselves.
+    A draw applies random common phases to the paired columns of u and v
+    (preserving the reconstruction) plus independent phases to trailing
+    null-space columns.
 
     Args:
         factors: decomposition to repair.
+        config: link parameters of the synthesis.
         rng_seed: seed for the deterministic phase draws.
 
     Raises:
-        PhaseSearchExhaustedError: if no draw passes.
+        PhaseSearchExhaustedError: if none of DEFAULT_PHASE_ATTEMPTS draws does.
     """
-
-    def ok(m: np.ndarray) -> bool:
-        # The synthesis's own test, so a factor passes here iff it synthesizes.
-        try:
-            _imag_part_inverse(m, "ensure_invertible_imag")
-        except SingularImaginaryPartError:
-            return False
-        return True
-
-    if ok(factors.v.imag) and ok(factors.u.imag):
-        return factors
-
     rng = np.random.default_rng(rng_seed)
     k = factors.sigma.shape[0]
-    n_t = factors.v.shape[0]
-    n_r = factors.u.shape[0]
     for _ in range(DEFAULT_PHASE_ATTEMPTS):
-        phase_v = np.exp(2j * np.pi * rng.random(n_t))
-        tail = np.exp(2j * np.pi * rng.random(n_r - k)) if n_r > k else np.empty(0, complex)
+        phase_v = np.exp(2j * np.pi * rng.random(factors.v.shape[0]))
+        tail = np.exp(2j * np.pi * rng.random(factors.u.shape[0] - k))
         phase_u = np.concatenate([phase_v[:k], tail])
-        v = factors.v * phase_v
-        u = factors.u * phase_u
-        if ok(v.imag) and ok(u.imag):
-            return SvdFactors(u=u, sigma=factors.sigma, v=v)
+        rotated = SvdFactors(u=factors.u * phase_u, sigma=factors.sigma, v=factors.v * phase_v)
+        try:
+            return (rotated, *_synthesize_both(rotated, config))
+        except SingularImaginaryPartError:
+            pass
     raise PhaseSearchExhaustedError(
         f"no phase rotation made Im{{v}} and Im{{u}} invertible "
         f"within {DEFAULT_PHASE_ATTEMPTS} attempts"
@@ -453,7 +440,7 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     Pipeline: ordered SVD of the channel, closed-form susceptance synthesis
     on each side, and water-filling over the leading n_streams eigenvalues.
     Only when the synthesis rejects Im{v} or Im{u} as singular are the
-    factors phase-repaired and synthesized again.
+    factors phase-repaired, keeping the networks of the accepted draw.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config.
@@ -473,8 +460,7 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     try:
         b_tx, b_rx = _synthesize_both(factors, config)
     except SingularImaginaryPartError:
-        factors = ensure_invertible_imag(factors, rng_seed)
-        b_tx, b_rx = _synthesize_both(factors, config)
+        factors, b_tx, b_rx = ensure_invertible_imag(factors, config, rng_seed)
     lam = factors.sigma[: config.n_streams] ** 2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
     return Design(factors, allocation, b_tx, b_rx)
@@ -522,7 +508,8 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     power = _power_axis(design.allocation, total_power)
     w = factors.v[:, : p.shape[-1]] * np.sqrt(p)[..., None, :]
     a = h @ w
-    scale = power[..., None] / (DEFAULT_QUARTER_FACTOR * noise_power)
+    # Power before noise, as in capacity_closed_form: power / noise_power can overflow.
+    gram = power[..., None] * (a.conj().swapaxes(-1, -2) @ a) / (DEFAULT_QUARTER_FACTOR * noise_power)
     # Round-off can leave a Gram eigenvalue slightly negative.
-    eig = np.maximum(np.linalg.eigvalsh(scale * (a.conj().swapaxes(-1, -2) @ a)), 0.0)
+    eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     return w, _per_power(np.log1p(eig).sum(axis=-1) / np.log(2.0))

@@ -11,6 +11,7 @@ serial and parallel runs byte-identical.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ class SweepSpec:
     snr_points_db supplies the x-axis; for an antenna sweep the SNR is fixed
     at snr_points_db[0] and antenna_points supplies the x-axis.  Both point
     vectors must be nonempty and strictly ascending.  Every trial uses
-    noise_power and ref_admittance; the transmit power follows from the SNR.
+    noise_power and ref_admittance; each SNR must give a normal transmit power.
     """
 
     mode: str
@@ -95,6 +96,8 @@ class SweepSpec:
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         _check_positive_finite(self, "noise_power", "ref_admittance")
+        for snr_db in snr:
+            snr_db_to_tx_power(snr_db, self.noise_power)
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "antenna_points", ant)
 
@@ -120,8 +123,17 @@ class SweepResult:
 
 
 def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
-    """Linear transmit power for a target SNR in dB at a given noise power."""
-    return noise_power * 10.0 ** (snr_db / 10.0)
+    """Linear transmit power for a target SNR in dB at a given noise power.
+
+    Raises ValueError naming the SNR if the power is not a normal double.
+    """
+    try:
+        power = noise_power * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = np.inf
+    if not sys.float_info.min <= power <= sys.float_info.max:
+        raise ValueError(f"SNR {snr_db!r} dB gives transmit power {power!r}, not a normal double")
+    return power
 
 
 def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
@@ -234,15 +246,15 @@ def _sweep_task(task: tuple) -> list[tuple[float, float, float]]:
 
 
 def _resolve_workers(workers) -> int:
+    name = "workers"
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if env:
-            workers = int(env)
-        else:
-            workers = os.cpu_count() or 1
-    workers = int(workers)
+        name, workers = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR, "").strip() or os.cpu_count() or 1
+    try:
+        workers = int(workers)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {workers!r}") from None
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise ValueError(f"{name} must be at least 1, got {workers}")
     return workers
 
 

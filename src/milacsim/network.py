@@ -368,20 +368,19 @@ def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     M is singular when sigma_min <= rel_tol * sigma_max, with rel_tol =
     DEFAULT_IMAG_SV_REL read at call time.  The explicit inverse gives
     kappa_1 exactly and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1
-    proves M regular without an SVD (a NaN bound fails it); the singular
-    values decide only when that bound does not, or when the LU breaks down.
+    proves M regular without an SVD (a NaN bound fails it), and an exact zero
+    pivot rejects it; the singular values decide only when neither does.
     """
     n = m.shape[0]
     rel_tol = DEFAULT_IMAG_SV_REL
     try:
         minv = np.linalg.solve(m, np.eye(n))
-    except np.linalg.LinAlgError:
-        minv = None
-    if minv is not None and n * rel_tol * np.linalg.norm(m, 1) * np.linalg.norm(minv, 1) < 1.0:
+    except np.linalg.LinAlgError as exc:
+        raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
+    if n * rel_tol * np.linalg.norm(m, 1) * np.linalg.norm(minv, 1) < 1.0:
         return minv
     sv = np.linalg.svd(m, compute_uv=False)
-    # An exact zero pivot (minv is None) rejects M whatever the singular values say.
-    if minv is None or sv[0] == 0.0 or sv[-1] <= rel_tol * sv[0]:
+    if sv[-1] <= rel_tol * sv[0]:
         raise SingularImaginaryPartError(
             f"{context}: smallest singular value {sv[-1]:.3e} is below "
             f"{rel_tol:.1e} of the spectral norm {sv[0]:.3e}"

@@ -113,21 +113,34 @@ def test_svd_factors_validate_ordering():
 # ensure_invertible_imag
 
 
-def test_ensure_returns_same_object_when_already_fine():
-    factors = svd_ordered(random_channel(5, 5, 7))
-    repaired = ensure_invertible_imag(factors, rng_seed=0)
-    assert repaired is factors
+def _config(n_streams, n_tx, n_rx):
+    return SystemConfig(n_streams=n_streams, n_tx=n_tx, n_rx=n_rx, tx_power=1.0, noise_power=1.0)
+
+
+def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
+    def repair(*args, **kwargs):
+        raise AssertionError("a Rayleigh channel needs no phase repair")
+
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", repair)
+    h = random_channel(5, 5, 7)
+    design = design_milac(h, _config(3, 5, 5), rng_seed=0)
+    factors = svd_ordered(h)
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(design.factors, name), getattr(factors, name))
 
 
 def test_ensure_repairs_real_factors_without_changing_the_channel():
     h = np.eye(2)
     factors = svd_ordered(h)
-    repaired = ensure_invertible_imag(factors, rng_seed=0)
+    repaired, b_tx, b_rx = ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
     assert repaired is not factors
     assert np.linalg.norm(repaired.reconstruct() - h) <= 1e-10
     for m in (repaired.v.imag, repaired.u.imag):
         sv = np.linalg.svd(m, compute_uv=False)
         assert sv[-1] > 1e-8 * sv[0]
+    # The networks returned are those of the repaired factors.
+    assert np.array_equal(b_tx.b, susceptance_tx(repaired.v, 1).b)
+    assert np.array_equal(b_rx.b, network.susceptance_rx(repaired.u, 1).b)
 
 
 def test_ensure_single_attempt_succeeds_on_almost_all_real_channels(monkeypatch):
@@ -139,7 +152,7 @@ def test_ensure_single_attempt_succeeds_on_almost_all_real_channels(monkeypatch)
         rng = np.random.default_rng(seed)
         factors = svd_ordered(rng.standard_normal((8, 8)))
         try:
-            ensure_invertible_imag(factors, rng_seed=seed)
+            ensure_invertible_imag(factors, _config(4, 8, 8), rng_seed=seed)
         except PhaseSearchExhaustedError:
             failures += 1
     assert failures <= 1
@@ -149,27 +162,28 @@ def test_ensure_exhausted_budget_raises(monkeypatch):
     monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
     factors = svd_ordered(np.eye(2))
     with pytest.raises(PhaseSearchExhaustedError):
-        ensure_invertible_imag(factors, rng_seed=0)
+        ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
 
 
 def test_ensure_is_deterministic_in_the_seed():
     factors = svd_ordered(np.eye(3))
-    a = ensure_invertible_imag(factors, rng_seed=42)
-    b = ensure_invertible_imag(factors, rng_seed=42)
+    a, _, _ = ensure_invertible_imag(factors, _config(2, 3, 3), rng_seed=42)
+    b, _, _ = ensure_invertible_imag(factors, _config(2, 3, 3), rng_seed=42)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.u, b.u)
 
 
 def test_synthesis_and_repair_share_one_threshold(monkeypatch):
     # At a relative threshold of 1 no matrix is invertible, for both callers.
-    factors = svd_ordered(random_channel(4, 4, 3))
+    h = random_channel(4, 4, 3)
+    factors = svd_ordered(h)
     susceptance_tx(factors.v, 2)
-    assert ensure_invertible_imag(factors, rng_seed=0) is factors
+    design_milac(h, _config(2, 4, 4), rng_seed=0)
     monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", 1.0)
     with pytest.raises(SingularImaginaryPartError):
         susceptance_tx(factors.v, 2)
     with pytest.raises(PhaseSearchExhaustedError):
-        ensure_invertible_imag(factors, rng_seed=0)
+        design_milac(h, _config(2, 4, 4), rng_seed=0)
 
 
 # ---------------------------------------------------------------------------

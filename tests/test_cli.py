@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import milacsim.harness as harness
 from milacsim import ChannelEnsembleSpec, SystemConfig, rayleigh_channel, run_trial
 from milacsim.cli import build_parser, main
 
@@ -174,6 +175,35 @@ def test_z0_without_a_finite_nonzero_reciprocal_exits_one_naming_the_flag(tmp_pa
         args = _sweep_args(tmp_path / "r.csv")
     assert main([*args, "--z0", z0]) == 1
     assert "--z0 must be positive and finite with a finite reciprocal" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-antennas", "design-dump"])
+def test_snr_beyond_the_largest_power_exits_one_naming_it(tmp_path, capsys, monkeypatch, command):
+    # 10**309 overflows a double; a sweep must fail before it starts a pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    sweep = ["--streams", "2", "--trials", "2", "--workers", "2", "--out", str(tmp_path / "r.csv")]
+    args = {
+        "sweep-snr": ["sweep-snr", "--antennas", "4", "--snr-min", "3090", "--snr-max", "3090", *sweep],
+        "sweep-antennas": ["sweep-antennas", "--antenna-points", "4", "--snr-db", "3090", *sweep],
+        "design-dump": ["design-dump", "--snr-db", "3090", "--out-dir", str(tmp_path / "d")],
+    }[command]
+    assert main(args) == 1
+    assert "SNR 3090.0 dB" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "value, message", [("abc", "must be an integer"), ("0", "must be at least 1")], ids=["abc", "0"]
+)
+def test_bad_workers_env_var_exits_one_naming_it(tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.setenv("MILACSIM_WORKERS", value)
+    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 1
+    assert f"MILACSIM_WORKERS {message}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

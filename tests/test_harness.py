@@ -30,6 +30,9 @@ def test_snr_db_to_tx_power():
     assert abs(snr_db_to_tx_power(10.0, 1.0) - 10.0) <= 1e-12
     assert abs(snr_db_to_tx_power(-10.0, 2.0) - 0.2) <= 1e-12
     assert abs(snr_db_to_tx_power(3.0, 1.0) - 10.0 ** 0.3) <= 1e-12
+    for snr_db in (3090.0, -3200.0):
+        with pytest.raises(ValueError, match=f"SNR {snr_db!r} dB"):
+            snr_db_to_tx_power(snr_db, 1.0)
 
 
 def test_run_trial_report_is_self_consistent():
@@ -68,8 +71,18 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
     assert calls == {"svd_ordered": 1, "water_filling": 1}
 
 
-def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch):
-    # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses alone.
+@pytest.mark.parametrize(
+    "n_rx, master_seed, real, solves",
+    [
+        # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses alone.
+        (6, 4, False, 2),
+        # A real channel's own Im{V} has an exact zero pivot, so it is rejected
+        # without an SVD; the accepted draw's inverses are the design's.
+        (5, 2, True, 3),
+    ],
+    ids=["rayleigh", "real"],
+)
+def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, master_seed, real, solves):
     calls = {"svd_full": 0, "svd_values": 0, "solve": 0}
     svd, solve = np.linalg.svd, np.linalg.solve
 
@@ -83,10 +96,10 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
-    config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=2.0, noise_power=1.0)
-    run_trial(h, config, rng_seed=0)
-    assert calls == {"svd_full": 1, "svd_values": 1, "solve": 2}
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=6, n_trials=1, master_seed=master_seed), 0)
+    config = SystemConfig(n_streams=3, n_tx=6, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
+    run_trial(h.real if real else h, config, rng_seed=1)
+    assert calls == {"svd_full": 1, "svd_values": 1, "solve": solves}
 
 
 def test_run_trial_repairs_a_real_channel_and_reaches_capacity(monkeypatch):
@@ -130,14 +143,16 @@ def test_run_trial_on_a_weak_channel_reaches_capacity():
     # Entries near 1e-150 put every water-filling floor far beyond 2**53, and
     # I + Gram rounds to I in the digital log-det.
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=1), 0)
-    for scale in (1e-150, 1e-100):
-        for snr_db in (-40.0, 0.0, 100.0):
-            config = SystemConfig(
-                n_streams=4, n_tx=4, n_rx=4, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
-            )
-            report = run_trial(scale * h, config, rng_seed=0)
-            assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
-            assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
+    cases = [(scale, 4, snr_db_to_tx_power(snr_db, 1.0), 1.0)
+             for scale in (1e-150, 1e-100) for snr_db in (-40.0, 0.0, 100.0)]
+    # P / N beyond the largest double: the digital Gram takes the power before the noise.
+    cases += [(1e-150, n_streams, power, noise)
+              for n_streams in (2, 3) for power, noise in ((1e160, 1e-150), (1e10, 1e-300))]
+    for scale, n_streams, tx_power, noise_power in cases:
+        config = SystemConfig(n_streams=n_streams, n_tx=4, n_rx=4, tx_power=tx_power, noise_power=noise_power)
+        report = run_trial(scale * h, config, rng_seed=0)
+        assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
+        assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
 
 
 @pytest.mark.parametrize("n, n_streams, snr_db", [(8, 2, 20.0), (64, 8, 60.0), (64, 8, 100.0)])

@@ -306,6 +306,8 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
         if singular:
             with pytest.raises(SingularImaginaryPartError):
                 _imag_part_inverse(m, "test")
+            # Only the zero matrix has an exact zero pivot, which rejects it without an SVD.
+            assert bool(svd_calls) == m.any()
         else:
             minv = _imag_part_inverse(m, "test")
             assert np.array_equal(minv, np.linalg.solve(m, np.eye(m.shape[0])))
