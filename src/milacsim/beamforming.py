@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_integers
 from .exceptions import (
     AllZeroEigenvaluesError,
     DimensionMismatchError,
@@ -55,7 +56,9 @@ class SystemConfig:
         n_streams: number of spatial streams (symbol ports per side).
         n_tx: transmit antenna count.
         n_rx: receive antenna count.
-        tx_power: total transmit power constraint, linear scale.
+        tx_power: total transmit power constraint, linear scale: one power
+            (stored as a float), or a nonempty vector of K powers (stored as
+            a tuple) at which one design is rated.
         noise_power: per-antenna noise power, linear scale.
         ref_admittance: reference admittance of the beamforming networks.
     """
@@ -63,11 +66,12 @@ class SystemConfig:
     n_streams: int
     n_tx: int
     n_rx: int
-    tx_power: float
+    tx_power: float | tuple[float, ...]
     noise_power: float
     ref_admittance: float = DEFAULT_REF_ADMITTANCE
 
     def __post_init__(self):
+        _check_integers(n_streams=self.n_streams, n_tx=self.n_tx, n_rx=self.n_rx)
         if self.n_streams < 1 or self.n_tx < 1 or self.n_rx < 1:
             raise ValueError("stream and antenna counts must be at least 1")
         if self.n_streams > min(self.n_tx, self.n_rx):
@@ -75,19 +79,25 @@ class SystemConfig:
                 f"n_streams={self.n_streams} exceeds min(n_tx, n_rx)="
                 f"{min(self.n_tx, self.n_rx)}"
             )
-        _check_positive_finite(self, "tx_power", "noise_power", "ref_admittance")
+        _check_positive_finite(noise_power=self.noise_power, ref_admittance=self.ref_admittance)
+        if np.ndim(self.tx_power) > 1 or np.size(self.tx_power) == 0:
+            raise ValueError("tx_power must be one power or a nonempty vector of powers")
+        powers = tuple(float(p) for p in np.ravel(self.tx_power))
+        for power in powers:
+            _check_positive_finite(tx_power=power)
+        object.__setattr__(self, "tx_power", powers if np.ndim(self.tx_power) else powers[0])
 
 
-def _check_positive_finite(record, *names: str) -> None:
-    """Raise ValueError naming the first of record's fields that is not a
-    positive, finite and normal double.
+def _check_positive_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a positive,
+    finite and normal double.
 
     A subnormal power carries too few digits for the rate: at a noise power
     of 1e-320 the raw and row-normalized rate forms disagree.
     """
-    for name in names:
+    for name, value in values.items():
         # The smallest and largest normal doubles; NaN fails both comparisons.
-        if not sys.float_info.min <= getattr(record, name) <= sys.float_info.max:
+        if not sys.float_info.min <= value <= sys.float_info.max:
             raise ValueError(
                 f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
             )
@@ -115,8 +125,9 @@ class SvdFactors:
             raise DimensionMismatchError("v must be square")
         if sigma.ndim != 1 or sigma.shape[0] != min(u.shape[0], v.shape[0]):
             raise DimensionMismatchError("sigma must hold min(n_rx, n_tx) values")
-        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
-            raise ValueError("singular values must be nonnegative and descending")
+        # NaN fails the first test, so no check passes vacuously.
+        if not ((sigma >= 0) & (sigma < np.inf)).all() or np.any(np.diff(sigma) > 0):
+            raise ValueError("singular values must be nonnegative, finite and descending")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
@@ -172,7 +183,9 @@ class Design:
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Per-trial record of the analog rate, digital benchmark, and capacity,
-    with the design and its circuit-realized precoder f and combiner g."""
+    with the design and its circuit-realized precoder f and combiner g.  At K
+    transmit powers the rates are K-vectors and per_stream_sinr is (K, n_streams).
+    """
 
     milac_rate: float
     digital_rate: float
@@ -277,7 +290,10 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     Raises:
         AllZeroEigenvaluesError: if, at some power, every eigenvalue is zero
             or so small that its floor overflows.
+        ValueError: if a power is not positive or noise_power is not a
+            positive, finite and normal double.
     """
+    _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector")
@@ -286,7 +302,7 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     power = np.asarray(total_power, dtype=float)
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
-    if not (power > 0).all() or noise_power <= 0:
+    if not (power > 0).all():
         raise ValueError("powers must be positive")
     with np.errstate(divide="ignore", over="ignore"):
         floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power[..., None] * lam), np.inf)
@@ -332,7 +348,11 @@ def capacity_closed_form(
     the water-filling allocation this is the capacity of the link.  A float
     for one power; for a vector of K powers (allocation.p of shape
     (K, n_streams)) the K rates.
+
+    Raises:
+        ValueError: if noise_power is not a positive, finite and normal double.
     """
+    _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     p = allocation.p
     if lam.shape != p.shape[-1:]:
@@ -385,7 +405,9 @@ def milac_rate(
         RateFormMismatchError: if the raw and row-normalized rates of a point
             disagree beyond RATE_FORM_CHECK_TOL; the message gives the first
             such point's two rates.
+        ValueError: if noise_power is not a positive, finite and normal double.
     """
+    _check_positive_finite(noise_power=noise_power)
     g = np.asarray(g, dtype=complex)
     h = np.asarray(h, dtype=complex)
     f = np.asarray(f, dtype=complex)
@@ -441,6 +463,8 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     on each side, and water-filling over the leading n_streams eigenvalues.
     Only when the synthesis rejects Im{v} or Im{u} as singular are the
     factors phase-repaired, keeping the networks of the accepted draw.
+    Only the water-filling depends on the power: at K powers (a vector
+    config.tx_power) one call allocates all K, each row as at that power alone.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config.
@@ -448,8 +472,9 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
         rng_seed: seed for the deterministic phase repair.
 
     Returns:
-        Design holding the repaired factors, the power allocation and both
-        susceptance matrices; it unpacks as (b_tx, b_rx, allocation).
+        Design holding the repaired factors, the power allocation (one row
+        per power at K powers) and both susceptance matrices; it unpacks as
+        (b_tx, b_rx, allocation).
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (config.n_rx, config.n_tx):
@@ -496,7 +521,9 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     Raises:
         DimensionMismatchError: if h is not the design's channel shape, or the
             allocation does not hold one row per power.
+        ValueError: if noise_power is not a positive, finite and normal double.
     """
+    _check_positive_finite(noise_power=noise_power)
     h = np.asarray(h, dtype=complex)
     factors = design.factors
     if h.shape != (factors.u.shape[0], factors.v.shape[0]):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,13 @@ import numpy as np
 from .exceptions import TrialIndexError
 
 _UINT64_SPAN = 2**64
+
+
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer (numpy's count, 2.0 does not)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,7 @@ class ChannelEnsembleSpec:
     master_seed: int
 
     def __post_init__(self):
+        _check_integers(n_rx=self.n_rx, n_tx=self.n_tx, n_trials=self.n_trials, master_seed=self.master_seed)
         if self.n_rx < 1 or self.n_tx < 1:
             raise ValueError("antenna counts must be at least 1")
         if self.n_trials < 1:
@@ -55,7 +64,9 @@ def rayleigh_channel(spec: ChannelEnsembleSpec, trial_index: int) -> np.ndarray:
 
     Raises:
         TrialIndexError: if trial_index lies outside the ensemble.
+        ValueError: if trial_index is not an integer.
     """
+    _check_integers(trial_index=trial_index)
     if not 0 <= trial_index < spec.n_trials:
         raise TrialIndexError(
             f"trial_index {trial_index} outside [0, {spec.n_trials})"

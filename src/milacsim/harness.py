@@ -3,7 +3,7 @@
 Trials are embarrassingly parallel: each (antenna count, trial index) pair is
 an independent task whose channel comes from a counter-based substream, so
 results do not depend on execution order or worker count.  A task designs
-its channel once and rates it at every SNR point of its group.  Aggregation
+its channel once and rates it at every SNR point of its config.  Aggregation
 sums per-trial values in trial order with pairwise summation, which keeps
 serial and parallel runs byte-identical.
 """
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from .beamforming import (
-    Design,
     PowerAllocation,
     RateReport,
     SystemConfig,
@@ -30,7 +29,7 @@ from .beamforming import (
     milac_rate,
     water_filling,
 )
-from .channel import ChannelEnsembleSpec, rayleigh_channel
+from .channel import ChannelEnsembleSpec, _check_integers, rayleigh_channel
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -63,6 +62,8 @@ class SweepSpec:
     at snr_points_db[0] and antenna_points supplies the x-axis.  Both point
     vectors must be nonempty and strictly ascending.  Every trial uses
     noise_power and ref_admittance; each SNR must give a normal transmit power.
+    The counts, the seed, both powers and the admittance are checked by
+    building the link config and the ensemble of the smallest antenna count.
     """
 
     mode: str
@@ -78,6 +79,8 @@ class SweepSpec:
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
         snr = tuple(float(x) for x in self.snr_points_db)
+        for n in self.antenna_points:
+            _check_integers(antenna_points=n)
         ant = tuple(int(x) for x in self.antenna_points)
         if len(snr) == 0 or len(ant) == 0:
             raise ValueError("sweep point vectors must be nonempty")
@@ -85,19 +88,8 @@ class SweepSpec:
             raise ValueError("snr_points_db must be strictly ascending")
         if any(b <= a for a, b in zip(ant, ant[1:])):
             raise ValueError("antenna_points must be strictly ascending")
-        if min(ant) < 1:
-            raise ValueError("antenna counts must be at least 1")
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be at least 1")
-        if self.n_streams > min(ant):
-            raise ValueError(
-                f"n_streams={self.n_streams} exceeds the smallest antenna count {min(ant)}"
-            )
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        _check_positive_finite(self, "noise_power", "ref_admittance")
-        for snr_db in snr:
-            snr_db_to_tx_power(snr_db, self.noise_power)
+        _link_config(self, ant[0], snr)
+        ChannelEnsembleSpec(n_rx=ant[0], n_tx=ant[0], n_trials=self.n_trials, master_seed=self.master_seed)
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "antenna_points", ant)
 
@@ -125,8 +117,10 @@ class SweepResult:
 def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
     """Linear transmit power for a target SNR in dB at a given noise power.
 
-    Raises ValueError naming the SNR if the power is not a normal double.
+    Raises ValueError naming noise_power if it is not a positive, finite and
+    normal double, and naming the SNR if the power is not a normal double.
     """
+    _check_positive_finite(noise_power=noise_power)
     try:
         power = noise_power * 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -137,79 +131,43 @@ def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
 
 
 def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
-    """Design, realize, and rate one channel through the full circuit path."""
-    return run_trials(h, (config,), rng_seed)[0]
-
-
-def run_trials(h, configs, rng_seed) -> tuple[RateReport, ...]:
-    """Design and realize one channel once, then rate it under each config.
+    """Design, realize, and rate one channel through the full circuit path.
 
     The networks come from the channel's SVD alone, so one ordered SVD, one
     synthesis and one circuit solve per side and one capacity spectrum serve
-    every config.  Only water-filling, the rates and the digital benchmark
-    depend on the power, and each rates all configs in one vectorized call.
-    The analog rate is evaluated on the transfer blocks of the synthesized
-    circuits, so the whole admittance pipeline is exercised.
+    every transmit power of the config.  Only water-filling, the rates and
+    the digital benchmark depend on the power, and each takes all of the
+    config's powers in one vectorized call.  The analog rate is evaluated on
+    the transfer blocks of the synthesized circuits, so the whole admittance
+    pipeline is exercised.
 
     Args:
         h: channel matrix (n_rx x n_tx).
-        configs: nonempty sequence of link parameters that differ only in
-            tx_power.
+        config: link parameters; a vector tx_power rates the link at each power.
         rng_seed: seed for the deterministic phase repair.
 
     Returns:
-        One RateReport per config, in order; they share the factors, the
-        networks, f and g.
-
-    Raises:
-        ValueError: if configs is empty or differs in anything but tx_power.
+        RateReport with float rates at one power, K-vectors at K powers.
     """
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("configs must be nonempty")
-    base = configs[0]
-    fixed = dict(vars(base), tx_power=None)
-    if any(dict(vars(c), tx_power=None) != fixed for c in configs[1:]):
-        raise ValueError("configs may differ only in tx_power")
-    design = design_milac(h, base, rng_seed)
+    design = design_milac(h, config, rng_seed)
     f = transfer_block_from_admittance(
         AdmittanceMatrix(1j * design.b_tx.b),
-        PortPartition(n_inputs=base.n_streams, n_outputs=base.n_tx),
-        base.ref_admittance,
+        PortPartition(n_inputs=config.n_streams, n_outputs=config.n_tx),
+        config.ref_admittance,
     )
     g = transfer_block_from_admittance(
         AdmittanceMatrix(1j * design.b_rx.b),
-        PortPartition(n_inputs=base.n_rx, n_outputs=base.n_streams),
-        base.ref_admittance,
+        PortPartition(n_inputs=config.n_rx, n_outputs=config.n_streams),
+        config.ref_admittance,
     )
     # The capacity takes its own spectrum, so it checks the design independently.
-    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: base.n_streams] ** 2
-    powers = np.array([c.tx_power for c in configs])
-    allocations = [design.allocation]
-    if len(configs) > 1:  # design_milac water-filled the first config already
-        rest = water_filling(design.factors.sigma[: base.n_streams] ** 2, powers[1:], base.noise_power)
-        allocations += [PowerAllocation(p, float(level)) for p, level in zip(rest.p, rest.water_level)]
-    stacked = PowerAllocation(
-        p=np.array([a.p for a in allocations]), water_level=np.array([a.water_level for a in allocations])
-    )
-    rates, sinr = milac_rate(g, h, f, stacked, powers, base.noise_power)
-    capacities = capacity_closed_form(lam, stacked, powers, base.noise_power)
-    _, digital = digital_design_and_rate(
-        h, Design(design.factors, stacked, design.b_tx, design.b_rx), powers, base.noise_power
-    )
-    return tuple(
-        RateReport(
-            milac_rate=float(rate),
-            digital_rate=float(digital_rate),
-            capacity=float(capacity),
-            per_stream_sinr=stream_sinr,
-            design=Design(design.factors, allocation, design.b_tx, design.b_rx),
-            f=f,
-            g=g,
-        )
-        for rate, digital_rate, capacity, stream_sinr, allocation in zip(
-            rates, digital, capacities, sinr, allocations
-        )
+    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: config.n_streams] ** 2
+    rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
+    capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
+    _, digital = digital_design_and_rate(h, design, config.tx_power, config.noise_power)
+    return RateReport(
+        milac_rate=rate, digital_rate=digital, capacity=capacity, per_stream_sinr=sinr,
+        design=design, f=f, g=g,
     )
 
 
@@ -223,26 +181,29 @@ def _design_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep_task(task: tuple) -> list[tuple[float, float, float]]:
-    """One channel (antenna count, trial) rated at each of its SNR points; pickles for pools."""
-    spec, n_antennas, snr_points_db, trial = task
-    ensemble = ChannelEnsembleSpec(
-        n_rx=n_antennas, n_tx=n_antennas, n_trials=spec.n_trials, master_seed=spec.master_seed
+def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfig:
+    """Config of a sweep's n_antennas x n_antennas links at all of snr_points_db."""
+    return SystemConfig(
+        n_streams=spec.n_streams,
+        n_tx=n_antennas,
+        n_rx=n_antennas,
+        tx_power=tuple(snr_db_to_tx_power(snr_db, spec.noise_power) for snr_db in snr_points_db),
+        noise_power=spec.noise_power,
+        ref_admittance=spec.ref_admittance,
     )
-    h = rayleigh_channel(ensemble, trial)
-    configs = [
-        SystemConfig(
-            n_streams=spec.n_streams,
-            n_tx=n_antennas,
-            n_rx=n_antennas,
-            tx_power=snr_db_to_tx_power(snr_db, spec.noise_power),
-            noise_power=spec.noise_power,
-            ref_admittance=spec.ref_admittance,
-        )
-        for snr_db in snr_points_db
-    ]
-    reports = run_trials(h, configs, _design_seed(spec.master_seed, trial))
-    return [(r.milac_rate, r.digital_rate, r.capacity) for r in reports]
+
+
+def _sweep_task(task: tuple) -> np.ndarray:
+    """One channel (config, trial) rated at each of the config's SNR points; pickles for pools.
+
+    Returns the (point, 3) array of analog rate, digital rate and capacity.
+    """
+    spec, config, trial = task
+    ensemble = ChannelEnsembleSpec(
+        n_rx=config.n_rx, n_tx=config.n_tx, n_trials=spec.n_trials, master_seed=spec.master_seed
+    )
+    report = run_trial(rayleigh_channel(ensemble, trial), config, _design_seed(spec.master_seed, trial))
+    return np.stack([report.milac_rate, report.digital_rate, report.capacity], axis=-1)
 
 
 def _resolve_workers(workers) -> int:
@@ -274,15 +235,15 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     Returns:
         SweepResult with one row per sweep point, in point order.
     """
-    # Groups of (antenna count, SNR points): each trial of a group is one task.
+    # One config per antenna count, at all its SNR points: each trial of a config is one task.
     if spec.mode == "snr_sweep":
-        groups = [(spec.antenna_points[0], spec.snr_points_db)]
+        configs = [_link_config(spec, spec.antenna_points[0], spec.snr_points_db)]
         sweep_values = [float(s) for s in spec.snr_points_db]
     else:
-        groups = [(n, spec.snr_points_db[:1]) for n in spec.antenna_points]
+        configs = [_link_config(spec, n, spec.snr_points_db[:1]) for n in spec.antenna_points]
         sweep_values = [float(n) for n in spec.antenna_points]
 
-    tasks = [(spec, n, snrs, t) for (n, snrs) in groups for t in range(spec.n_trials)]
+    tasks = [(spec, config, t) for config in configs for t in range(spec.n_trials)]
     n_workers = _resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -291,8 +252,8 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks, chunksize=chunk))
 
-    # (group, trial, point, 3) -> (sweep point, trial, 3), so rows sum in trial order.
-    values = np.array(outcomes, dtype=float).reshape(len(groups), spec.n_trials, -1, 3)
+    # (config, trial, point, 3) -> (sweep point, trial, 3), so rows sum in trial order.
+    values = np.array(outcomes, dtype=float).reshape(len(configs), spec.n_trials, -1, 3)
     values = values.transpose(0, 2, 1, 3).reshape(len(sweep_values), spec.n_trials, 3)
     rows = []
     for sweep_value, block in zip(sweep_values, values):
@@ -366,8 +327,10 @@ def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[Verificat
     row per check; the suite passes iff every row passes.
 
     Raises:
-        ValueError: if n_cases is below 1, which would leave every check vacuous.
+        ValueError: if master_seed or n_cases is not an integer, or n_cases
+            is below 1, which would leave every check vacuous.
     """
+    _check_integers(master_seed=master_seed, n_cases=n_cases)
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     rng = np.random.default_rng(master_seed)

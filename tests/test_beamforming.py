@@ -107,6 +107,10 @@ def test_svd_factors_validate_ordering():
         SvdFactors(u=np.eye(2), sigma=np.array([1.0, 2.0]), v=np.eye(2))
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(2))
+    # NaN compares false, so it must not slip past the order checks.
+    for sigma in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            SvdFactors(u=np.eye(2), sigma=np.array(sigma), v=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,23 @@ def test_water_filling_rejects_degenerate_inputs():
         water_filling(np.array([2.0, 1.0]), np.ones((2, 2)), 1.0)
     with pytest.raises(ValueError):
         water_filling(np.array([1.0]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("noise_power", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("rating", ["water_filling", "capacity", "milac_rate", "digital"])
+def test_rating_functions_reject_a_noise_power_that_is_not_positive_and_finite(rating, noise_power):
+    h = random_channel(3, 3, 5)
+    config = _config(2, 3, 3)
+    f, g, alloc = _circuit_blocks(h, config, seed=0)
+    lam = svd_ordered(h).sigma[:2] ** 2
+    call = {
+        "water_filling": lambda: water_filling(lam, 1.0, noise_power),
+        "capacity": lambda: capacity_closed_form(lam, alloc, 1.0, noise_power),
+        "milac_rate": lambda: milac_rate(g, h, f, alloc, 1.0, noise_power),
+        "digital": lambda: digital_design_and_rate(h, design_milac(h, config, rng_seed=0), 1.0, noise_power),
+    }[rating]
+    with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +625,20 @@ def test_system_config_validation():
         SystemConfig(n_streams=0, n_tx=2, n_rx=2, tx_power=1.0, noise_power=1.0)
     with pytest.raises(ValueError, match="tx_power must be positive and finite"):
         SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=1e-310, noise_power=1.0)
+
+
+def test_system_config_takes_a_vector_of_powers():
+    config = SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=np.array([0.5, 2.0]), noise_power=1.0)
+    # Stored as a tuple of floats, so the frozen record stays hashable.
+    assert config.tx_power == (0.5, 2.0) and hash(config) == hash(replace(config, tx_power=(0.5, 2.0)))
+    scalar = SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=np.float64(3.0), noise_power=1.0)
+    assert scalar.tx_power == 3.0 and type(scalar.tx_power) is float
+    for bad in ((), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="tx_power must be one power or a nonempty vector"):
+            SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=bad, noise_power=1.0)
+    for bad in ((1.0, np.nan), (1e-310, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+            SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=bad, noise_power=1.0)
 
 
 def test_power_allocation_rejects_negative():

@@ -257,6 +257,13 @@ def test_subnormal_noise_power_exits_one_naming_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["0", "1e-310", "nan"])
+def test_design_dump_names_a_bad_noise_power_not_the_snr(tmp_path, capsys, noise):
+    assert main(["design-dump", "--noise-power", noise, "--out-dir", str(tmp_path / "d")]) == 1
+    assert "noise_power must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_high_snr_sweep_at_64_antennas_keeps_every_rate_within_1e9(tmp_path, capsys):
     # Interference summed off the diagonal, not as a row sum minus the signal,
     # keeps both rate forms in agreement up to 100 dB.

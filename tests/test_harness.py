@@ -16,7 +16,6 @@ from milacsim import (
     rayleigh_channel,
     run_sweep,
     run_trial,
-    run_trials,
     run_verification,
     snr_db_to_tx_power,
     write_csv,
@@ -175,37 +174,27 @@ def test_perturbing_the_precoder_lowers_the_rate(n, n_streams, snr_db):
     assert rate < report.milac_rate
 
 
-def test_run_trials_shares_the_design_and_matches_run_trial_at_each_power():
+def test_run_trial_at_k_powers_equals_run_trial_at_each_power():
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
-    configs = [
-        SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=p, noise_power=1.0) for p in (0.1, 2.0, 50.0)
-    ]
-    reports = run_trials(h, configs, rng_seed=0)
-    assert len(reports) == 3
-    for config, report in zip(configs, reports):
-        single = run_trial(h, config, rng_seed=0)
-        assert (report.milac_rate, report.digital_rate, report.capacity) == (
+    powers = (0.1, 2.0, 50.0)
+    config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=powers, noise_power=1.0)
+    report = run_trial(h, config, rng_seed=0)
+    assert config.tx_power == powers and report.per_stream_sinr.shape == (3, 3)
+    for k, power in enumerate(powers):
+        single = run_trial(h, SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=power, noise_power=1.0), 0)
+        assert (report.milac_rate[k], report.digital_rate[k], report.capacity[k]) == (
             single.milac_rate, single.digital_rate, single.capacity
         )
-        assert np.array_equal(report.design.allocation.p, single.design.allocation.p)
-        assert report.design.factors is reports[0].design.factors
-        assert report.design.b_tx is reports[0].design.b_tx and report.f is reports[0].f
+        assert np.array_equal(report.per_stream_sinr[k], single.per_stream_sinr)
+        assert np.array_equal(report.design.allocation.p[k], single.design.allocation.p)
+        assert report.design.allocation.water_level[k] == single.design.allocation.water_level
+        # One design serves every power: the factors, networks and blocks are the scalar run's.
+        assert np.array_equal(report.design.factors.v, single.design.factors.v)
+        assert np.array_equal(report.design.b_tx.b, single.design.b_tx.b)
+        assert np.array_equal(report.f, single.f) and np.array_equal(report.g, single.g)
     # Low power water-fills fewer streams than high power.
-    assert np.count_nonzero(reports[0].design.allocation.p) < np.count_nonzero(reports[2].design.allocation.p)
-
-
-def test_run_trials_rejects_configs_that_differ_beyond_tx_power():
-    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=4), 0)
-    base = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
-    with pytest.raises(ValueError, match="nonempty"):
-        run_trials(h, (), rng_seed=0)
-    for other in (
-        SystemConfig(n_streams=1, n_tx=4, n_rx=4, tx_power=2.0, noise_power=1.0),
-        SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=2.0, noise_power=2.0),
-        SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=2.0, noise_power=1.0, ref_admittance=0.1),
-    ):
-        with pytest.raises(ValueError, match="differ only in tx_power"):
-            run_trials(h, (base, other), rng_seed=0)
+    p = report.design.allocation.p
+    assert np.count_nonzero(p[0]) < np.count_nonzero(p[2])
 
 
 def _small_snr_spec(**overrides):
@@ -390,6 +379,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
 
     counted(beamforming, "svd_ordered", "svd_ordered")
     counted(harness, "transfer_block_from_admittance", "transfer_block")
+    counted(beamforming, "water_filling", "water_filling")
+    # The harness may do no water-filling of its own; any call through its name counts too.
     counted(harness, "water_filling", "water_filling")
     counted(harness, "milac_rate", "milac_rate")
     counted(harness, "capacity_closed_form", "capacity")
@@ -397,8 +388,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     spec = _small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=3)
     run_sweep(spec, workers=1)
-    # Each rating function takes all four SNR points of a channel in one call;
-    # design_milac's own water-filling (of the first point) is not counted here.
+    # Each rating function takes all four SNR points of a channel in one call,
+    # and design_milac water-fills them all in one.
     n_trials = 3
     assert calls == {
         "svd_ordered": n_trials,
@@ -424,6 +415,37 @@ def test_sweep_spec_validation():
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=8)
     with pytest.raises(ValueError):
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=1, n_trials=0)
+
+
+_ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("n_streams", lambda v: SystemConfig(n_streams=v, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)),
+        ("n_tx", lambda v: SystemConfig(n_streams=1, n_tx=v, n_rx=4, tx_power=1.0, noise_power=1.0)),
+        ("n_rx", lambda v: SystemConfig(n_streams=1, n_tx=4, n_rx=v, tx_power=1.0, noise_power=1.0)),
+        ("n_trials", lambda v: _small_snr_spec(n_trials=v)),
+        ("master_seed", lambda v: _small_snr_spec(master_seed=v)),
+        ("antenna_points", lambda v: _small_snr_spec(antenna_points=(v,), n_streams=1)),
+        *[(name, lambda v, name=name: ChannelEnsembleSpec(**{**_ENSEMBLE, name: v}))
+          for name in ("n_rx", "n_tx", "n_trials", "master_seed")],
+        ("trial_index", lambda v: rayleigh_channel(ChannelEnsembleSpec(**_ENSEMBLE), v)),
+        ("n_cases", lambda v: run_verification(0, v)),
+        ("master_seed", lambda v: run_verification(v, 1)),
+    ],
+    ids=["config.n_streams", "config.n_tx", "config.n_rx",
+         "sweep.n_trials", "sweep.master_seed", "sweep.antenna_points",
+         "ensemble.n_rx", "ensemble.n_tx", "ensemble.n_trials", "ensemble.master_seed",
+         "trial_index", "verify.n_cases", "verify.master_seed"],
+)
+def test_counts_and_seeds_must_be_integers(field, build, value):
+    # 2.0 would be usable but is rejected all the same: a count or seed is never rounded.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        build(value)
+    build(np.int64(1))  # numpy integers are integers
 
 
 @pytest.mark.parametrize("field", ["noise_power", "ref_admittance"])
