@@ -15,12 +15,10 @@ each side); it cancels out of none of the formulas and is kept explicit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_integers
 from .exceptions import (
     AllZeroEigenvaluesError,
     DimensionMismatchError,
@@ -29,6 +27,8 @@ from .exceptions import (
     RateFormMismatchError,
     SingularImaginaryPartError,
     ZeroCombinerRowError,
+    _check_integers,
+    _check_positive_finite,
 )
 from .network import (
     DEFAULT_REF_ADMITTANCE,
@@ -86,21 +86,6 @@ class SystemConfig:
         for power in powers:
             _check_positive_finite(tx_power=power)
         object.__setattr__(self, "tx_power", powers if np.ndim(self.tx_power) else powers[0])
-
-
-def _check_positive_finite(**values) -> None:
-    """Raise ValueError naming the first value that is not a positive,
-    finite and normal double.
-
-    A subnormal power carries too few digits for the rate: at a noise power
-    of 1e-320 the raw and row-normalized rate forms disagree.
-    """
-    for name, value in values.items():
-        # The smallest and largest normal doubles; NaN fails both comparisons.
-        if not sys.float_info.min <= value <= sys.float_info.max:
-            raise ValueError(
-                f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +275,8 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     Raises:
         AllZeroEigenvaluesError: if, at some power, every eigenvalue is zero
             or so small that its floor overflows.
-        ValueError: if a power is not positive or noise_power is not a
-            positive, finite and normal double.
+        ValueError: if a power or noise_power is not a positive, finite and
+            normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
@@ -302,8 +287,8 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     power = np.asarray(total_power, dtype=float)
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
-    if not (power > 0).all():
-        raise ValueError("powers must be positive")
+    for each in power.ravel().tolist():
+        _check_positive_finite(total_power=each)
     with np.errstate(divide="ignore", over="ignore"):
         floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power[..., None] * lam), np.inf)
     a_min = floors.min(axis=-1, keepdims=True)
@@ -330,12 +315,15 @@ def _per_power(values):
 
 
 def _power_axis(allocation: PowerAllocation, total_power) -> np.ndarray:
-    """total_power with a trailing stream axis, one power per row of allocation.p."""
+    """total_power with a trailing stream axis, one power per row of allocation.p;
+    each power must be a positive, finite and normal double."""
     power = np.asarray(total_power, dtype=float)
     if power.shape != allocation.p.shape[:-1]:
         raise DimensionMismatchError(
             f"allocation {allocation.p.shape} does not hold one row per power {power.shape}"
         )
+    for each in power.ravel().tolist():
+        _check_positive_finite(total_power=each)
     return power[..., None]
 
 
@@ -350,7 +338,8 @@ def capacity_closed_form(
     (K, n_streams)) the K rates.
 
     Raises:
-        ValueError: if noise_power is not a positive, finite and normal double.
+        ValueError: if a power or noise_power is not a positive, finite and
+            normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
@@ -405,7 +394,8 @@ def milac_rate(
         RateFormMismatchError: if the raw and row-normalized rates of a point
             disagree beyond RATE_FORM_CHECK_TOL; the message gives the first
             such point's two rates.
-        ValueError: if noise_power is not a positive, finite and normal double.
+        ValueError: if a power or noise_power is not a positive, finite and
+            normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     g = np.asarray(g, dtype=complex)
@@ -469,13 +459,20 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     Args:
         h: channel matrix (n_rx x n_tx) matching config.
         config: link parameters.
-        rng_seed: seed for the deterministic phase repair.
+        rng_seed: nonnegative integer seed of the phase repair's random search.
 
     Returns:
         Design holding the repaired factors, the power allocation (one row
         per power at K powers) and both susceptance matrices; it unpacks as
         (b_tx, b_rx, allocation).
+
+    Raises:
+        ValueError: if rng_seed is not a nonnegative integer, checked whether
+            or not the repair runs.
     """
+    _check_integers(rng_seed=rng_seed)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
     h = np.asarray(h, dtype=complex)
     if h.shape != (config.n_rx, config.n_tx):
         raise DimensionMismatchError(
@@ -521,7 +518,8 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     Raises:
         DimensionMismatchError: if h is not the design's channel shape, or the
             allocation does not hold one row per power.
-        ValueError: if noise_power is not a positive, finite and normal double.
+        ValueError: if a power or noise_power is not a positive, finite and
+            normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     h = np.asarray(h, dtype=complex)

@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import TrialIndexError
+from .exceptions import TrialIndexError, _check_integers
 
 _UINT64_SPAN = 2**64
-
-
-def _check_integers(**values) -> None:
-    """Raise ValueError naming the first value that is not an integer (numpy's count, 2.0 does not)."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,38 @@
-"""Exception hierarchy for milacsim.
+"""Exception hierarchy and input rules for milacsim.
 
-Every error raised deliberately by this package derives from MilacError so
-callers can catch the whole family with one clause.  Validation problems
-(bad shapes, bad values) and numerical failures (singular matrices,
-exhausted searches) get distinct subclasses.
+Shape and numerical failures raised deliberately by this package (bad
+shapes, singular matrices, exhausted searches) derive from MilacError, so
+callers can catch the whole family with one clause; the CLI exits 2 on them.
+A value that breaks an input rule (a count or seed that is not an integer, a
+power or admittance that is not a positive, finite and normal double) is a
+plain ValueError naming the field, on which the CLI exits 1.  The two rule
+helpers live here, in the leaf module that every other one imports.
 """
+
+import numbers
+import sys
+
+
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer (numpy's count, 2.0 does not)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_positive_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a positive,
+    finite and normal double.
+
+    A subnormal power carries too few digits for the rate: at a noise power
+    of 1e-320 the raw and row-normalized rate forms disagree.
+    """
+    for name, value in values.items():
+        # The smallest and largest normal doubles; NaN fails both comparisons.
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise ValueError(
+                f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
+            )
 
 
 class MilacError(Exception):

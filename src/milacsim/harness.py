@@ -16,20 +16,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .beamforming import (
     PowerAllocation,
     RateReport,
     SystemConfig,
-    _check_positive_finite,
     capacity_closed_form,
     design_milac,
     digital_design_and_rate,
     milac_rate,
     water_filling,
 )
-from .channel import ChannelEnsembleSpec, _check_integers, rayleigh_channel
+from .channel import ChannelEnsembleSpec, rayleigh_channel
+from .exceptions import _check_integers, _check_positive_finite
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -57,11 +56,12 @@ CSV_HEADER = "sweep_value,mean_milac_rate,mean_digital_rate,mean_capacity,max_re
 class SweepSpec:
     """Description of one Monte-Carlo sweep.
 
-    For an SNR sweep the antenna count is fixed at antenna_points[0] and
-    snr_points_db supplies the x-axis; for an antenna sweep the SNR is fixed
-    at snr_points_db[0] and antenna_points supplies the x-axis.  Both point
-    vectors must be nonempty and strictly ascending.  Every trial uses
-    noise_power and ref_admittance; each SNR must give a normal transmit power.
+    For an SNR sweep snr_points_db supplies the x-axis and antenna_points
+    holds the one fixed antenna count; for an antenna sweep antenna_points
+    supplies the x-axis and snr_points_db holds the one fixed SNR.  Both point
+    vectors must be strictly ascending, and the fixed one must hold exactly
+    one point.  Every trial uses noise_power and ref_admittance; each SNR
+    must give a normal transmit power.
     The counts, the seed, both powers and the admittance are checked by
     building the link config and the ensemble of the smallest antenna count.
     """
@@ -88,6 +88,9 @@ class SweepSpec:
             raise ValueError("snr_points_db must be strictly ascending")
         if any(b <= a for a, b in zip(ant, ant[1:])):
             raise ValueError("antenna_points must be strictly ascending")
+        fixed, points = ("antenna_points", ant) if self.mode == "snr_sweep" else ("snr_points_db", snr)
+        if len(points) != 1:
+            raise ValueError(f"{fixed} must hold one point in {self.mode}, got {len(points)}")
         _link_config(self, ant[0], snr)
         ChannelEnsembleSpec(n_rx=ant[0], n_tx=ant[0], n_trials=self.n_trials, master_seed=self.master_seed)
         object.__setattr__(self, "snr_points_db", snr)
@@ -144,7 +147,7 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     Args:
         h: channel matrix (n_rx x n_tx).
         config: link parameters; a vector tx_power rates the link at each power.
-        rng_seed: seed for the deterministic phase repair.
+        rng_seed: nonnegative integer seed of the phase repair (see design_milac).
 
     Returns:
         RateReport with float rates at one power, K-vectors at K powers.
@@ -236,12 +239,9 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         SweepResult with one row per sweep point, in point order.
     """
     # One config per antenna count, at all its SNR points: each trial of a config is one task.
-    if spec.mode == "snr_sweep":
-        configs = [_link_config(spec, spec.antenna_points[0], spec.snr_points_db)]
-        sweep_values = [float(s) for s in spec.snr_points_db]
-    else:
-        configs = [_link_config(spec, n, spec.snr_points_db[:1]) for n in spec.antenna_points]
-        sweep_values = [float(n) for n in spec.antenna_points]
+    configs = [_link_config(spec, n, spec.snr_points_db) for n in spec.antenna_points]
+    axis = spec.snr_points_db if spec.mode == "snr_sweep" else spec.antenna_points
+    sweep_values = [float(x) for x in axis]
 
     tasks = [(spec, config, t) for config in configs for t in range(spec.n_trials)]
     n_workers = _resolve_workers(workers)
@@ -322,151 +322,116 @@ class VerificationRow:
 def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[VerificationRow, ...]:
     """Randomized end-to-end invariant suite over n_cases instances per check.
 
-    Every check draws fresh seeded instances, measures its worst residual,
-    and compares it against the tolerance the library promises.  Returns one
-    row per check; the suite passes iff every row passes.
+    Every check draws fresh seeded instances from one generator, measures
+    its worst residual, and compares it against the tolerance the library
+    promises; a NaN residual makes its check fail.  Returns one row per
+    check; the suite passes iff every row passes.
 
     Raises:
         ValueError: if master_seed or n_cases is not an integer, or n_cases
             is below 1, which would leave every check vacuous.
     """
+    # Imported here: scipy.stats costs most of the package's import time.
+    from scipy.stats import unitary_group
+
     _check_integers(master_seed=master_seed, n_cases=n_cases)
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     rng = np.random.default_rng(master_seed)
-    rows = []
-
-    def record(name, worst, tol, cases=n_cases):
-        rows.append(
-            VerificationRow(name=name, cases=cases, worst=float(worst), tol=tol, passed=worst <= tol)
-        )
-
     y0 = DEFAULT_REF_ADMITTANCE
 
-    # Admittance <-> scattering round trip on well-conditioned random networks.
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 9))
-        y = AdmittanceMatrix(
-            y0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        )
-        back = scattering_to_admittance(admittance_to_scattering(y, y0), y0)
-        worst = max(worst, np.linalg.norm(back.y - y.y) / np.linalg.norm(y.y))
-    record("admittance/scattering round trip (relative)", worst, 1e-10)
+    def sizes(n_max=8):
+        n = int(rng.integers(2, n_max + 1))
+        return n, int(rng.integers(1, n + 1))
 
-    # A lossless reciprocal scattering matrix maps to a purely imaginary Y.
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 9))
+    def haar(n, rotate=False):
+        # A Haar unitary, optionally with random column phases.
         q = unitary_group.rvs(n, random_state=rng)
-        theta = ScatteringMatrix(q @ q.T)
-        y = scattering_to_admittance(theta, y0)
-        worst = max(worst, np.abs(y.y.real).max() / y0)
-    record("lossless reciprocal scattering gives imaginary admittance", worst, 1e-10)
+        return q * np.exp(2j * np.pi * rng.random(n)) if rotate else q
 
-    # Scattering completions are unitary and exactly symmetric.
-    worst = 0.0
-    for _ in range(n_cases):
+    # Each case draws one instance from rng and returns its residual (or residuals);
+    # the draws run in table order, so a seed gives the same instances.
+    def round_trip():
         n = int(rng.integers(2, 9))
-        n_s = int(rng.integers(1, n + 1))
-        v = unitary_group.rvs(n, random_state=rng)
-        u = unitary_group.rvs(n, random_state=rng)
+        y = AdmittanceMatrix(y0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        back = scattering_to_admittance(admittance_to_scattering(y, y0), y0)
+        return np.linalg.norm(back.y - y.y) / np.linalg.norm(y.y)
+
+    def imaginary_admittance():
+        q = haar(int(rng.integers(2, 9)))
+        return np.abs(scattering_to_admittance(ScatteringMatrix(q @ q.T), y0).y.real).max() / y0
+
+    def completions():
+        n, n_s = sizes()
+        v, u = haar(n), haar(n)
         rep_tx = check_lossless_reciprocal(complete_scattering_tx(v[:, :n_s], v[:, n_s:]))
         rep_rx = check_lossless_reciprocal(complete_scattering_rx(u[:, :n_s], u[:, n_s:]))
-        worst = max(worst, rep_tx.unitarity, rep_tx.asymmetry, rep_rx.unitarity, rep_rx.asymmetry)
-    record("scattering completions unitary and symmetric", worst, 1e-10)
+        return [rep_tx.unitarity, rep_tx.asymmetry, rep_rx.unitarity, rep_rx.asymmetry]
 
-    # The completion's transfer block is exactly half the target columns.
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 9))
-        n_s = int(rng.integers(1, n + 1))
-        v = unitary_group.rvs(n, random_state=rng)
+    def completion_block():
+        n, n_s = sizes()
+        v = haar(n)
         theta = complete_scattering_tx(v[:, :n_s], v[:, n_s:])
-        block = transfer_block_from_scattering(theta, PortPartition(n_s, n))
-        worst = max(worst, np.abs(block - v[:, :n_s] / 2.0).max())
-    record("completion realizes half the target columns", worst, 0.0)
+        return np.abs(transfer_block_from_scattering(theta, PortPartition(n_s, n)) - v[:, :n_s] / 2).max()
 
-    # Susceptance synthesis agrees with the scattering-derived admittance.
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 9))
-        n_s = int(rng.integers(1, n + 1))
-        v = unitary_group.rvs(n, random_state=rng) * np.exp(2j * np.pi * rng.random(n))
-        u = unitary_group.rvs(n, random_state=rng) * np.exp(2j * np.pi * rng.random(n))
-        b_tx = susceptance_tx(v, n_s, y0)
-        b_rx = susceptance_rx(u, n_s, y0)
+    def susceptance_admittance():
+        n, n_s = sizes()
+        v, u = haar(n, rotate=True), haar(n, rotate=True)
         y_tx = scattering_to_admittance(complete_scattering_tx(v[:, :n_s], v[:, n_s:]), y0)
         y_rx = scattering_to_admittance(complete_scattering_rx(u[:, :n_s], u[:, n_s:]), y0)
-        worst = max(
-            worst,
-            np.abs(b_tx.b - (-1j * y_tx.y).real).max() / y0,
-            np.abs(b_rx.b - (-1j * y_rx.y).real).max() / y0,
-        )
-    record("susceptance matches scattering-derived admittance", worst, 1e-9)
+        return [
+            np.abs(susceptance_tx(v, n_s, y0).b - (-1j * y_tx.y).real).max() / y0,
+            np.abs(susceptance_rx(u, n_s, y0).b - (-1j * y_rx.y).real).max() / y0,
+        ]
 
-    # The susceptance network, terminated and driven, realizes the target block.
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(2, 9))
-        n_s = int(rng.integers(1, n + 1))
-        v = unitary_group.rvs(n, random_state=rng) * np.exp(2j * np.pi * rng.random(n))
-        b_tx = susceptance_tx(v, n_s, y0)
-        f = transfer_block_from_admittance(
-            AdmittanceMatrix(1j * b_tx.b), PortPartition(n_s, n), y0
-        )
-        worst = max(worst, np.abs(f - v[:, :n_s] / 2.0).max())
-    record("susceptance network realizes the target transfer block", worst, 1e-8)
+    def susceptance_block():
+        n, n_s = sizes()
+        v = haar(n, rotate=True)
+        y = AdmittanceMatrix(1j * susceptance_tx(v, n_s, y0).b)
+        return np.abs(transfer_block_from_admittance(y, PortPartition(n_s, n), y0) - v[:, :n_s] / 2).max()
 
-    # Water-filling fractions sum to one.
-    worst = 0.0
-    for _ in range(n_cases):
+    def water_filling_sum():
         n_s = int(rng.integers(1, 9))
         lam = rng.random(n_s) * 10.0
         lam[int(rng.integers(0, n_s))] = lam.max() + 0.1
-        alloc = water_filling(lam, 10.0 ** rng.uniform(-1, 2), 1.0)
-        worst = max(worst, abs(float(np.sum(alloc.p)) - 1.0))
-    record("water-filling fractions sum to one", worst, 1e-12)
+        return abs(float(np.sum(water_filling(lam, 10.0 ** rng.uniform(-1, 2), 1.0).p)) - 1.0)
 
-    # Water-filling is never beaten by random simplex allocations.
-    worst = 0.0
-    for _ in range(n_cases):
+    def water_filling_gain():
+        # Rate gain of 100 random simplex allocations over water-filling.
         n_s = int(rng.integers(2, 9))
-        lam = np.linalg.svd(
-            (rng.standard_normal((n_s, n_s)) + 1j * rng.standard_normal((n_s, n_s))),
-            compute_uv=False,
-        )[:n_s] ** 2
+        a = rng.standard_normal((n_s, n_s)) + 1j * rng.standard_normal((n_s, n_s))
+        lam = np.linalg.svd(a, compute_uv=False)[:n_s] ** 2
         total_power = 10.0 ** rng.uniform(-1, 2)
-        alloc = water_filling(lam, total_power, 1.0)
-        best = capacity_closed_form(lam, alloc, total_power, 1.0)
-        for _ in range(100):
-            q = PowerAllocation(p=rng.dirichlet(np.ones(n_s)), water_level=np.nan)
-            worst = max(worst, capacity_closed_form(lam, q, total_power, 1.0) - best)
-    record("water-filling never beaten by random allocations", worst, 1e-12)
+        best = capacity_closed_form(lam, water_filling(lam, total_power, 1.0), total_power, 1.0)
+        return [
+            capacity_closed_form(lam, PowerAllocation(rng.dirichlet(np.ones(n_s)), np.nan), total_power, 1.0)
+            - best
+            for _ in range(100)
+        ]
 
-    # Full chain: analog rate through the circuit equals closed-form capacity,
-    # and the digital benchmark agrees too.
-    worst = 0.0
-    for case in range(n_cases):
-        n = int(rng.integers(2, 7))
-        n_s = int(rng.integers(1, n + 1))
-        ensemble = ChannelEnsembleSpec(
-            n_rx=n, n_tx=n, n_trials=1, master_seed=int(rng.integers(0, 2**63))
-        )
-        h = rayleigh_channel(ensemble, 0)
-        config = SystemConfig(
-            n_streams=n_s,
-            n_tx=n,
-            n_rx=n,
-            tx_power=snr_db_to_tx_power(float(rng.uniform(-10, 20)), 1.0),
-            noise_power=1.0,
-        )
-        report = run_trial(h, config, _design_seed(ensemble.master_seed, 0))
-        worst = max(
-            worst,
-            abs(report.milac_rate - report.capacity) / report.capacity,
-            abs(report.digital_rate - report.capacity) / report.capacity,
-        )
-    record("analog and digital rates achieve closed-form capacity", worst, 1e-9)
+    def full_chain():
+        n, n_s = sizes(n_max=6)
+        ensemble = ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=1, master_seed=int(rng.integers(0, 2**63)))
+        power = snr_db_to_tx_power(float(rng.uniform(-10, 20)), 1.0)
+        config = SystemConfig(n_streams=n_s, n_tx=n, n_rx=n, tx_power=power, noise_power=1.0)
+        report = run_trial(rayleigh_channel(ensemble, 0), config, _design_seed(ensemble.master_seed, 0))
+        capacity = report.capacity
+        return [abs(rate - capacity) / capacity for rate in (report.milac_rate, report.digital_rate)]
 
+    checks = (
+        ("admittance/scattering round trip (relative)", 1e-10, round_trip),
+        ("lossless reciprocal scattering gives imaginary admittance", 1e-10, imaginary_admittance),
+        ("scattering completions unitary and symmetric", 1e-10, completions),
+        ("completion realizes half the target columns", 0.0, completion_block),
+        ("susceptance matches scattering-derived admittance", 1e-9, susceptance_admittance),
+        ("susceptance network realizes the target transfer block", 1e-8, susceptance_block),
+        ("water-filling fractions sum to one", 1e-12, water_filling_sum),
+        ("water-filling never beaten by random allocations", 1e-12, water_filling_gain),
+        ("analog and digital rates achieve closed-form capacity", 1e-9, full_chain),
+    )
+    rows = []
+    for name, tol, case in checks:
+        # np.max keeps a NaN, so it fails `worst <= tol`; the 0.0 floors the gains of water-filling.
+        worst = float(np.max([0.0] + [np.max(case()) for _ in range(n_cases)]))
+        rows.append(VerificationRow(name=name, cases=n_cases, worst=worst, tol=tol, passed=worst <= tol))
     return tuple(rows)

@@ -14,7 +14,8 @@ The conversions are the standard ones,
 
 and the input-to-output transfer block of a network driven by matched
 sources and terminated in matched loads is a sub-block of (Y/y0 + I)^-1,
-equivalently of (S + I)/2.
+equivalently of (S + I)/2.  Every function that takes y0 raises a ValueError
+naming ref_admittance unless it is a positive, finite and normal double.
 
 Port convention: on the transmit side the signal (symbol) ports come
 first and the antenna ports last; on the receive side the antenna ports
@@ -36,6 +37,8 @@ from .exceptions import (
     NotUnitaryInputError,
     SingularImaginaryPartError,
     SingularMatrixError,
+    _check_integers,
+    _check_positive_finite,
 )
 
 # Reference admittance of a 50 ohm system, in siemens.
@@ -140,6 +143,7 @@ class PortPartition:
     n_outputs: int
 
     def __post_init__(self):
+        _check_integers(n_inputs=self.n_inputs, n_outputs=self.n_outputs)
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise ValueError("port partition needs at least one input and one output port")
 
@@ -193,7 +197,7 @@ def admittance_to_scattering(y: AdmittanceMatrix, y0: float = DEFAULT_REF_ADMITT
 
     Args:
         y: admittance matrix of the network.
-        y0: real positive reference admittance in siemens.
+        y0: reference admittance in siemens.
 
     Returns:
         ScatteringMatrix with theta = (y0 I + Y)^-1 (y0 I - Y).
@@ -202,8 +206,7 @@ def admittance_to_scattering(y: AdmittanceMatrix, y0: float = DEFAULT_REF_ADMITT
         SingularMatrixError: if y0 I + Y is singular or its condition
             estimate exceeds DEFAULT_COND_CAP.
     """
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
+    _check_positive_finite(ref_admittance=y0)
     eye = np.eye(y.n_ports)
     theta = _solve_checked(y0 * eye + y.y, y0 * eye - y.y, "admittance_to_scattering")
     return ScatteringMatrix(theta)
@@ -219,8 +222,7 @@ def scattering_to_admittance(theta: ScatteringMatrix, y0: float = DEFAULT_REF_AD
         SingularMatrixError: if S + I is singular (an eigenvalue of S is -1),
             which corresponds to a network with no admittance description.
     """
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
+    _check_positive_finite(ref_admittance=y0)
     eye = np.eye(theta.n_ports)
     inv = _solve_checked(theta.theta + eye, eye, "scattering_to_admittance")
     return AdmittanceMatrix(y0 * (2.0 * inv - eye))
@@ -244,8 +246,7 @@ def transfer_block_from_admittance(
     Returns:
         Complex (n_outputs x n_inputs) transfer block.
     """
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
+    _check_positive_finite(ref_admittance=y0)
     if partition.n_ports != y.n_ports:
         raise DimensionMismatchError(
             f"partition covers {partition.n_ports} ports, network has {y.n_ports}"
@@ -395,10 +396,10 @@ def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> Susc
     if receive:
         np.conjugate(q, out=q)
     n = q.shape[0]
+    _check_integers(n_streams=n_streams)
     if not 1 <= n_streams <= n:
         raise DimensionMismatchError(f"{caller}: n_streams {n_streams} out of range for {n} antennas")
-    if y0 <= 0:
-        raise ValueError("reference admittance must be positive")
+    _check_positive_finite(ref_admittance=y0)
     minv = _imag_part_inverse(q.imag, caller)
     r = q.real
     sym, ant = _port_slices(n, n_streams, receive)

@@ -44,6 +44,11 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
+def _worst(*residuals) -> float:
+    """Largest residual; unlike max(), np.max keeps a NaN, so the check fails on it."""
+    return float(np.max(residuals))
+
+
 def _well_rotated_unitary(n: int, seed: int, min_rel: float = 1e-3) -> np.ndarray:
     """Random unitary whose imaginary part is comfortably invertible."""
     for attempt in range(100):
@@ -80,11 +85,11 @@ def test_criterion_1_analog_and_digital_rates_equal_capacity():
                 for trial in range(n_trials):
                     h = rayleigh_channel(ensemble, trial)
                     report = run_trial(h, config, rng_seed=trial)
-                    worst_analog = max(
+                    worst_analog = _worst(
                         worst_analog,
                         abs(report.milac_rate - report.capacity) / report.capacity,
                     )
-                    worst_digital = max(
+                    worst_digital = _worst(
                         worst_digital,
                         abs(report.digital_rate - report.capacity) / report.capacity,
                     )
@@ -116,8 +121,8 @@ def test_criterion_2_synthesized_networks_realize_half_the_targets():
         g = transfer_block_from_admittance(
             AdmittanceMatrix(1j * susceptance_rx(u, n_s, Y0).b), PortPartition(n, n_s), Y0
         )
-        worst = max(worst, np.abs(f - v[:, :n_s] / 2.0).max())
-        worst = max(worst, np.abs(g - u[:, :n_s].conj().T / 2.0).max())
+        worst = _worst(worst, np.abs(f - v[:, :n_s] / 2.0).max())
+        worst = _worst(worst, np.abs(g - u[:, :n_s].conj().T / 2.0).max())
     _report(2, worst <= 1e-8, f"worst entrywise residual {worst:.3e} (tol 1e-08), 50 cases")
 
 
@@ -139,18 +144,18 @@ def test_criterion_3_designs_are_lossless_and_reciprocal():
         else:
             theta = complete_scattering_tx(v[:, :n_s], v[:, n_s:])
         rep = check_lossless_reciprocal(theta, 1e-10)
-        worst_unitarity = max(worst_unitarity, rep.unitarity)
-        worst_asymmetry = max(worst_asymmetry, rep.asymmetry)
+        worst_unitarity = _worst(worst_unitarity, rep.unitarity)
+        worst_asymmetry = _worst(worst_asymmetry, rep.asymmetry)
 
         b = (susceptance_rx if case % 2 else susceptance_tx)(v, n_s, Y0)
         assert not np.iscomplexobj(b.b)
         assert np.array_equal(b.b, b.b.T)
         y = scattering_to_admittance(theta, Y0)
-        gap = max(
+        gap = _worst(
             np.abs(b.b - y.y.imag).max() / Y0,
             np.abs(y.y.real).max() / Y0,
         )
-        worst_b_gap = max(worst_b_gap, gap)
+        worst_b_gap = _worst(worst_b_gap, gap)
     ok = worst_unitarity <= 1e-10 and worst_asymmetry == 0.0 and worst_b_gap <= 1e-9
     _report(
         3,
@@ -177,7 +182,7 @@ def test_criterion_4_optimal_cascade_diagonalizes_the_channel():
         sigma = np.linalg.svd(h, compute_uv=False)
         effective = g @ h @ f
         resid = effective - np.diag(sigma[:n_s]) / 4.0
-        worst = max(worst, np.abs(resid).max() / sigma[0])
+        worst = _worst(worst, np.abs(resid).max() / sigma[0])
     _report(4, worst <= 1e-10, f"worst diagonalization residual {worst:.3e} (tol 1e-10), 25 cases")
 
 
@@ -192,11 +197,11 @@ def test_criterion_5_water_filling_is_globally_optimal():
         lam = 0.2 + 19.8 * rng.random(n_s)
         total_power = float(0.5 + 9.5 * rng.random())
         alloc = water_filling(lam, total_power, 1.0)
-        worst_sum = max(worst_sum, abs(float(alloc.p.sum()) - 1.0))
+        worst_sum = _worst(worst_sum, abs(float(alloc.p.sum()) - 1.0))
         best = capacity_closed_form(lam, alloc, total_power, 1.0)
         others = rng.dirichlet(np.ones(n_s), size=1000)
         rates = np.sum(np.log2(1.0 + total_power * others * lam / 4.0), axis=1)
-        worst_loss = max(worst_loss, float(rates.max()) - best)
+        worst_loss = _worst(worst_loss, float(rates.max()) - best)
 
     worst_grid = 0.0
     grid = np.linspace(0.0, 1.0, 1_000_001)
@@ -208,7 +213,7 @@ def test_criterion_5_water_filling_is_globally_optimal():
         rates = np.log2(1.0 + total_power * grid * lam[0] / 4.0) + np.log2(
             1.0 + total_power * (1.0 - grid) * lam[1] / 4.0
         )
-        worst_grid = max(worst_grid, abs(alloc.p[0] - grid[int(np.argmax(rates))]))
+        worst_grid = _worst(worst_grid, abs(alloc.p[0] - grid[int(np.argmax(rates))]))
     ok = worst_sum <= 1e-12 and worst_loss <= 1e-12 and worst_grid <= 1e-6
     _report(
         5,
@@ -291,6 +296,6 @@ def test_criterion_8_admittance_scattering_round_trip():
             continue
         y = AdmittanceMatrix(Y0 * a)
         back = scattering_to_admittance(admittance_to_scattering(y, Y0), Y0)
-        worst = max(worst, float(np.linalg.norm(back.y - y.y) / np.linalg.norm(y.y)))
+        worst = _worst(worst, float(np.linalg.norm(back.y - y.y) / np.linalg.norm(y.y)))
         cases += 1
     _report(8, worst <= 1e-10, f"worst relative round-trip error {worst:.3e} (tol 1e-10), 200 cases")

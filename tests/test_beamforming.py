@@ -20,11 +20,14 @@ from milacsim import (
     SvdFactors,
     SystemConfig,
     ZeroCombinerRowError,
+    admittance_to_scattering,
     capacity_closed_form,
     design_milac,
     digital_design_and_rate,
     ensure_invertible_imag,
     milac_rate,
+    scattering_to_admittance,
+    susceptance_rx,
     susceptance_tx,
     svd_ordered,
     transfer_block_from_admittance,
@@ -306,6 +309,60 @@ def test_rating_functions_reject_a_noise_power_that_is_not_positive_and_finite(r
     }[rating]
     with pytest.raises(ValueError, match="noise_power must be positive and finite"):
         call()
+
+
+_NOT_NORMAL = (0.0, -1.0, np.nan, np.inf, 1e-320)
+
+# Entry point -> (field its error names, values that break the field's rule).
+_INPUT_RULES = {
+    "water_filling": ("total_power", _NOT_NORMAL),
+    "capacity_closed_form": ("total_power", _NOT_NORMAL),
+    "milac_rate": ("total_power", _NOT_NORMAL),
+    "digital_design_and_rate": ("total_power", _NOT_NORMAL),
+    "admittance_to_scattering": ("ref_admittance", _NOT_NORMAL),
+    "scattering_to_admittance": ("ref_admittance", _NOT_NORMAL),
+    "transfer_block_from_admittance": ("ref_admittance", _NOT_NORMAL),
+    "susceptance_tx": ("ref_admittance", _NOT_NORMAL),
+    "susceptance_rx": ("ref_admittance", _NOT_NORMAL),
+    "PortPartition.n_inputs": ("n_inputs", (2.5,)),
+    "PortPartition.n_outputs": ("n_outputs", (2.5,)),
+    "susceptance_tx.n_streams": ("n_streams", (2.5,)),
+    "susceptance_rx.n_streams": ("n_streams", (2.5,)),
+    "design_milac": ("rng_seed", (2.5, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value", [(entry, value) for entry, (_, values) in _INPUT_RULES.items() for value in values]
+)
+def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
+    # A Rayleigh channel: the seed is checked although no phase repair runs.
+    h = random_channel(3, 3, 5)
+    config = _config(2, 3, 3)
+    design = design_milac(h, config, rng_seed=0)
+    f, g, alloc = _circuit_blocks(h, config, seed=0)
+    lam = design.factors.sigma[:2] ** 2
+    v, u = design.factors.v, design.factors.u
+    y = AdmittanceMatrix(1j * design.b_tx.b)
+    call = {
+        "water_filling": lambda x: water_filling(lam, x, 1.0),
+        "capacity_closed_form": lambda x: capacity_closed_form(lam, alloc, x, 1.0),
+        "milac_rate": lambda x: milac_rate(g, h, f, alloc, x, 1.0),
+        "digital_design_and_rate": lambda x: digital_design_and_rate(h, design, x, 1.0),
+        "admittance_to_scattering": lambda x: admittance_to_scattering(y, x),
+        "scattering_to_admittance": lambda x: scattering_to_admittance(admittance_to_scattering(y), x),
+        "transfer_block_from_admittance": lambda x: transfer_block_from_admittance(y, PortPartition(2, 3), x),
+        "susceptance_tx": lambda x: susceptance_tx(v, 2, x),
+        "susceptance_rx": lambda x: susceptance_rx(u, 2, x),
+        "PortPartition.n_inputs": lambda x: PortPartition(x, 3),
+        "PortPartition.n_outputs": lambda x: PortPartition(2, x),
+        "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
+        "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
+        "design_milac": lambda x: design_milac(h, config, x),
+    }[entry]
+    field = _INPUT_RULES[entry][0]
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the simulation harness: per-trial runs, sweeps, CSV output, verification."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -415,6 +420,12 @@ def test_sweep_spec_validation():
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=8)
     with pytest.raises(ValueError):
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=1, n_trials=0)
+    # The fixed axis holds one point; a second one was silently dropped.
+    two_by_two = dict(snr_points_db=(0.0, 10.0), antenna_points=(4, 8), n_streams=2, n_trials=2)
+    with pytest.raises(ValueError, match="antenna_points must hold one point"):
+        SweepSpec(mode="snr_sweep", **two_by_two)
+    with pytest.raises(ValueError, match="snr_points_db must hold one point"):
+        SweepSpec(mode="antenna_sweep", **two_by_two)
 
 
 _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
@@ -533,3 +544,36 @@ def test_run_verification_is_deterministic():
     a = run_verification(master_seed=9, n_cases=3)
     b = run_verification(master_seed=9, n_cases=3)
     assert a == b
+
+
+def _nan_transfer_block(theta, partition):
+    return np.full((partition.n_outputs, partition.n_inputs), np.nan)
+
+
+def _nan_analog_rate(h, config, rng_seed):
+    return dataclasses.replace(run_trial(h, config, rng_seed), milac_rate=np.nan)
+
+
+@pytest.mark.parametrize(
+    "target, replacement, failing",
+    [
+        ("transfer_block_from_scattering", _nan_transfer_block,
+         "completion realizes half the target columns"),
+        ("run_trial", _nan_analog_rate, "analog and digital rates achieve closed-form capacity"),
+    ],
+    ids=["transfer_block", "milac_rate"],
+)
+def test_a_nan_residual_fails_its_verification_row(monkeypatch, target, replacement, failing):
+    monkeypatch.setattr(harness, target, replacement)
+    rows = {row.name: row for row in run_verification(master_seed=0, n_cases=3)}
+    assert np.isnan(rows[failing].worst) and not rows[failing].passed
+    assert all(row.passed for name, row in rows.items() if name != failing)
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this process has scipy.stats from other test modules.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = "import sys, milacsim; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
