@@ -2,11 +2,13 @@
 
 Given a channel matrix H with singular value decomposition H = U S V^H,
 the transmit network realizes the leading right singular vectors (scaled
-by 1/2) and the receive network the conjugated leading left singular
-vectors, so that the cascade diagonalizes the channel.  Power is then
-water-filled over the per-stream channel eigenvalues.  The resulting
-link rate equals the water-filling capacity of the matched digital
-benchmark, which is also computed here in closed form.
+by j/2) and the receive network the conjugated leading left singular
+vectors (scaled by -j/2), so that the cascade diagonalizes the channel.
+Only those s columns are fixed; each side's unitary is completed from
+them by one Householder QR, so a design costs O(n^2 s) at n antennas.
+Power is then water-filled over the per-stream channel eigenvalues.  The
+resulting link rate equals the water-filling capacity of the matched
+digital benchmark, which is also computed here in closed form.
 
 The factor 4 that appears in the rate expressions is the two-sided
 insertion loss of source and load voltage division (amplitude 1/2 at
@@ -16,6 +18,7 @@ each side); it cancels out of none of the formulas and is kept explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +36,11 @@ from .exceptions import (
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
-    susceptance_rx,
-    susceptance_tx,
+    _FactoredSusceptance,
+    _synthesize_factored,
+    # The dense reference syntheses stay reachable here: perfbench traces them by this module.
+    susceptance_rx,  # noqa: F401
+    susceptance_tx,  # noqa: F401
 )
 
 # Two-sided matched source/load voltage division factor in the rate formulas.
@@ -90,10 +96,10 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Full singular value decomposition H = u diag(sigma) v^H (ordered).
+    """Economy singular value decomposition H = u diag(sigma) v^H (ordered).
 
-    u is n_rx x n_rx, v is n_tx x n_tx, sigma holds min(n_rx, n_tx)
-    singular values in descending order.
+    With k = min(n_rx, n_tx), u is n_rx x k, v is n_tx x k and sigma holds
+    the k singular values in descending order.
     """
 
     u: np.ndarray
@@ -104,12 +110,13 @@ class SvdFactors:
         u = np.asarray(self.u, dtype=complex)
         v = np.asarray(self.v, dtype=complex)
         sigma = np.asarray(self.sigma, dtype=float)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionMismatchError("u must be square")
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionMismatchError("v must be square")
-        if sigma.ndim != 1 or sigma.shape[0] != min(u.shape[0], v.shape[0]):
-            raise DimensionMismatchError("sigma must hold min(n_rx, n_tx) values")
+        if u.ndim != 2 or v.ndim != 2 or sigma.ndim != 1:
+            raise DimensionMismatchError("u and v must be matrices and sigma a vector")
+        k = min(u.shape[0], v.shape[0])
+        if not u.shape[1] == v.shape[1] == sigma.shape[0] == k:
+            raise DimensionMismatchError(
+                f"u {u.shape}, sigma {sigma.shape} and v {v.shape} are not an economy SVD"
+            )
         # NaN fails the first test, so no check passes vacuously.
         if not ((sigma >= 0) & (sigma < np.inf)).all() or np.any(np.diff(sigma) > 0):
             raise ValueError("singular values must be nonnegative, finite and descending")
@@ -119,8 +126,7 @@ class SvdFactors:
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the channel matrix from the factors."""
-        k = self.sigma.shape[0]
-        return (self.u[:, :k] * self.sigma) @ self.v[:, :k].conj().T
+        return (self.u * self.sigma) @ self.v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,17 +154,30 @@ class Design:
     """Closed-form design of one link, built from a single SVD of its channel.
 
     Attributes:
-        factors: ordered SVD after phase repair; its leading columns are the
-            singular vectors both networks realize and the digital precoder uses.
+        factors: ordered economy SVD after phase repair; its leading columns
+            are the singular vectors both networks realize and the digital
+            precoder uses.
         allocation: water-filling fractions over the leading eigenvalues.
-        b_tx: transmit susceptance matrix.
-        b_rx: receive susceptance matrix.
+        tx: transmit network in factored form; it realizes V = j Q', the
+            Householder completion of v_bar, and tx.unitary() is the dense V.
+        rx: receive network in factored form; rx.unitary() is the dense U,
+            whose leading columns are j u_bar.
+        b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
+            O(n^2 s) on first access.
     """
 
     factors: SvdFactors
     allocation: PowerAllocation
-    b_tx: SusceptanceMatrix
-    b_rx: SusceptanceMatrix
+    tx: _FactoredSusceptance
+    rx: _FactoredSusceptance
+
+    @cached_property
+    def b_tx(self) -> SusceptanceMatrix:
+        return self.tx.dense()
+
+    @cached_property
+    def b_rx(self) -> SusceptanceMatrix:
+        return self.rx.dense()
 
     def __iter__(self):
         # perfbench's drive_link unpacks (b_tx, b_rx, allocation); drop once it reads attributes.
@@ -182,12 +201,11 @@ class RateReport:
 
 
 def svd_ordered(h) -> SvdFactors:
-    """Full SVD with descending singular values and a fixed phase convention.
+    """Economy SVD with descending singular values and a fixed phase convention.
 
     Each column of v is rotated so that its largest-modulus entry is real
     and positive; the paired column of u gets the same rotation, which
-    leaves the reconstruction u diag(sigma) v^H unchanged.  Trailing
-    null-space columns of u are phase-fixed independently by the same rule.
+    leaves the reconstruction u diag(sigma) v^H unchanged.
 
     Raises:
         NonFiniteInputError: if h contains NaN or infinite entries.
@@ -197,52 +215,44 @@ def svd_ordered(h) -> SvdFactors:
         raise DimensionMismatchError(f"channel matrix must be 2-D, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
-    u, sigma, vh = np.linalg.svd(h, full_matrices=True)
+    u, sigma, vh = np.linalg.svd(h, full_matrices=False)
     v = vh.conj().T
-    k = sigma.shape[0]
-    v, phases = _phase_fix_columns(v)
-    u[:, :k] = u[:, :k] * phases[:k].conj()
-    if u.shape[1] > k:
-        u_tail, _ = _phase_fix_columns(u[:, k:])
-        u = np.hstack([u[:, :k], u_tail])
-    return SvdFactors(u=u, sigma=sigma, v=v)
-
-
-def _phase_fix_columns(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each column so its largest-modulus entry is real positive."""
-    pivots = np.argmax(np.abs(q), axis=0)
-    cols = np.arange(q.shape[1])
-    entries = q[pivots, cols]
+    entries = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     mags = np.abs(entries)
-    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0)
-    return q * phases.conj(), phases
+    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()
+    return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
+
+
+def _check_seed(rng_seed) -> None:
+    """Raise ValueError naming rng_seed unless it is a nonnegative integer."""
+    _check_integers(rng_seed=rng_seed)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
 
 
 def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, rng_seed) -> tuple:
     """Phase-rotate SVD factors until both susceptance syntheses succeed.
 
-    Returns (rotated factors, b_tx, b_rx) of the first seeded draw that
-    synthesizes; the synthesis is the only invertibility test, and
-    design_milac calls this only after it rejected the factors themselves.
-    A draw applies random common phases to the paired columns of u and v
-    (preserving the reconstruction) plus independent phases to trailing
-    null-space columns.
+    Returns (rotated factors, tx, rx) of the first seeded draw that
+    synthesizes, with the factored networks of design_milac; the synthesis
+    is the only invertibility test, and design_milac calls this only after
+    it rejected the factors themselves.  A draw applies random common phases
+    to the paired columns of u and v, which preserves the reconstruction.
 
     Args:
         factors: decomposition to repair.
         config: link parameters of the synthesis.
-        rng_seed: seed for the deterministic phase draws.
+        rng_seed: nonnegative integer seed for the deterministic phase draws.
 
     Raises:
         PhaseSearchExhaustedError: if none of DEFAULT_PHASE_ATTEMPTS draws does.
+        ValueError: if rng_seed is not a nonnegative integer.
     """
+    _check_seed(rng_seed)
     rng = np.random.default_rng(rng_seed)
-    k = factors.sigma.shape[0]
     for _ in range(DEFAULT_PHASE_ATTEMPTS):
-        phase_v = np.exp(2j * np.pi * rng.random(factors.v.shape[0]))
-        tail = np.exp(2j * np.pi * rng.random(factors.u.shape[0] - k))
-        phase_u = np.concatenate([phase_v[:k], tail])
-        rotated = SvdFactors(u=factors.u * phase_u, sigma=factors.sigma, v=factors.v * phase_v)
+        phase = np.exp(2j * np.pi * rng.random(factors.sigma.shape[0]))
+        rotated = SvdFactors(u=factors.u * phase, sigma=factors.sigma, v=factors.v * phase)
         try:
             return (rotated, *_synthesize_both(rotated, config))
         except SingularImaginaryPartError:
@@ -449,10 +459,13 @@ def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
 def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
-    Pipeline: ordered SVD of the channel, closed-form susceptance synthesis
-    on each side, and water-filling over the leading n_streams eigenvalues.
-    Only when the synthesis rejects Im{v} or Im{u} as singular are the
-    factors phase-repaired, keeping the networks of the accepted draw.
+    Pipeline: ordered economy SVD of the channel, closed-form susceptance
+    synthesis on each side, and water-filling over the leading n_streams
+    eigenvalues.  Each side's unitary is the Householder completion of its
+    leading singular vectors times j, and its network is kept in factored
+    form, so a design costs O(n^2 s) rather than O(n^3).  Only when the
+    synthesis rejects Im{V} or Im{U} as singular are the factors
+    phase-repaired, keeping the networks of the accepted draw.
     Only the water-filling depends on the power: at K powers (a vector
     config.tx_power) one call allocates all K, each row as at that power alone.
 
@@ -463,16 +476,14 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
 
     Returns:
         Design holding the repaired factors, the power allocation (one row
-        per power at K powers) and both susceptance matrices; it unpacks as
-        (b_tx, b_rx, allocation).
+        per power at K powers) and both networks; it unpacks as (b_tx, b_rx,
+        allocation), which builds the dense susceptance matrices.
 
     Raises:
         ValueError: if rng_seed is not a nonnegative integer, checked whether
             or not the repair runs.
     """
-    _check_integers(rng_seed=rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
+    _check_seed(rng_seed)
     h = np.asarray(h, dtype=complex)
     if h.shape != (config.n_rx, config.n_tx):
         raise DimensionMismatchError(
@@ -480,19 +491,20 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
         )
     factors = svd_ordered(h)
     try:
-        b_tx, b_rx = _synthesize_both(factors, config)
+        tx, rx = _synthesize_both(factors, config)
     except SingularImaginaryPartError:
-        factors, b_tx, b_rx = ensure_invertible_imag(factors, config, rng_seed)
+        factors, tx, rx = ensure_invertible_imag(factors, config, rng_seed)
     lam = factors.sigma[: config.n_streams] ** 2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
-    return Design(factors, allocation, b_tx, b_rx)
+    return Design(factors, allocation, tx, rx)
 
 
 def _synthesize_both(factors: SvdFactors, config: SystemConfig):
-    """Transmit and receive susceptance matrices of the factors' leading columns."""
-    b_tx = susceptance_tx(factors.v, config.n_streams, config.ref_admittance)
-    b_rx = susceptance_rx(factors.u, config.n_streams, config.ref_admittance)
-    return b_tx, b_rx
+    """Factored transmit and receive networks of the factors' leading columns."""
+    s, y0 = config.n_streams, config.ref_admittance
+    tx = _synthesize_factored(factors.v[:, :s], y0, receive=False)
+    rx = _synthesize_factored(np.conj(factors.u[:, :s]), y0, receive=True)
+    return tx, rx
 
 
 def digital_design_and_rate(h, design: Design, total_power, noise_power: float) -> tuple:
@@ -531,8 +543,10 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
         )
     p = design.allocation.p
     power = _power_axis(design.allocation, total_power)
-    w = factors.v[:, : p.shape[-1]] * np.sqrt(p)[..., None, :]
-    a = h @ w
+    v_bar = factors.v[:, : p.shape[-1]]
+    scale = np.sqrt(p)[..., None, :]
+    w = v_bar * scale
+    a = (h @ v_bar) * scale
     # Power before noise, as in capacity_closed_form: power / noise_power can overflow.
     gram = power[..., None] * (a.conj().swapaxes(-1, -2) @ a) / (DEFAULT_QUARTER_FACTOR * noise_power)
     # Round-off can leave a Gram eigenvalue slightly negative.

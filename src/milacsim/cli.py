@@ -271,7 +271,9 @@ def _cmd_design_dump(opts: dict) -> int:
     report = run_trial(h, config, opts["seed"])
     design = report.design
     n_s = config.n_streams
-    u, v = design.factors.u, design.factors.v
+    # The dense unitaries the networks realize: j times the Householder
+    # completions of the leading singular vectors.
+    v, u = design.tx.unitary(), design.rx.unitary()
     theta_tx = complete_scattering_tx(v[:, :n_s], v[:, n_s:])
     theta_rx = complete_scattering_rx(u[:, :n_s], u[:, n_s:])
 

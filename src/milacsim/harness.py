@@ -141,8 +141,10 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     every transmit power of the config.  Only water-filling, the rates and
     the digital benchmark depend on the power, and each takes all of the
     config's powers in one vectorized call.  The analog rate is evaluated on
-    the transfer blocks of the synthesized circuits, so the whole admittance
-    pipeline is exercised.
+    the transfer blocks of the synthesized circuits: each side's factored
+    network is driven with s right-hand sides in O(n s^2), equal to
+    transfer_block_from_admittance of its dense susceptance matrix, which is
+    never formed here.
 
     Args:
         h: channel matrix (n_rx x n_tx).
@@ -153,16 +155,8 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
         RateReport with float rates at one power, K-vectors at K powers.
     """
     design = design_milac(h, config, rng_seed)
-    f = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * design.b_tx.b),
-        PortPartition(n_inputs=config.n_streams, n_outputs=config.n_tx),
-        config.ref_admittance,
-    )
-    g = transfer_block_from_admittance(
-        AdmittanceMatrix(1j * design.b_rx.b),
-        PortPartition(n_inputs=config.n_rx, n_outputs=config.n_streams),
-        config.ref_admittance,
-    )
+    f = design.tx.transfer_block()
+    g = design.rx.transfer_block()
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: config.n_streams] ** 2
     rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)

@@ -26,7 +26,6 @@ are the "outputs", so a single slicing rule covers both sides.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,26 +164,29 @@ class LosslessReciprocalReport:
         return self.unitarity <= self.tol and self.asymmetry <= self.tol
 
 
-def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
-    a = np.ascontiguousarray(a, dtype=complex)
+_GETRF, _GECON, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
+
+
+def _lu_checked(a: np.ndarray, context: str) -> tuple:
+    """LU factors of a, rejected when the condition estimate exceeds DEFAULT_COND_CAP."""
+    a = np.asarray(a, dtype=complex)
     anorm = np.linalg.norm(a, 1)
-    try:
-        with warnings.catch_warnings():
-            # An exactly singular factor is reported through the rcond check
-            # below; the interim warning would only add noise.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError) as exc:
-        raise SingularMatrixError(f"{context}: LU factorization failed ({exc})") from exc
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
+    # An exactly singular factor (info > 0) is reported through the rcond check below.
+    lu, piv, info = _GETRF(a)
+    if info < 0:
+        raise SingularMatrixError(f"{context}: LU factorization failed (illegal argument {-info})")
+    rcond, _ = _GECON(lu, anorm)
     if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
         est = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularMatrixError(
             f"{context}: condition estimate {est:.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return lu, piv
+
+
+def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
+    return _GETRS(*_lu_checked(a, context), rhs)[0]
 
 
 def _mirror_upper(b: np.ndarray) -> np.ndarray:
@@ -236,7 +238,10 @@ def transfer_block_from_admittance(
     With every port fed through (inputs) or loaded by (outputs) the reference
     admittance, the transfer from input-port source amplitudes to output-port
     voltages is the lower-left block of (Y/y0 + I)^-1: rows at the output
-    ports, columns at the input ports.
+    ports, columns at the input ports.  The solve takes min(n_inputs,
+    n_outputs) right-hand sides: with fewer outputs it solves the transposed
+    system against the output columns on the same LU, since (A^-1)^T =
+    (A^T)^-1 for any A.
 
     Args:
         y: admittance matrix of the full network.
@@ -251,10 +256,11 @@ def transfer_block_from_admittance(
         raise DimensionMismatchError(
             f"partition covers {partition.n_ports} ports, network has {y.n_ports}"
         )
-    n = y.n_ports
-    rhs = np.eye(n)[:, : partition.n_inputs]
-    x = _solve_checked(y.y / y0 + np.eye(n), rhs, "transfer_block_from_admittance")
-    return np.array(x[partition.n_inputs :, :])
+    n, n_in = y.n_ports, partition.n_inputs
+    lu, piv = _lu_checked(y.y / y0 + np.eye(n), "transfer_block_from_admittance")
+    if n_in <= partition.n_outputs:
+        return _GETRS(lu, piv, np.eye(n)[:, :n_in])[0][n_in:]
+    return _GETRS(lu, piv, np.eye(n)[:, n_in:], trans=1)[0][:n_in].T
 
 
 def transfer_block_from_scattering(theta: ScatteringMatrix, partition: PortPartition) -> np.ndarray:
@@ -289,7 +295,8 @@ def check_lossless_reciprocal(
 
 def _check_unitary(q: np.ndarray, context: str) -> None:
     resid = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0)
-    if resid > DEFAULT_UNITARY_TOL:
+    # NaN fails `<=`, so a NaN input is rejected.
+    if not resid <= DEFAULT_UNITARY_TOL:
         raise NotUnitaryInputError(
             f"{context}: unitarity residual {resid:.3e} exceeds {DEFAULT_UNITARY_TOL:.3e}"
         )
@@ -366,27 +373,35 @@ def complete_scattering_rx(u_bar, u_tilde) -> ScatteringMatrix:
 def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     """Invert the imaginary part of a unitary factor, rejecting near-singular cases.
 
+    An exact zero pivot rejects M; otherwise _check_imag_inverse decides.
+    """
+    try:
+        minv = np.linalg.solve(m, np.eye(m.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
+    _check_imag_inverse(m, minv, context)
+    return minv
+
+
+def _check_imag_inverse(m: np.ndarray, minv: np.ndarray, context: str) -> None:
+    """Reject M, given with its computed inverse, when it is near singular.
+
     M is singular when sigma_min <= rel_tol * sigma_max, with rel_tol =
-    DEFAULT_IMAG_SV_REL read at call time.  The explicit inverse gives
-    kappa_1 exactly and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1
-    proves M regular without an SVD (a NaN bound fails it), and an exact zero
-    pivot rejects it; the singular values decide only when neither does.
+    DEFAULT_IMAG_SV_REL read at call time.  The inverse gives kappa_1 exactly
+    and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1 proves M regular
+    without an SVD (a NaN bound fails it); the singular values decide only
+    when it does not.
     """
     n = m.shape[0]
     rel_tol = DEFAULT_IMAG_SV_REL
-    try:
-        minv = np.linalg.solve(m, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
     if n * rel_tol * np.linalg.norm(m, 1) * np.linalg.norm(minv, 1) < 1.0:
-        return minv
+        return
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= rel_tol * sv[0]:
         raise SingularImaginaryPartError(
             f"{context}: smallest singular value {sv[-1]:.3e} is below "
             f"{rel_tol:.1e} of the spectral norm {sv[0]:.3e}"
         )
-    return minv
 
 
 def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
@@ -402,12 +417,18 @@ def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> Susc
     _check_positive_finite(ref_admittance=y0)
     minv = _imag_part_inverse(q.imag, caller)
     r = q.real
-    sym, ant = _port_slices(n, n_streams, receive)
-    b = np.empty((n + n_streams, n + n_streams))
-    b[sym, sym] = (minv @ r)[:n_streams, :n_streams]
-    b[sym, ant] = -minv[:n_streams, :]
-    b[ant, sym] = -minv[:n_streams, :].T
-    b[ant, ant] = r @ minv
+    return _assemble_susceptance((minv @ r)[:n_streams, :n_streams], -minv[:n_streams], r @ minv, y0, receive)
+
+
+def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> SusceptanceMatrix:
+    """y0 [[bss, bsa], [bsa^T, baa]] in the side's port order, mirrored to exact symmetry."""
+    n, s = baa.shape[0], bss.shape[0]
+    sym, ant = _port_slices(n, s, receive)
+    b = np.empty((n + s, n + s))
+    b[sym, sym] = bss
+    b[sym, ant] = bsa
+    b[ant, sym] = bsa.T
+    b[ant, ant] = baa
     return SusceptanceMatrix(_mirror_upper(y0 * b))
 
 
@@ -443,6 +464,139 @@ def susceptance_rx(u, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> Sus
     errors are those of susceptance_tx.
     """
     return _synthesize_susceptance(u, n_streams, y0, receive=True)
+
+
+_GEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=complex)
+_GEQRF, _ORGQR = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=float)
+_TRMM = scipy.linalg.get_blas_funcs("trmm", dtype=complex)
+
+
+def _orthonormal_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (Householder QR, m x min(m, k)) spanning the k columns of x."""
+    if x.shape[0] == 0:  # s = n leaves no rows, which LAPACK rejects
+        return x[:, :0]
+    qr, tau, _, _ = _GEQRF(x)
+    return _ORGQR(qr[:, : tau.shape[0]], tau)[0]
+
+
+def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary completion Q' = I + a @ qt of orthonormal columns q_bar, with Q'[:, :s] = q_bar.
+
+    One Householder QR q_bar = Q R gives Q = I - W T W^H in compact WY form
+    (W unit lower trapezoidal, T upper triangular, both from LAPACK's geqrt,
+    which also covers reflectors with tau = 0).  R is diagonal and unimodular
+    up to rounding because q_bar is orthonormal, so Q' = [q_bar, Q[:, s:]] is
+    unitary, and its tail is Q[:, s:] = E_tail - W T L^H with L = W[s:].  Every
+    column of Q' - I lies in the span of E_s and of Re L, Im L below the s
+    symbol rows, so Q' - I = a qt on the real orthonormal basis
+    a = blockdiag(I_s, b), b spanning [Re L, Im L]: a has r <= min(n, 3s)
+    columns, Re Q' = I + a @ qt.real and Im Q' = a @ qt.imag.
+    """
+    n, s = q_bar.shape
+    qr, t, _ = _GEQRT(s, q_bar)
+    low = qr[s:]
+    b = _orthonormal_basis(np.hstack([low.real, low.imag]))
+    tail = t @ low.conj().T
+    a = np.zeros((n, s + b.shape[1]))
+    a[:s, :s] = np.eye(s)
+    a[s:, s:] = b
+    qt = np.empty((a.shape[1], n), dtype=complex)
+    qt[:s, :s] = q_bar[:s] - np.eye(s)
+    # -W[:s] T L^H, W[:s] being the unit lower triangle of qr[:s].
+    qt[:s, s:] = _TRMM(-1.0, qr[:s], tail, lower=1, diag=1)
+    qt[s:, :s] = b.T @ q_bar[s:]
+    qt[s:, s:] = -(b.T @ low) @ tail
+    return a, qt
+
+
+@dataclass(frozen=True, eq=False)
+class _FactoredSusceptance:
+    """One side's susceptance network, kept as a small core on an orthonormal basis.
+
+    In the transmit port order (symbols, then antennas) B / y0 = E core E^T
+    with E = blockdiag(I_s, a): a is n x r with orthonormal columns and core
+    is real symmetric (s + r) x (s + r).  The receive network puts its antenna
+    ports first.  The network realizes the unitary completion I + a @ qt;
+    see _synthesize_factored.
+    """
+
+    a: np.ndarray
+    core: np.ndarray
+    qt: np.ndarray
+    y0: float
+    receive: bool
+
+    def dense(self) -> SusceptanceMatrix:
+        """The full susceptance matrix, in O(n^2 s)."""
+        a, core = self.a, self.core
+        s = core.shape[0] - a.shape[1]
+        bsa = core[:s, s:] @ a.T
+        return _assemble_susceptance(core[:s, :s], bsa, a @ core[s:, s:] @ a.T, self.y0, self.receive)
+
+    def unitary(self) -> np.ndarray:
+        """The dense V (U on the receive side) whose susceptance_tx (susceptance_rx) is this network."""
+        q = np.eye(self.a.shape[0]) + self.a @ self.qt
+        return 1j * (np.conj(q) if self.receive else q)
+
+    def transfer_block(self) -> np.ndarray:
+        """transfer_block_from_admittance of the dense network, in O(n s^2).
+
+        N = I + jB/y0 maps the range of E onto itself, where it acts as
+        I + j core; the symbol columns of N^-1 are E (I + j core)^-1 [I_s; 0],
+        one solve of the (s + r)-port core under _solve_checked's condition
+        cap.  N is symmetric, so the receive block (symbol rows, antenna
+        columns) is the transpose of the antenna rows of the symbol columns.
+        """
+        a, core = self.a, self.core
+        s = core.shape[0] - a.shape[1]
+        eye = np.eye(core.shape[0])
+        context = "susceptance_rx circuit" if self.receive else "susceptance_tx circuit"
+        x = a @ _solve_checked(eye + 1j * core, eye[:, :s], context)[s:]
+        return x.T if self.receive else x
+
+
+def _synthesize_factored(q_bar, y0: float, receive: bool) -> _FactoredSusceptance:
+    """Factored synthesis of the network realizing orthonormal columns q_bar.
+
+    The network is susceptance_tx(V, s, y0) with V = j Q', Q' the Householder
+    completion I + a qt of q_bar = v_bar; on the receive side q_bar =
+    conj(u_bar), and it is susceptance_rx(U, s, y0) with conj(U) = -j Q', so
+    U[:, :s] = j u_bar carries the transmit side's common phase.  Im V is +-X
+    with X = Re Q' = I + a ft, so by Woodbury X^-1 = I - a K^-1 ft with the
+    r x r core K = I + ft a, and X^-1 a = a K^-1 puts every block of B on the
+    basis a.  X^-1 is accepted by _check_imag_inverse, in O(n^2 s), exactly as
+    the dense synthesis accepts its own.
+
+    Raises:
+        SingularImaginaryPartError: as susceptance_tx and susceptance_rx.
+    """
+    caller = "susceptance_rx" if receive else "susceptance_tx"
+    n, s = q_bar.shape
+    a, qt = _householder_completion(q_bar)
+    ft, gt = qt.real, qt.imag
+    eye_r = np.eye(a.shape[1])
+    try:
+        kinv = np.linalg.solve(eye_r + ft @ a, eye_r)
+    except np.linalg.LinAlgError as exc:
+        raise SingularImaginaryPartError(f"{caller}: imaginary part has an exact zero pivot") from exc
+    x, xinv = a @ ft, a @ -(kinv @ ft)
+    for each in (x, xinv):
+        each.flat[:: n + 1] += 1.0
+    _check_imag_inverse(x, xinv, caller)
+    # With Y = Im Q' = a gt the side's (Im, Re) pair (M, R) is (X, -Y), or
+    # (-X, Y) on the receive side: M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either
+    # way, and only the symbol-antenna block -M^-1[:s] changes sign.  Its
+    # coordinates are (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
+    top = kinv[:s]
+    core = np.empty((s + a.shape[1], s + a.shape[1]))
+    core[:s, :s] = -top @ gt[:, :s]
+    core[:s, s:] = top if receive else -top
+    core[s:, :s] = core[:s, s:].T
+    core[s:, s:] = -(gt @ a) @ kinv
+    # Symmetric in exact arithmetic; averaged with its transpose, exactly.
+    core += core.T
+    core *= 0.5
+    return _FactoredSusceptance(a, core, qt, y0, receive)
 
 
 def dump_matrix_csv(matrix, path) -> None:

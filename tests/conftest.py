@@ -1,0 +1,18 @@
+"""Shared test inputs."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def repair_channel():
+    """A 4x4 channel whose transmit synthesis must phase-repair at 4 streams.
+
+    h = diag(4, 3, 2, 1) v^H with v = diag(1, 1, 1, j) O and O real orthogonal
+    whose largest entry in every column lies above its last row, so the
+    ordered v keeps a purely imaginary last row: Re v, the imaginary part of
+    the transmit unitary j v at s = n, is singular.
+    """
+    o = np.linalg.qr(np.array([[3, -2, -2, 1], [2, 3, -1, 1], [-1, -2, 3, 1], [2, 3, 1, 1]], float))[0]
+    assert (np.abs(o[:3]).max(axis=0) > np.abs(o[3]) + 0.2).all()
+    return np.diag([4.0, 3.0, 2.0, 1.0]) @ (np.diag([1, 1, 1, 1j]) @ o).conj().T

@@ -56,28 +56,26 @@ def test_svd_keeps_zero_singular_values():
     assert np.array_equal(factors.sigma, np.array([3.0, 0.0]))
 
 
-def test_svd_reconstructs_wide_channel():
+@pytest.mark.parametrize("n_rx, n_tx", [(4, 6), (6, 4)])
+def test_svd_is_economy_and_reconstructs_the_channel(n_rx, n_tx):
     for seed in range(10):
-        h = random_channel(4, 6, seed)
+        h = random_channel(n_rx, n_tx, seed)
         factors = svd_ordered(h)
-        assert factors.u.shape == (4, 4)
-        assert factors.v.shape == (6, 6)
-        assert factors.sigma.shape == (4,)
+        k = min(n_rx, n_tx)
+        assert factors.u.shape == (n_rx, k)
+        assert factors.v.shape == (n_tx, k)
+        assert factors.sigma.shape == (k,)
         err = np.linalg.norm(factors.reconstruct() - h)
         assert err <= 1e-10 * np.linalg.norm(h)
 
 
 def test_svd_phase_convention_pivot_real_positive():
-    # Every column of v and the trailing null-space columns of u carry the
-    # pivot convention; the leading columns of u are slaved to v's rotations
-    # through the reconstruction and have no pivot rule of their own.
+    # Every column of v carries the pivot convention; the columns of u are
+    # slaved to v's rotations through the reconstruction.
     for seed in range(10):
         h = random_channel(3, 5, seed)
         factors = svd_ordered(h)
-        k = factors.sigma.shape[0]
-        pivot_fixed = [factors.v[:, j] for j in range(factors.v.shape[1])]
-        pivot_fixed += [factors.u[:, j] for j in range(k, factors.u.shape[1])]
-        for col in pivot_fixed:
+        for col in factors.v.T:
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0
             assert abs(pivot.imag) <= 1e-12 * abs(pivot)
@@ -110,6 +108,9 @@ def test_svd_factors_validate_ordering():
         SvdFactors(u=np.eye(2), sigma=np.array([1.0, 2.0]), v=np.eye(2))
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(2))
+    # Economy factors only: k = min(n_rx, n_tx) columns on both sides.
+    with pytest.raises(DimensionMismatchError):
+        SvdFactors(u=np.eye(2), sigma=np.ones(2), v=np.eye(3))
     # NaN compares false, so it must not slip past the order checks.
     for sigma in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
@@ -139,20 +140,23 @@ def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
 def test_ensure_repairs_real_factors_without_changing_the_channel():
     h = np.eye(2)
     factors = svd_ordered(h)
-    repaired, b_tx, b_rx = ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
+    repaired, tx, rx = ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
     assert repaired is not factors
     assert np.linalg.norm(repaired.reconstruct() - h) <= 1e-10
-    for m in (repaired.v.imag, repaired.u.imag):
-        sv = np.linalg.svd(m, compute_uv=False)
-        assert sv[-1] > 1e-8 * sv[0]
-    # The networks returned are those of the repaired factors.
-    assert np.array_equal(b_tx.b, susceptance_tx(repaired.v, 1).b)
-    assert np.array_equal(b_rx.b, network.susceptance_rx(repaired.u, 1).b)
+    # Paired columns share one common phase per column.
+    assert np.allclose(np.abs(repaired.v), np.abs(factors.v), atol=1e-15)
+    assert not np.allclose(repaired.v, factors.v)
+    # The networks returned are those of the repaired factors: the dense
+    # syntheses of the unitaries they realize, whose leading columns are j v_bar and j u_bar.
+    v, u = tx.unitary(), rx.unitary()
+    assert np.abs(v[:, :1] - 1j * repaired.v[:, :1]).max() <= 1e-15
+    assert np.abs(u[:, :1] - 1j * repaired.u[:, :1]).max() <= 1e-15
+    assert np.abs(tx.dense().b - susceptance_tx(v, 1).b).max() <= 1e-12 * network.DEFAULT_REF_ADMITTANCE
+    assert np.abs(rx.dense().b - susceptance_rx(u, 1).b).max() <= 1e-12 * network.DEFAULT_REF_ADMITTANCE
 
 
 def test_ensure_single_attempt_succeeds_on_almost_all_real_channels(monkeypatch):
-    # Real channels always need the repair; one random draw should be enough
-    # essentially every time.
+    # One random draw of the repair should synthesize essentially every time.
     monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 1)
     failures = 0
     for seed in range(100):
@@ -178,6 +182,23 @@ def test_ensure_is_deterministic_in_the_seed():
     b, _, _ = ensure_invertible_imag(factors, _config(2, 3, 3), rng_seed=42)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.u, b.u)
+
+
+def test_design_repairs_a_channel_with_a_singular_real_part(monkeypatch, repair_channel):
+    # At s = n the transmit unitary is j v_bar, and Re v_bar of this channel is singular.
+    repairs = []
+    ensure = beamforming.ensure_invertible_imag
+
+    def counted(*args, **kwargs):
+        repairs.append(1)
+        return ensure(*args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
+    with pytest.raises(SingularImaginaryPartError):
+        network._synthesize_factored(svd_ordered(repair_channel).v, 1.0, False)
+    design = design_milac(repair_channel, _config(4, 4, 4), rng_seed=0)
+    assert len(repairs) == 1
+    assert np.abs(design.factors.reconstruct() - repair_channel).max() <= 1e-12
 
 
 def test_synthesis_and_repair_share_one_threshold(monkeypatch):
@@ -329,6 +350,7 @@ _INPUT_RULES = {
     "susceptance_tx.n_streams": ("n_streams", (2.5,)),
     "susceptance_rx.n_streams": ("n_streams", (2.5,)),
     "design_milac": ("rng_seed", (2.5, -1)),
+    "ensure_invertible_imag": ("rng_seed", (1.5, -1)),
 }
 
 
@@ -359,6 +381,7 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
         "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
         "design_milac": lambda x: design_milac(h, config, x),
+        "ensure_invertible_imag": lambda x: ensure_invertible_imag(design.factors, config, x),
     }[entry]
     field = _INPUT_RULES[entry][0]
     with pytest.raises(ValueError, match=f"{field} must be"):

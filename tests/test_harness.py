@@ -10,10 +10,13 @@ import pytest
 
 import milacsim.beamforming as beamforming
 import milacsim.harness as harness
+import milacsim.network as network
 from milacsim import (
+    AdmittanceMatrix,
     CSV_HEADER,
     ChannelEnsembleSpec,
     PhaseSearchExhaustedError,
+    PortPartition,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -23,6 +26,7 @@ from milacsim import (
     run_trial,
     run_verification,
     snr_db_to_tx_power,
+    transfer_block_from_admittance,
     write_csv,
     write_manifest,
 )
@@ -78,11 +82,12 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
 @pytest.mark.parametrize(
     "n_rx, master_seed, real, solves",
     [
-        # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses alone.
+        # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses
+        # alone, each from one solve of its Woodbury core.
         (6, 4, False, 2),
-        # A real channel's own Im{V} has an exact zero pivot, so it is rejected
-        # without an SVD; the accepted draw's inverses are the design's.
-        (5, 2, True, 3),
+        # A real channel's completion is real orthogonal, so Im{V} = Re Q' is
+        # accepted as well and no phase repair runs.
+        (5, 2, True, 2),
     ],
     ids=["rayleigh", "real"],
 )
@@ -106,8 +111,9 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     assert calls == {"svd_full": 1, "svd_values": 1, "solve": solves}
 
 
-def test_run_trial_repairs_a_real_channel_and_reaches_capacity(monkeypatch):
-    # A real channel has real singular vectors, so the synthesis rejects Im{V}.
+def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(monkeypatch, repair_channel):
+    # A real channel's completion has Im{V} = Re Q' orthogonal, so it needs no
+    # repair; a channel whose Re v_bar is singular at s = n does.
     repairs = []
     ensure = beamforming.ensure_invertible_imag
 
@@ -116,16 +122,18 @@ def test_run_trial_repairs_a_real_channel_and_reaches_capacity(monkeypatch):
         return ensure(*args, **kwargs)
 
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
-    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=5, n_tx=6, n_trials=1, master_seed=2), 0).real
-    config = SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=4.0, noise_power=1.0)
-    report = run_trial(h, config, rng_seed=1)
-    assert len(repairs) == 1
-    assert np.any(report.design.factors.v.imag != 0)
-    for rate in (report.milac_rate, report.digital_rate):
-        assert abs(rate - report.capacity) <= 1e-9 * report.capacity
+    real = rayleigh_channel(ChannelEnsembleSpec(n_rx=5, n_tx=6, n_trials=1, master_seed=2), 0).real
+    cases = [(real, SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=4.0, noise_power=1.0), 0),
+             (repair_channel, SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=4.0, noise_power=1.0), 1)]
+    for h, config, n_repairs in cases:
+        del repairs[:]
+        report = run_trial(h, config, rng_seed=1)
+        assert len(repairs) == n_repairs
+        for rate in (report.milac_rate, report.digital_rate):
+            assert abs(rate - report.capacity) <= 1e-9 * report.capacity
 
 
-def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch):
+def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, repair_channel):
     # One phase-repair budget: an exhausted search is not retried with a fresh SVD.
     svds = []
     svd_ordered = beamforming.svd_ordered
@@ -136,10 +144,9 @@ def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch):
 
     monkeypatch.setattr(beamforming, "svd_ordered", counted)
     monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
-    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=2), 0).real
-    config = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
     with pytest.raises(PhaseSearchExhaustedError):
-        run_trial(h, config, _design_seed(0, 0))
+        run_trial(repair_channel, config, _design_seed(0, 0))
     assert len(svds) == 1
 
 
@@ -157,6 +164,66 @@ def test_run_trial_on_a_weak_channel_reaches_capacity():
         report = run_trial(scale * h, config, rng_seed=0)
         assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
         assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
+
+
+def _channel(kind, n_rx, n_tx, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+    if kind == "real":
+        return h.real
+    if kind == "rank-1":
+        return np.outer(h[:, 0], h[0])
+    return h
+
+
+@pytest.mark.parametrize("streams", ["one", "all"])
+@pytest.mark.parametrize(
+    "kind, n_rx, n_tx",
+    [("complex", 6, 6), ("complex", 4, 64), ("complex", 64, 4), ("real", 6, 6), ("real", 4, 64),
+     ("rank-1", 6, 6), ("rank-1", 5, 7)],
+)
+def test_run_trial_blocks_equal_the_dense_circuit_solves(kind, n_rx, n_tx, streams):
+    # The factored circuit solves read off the same blocks as the dense
+    # reference solve of the materialized networks, and those blocks are half
+    # the realized leading columns: j v_bar / 2 and (j u_bar)^H / 2.
+    h = _channel(kind, n_rx, n_tx, seed=n_rx * n_tx)
+    n_streams = 1 if streams == "one" else min(n_rx, n_tx)
+    config = SystemConfig(n_streams=n_streams, n_tx=n_tx, n_rx=n_rx, tx_power=(1.0, 100.0), noise_power=1.0)
+    report = run_trial(h, config, rng_seed=0)
+    design, y0 = report.design, config.ref_admittance
+    f = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_tx.b), PortPartition(n_streams, n_tx), y0)
+    g = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_rx.b), PortPartition(n_rx, n_streams), y0)
+    assert np.abs(report.f - f).max() <= 1e-12 and np.abs(report.g - g).max() <= 1e-12
+    v, u = design.tx.unitary(), design.rx.unitary()
+    assert np.abs(v[:, :n_streams] - 1j * design.factors.v[:, :n_streams]).max() <= 1e-14
+    assert np.abs(u[:, :n_streams] - 1j * design.factors.u[:, :n_streams]).max() <= 1e-14
+    assert np.abs(report.f - v[:, :n_streams] / 2).max() <= 1e-12
+    assert np.abs(report.g - u[:, :n_streams].conj().T / 2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_wide_link_runs_factored_and_reaches_capacity(monkeypatch, real):
+    # 8 x 512 with 8 streams: no dense network is formed, no circuit is solved
+    # densely and no phase repair runs, yet both rates reach the capacity.
+    calls = []
+
+    def forbidden(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"run_trial called {name}")
+        return spy
+
+    for owner in (harness, network):
+        monkeypatch.setattr(owner, "transfer_block_from_admittance", forbidden("transfer_block_from_admittance"))
+    monkeypatch.setattr(network._FactoredSusceptance, "dense", forbidden("dense"))
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", forbidden("ensure_invertible_imag"))
+    h = _channel("real" if real else "complex", 8, 512, seed=5)
+    powers = tuple(snr_db_to_tx_power(snr_db, 1.0) for snr_db in (-10.0, 10.0, 30.0))
+    config = SystemConfig(n_streams=8, n_tx=512, n_rx=8, tx_power=powers, noise_power=1.0)
+    report = run_trial(h, config, rng_seed=0)
+    for rate in (report.milac_rate, report.digital_rate):
+        assert np.abs(rate - report.capacity).max() <= 1e-9 * report.capacity.min()
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, n_streams, snr_db", [(8, 2, 20.0), (64, 8, 60.0), (64, 8, 100.0)])
@@ -363,7 +430,8 @@ def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers)
 
 def test_snr_sweep_designs_each_channel_once(monkeypatch):
     calls = dict.fromkeys(
-        ("svd_ordered", "transfer_block", "svd_values", "water_filling", "milac_rate", "capacity", "digital"),
+        ("svd_ordered", "transfer_block", "dense_transfer_block", "svd_values", "water_filling", "milac_rate",
+         "capacity", "digital"),
         0,
     )
 
@@ -383,7 +451,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     counted(beamforming, "svd_ordered", "svd_ordered")
-    counted(harness, "transfer_block_from_admittance", "transfer_block")
+    counted(network._FactoredSusceptance, "transfer_block", "transfer_block")
+    counted(harness, "transfer_block_from_admittance", "dense_transfer_block")
     counted(beamforming, "water_filling", "water_filling")
     # The harness may do no water-filling of its own; any call through its name counts too.
     counted(harness, "water_filling", "water_filling")
@@ -399,6 +468,7 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     assert calls == {
         "svd_ordered": n_trials,
         "transfer_block": 2 * n_trials,
+        "dense_transfer_block": 0,
         "svd_values": n_trials,
         "water_filling": n_trials,
         "milac_rate": n_trials,

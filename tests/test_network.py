@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import unitary_group
 
 from milacsim import (
@@ -24,7 +25,7 @@ from milacsim import (
     transfer_block_from_admittance,
     transfer_block_from_scattering,
 )
-from milacsim.network import DEFAULT_IMAG_SV_REL, _imag_part_inverse
+from milacsim.network import DEFAULT_IMAG_SV_REL, _imag_part_inverse, _solve_checked
 
 Y0 = 1.0 / 50.0
 
@@ -128,6 +129,32 @@ def test_transfer_block_admittance_matches_scattering_path():
         from_y = transfer_block_from_admittance(y, part, Y0)
         from_s = transfer_block_from_scattering(theta, part)
         assert np.abs(from_y - from_s).max() < 1e-12
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+def test_transfer_block_with_fewer_outputs_equals_the_all_inputs_solve(symmetric):
+    # With fewer outputs the block comes from the transposed solve against the
+    # output columns; it must match the block of the inverse's input columns.
+    rng = np.random.default_rng(3)
+    for n_in, n_out in ((6, 2), (9, 1), (3, 3), (2, 5)):
+        n = n_in + n_out
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = AdmittanceMatrix(Y0 * (a + a.T if symmetric else a))
+        block = transfer_block_from_admittance(y, PortPartition(n_in, n_out), Y0)
+        full = np.linalg.solve(y.y / Y0 + np.eye(n), np.eye(n))[n_in:, :n_in]
+        assert block.shape == (n_out, n_in)
+        assert np.abs(block - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
+
+
+def test_checked_solve_is_scipy_lu_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (6, 10, 136):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rhs = np.eye(n)[:, : n // 2]
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), rhs)
+        assert np.array_equal(_solve_checked(a, rhs, "test"), expected)
+    with pytest.raises(SingularMatrixError, match="test: condition estimate inf"):
+        _solve_checked(np.zeros((3, 3)), np.eye(3), "test")
 
 
 def test_transfer_block_partition_must_cover_ports():
@@ -242,6 +269,15 @@ def test_completion_rejects_non_unitary_input():
         complete_scattering_tx(bad[:, :1], bad[:, 1:])
     with pytest.raises(NotUnitaryInputError):
         complete_scattering_rx(bad[:, :1], bad[:, 1:])
+
+
+@pytest.mark.parametrize("complete", [complete_scattering_tx, complete_scattering_rx])
+def test_completion_rejects_a_nan_input(complete):
+    # A NaN residual fails the unitarity check instead of passing it.
+    v = np.eye(3, dtype=complex)
+    v[0, 0] = np.nan
+    with pytest.raises(NotUnitaryInputError):
+        complete(v[:, :1], v[:, 1:])
 
 
 def test_completion_rejects_bad_shapes():
