@@ -17,7 +17,7 @@ each side); it cancels out of none of the formulas and is kept explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ from .exceptions import (
     NonFiniteInputError,
     PhaseSearchExhaustedError,
     RateFormMismatchError,
-    SingularImaginaryPartError,
     ZeroCombinerRowError,
     _check_integers,
     _check_positive_finite,
@@ -99,7 +98,8 @@ class SvdFactors:
     """Economy singular value decomposition H = u diag(sigma) v^H (ordered).
 
     With k = min(n_rx, n_tx), u is n_rx x k, v is n_tx x k and sigma holds
-    the k singular values in descending order.
+    the k singular values in descending order; the factors of a stack of
+    channels carry its leading trial axes.
     """
 
     u: np.ndarray
@@ -110,15 +110,16 @@ class SvdFactors:
         u = np.asarray(self.u, dtype=complex)
         v = np.asarray(self.v, dtype=complex)
         sigma = np.asarray(self.sigma, dtype=float)
-        if u.ndim != 2 or v.ndim != 2 or sigma.ndim != 1:
-            raise DimensionMismatchError("u and v must be matrices and sigma a vector")
-        k = min(u.shape[0], v.shape[0])
-        if not u.shape[1] == v.shape[1] == sigma.shape[0] == k:
+        if u.ndim < 2 or v.ndim != u.ndim or sigma.ndim != u.ndim - 1:
+            raise DimensionMismatchError("u and v must be matrices and sigma a vector, or stacks of them")
+        k = min(u.shape[-2], v.shape[-2])
+        trials_agree = u.shape[:-2] == v.shape[:-2] == sigma.shape[:-1]
+        if not u.shape[-1] == v.shape[-1] == sigma.shape[-1] == k or not trials_agree:
             raise DimensionMismatchError(
                 f"u {u.shape}, sigma {sigma.shape} and v {v.shape} are not an economy SVD"
             )
         # NaN fails the first test, so no check passes vacuously.
-        if not ((sigma >= 0) & (sigma < np.inf)).all() or np.any(np.diff(sigma) > 0):
+        if not ((sigma >= 0) & (sigma < np.inf)).all() or np.any(np.diff(sigma, axis=-1) > 0):
             raise ValueError("singular values must be nonnegative, finite and descending")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -126,7 +127,7 @@ class SvdFactors:
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the channel matrix from the factors."""
-        return (self.u * self.sigma) @ self.v.conj().T
+        return (self.u * self.sigma[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +135,8 @@ class PowerAllocation:
     """Per-stream power fractions (summing to one) and the water level.
 
     At one transmit power p is a vector and water_level a float; at K powers
-    p is (K, n_streams) and water_level holds the K levels.
+    p is (K, n_streams) and water_level holds the K levels.  A stack of
+    channels puts its trial axes first: p is (T, n_streams) or (T, K, n_streams).
     """
 
     p: np.ndarray
@@ -142,8 +144,8 @@ class PowerAllocation:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.ndim not in (1, 2):
-            raise DimensionMismatchError("power allocation must be a vector, or one vector per power")
+        if p.ndim < 1:
+            raise DimensionMismatchError("power allocation must be a vector, or one vector per power and trial")
         if not ((p >= 0) & (p < np.inf)).all():
             raise ValueError("stream powers must be nonnegative and finite")
         object.__setattr__(self, "p", p)
@@ -163,7 +165,9 @@ class Design:
         rx: receive network in factored form; rx.unitary() is the dense U,
             whose leading columns are j u_bar.
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
-            O(n^2 s) on first access.
+            O(n^2 s) on first access (of a single link's design).
+
+    The design of a stack of T channels holds T of each, along a leading axis.
     """
 
     factors: SvdFactors
@@ -189,6 +193,7 @@ class RateReport:
     """Per-trial record of the analog rate, digital benchmark, and capacity,
     with the design and its circuit-realized precoder f and combiner g.  At K
     transmit powers the rates are K-vectors and per_stream_sinr is (K, n_streams).
+    A stack of T channels adds a leading trial axis to every array.
     """
 
     milac_rate: float
@@ -205,21 +210,22 @@ def svd_ordered(h) -> SvdFactors:
 
     Each column of v is rotated so that its largest-modulus entry is real
     and positive; the paired column of u gets the same rotation, which
-    leaves the reconstruction u diag(sigma) v^H unchanged.
+    leaves the reconstruction u diag(sigma) v^H unchanged.  A stack of
+    channels (leading trial axes) is decomposed in one call.
 
     Raises:
         NonFiniteInputError: if h contains NaN or infinite entries.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise DimensionMismatchError(f"channel matrix must be 2-D, got shape {h.shape}")
+    if h.ndim < 2:
+        raise DimensionMismatchError(f"channel matrix must be 2-D, or a stack of them, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
     u, sigma, vh = np.linalg.svd(h, full_matrices=False)
-    v = vh.conj().T
-    entries = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = vh.conj().swapaxes(-1, -2)
+    entries = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)[..., 0, :]
     mags = np.abs(entries)
-    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()
+    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()[..., None, :]
     return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
 
 
@@ -240,7 +246,7 @@ def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, rng_seed) 
     to the paired columns of u and v, which preserves the reconstruction.
 
     Args:
-        factors: decomposition to repair.
+        factors: decomposition of one channel to repair.
         config: link parameters of the synthesis.
         rng_seed: nonnegative integer seed for the deterministic phase draws.
 
@@ -253,10 +259,9 @@ def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, rng_seed) 
     for _ in range(DEFAULT_PHASE_ATTEMPTS):
         phase = np.exp(2j * np.pi * rng.random(factors.sigma.shape[0]))
         rotated = SvdFactors(u=factors.u * phase, sigma=factors.sigma, v=factors.v * phase)
-        try:
-            return (rotated, *_synthesize_both(rotated, config))
-        except SingularImaginaryPartError:
-            pass
+        tx, rx, accepted = _synthesize_both(rotated, config)
+        if accepted:
+            return rotated, tx, rx
     raise PhaseSearchExhaustedError(
         f"no phase rotation made Im{{v}} and Im{{u}} invertible "
         f"within {DEFAULT_PHASE_ATTEMPTS} attempts"
@@ -274,24 +279,26 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     set|, and p_s = max(0, mu - a_s).
 
     Args:
-        eigenvalues: nonnegative per-stream channel eigenvalues.
+        eigenvalues: nonnegative per-stream channel eigenvalues; a stack of
+            them (leading trial axes) is water-filled row by row.
         total_power: total transmit power, linear scale; a vector of K powers
             gives one allocation per power, each computed exactly as alone.
         noise_power: noise power, linear scale.
 
     Returns:
-        PowerAllocation with fractions summing to one (per power).
+        PowerAllocation with fractions summing to one (per trial and power),
+        the power axis after the trial axes.
 
     Raises:
-        AllZeroEigenvaluesError: if, at some power, every eigenvalue is zero
-            or so small that its floor overflows.
+        AllZeroEigenvaluesError: if, for some trial and power, every
+            eigenvalue is zero or so small that its floor overflows.
         ValueError: if a power or noise_power is not a positive, finite and
             normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.shape[0] < 1:
-        raise DimensionMismatchError("eigenvalues must form a nonempty vector")
+    if lam.ndim < 1 or lam.shape[-1] < 1:
+        raise DimensionMismatchError("eigenvalues must form a nonempty vector, or a stack of them")
     if not ((lam >= 0) & (lam < np.inf)).all():
         raise ValueError("eigenvalues must be nonnegative and finite")
     power = np.asarray(total_power, dtype=float)
@@ -299,8 +306,10 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
     for each in power.ravel().tolist():
         _check_positive_finite(total_power=each)
+    power = power[..., None]
+    lam = _at_each_power(lam, power)
     with np.errstate(divide="ignore", over="ignore"):
-        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power[..., None] * lam), np.inf)
+        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power * lam), np.inf)
     a_min = floors.min(axis=-1, keepdims=True)
     if not (a_min < np.inf).all():
         raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
@@ -309,32 +318,39 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     excess = floors - a_min
     sorted_excess = np.sort(excess, axis=-1)
     # Level of the m smallest floors, m = 1..n; an infinite floor never qualifies.
-    levels = (1.0 + np.cumsum(sorted_excess, axis=-1)) / np.arange(1, lam.shape[0] + 1)
+    levels = (1.0 + np.cumsum(sorted_excess, axis=-1)) / np.arange(1, lam.shape[-1] + 1)
     # The active set is the largest qualifying m; m = 1 always qualifies
     # (level 1 > excess 0).
     qualifies = levels > sorted_excess
-    m = lam.shape[0] - np.argmax(qualifies[..., ::-1], axis=-1, keepdims=True)
+    m = lam.shape[-1] - np.argmax(qualifies[..., ::-1], axis=-1, keepdims=True)
     level = np.take_along_axis(levels, m - 1, axis=-1)
     p = np.maximum(0.0, level - excess)
     return PowerAllocation(p=p, water_level=_per_power((a_min + level)[..., 0]))
 
 
 def _per_power(values):
-    """A float for a single power, else the array of per-power values."""
+    """A float for a single power (of a single channel), else the array of values."""
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _power_axis(allocation: PowerAllocation, total_power) -> np.ndarray:
-    """total_power with a trailing stream axis, one power per row of allocation.p;
-    each power must be a positive, finite and normal double."""
+def _power_axis(allocation: PowerAllocation, total_power, trials: tuple = ()) -> np.ndarray:
+    """total_power with a trailing stream axis, one power per row of allocation.p
+    after its trial axes; each power must be a positive, finite and normal double."""
     power = np.asarray(total_power, dtype=float)
-    if power.shape != allocation.p.shape[:-1]:
+    if trials + power.shape != allocation.p.shape[:-1]:
         raise DimensionMismatchError(
             f"allocation {allocation.p.shape} does not hold one row per power {power.shape}"
+            + (f" and trial {trials}" if trials else "")
         )
     for each in power.ravel().tolist():
         _check_positive_finite(total_power=each)
     return power[..., None]
+
+
+def _at_each_power(x: np.ndarray, power: np.ndarray, tail: int = 1) -> np.ndarray:
+    """Per-trial x with a power axis before its last `tail` axes when there are
+    K powers (power as _power_axis returns it), so that it broadcasts against p."""
+    return x[(..., None) + (slice(None),) * tail] if power.ndim > 1 else x
 
 
 def capacity_closed_form(
@@ -345,7 +361,8 @@ def capacity_closed_form(
     q = DEFAULT_QUARTER_FACTOR is the matched-circuit insertion factor; with
     the water-filling allocation this is the capacity of the link.  A float
     for one power; for a vector of K powers (allocation.p of shape
-    (K, n_streams)) the K rates.
+    (K, n_streams)) the K rates.  Stacked eigenvalues (leading trial axes,
+    matched by allocation.p) give the rates of each trial.
 
     Raises:
         ValueError: if a power or noise_power is not a positive, finite and
@@ -354,11 +371,12 @@ def capacity_closed_form(
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     p = allocation.p
-    if lam.shape != p.shape[-1:]:
+    if lam.shape[-1:] != p.shape[-1:]:
         raise DimensionMismatchError(
             f"eigenvalues {lam.shape} and allocation {p.shape} differ in length"
         )
-    snr = _power_axis(allocation, total_power) * p * lam / (DEFAULT_QUARTER_FACTOR * noise_power)
+    power = _power_axis(allocation, total_power, lam.shape[:-1])
+    snr = power * p * _at_each_power(lam, power) / (DEFAULT_QUARTER_FACTOR * noise_power)
     return _per_power(np.log1p(snr).sum(axis=-1) / np.log(2.0))
 
 
@@ -384,7 +402,8 @@ def milac_rate(
 
     E, the row powers and the normalized E do not depend on the power, so a
     vector of K powers (allocation.p of shape (K, n_streams)) is rated from
-    one E, each point exactly as alone.
+    one E, each point exactly as alone.  Stacked g, h and f (leading trial
+    axes, matched by allocation.p) rate each trial exactly as alone.
 
     Args:
         g: receive combining block (n_streams x n_rx).
@@ -396,7 +415,7 @@ def milac_rate(
 
     Returns:
         Tuple of (rate in bits per channel use, per-stream SINR vector); at K
-        powers, the K rates and the (K, n_streams) SINRs.
+        powers, the K rates and the (K, n_streams) SINRs; trial axes lead.
 
     Raises:
         ZeroCombinerRowError: if a row of g is identically zero.
@@ -413,14 +432,16 @@ def milac_rate(
     f = np.asarray(f, dtype=complex)
     p = allocation.p
     n_streams = p.shape[-1]
-    if g.shape[0] != n_streams or f.shape[1] != n_streams:
+    if min(g.ndim, h.ndim, f.ndim) < 2:
+        raise DimensionMismatchError(f"g {g.shape}, h {h.shape} and f {f.shape} must be matrices")
+    if g.shape[-2] != n_streams or f.shape[-1] != n_streams:
         raise DimensionMismatchError("g rows and f columns must match the stream count")
-    if g.shape[1] != h.shape[0] or h.shape[1] != f.shape[0]:
+    if g.shape[-1] != h.shape[-2] or h.shape[-1] != f.shape[-2]:
         raise DimensionMismatchError(
             f"incompatible shapes g {g.shape}, h {h.shape}, f {f.shape}"
         )
-    power = _power_axis(allocation, total_power)
-    row_power = np.sum(np.abs(g) ** 2, axis=1)
+    power = _power_axis(allocation, total_power, h.shape[:-2])
+    row_power = np.sum(np.abs(g) ** 2, axis=-1)
     if (row_power == 0.0).any():
         raise ZeroCombinerRowError("a combining row of g is identically zero")
 
@@ -430,8 +451,8 @@ def milac_rate(
 
     # Row-normalized form: divide each combining row by its norm, which scales
     # the noise identically; the rate must not change.
-    normalized = effective / np.sqrt(row_power)[:, None]
-    sinr_norm = _per_stream_sinr(normalized, np.ones(n_streams), p, power, noise_power)
+    normalized = effective / np.sqrt(row_power)[..., None]
+    sinr_norm = _per_stream_sinr(normalized, np.ones_like(row_power), p, power, noise_power)
     rate_norm = np.log1p(sinr_norm).sum(axis=-1) / np.log(2.0)
     agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
     if not agree.all():
@@ -444,16 +465,17 @@ def milac_rate(
 
 def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
     """SINR of each stream (last axis) for an effective channel and combining
-    row powers, at the powers `power` (one per row of p, trailing axis 1)."""
+    row powers, at the powers `power` (as _power_axis returns them)."""
     abs_sq = np.abs(effective) ** 2
-    signal = power * p * abs_sq.diagonal()
+    signal = power * p * _at_each_power(abs_sq.diagonal(axis1=-2, axis2=-1), power)
     # Sum the interference over t != s directly: subtracting the signal from
     # the full row sum cancels it at high SNR.  The denominator is then at
     # least row_power * noise_power > 0.
     cross = abs_sq.copy()
-    np.fill_diagonal(cross, 0.0)
-    interference = power * (p[..., None, :] * cross).sum(axis=-1)
-    return signal / (interference + row_power * noise_power)
+    streams = np.arange(abs_sq.shape[-1])
+    cross[..., streams, streams] = 0.0
+    interference = power * (p[..., None, :] * _at_each_power(cross, power, tail=2)).sum(axis=-1)
+    return signal / (interference + _at_each_power(row_power, power) * noise_power)
 
 
 def design_milac(h, config: SystemConfig, rng_seed) -> Design:
@@ -469,42 +491,69 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     Only the water-filling depends on the power: at K powers (a vector
     config.tx_power) one call allocates all K, each row as at that power alone.
 
+    A stack of T channels (T, n_rx, n_tx) with T seeds is designed in one
+    pass, each trial exactly as alone: only the trials whose synthesis is
+    rejected are repaired, one at a time, each with its own seed.
+
     Args:
-        h: channel matrix (n_rx x n_tx) matching config.
+        h: channel matrix (n_rx x n_tx) matching config, or a stack of T.
         config: link parameters.
-        rng_seed: nonnegative integer seed of the phase repair's random search.
+        rng_seed: nonnegative integer seed of the phase repair's random
+            search; for a stack, a sequence of T such seeds.
 
     Returns:
         Design holding the repaired factors, the power allocation (one row
         per power at K powers) and both networks; it unpacks as (b_tx, b_rx,
-        allocation), which builds the dense susceptance matrices.
+        allocation), which builds the dense susceptance matrices.  A stack's
+        design holds every array with a leading trial axis.
 
     Raises:
-        ValueError: if rng_seed is not a nonnegative integer, checked whether
-            or not the repair runs.
+        DimensionMismatchError: if h is neither a channel of the config's
+            shape nor a nonempty stack of them.
+        ValueError: if a seed is not a nonnegative integer, checked whether
+            or not the repair runs, or a stack does not get one per trial.
     """
-    _check_seed(rng_seed)
     h = np.asarray(h, dtype=complex)
-    if h.shape != (config.n_rx, config.n_tx):
+    if h.ndim not in (2, 3) or h.shape[-2:] != (config.n_rx, config.n_tx) or len(h) == 0:
         raise DimensionMismatchError(
-            f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx})"
+            f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx}), "
+            "nor is it a nonempty stack of such channels"
         )
+    stacked = h.ndim == 3
+    seeds = [rng_seed]
+    if stacked:
+        seeds = list(rng_seed) if isinstance(rng_seed, (list, tuple, range, np.ndarray)) else []
+        if len(seeds) != h.shape[0]:
+            raise ValueError(f"rng_seed must hold one seed per channel of the stack of {h.shape[0]}")
+    for seed in seeds:
+        _check_seed(seed)
     factors = svd_ordered(h)
-    try:
-        tx, rx = _synthesize_both(factors, config)
-    except SingularImaginaryPartError:
-        factors, tx, rx = ensure_invertible_imag(factors, config, rng_seed)
-    lam = factors.sigma[: config.n_streams] ** 2
+    tx, rx, accepted = _synthesize_both(factors, config)
+    for t in np.flatnonzero(~accepted):
+        at = (t,) if stacked else ()
+        single = SvdFactors(u=factors.u[at], sigma=factors.sigma[at], v=factors.v[at])
+        for stack, repaired in zip((factors, tx, rx), ensure_invertible_imag(single, config, seeds[t])):
+            _put_trial(stack, at, repaired)
+    lam = factors.sigma[..., : config.n_streams] ** 2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
     return Design(factors, allocation, tx, rx)
 
 
+def _put_trial(stack, at: tuple, record) -> None:
+    """Write the arrays of record into entry `at` of the same fields of stack."""
+    for field in fields(stack):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            getattr(stack, field.name)[at] = value
+
+
 def _synthesize_both(factors: SvdFactors, config: SystemConfig):
-    """Factored transmit and receive networks of the factors' leading columns."""
+    """Factored transmit and receive networks of the factors' leading columns,
+    with the per-trial mask of the trials both sides accept."""
     s, y0 = config.n_streams, config.ref_admittance
-    tx = _synthesize_factored(factors.v[:, :s], y0, receive=False)
-    rx = _synthesize_factored(np.conj(factors.u[:, :s]), y0, receive=True)
-    return tx, rx
+    tx, tx_ok = _synthesize_factored(factors.v[..., :s], y0, receive=False)
+    rx, rx_ok = _synthesize_factored(np.conj(factors.u[..., :s]), y0, receive=True)
+    return tx, rx, tx_ok & rx_ok
 
 
 def digital_design_and_rate(h, design: Design, total_power, noise_power: float) -> tuple:
@@ -520,12 +569,13 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     evaluated on the n_streams x n_streams Gram form as a sum of log1p over
     its eigenvalues, which keeps the digits of weak channels where
     I + Gram rounds to I.  For a vector of K powers (design.allocation.p of
-    shape (K, n_streams)) the K Gram forms are diagonalized in one stacked call.
+    shape (K, n_streams)) the K Gram forms are diagonalized in one stacked
+    call, and so are those of a stack of channels with its stacked design.
 
     Returns:
         Tuple (precoder W of shape (n_tx, n_streams), rate in bits per
         channel use); at K powers, the (K, n_tx, n_streams) precoders and the
-        K rates.
+        K rates; trial axes lead.
 
     Raises:
         DimensionMismatchError: if h is not the design's channel shape, or the
@@ -536,17 +586,17 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     _check_positive_finite(noise_power=noise_power)
     h = np.asarray(h, dtype=complex)
     factors = design.factors
-    if h.shape != (factors.u.shape[0], factors.v.shape[0]):
+    if h.shape != factors.u.shape[:-1] + factors.v.shape[-2:-1]:
         raise DimensionMismatchError(
             f"channel shape {h.shape} does not match the design's "
-            f"({factors.u.shape[0]}, {factors.v.shape[0]})"
+            f"{factors.u.shape[:-1] + factors.v.shape[-2:-1]}"
         )
     p = design.allocation.p
-    power = _power_axis(design.allocation, total_power)
-    v_bar = factors.v[:, : p.shape[-1]]
+    power = _power_axis(design.allocation, total_power, h.shape[:-2])
+    v_bar = factors.v[..., : p.shape[-1]]
     scale = np.sqrt(p)[..., None, :]
-    w = v_bar * scale
-    a = (h @ v_bar) * scale
+    w = _at_each_power(v_bar, power, tail=2) * scale
+    a = _at_each_power(h @ v_bar, power, tail=2) * scale
     # Power before noise, as in capacity_closed_form: power / noise_power can overflow.
     gram = power[..., None] * (a.conj().swapaxes(-1, -2) @ a) / (DEFAULT_QUARTER_FACTOR * noise_power)
     # Round-off can leave a Gram eigenvalue slightly negative.

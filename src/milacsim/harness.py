@@ -1,11 +1,15 @@
 """Monte-Carlo sweep harness: per-trial evaluation, aggregation, CSV output.
 
-Trials are embarrassingly parallel: each (antenna count, trial index) pair is
-an independent task whose channel comes from a counter-based substream, so
-results do not depend on execution order or worker count.  A task designs
-its channel once and rates it at every SNR point of its config.  Aggregation
-sums per-trial values in trial order with pairwise summation, which keeps
-serial and parallel runs byte-identical.
+Trials are embarrassingly parallel: each trial's channel comes from a
+counter-based substream and its phase-repair seed from its index, so results
+do not depend on execution order or worker count.  A task is a chunk of
+trials of one antenna count: a fixed range of trial indices, at most 16 and
+fewer on larger links (chunk_size), set by the link's shape alone and never
+by the worker count.  A task stacks its chunk's channels, designs each once
+and rates it at every SNR point of its config, all in one stacked pass that
+gives each trial exactly what run_trial gives it alone.  Aggregation sums
+per-trial values in trial order with pairwise summation, which keeps serial
+and parallel runs byte-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ SWEEP_MODES = ("snr_sweep", "antenna_sweep")
 WORKERS_ENV_VAR = "MILACSIM_WORKERS"
 
 CSV_HEADER = "sweep_value,mean_milac_rate,mean_digital_rate,mean_capacity,max_rel_gap,n_trials"
+
+# A sweep task stacks at most this many trials, and at most this many channel
+# entries (one 128 x 128 link): larger links run one trial per task.
+CHUNK_TRIALS = 16
+CHUNK_ENTRIES = 128 * 128
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
 
 
 def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
-    """Design, realize, and rate one channel through the full circuit path.
+    """Design, realize, and rate one channel, or a stack of them, through the full circuit path.
 
     The networks come from the channel's SVD alone, so one ordered SVD, one
     synthesis and one circuit solve per side and one capacity spectrum serve
@@ -144,21 +153,24 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     the transfer blocks of the synthesized circuits: each side's factored
     network is driven with s right-hand sides in O(n s^2), equal to
     transfer_block_from_admittance of its dense susceptance matrix, which is
-    never formed here.
+    never formed here.  A stack of T channels runs the same chain once on
+    (T, ...) stacks, and each trial gets exactly what it gets alone.
 
     Args:
-        h: channel matrix (n_rx x n_tx).
+        h: channel matrix (n_rx x n_tx), or a stack of T (T, n_rx, n_tx).
         config: link parameters; a vector tx_power rates the link at each power.
-        rng_seed: nonnegative integer seed of the phase repair (see design_milac).
+        rng_seed: nonnegative integer seed of the phase repair (see
+            design_milac); a sequence of T seeds for a stack.
 
     Returns:
-        RateReport with float rates at one power, K-vectors at K powers.
+        RateReport with float rates at one power, K-vectors at K powers; a
+        stack adds a leading trial axis to each.
     """
     design = design_milac(h, config, rng_seed)
     f = design.tx.transfer_block()
     g = design.rx.transfer_block()
     # The capacity takes its own spectrum, so it checks the design independently.
-    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[: config.n_streams] ** 2
+    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[..., : config.n_streams] ** 2
     rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
     capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
     _, digital = digital_design_and_rate(h, design, config.tx_power, config.noise_power)
@@ -190,16 +202,23 @@ def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfi
     )
 
 
-def _sweep_task(task: tuple) -> np.ndarray:
-    """One channel (config, trial) rated at each of the config's SNR points; pickles for pools.
+def chunk_size(n_rx: int, n_tx: int) -> int:
+    """Trials per sweep task on n_rx x n_tx links: CHUNK_TRIALS, fewer when
+    their channels would hold more than CHUNK_ENTRIES entries, at least one."""
+    return max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (n_rx * n_tx)))
 
-    Returns the (point, 3) array of analog rate, digital rate and capacity.
+
+def _sweep_task(task: tuple) -> np.ndarray:
+    """One chunk of channels (config, trial range) rated at each of the config's SNR points; pickles for pools.
+
+    Returns the (trial, point, 3) array of analog rate, digital rate and capacity.
     """
-    spec, config, trial = task
+    spec, config, trials = task
     ensemble = ChannelEnsembleSpec(
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=spec.n_trials, master_seed=spec.master_seed
     )
-    report = run_trial(rayleigh_channel(ensemble, trial), config, _design_seed(spec.master_seed, trial))
+    h = np.stack([rayleigh_channel(ensemble, trial) for trial in trials])
+    report = run_trial(h, config, [_design_seed(spec.master_seed, trial) for trial in trials])
     return np.stack([report.milac_rate, report.digital_rate, report.capacity], axis=-1)
 
 
@@ -219,8 +238,10 @@ def _resolve_workers(workers) -> int:
 def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     """Run a sweep and aggregate per-point means over the trial ensemble.
 
-    A trial whose phase search is exhausted raises PhaseSearchExhaustedError;
-    it is not re-run with another seed.
+    Each task is a chunk of trials of one antenna count, a fixed range of
+    chunk_size(n, n) trial indices (the last one holds the remainder), rated
+    in one stacked pass.  A trial whose phase search is exhausted raises
+    PhaseSearchExhaustedError; it is not re-run with another seed.
 
     Args:
         spec: sweep description (mode, points, trials, seed, noise power and
@@ -232,12 +253,15 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     Returns:
         SweepResult with one row per sweep point, in point order.
     """
-    # One config per antenna count, at all its SNR points: each trial of a config is one task.
+    # One config per antenna count, at all its SNR points: each chunk of its trials is one task.
     configs = [_link_config(spec, n, spec.snr_points_db) for n in spec.antenna_points]
     axis = spec.snr_points_db if spec.mode == "snr_sweep" else spec.antenna_points
     sweep_values = [float(x) for x in axis]
 
-    tasks = [(spec, config, t) for config in configs for t in range(spec.n_trials)]
+    tasks = []
+    for config in configs:
+        size = chunk_size(config.n_rx, config.n_tx)
+        tasks += [(spec, config, range(t, min(t + size, spec.n_trials))) for t in range(0, spec.n_trials, size)]
     n_workers = _resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
         outcomes = [_sweep_task(t) for t in tasks]
@@ -247,7 +271,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
             outcomes = list(pool.map(_sweep_task, tasks, chunksize=chunk))
 
     # (config, trial, point, 3) -> (sweep point, trial, 3), so rows sum in trial order.
-    values = np.array(outcomes, dtype=float).reshape(len(configs), spec.n_trials, -1, 3)
+    values = np.concatenate(outcomes).reshape(len(configs), spec.n_trials, -1, 3)
     values = values.transpose(0, 2, 1, 3).reshape(len(sweep_values), spec.n_trials, 3)
     rows = []
     for sweep_value, block in zip(sweep_values, values):

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -185,8 +187,31 @@ def _lu_checked(a: np.ndarray, context: str) -> tuple:
 
 
 def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
-    return _GETRS(*_lu_checked(a, context), rhs)[0]
+    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP.
+
+    A stack of matrices a (leading axes) is solved one matrix at a time
+    against the same rhs, and rejected if any one of them is.
+    """
+    return _each(lambda m: (_GETRS(*_lu_checked(m, context), rhs)[0],), a)[0]
+
+
+def _each(func, *stacks) -> tuple:
+    """func's output arrays on each matrix of the stacks (their last two axes), restacked.
+
+    For the LAPACK routines without a stacked form (geqrt, geqrf/orgqr,
+    getrf/gecon/getrs); a single matrix is the stack without leading axes.
+    """
+    trials = stacks[0].shape[:-2]
+    if not trials:
+        return func(*stacks)
+    count = math.prod(trials)
+    if count == 1:
+        # No copies: the matrix itself, and views of its outputs.
+        outs = func(*(x.reshape(x.shape[-2:]) for x in stacks))
+        return tuple(out.reshape(trials + out.shape) for out in outs)
+    flat = [x.reshape((count,) + x.shape[-2:]) for x in stacks]
+    outs = zip(*(func(*mats) for mats in zip(*flat)))
+    return tuple(np.stack(out).reshape(trials + out[0].shape) for out in outs)
 
 
 def _mirror_upper(b: np.ndarray) -> np.ndarray:
@@ -392,16 +417,26 @@ def _check_imag_inverse(m: np.ndarray, minv: np.ndarray, context: str) -> None:
     without an SVD (a NaN bound fails it); the singular values decide only
     when it does not.
     """
-    n = m.shape[0]
-    rel_tol = DEFAULT_IMAG_SV_REL
-    if n * rel_tol * np.linalg.norm(m, 1) * np.linalg.norm(minv, 1) < 1.0:
+    if _proves_regular(m.shape[0], np.linalg.norm(m, 1), np.linalg.norm(minv, 1)):
         return
+    reason = _singular_by_values(m)
+    if reason:
+        raise SingularImaginaryPartError(f"{context}: {reason}")
+
+
+def _proves_regular(n: int, norm_m, norm_minv):
+    """Whether n rel_tol ||M||_1 ||M^-1||_1 < 1, which proves an n x n M regular
+    (elementwise over stacked norms); a NaN bound fails it."""
+    return n * DEFAULT_IMAG_SV_REL * norm_m * norm_minv < 1.0
+
+
+def _singular_by_values(m: np.ndarray) -> str:
+    """Why M is singular by its singular values, or '' when it is not."""
+    rel_tol = DEFAULT_IMAG_SV_REL
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= rel_tol * sv[0]:
-        raise SingularImaginaryPartError(
-            f"{context}: smallest singular value {sv[-1]:.3e} is below "
-            f"{rel_tol:.1e} of the spectral norm {sv[0]:.3e}"
-        )
+        return f"smallest singular value {sv[-1]:.3e} is below {rel_tol:.1e} of the spectral norm {sv[0]:.3e}"
+    return ""
 
 
 def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
@@ -490,22 +525,25 @@ def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column of Q' - I lies in the span of E_s and of Re L, Im L below the s
     symbol rows, so Q' - I = a qt on the real orthonormal basis
     a = blockdiag(I_s, b), b spanning [Re L, Im L]: a has r <= min(n, 3s)
-    columns, Re Q' = I + a @ qt.real and Im Q' = a @ qt.imag.
+    columns, Re Q' = I + a @ qt.real and Im Q' = a @ qt.imag.  A stack of
+    q_bar (leading axes) gives stacks of a and qt.
     """
-    n, s = q_bar.shape
-    qr, t, _ = _GEQRT(s, q_bar)
-    low = qr[s:]
-    b = _orthonormal_basis(np.hstack([low.real, low.imag]))
-    tail = t @ low.conj().T
-    a = np.zeros((n, s + b.shape[1]))
-    a[:s, :s] = np.eye(s)
-    a[s:, s:] = b
-    qt = np.empty((a.shape[1], n), dtype=complex)
-    qt[:s, :s] = q_bar[:s] - np.eye(s)
+    n, s = q_bar.shape[-2:]
+    trials = q_bar.shape[:-2]
+    qr, t = _each(lambda q: _GEQRT(s, q)[:2], q_bar)
+    low = qr[..., s:, :]
+    (b,) = _each(lambda x: (_orthonormal_basis(x),), np.concatenate([low.real, low.imag], axis=-1))
+    bt = b.swapaxes(-1, -2)
+    tail = t @ low.conj().swapaxes(-1, -2)
+    a = np.zeros(trials + (n, s + b.shape[-1]))
+    a[..., :s, :s] = np.eye(s)
+    a[..., s:, s:] = b
+    qt = np.empty(trials + (a.shape[-1], n), dtype=complex)
+    qt[..., :s, :s] = q_bar[..., :s, :] - np.eye(s)
     # -W[:s] T L^H, W[:s] being the unit lower triangle of qr[:s].
-    qt[:s, s:] = _TRMM(-1.0, qr[:s], tail, lower=1, diag=1)
-    qt[s:, :s] = b.T @ q_bar[s:]
-    qt[s:, s:] = -(b.T @ low) @ tail
+    qt[..., :s, s:] = _each(lambda w, x: (_TRMM(-1.0, w, x, lower=1, diag=1),), qr[..., :s, :], tail)[0]
+    qt[..., s:, :s] = bt @ q_bar[..., s:, :]
+    qt[..., s:, s:] = -(bt @ low) @ tail
     return a, qt
 
 
@@ -517,7 +555,8 @@ class _FactoredSusceptance:
     with E = blockdiag(I_s, a): a is n x r with orthonormal columns and core
     is real symmetric (s + r) x (s + r).  The receive network puts its antenna
     ports first.  The network realizes the unitary completion I + a @ qt;
-    see _synthesize_factored.
+    see _synthesize_factored.  Stacked a, core and qt (leading axes) hold one
+    network per trial; dense() takes a single network.
     """
 
     a: np.ndarray
@@ -529,13 +568,15 @@ class _FactoredSusceptance:
     def dense(self) -> SusceptanceMatrix:
         """The full susceptance matrix, in O(n^2 s)."""
         a, core = self.a, self.core
+        if a.ndim != 2:
+            raise DimensionMismatchError(f"a stack of {a.shape[:-2]} networks has no single susceptance matrix")
         s = core.shape[0] - a.shape[1]
         bsa = core[:s, s:] @ a.T
         return _assemble_susceptance(core[:s, :s], bsa, a @ core[s:, s:] @ a.T, self.y0, self.receive)
 
     def unitary(self) -> np.ndarray:
         """The dense V (U on the receive side) whose susceptance_tx (susceptance_rx) is this network."""
-        q = np.eye(self.a.shape[0]) + self.a @ self.qt
+        q = np.eye(self.a.shape[-2]) + self.a @ self.qt
         return 1j * (np.conj(q) if self.receive else q)
 
     def transfer_block(self) -> np.ndarray:
@@ -548,14 +589,19 @@ class _FactoredSusceptance:
         columns) is the transpose of the antenna rows of the symbol columns.
         """
         a, core = self.a, self.core
-        s = core.shape[0] - a.shape[1]
-        eye = np.eye(core.shape[0])
+        s = core.shape[-1] - a.shape[-1]
+        eye = np.eye(core.shape[-1])
         context = "susceptance_rx circuit" if self.receive else "susceptance_tx circuit"
-        x = a @ _solve_checked(eye + 1j * core, eye[:, :s], context)[s:]
-        return x.T if self.receive else x
+        x = a @ _solve_checked(eye + 1j * core, eye[:, :s], context)[..., s:, :]
+        return x.swapaxes(-1, -2) if self.receive else x
 
 
-def _synthesize_factored(q_bar, y0: float, receive: bool) -> _FactoredSusceptance:
+# Entries of one column block in _one_norm_of_identity_plus (1 MB of float64,
+# over all trials of a stack).
+_NORM_BLOCK_ENTRIES = 2**17
+
+
+def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusceptance, np.ndarray]:
     """Factored synthesis of the network realizing orthonormal columns q_bar.
 
     The network is susceptance_tx(V, s, y0) with V = j Q', Q' the Householder
@@ -564,39 +610,83 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> _FactoredSusceptanc
     U[:, :s] = j u_bar carries the transmit side's common phase.  Im V is +-X
     with X = Re Q' = I + a ft, so by Woodbury X^-1 = I - a K^-1 ft with the
     r x r core K = I + ft a, and X^-1 a = a K^-1 puts every block of B on the
-    basis a.  X^-1 is accepted by _check_imag_inverse, in O(n^2 s), exactly as
-    the dense synthesis accepts its own.
+    basis a.  X is judged as the dense synthesis judges Im V: an exact zero
+    pivot of K rejects it, then _check_imag_inverse's kappa_1 proof and
+    singular-value fallback decide, with the 1-norms of X and X^-1 taken as
+    column sums in blocks of _NORM_BLOCK_ENTRIES, in O(n^2 s) and without the
+    dense n x n pair.
 
-    Raises:
-        SingularImaginaryPartError: as susceptance_tx and susceptance_rx.
+    A stack of q_bar (leading axes) is synthesized in one pass.
+
+    Returns:
+        (network, accepted): accepted holds, per matrix of the stack (a 0-d
+        bool for one), whether X is regular; a rejected network is unusable.
     """
-    caller = "susceptance_rx" if receive else "susceptance_tx"
-    n, s = q_bar.shape
+    n, s = q_bar.shape[-2:]
+    trials = q_bar.shape[:-2]
     a, qt = _householder_completion(q_bar)
     ft, gt = qt.real, qt.imag
-    eye_r = np.eye(a.shape[1])
-    try:
-        kinv = np.linalg.solve(eye_r + ft @ a, eye_r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularImaginaryPartError(f"{caller}: imaginary part has an exact zero pivot") from exc
-    x, xinv = a @ ft, a @ -(kinv @ ft)
-    for each in (x, xinv):
-        each.flat[:: n + 1] += 1.0
-    _check_imag_inverse(x, xinv, caller)
+    eye_r = np.eye(a.shape[-1])
+    kinv, accepted = _inverse_unless_zero_pivot(eye_r + ft @ a)
+    # X = I + a ft and X^-1 = I - a K^-1 ft.
+    proved = _proves_regular(n, _one_norm_of_identity_plus(a, ft), _one_norm_of_identity_plus(a, -(kinv @ ft)))
+    if not (proved | ~accepted).all():
+        for t in np.ndindex(trials):
+            if accepted[t] and not proved[t]:
+                accepted[t] = not _singular_by_values(np.eye(n) + a[t] @ ft[t])
     # With Y = Im Q' = a gt the side's (Im, Re) pair (M, R) is (X, -Y), or
     # (-X, Y) on the receive side: M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either
     # way, and only the symbol-antenna block -M^-1[:s] changes sign.  Its
     # coordinates are (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
-    top = kinv[:s]
-    core = np.empty((s + a.shape[1], s + a.shape[1]))
-    core[:s, :s] = -top @ gt[:, :s]
-    core[:s, s:] = top if receive else -top
-    core[s:, :s] = core[:s, s:].T
-    core[s:, s:] = -(gt @ a) @ kinv
+    top = kinv[..., :s, :]
+    core = np.empty(trials + (s + a.shape[-1], s + a.shape[-1]))
+    core[..., :s, :s] = -top @ gt[..., :, :s]
+    core[..., :s, s:] = top if receive else -top
+    core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
+    core[..., s:, s:] = -(gt @ a) @ kinv
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
-    core += core.T
+    core += core.swapaxes(-1, -2)
     core *= 0.5
-    return _FactoredSusceptance(a, core, qt, y0, receive)
+    return _FactoredSusceptance(a, core, qt, y0, receive), accepted
+
+
+def _one_norm_of_identity_plus(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """||I + a f||_1 of each matrix of the stacks a (n x r) and f (r x n).
+
+    The column sums are taken a block of columns at a time, each block
+    holding about _NORM_BLOCK_ENTRIES entries over the whole stack (at least
+    one column), so the dense n x n matrices are never formed.
+    """
+    n = a.shape[-2]
+    width = max(1, _NORM_BLOCK_ENTRIES // (n * math.prod(a.shape[:-2])))
+    sums = []
+    for j in range(0, n, width):
+        block = a @ f[..., j : j + width]
+        # Add the identity's entries (j + i, i) through the flattened block.
+        cols = block.shape[-1]
+        block.reshape(block.shape[:-2] + (-1,))[..., j * cols :: cols + 1][..., :cols] += 1.0
+        sums.append(np.abs(block).sum(axis=-2).max(axis=-1))
+    return np.max(sums, axis=0) if len(sums) > 1 else sums[0]
+
+
+def _inverse_unless_zero_pivot(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each matrix of a stack, and which have no exact zero pivot.
+
+    A matrix with one gets the identity in place of an inverse.
+    """
+    eye = np.eye(k.shape[-1])
+    try:
+        # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
+        return np.linalg.solve(k, eye[(None,) * (k.ndim - 2)]), np.ones(k.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    kinv, regular = np.empty_like(k), np.ones(k.shape[:-2], dtype=bool)
+    for t in np.ndindex(k.shape[:-2]):
+        try:
+            kinv[t] = np.linalg.solve(k[t], eye)
+        except np.linalg.LinAlgError:
+            kinv[t], regular[t] = eye, False
+    return kinv, regular
 
 
 def dump_matrix_csv(matrix, path) -> None:

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import milacsim.beamforming as beamforming
+import milacsim.cli as cli
 import milacsim.harness as harness
 import milacsim.network as network
 from milacsim import (
     AdmittanceMatrix,
     CSV_HEADER,
     ChannelEnsembleSpec,
+    DimensionMismatchError,
     PhaseSearchExhaustedError,
     PortPartition,
     SweepResult,
@@ -428,18 +430,113 @@ def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers)
     assert run_sweep(spec, workers=workers).rows == _rows_from_run_trial(spec)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_of_one_chunk_and_a_remainder_equals_rows_rebuilt_from_run_trial(workers):
+    # A full chunk of trials and a remainder of 3, however the pool splits them.
+    spec = _small_snr_spec(antenna_points=(4,), n_trials=harness.chunk_size(4, 4) + 3, master_seed=21)
+    assert run_sweep(spec, workers=workers).rows == _rows_from_run_trial(spec)
+
+
+def test_chunks_depend_only_on_the_link_shape():
+    assert harness.chunk_size(8, 8) == harness.CHUNK_TRIALS
+    assert harness.chunk_size(128, 128) == harness.chunk_size(8, 2048) == harness.chunk_size(512, 512) == 1
+    assert harness.chunk_size(64, 64) == harness.CHUNK_ENTRIES // 4096
+    for n_rx, n_tx in ((1, 1), (3, 5), (40, 40), (90, 90), (8, 2048)):
+        size = harness.chunk_size(n_rx, n_tx)
+        assert 1 <= size <= harness.CHUNK_TRIALS
+        assert size == 1 or size * n_rx * n_tx <= harness.CHUNK_ENTRIES
+
+
+def _stack_with_a_repair(repair_channel):
+    ensemble = ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=2, master_seed=6)
+    channels = [rayleigh_channel(ensemble, 0), repair_channel, rayleigh_channel(ensemble, 1)]
+    config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=(0.5, 4.0, 400.0), noise_power=1.0)
+    return channels, config, [_design_seed(3, t) for t in range(3)]
+
+
+def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repaired(monkeypatch, repair_channel):
+    channels, config, seeds = _stack_with_a_repair(repair_channel)
+    repairs = []
+    ensure = beamforming.ensure_invertible_imag
+
+    def counted(factors, config, rng_seed):
+        repairs.append(rng_seed)
+        return ensure(factors, config, rng_seed)
+
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
+    stacked = run_trial(np.stack(channels), config, seeds)
+    # The repair runs on the rejected trial alone, with that trial's seed.
+    assert repairs == [seeds[1]]
+    # Only a single network has one dense susceptance matrix.
+    with pytest.raises(DimensionMismatchError):
+        stacked.design.b_tx
+    for t, h in enumerate(channels):
+        alone = run_trial(h, config, seeds[t])
+        for name in ("milac_rate", "digital_rate", "capacity", "per_stream_sinr", "f", "g"):
+            assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name)), name
+        design, single = stacked.design, alone.design
+        for mine, theirs in [
+            (design.factors.u, single.factors.u), (design.factors.sigma, single.factors.sigma),
+            (design.factors.v, single.factors.v), (design.allocation.p, single.allocation.p),
+            (design.allocation.water_level, single.allocation.water_level),
+            (design.tx.a, single.tx.a), (design.tx.core, single.tx.core), (design.tx.qt, single.tx.qt),
+            (design.rx.a, single.rx.a), (design.rx.core, single.rx.core), (design.rx.qt, single.rx.qt),
+        ]:
+            assert np.array_equal(mine[t], theirs)
+        for rate in (alone.milac_rate, alone.digital_rate):
+            assert np.abs(rate - alone.capacity).max() <= 1e-9 * alone.capacity.min()
+
+
+def test_an_exhausted_repair_fails_its_chunk_and_the_cli_exits_two(monkeypatch, repair_channel, tmp_path, capsys):
+    channels, config, seeds = _stack_with_a_repair(repair_channel)
+    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
+    with pytest.raises(PhaseSearchExhaustedError):
+        run_trial(np.stack(channels), config, seeds)
+    # The same chunk through the CLI: trial 1 of a 3-trial sweep draws the repair channel.
+    draw = harness.rayleigh_channel
+    monkeypatch.setattr(
+        harness, "rayleigh_channel", lambda ensemble, t: repair_channel if t == 1 else draw(ensemble, t)
+    )
+    argv = ["sweep-snr", "--antennas", "4", "--streams", "4", "--trials", "3", "--workers", "1",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == 2
+    assert "no phase rotation" in capsys.readouterr().err
+
+
+def test_a_stack_is_nonempty_and_needs_one_seed_per_channel():
+    channels = np.stack([_channel("complex", 3, 3, seed) for seed in range(2)])
+    config = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
+    for bad in (0, [0], [0, 1, 2]):
+        with pytest.raises(ValueError, match="one seed per channel"):
+            run_trial(channels, config, bad)
+    with pytest.raises(ValueError, match="rng_seed must be an integer"):
+        run_trial(channels, config, [0, 1.5])
+    # Neither an empty stack nor a stack of stacks is a channel stack.
+    for bad in (channels[:0], channels[None]):
+        with pytest.raises(DimensionMismatchError, match="nonempty stack"):
+            run_trial(bad, config, [0] * len(bad))
+
+
 def test_snr_sweep_designs_each_channel_once(monkeypatch):
-    calls = dict.fromkeys(
-        ("svd_ordered", "transfer_block", "dense_transfer_block", "svd_values", "water_filling", "milac_rate",
-         "capacity", "digital"),
+    # A task rates a chunk of channels in one stacked pass, so the work per
+    # channel is counted from the stack each spy sees: the number of matrices
+    # (or eigenvalue rows) in the argument that carries the trial axis.
+    work = dict.fromkeys(
+        ("svd_ordered", "synthesis", "transfer_block", "dense_transfer_block", "svd_values", "water_filling",
+         "milac_rate", "capacity", "digital"),
         0,
     )
+    calls = dict.fromkeys(work, 0)
 
-    def counted(owner, attr, key):
+    def stack_size(x, core_ndim):
+        return int(np.prod(np.shape(x)[: np.ndim(x) - core_ndim]))
+
+    def counted(owner, attr, key, size):
         inner = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            work[key] += size(*args)
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, wrapper)
@@ -447,26 +544,31 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     svd = np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
-        calls["svd_values"] += not kwargs.get("compute_uv", True)
+        if not kwargs.get("compute_uv", True):
+            calls["svd_values"] += 1
+            work["svd_values"] += stack_size(a, 2)
         return svd(a, *args, **kwargs)
 
-    counted(beamforming, "svd_ordered", "svd_ordered")
-    counted(network._FactoredSusceptance, "transfer_block", "transfer_block")
-    counted(harness, "transfer_block_from_admittance", "dense_transfer_block")
-    counted(beamforming, "water_filling", "water_filling")
+    counted(beamforming, "svd_ordered", "svd_ordered", lambda h: stack_size(h, 2))
+    counted(beamforming, "_synthesize_factored", "synthesis", lambda q_bar, *_: stack_size(q_bar, 2))
+    counted(network._FactoredSusceptance, "transfer_block", "transfer_block", lambda net: stack_size(net.a, 2))
+    counted(harness, "transfer_block_from_admittance", "dense_transfer_block", lambda y, *_: 1)
     # The harness may do no water-filling of its own; any call through its name counts too.
-    counted(harness, "water_filling", "water_filling")
-    counted(harness, "milac_rate", "milac_rate")
-    counted(harness, "capacity_closed_form", "capacity")
-    counted(harness, "digital_design_and_rate", "digital")
+    for owner in (beamforming, harness):
+        counted(owner, "water_filling", "water_filling", lambda lam, *_: stack_size(lam, 1))
+    counted(harness, "milac_rate", "milac_rate", lambda g, h, *_: stack_size(h, 2))
+    counted(harness, "capacity_closed_form", "capacity", lambda lam, *_: stack_size(lam, 1))
+    counted(harness, "digital_design_and_rate", "digital", lambda h, *_: stack_size(h, 2))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    spec = _small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=3)
-    run_sweep(spec, workers=1)
-    # Each rating function takes all four SNR points of a channel in one call,
-    # and design_milac water-fills them all in one.
-    n_trials = 3
-    assert calls == {
+    # Two chunks: a full one and a remainder of 3.
+    n_trials = harness.chunk_size(8, 8) + 3
+    run_sweep(_small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=n_trials), workers=1)
+    # Per channel: one SVD, one synthesis and one circuit solve per side, one
+    # capacity spectrum, and each rating function takes all four SNR points
+    # in one call; design_milac water-fills them all in one.
+    assert work == {
         "svd_ordered": n_trials,
+        "synthesis": 2 * n_trials,
         "transfer_block": 2 * n_trials,
         "dense_transfer_block": 0,
         "svd_values": n_trials,
@@ -475,6 +577,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         "capacity": n_trials,
         "digital": n_trials,
     }
+    # ... in one stacked call per chunk.
+    assert calls == {**dict.fromkeys(work, 2), "synthesis": 4, "transfer_block": 4, "dense_transfer_block": 0}
 
 
 def test_sweep_spec_validation():

@@ -25,6 +25,8 @@ from milacsim import (
     transfer_block_from_admittance,
     transfer_block_from_scattering,
 )
+import milacsim.network as network
+from milacsim import SystemConfig, design_milac, svd_ordered
 from milacsim.network import DEFAULT_IMAG_SV_REL, _imag_part_inverse, _solve_checked
 
 Y0 = 1.0 / 50.0
@@ -350,6 +352,84 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
             accepted_with_svd.add(bool(svd_calls))
     # Both the inverse's own bound and the singular-value fallback accept some case.
     assert accepted_with_svd == {False, True}
+
+
+def _dense_verdict(q_bar):
+    """Whether Im V of q_bar's completion passes the dense test: the kappa_1
+    proof on the n x n pair X = I + a ft, X^-1 = I - a K^-1 ft, then the
+    singular values (an exact zero pivot of K rejects it first)."""
+    a, qt = network._householder_completion(q_bar)
+    ft, eye_r, eye_n = qt.real, np.eye(a.shape[1]), np.eye(a.shape[0])
+    try:
+        kinv = np.linalg.solve(eye_r + ft @ a, eye_r)
+        network._check_imag_inverse(eye_n + a @ ft, eye_n - a @ (kinv @ ft), "dense")
+    except (np.linalg.LinAlgError, SingularImaginaryPartError):
+        return False
+    return True
+
+
+def _synthesis_inputs(repair_channel):
+    """Both sides' leading singular vectors of square and wide links, real,
+    complex and rank-1, and of a channel whose transmit side needs repair."""
+    rng = np.random.default_rng(23)
+    cases = [(svd_ordered(repair_channel), 4)]
+    for n_rx, n_tx, s in ((6, 6, 3), (5, 5, 5), (16, 16, 4), (4, 64, 4), (64, 4, 2), (8, 256, 8)):
+        h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+        cases += [(svd_ordered(h), s), (svd_ordered(h.real), s), (svd_ordered(np.outer(h[:, 0], h[0])), s)]
+    return [q for factors, s in cases for q in (factors.v[:, :s], np.conj(factors.u[:, :s]))]
+
+
+@pytest.mark.parametrize("block_entries", [2**17, 7], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3, 0.2])
+def test_blockwise_one_norms_decide_as_the_dense_pair(monkeypatch, repair_channel, block_entries, rel_tol):
+    # Raising the threshold makes the proof fail and the singular values decide.
+    monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", rel_tol)
+    monkeypatch.setattr(network, "_NORM_BLOCK_ENTRIES", block_entries)
+    verdicts = []
+    for q_bar in _synthesis_inputs(repair_channel):
+        _, accepted = network._synthesize_factored(q_bar, Y0, receive=False)
+        verdicts.append(bool(accepted))
+        assert verdicts[-1] == _dense_verdict(q_bar)
+        a, qt = network._householder_completion(q_bar)
+        x = np.eye(a.shape[0]) + a @ qt.real
+        assert network._one_norm_of_identity_plus(a, qt.real) == pytest.approx(np.linalg.norm(x, 1), rel=1e-14)
+    # The repair channel's transmit side is rejected at every threshold, and
+    # at 0.2 the singular values reject several more.
+    assert not verdicts[0]
+    assert (verdicts.count(False) == 1) == (rel_tol < 0.2) and verdicts.count(True) > 1
+
+
+def test_a_stacked_synthesis_accepts_each_matrix_as_alone(monkeypatch, repair_channel):
+    # Stacks of the same shape, one with the repair channel's rejected side.
+    monkeypatch.setattr(network, "_NORM_BLOCK_ENTRIES", 7)
+    inputs = _synthesis_inputs(repair_channel)
+    for shape in {q.shape for q in inputs}:
+        same = np.stack([q for q in inputs if q.shape == shape])
+        stacked, accepted = network._synthesize_factored(same, Y0, receive=True)
+        for t, q_bar in enumerate(same):
+            alone, ok = network._synthesize_factored(q_bar, Y0, receive=True)
+            assert accepted[t] == ok
+            if ok:
+                for name in ("a", "core", "qt"):
+                    assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name))
+
+
+def test_designing_a_wide_link_holds_no_dense_antenna_square_matrix():
+    # The kappa_1 proof of the 1024-antenna side takes its 1-norms in column
+    # blocks, so the design's peak stays below one 1024 x 1024 float64.
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((8, 1024)) + 1j * rng.standard_normal((8, 1024))
+    config = SystemConfig(n_streams=8, n_tx=1024, n_rx=8, tx_power=1.0, noise_power=1.0)
+    design_milac(h, config, rng_seed=0)
+    tracemalloc.start()
+    try:
+        design_milac(h, config, rng_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8
 
 
 def test_susceptance_tx_imaginary_identity_substitution():
