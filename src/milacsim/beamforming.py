@@ -304,8 +304,7 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     power = np.asarray(total_power, dtype=float)
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
-    for each in power.ravel().tolist():
-        _check_positive_finite(total_power=each)
+    _check_powers(power)
     power = power[..., None]
     lam = _at_each_power(lam, power)
     with np.errstate(divide="ignore", over="ignore"):
@@ -333,6 +332,14 @@ def _per_power(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _check_powers(power: np.ndarray) -> None:
+    """Raise ValueError naming total_power unless every power is a positive,
+    finite and normal double; its extremes decide, and a NaN reaches both."""
+    if power.size:
+        _check_positive_finite(total_power=power.min())
+        _check_positive_finite(total_power=power.max())
+
+
 def _power_axis(allocation: PowerAllocation, total_power, trials: tuple = ()) -> np.ndarray:
     """total_power with a trailing stream axis, one power per row of allocation.p
     after its trial axes; each power must be a positive, finite and normal double."""
@@ -342,8 +349,7 @@ def _power_axis(allocation: PowerAllocation, total_power, trials: tuple = ()) ->
             f"allocation {allocation.p.shape} does not hold one row per power {power.shape}"
             + (f" and trial {trials}" if trials else "")
         )
-    for each in power.ravel().tolist():
-        _check_positive_finite(total_power=each)
+    _check_powers(power)
     return power[..., None]
 
 

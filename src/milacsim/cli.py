@@ -7,6 +7,7 @@ values, inconsistent dimensions), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -123,7 +124,9 @@ def _flag_help(name: str, default) -> str:
     return f"{text} (default {default})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls in the process."""
     parser = _Parser(
         prog="milacsim",
         description="Sweeps and design tools for lossless reciprocal analog beamforming networks.",

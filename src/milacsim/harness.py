@@ -270,25 +270,24 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks, chunksize=chunk))
 
-    # (config, trial, point, 3) -> (sweep point, trial, 3), so rows sum in trial order.
+    # (config, trial, point, 3) -> C-contiguous (sweep point, column, trial): each
+    # row's sums run over a contiguous trial axis with numpy's pairwise summation.
     values = np.concatenate(outcomes).reshape(len(configs), spec.n_trials, -1, 3)
-    values = values.transpose(0, 2, 1, 3).reshape(len(sweep_values), spec.n_trials, 3)
-    rows = []
-    for sweep_value, block in zip(sweep_values, values):
-        # 1-D contiguous sums so numpy's pairwise summation applies per column.
-        means = [float(np.sum(np.ascontiguousarray(block[:, i])) / spec.n_trials) for i in range(3)]
-        # Worst of the analog and digital gaps to capacity over the row's trials.
-        gaps = np.abs(block[:, :2] - block[:, 2:]) / block[:, 2:]
-        rows.append(
-            SweepRow(
-                sweep_value=sweep_value,
-                mean_milac_rate=means[0],
-                mean_digital_rate=means[1],
-                mean_capacity=means[2],
-                max_rel_gap=float(gaps.max()),
-                n_trials=spec.n_trials,
-            )
+    values = np.ascontiguousarray(values.transpose(0, 2, 3, 1)).reshape(len(sweep_values), 3, spec.n_trials)
+    means = values.sum(axis=-1) / spec.n_trials
+    # Worst of the analog and digital gaps to capacity over each row's trials.
+    gaps = (np.abs(values[:, :2] - values[:, 2:]) / values[:, 2:]).max(axis=(1, 2))
+    rows = [
+        SweepRow(
+            sweep_value=sweep_value,
+            mean_milac_rate=milac,
+            mean_digital_rate=digital,
+            mean_capacity=capacity,
+            max_rel_gap=gap,
+            n_trials=spec.n_trials,
         )
+        for sweep_value, (milac, digital, capacity), gap in zip(sweep_values, means.tolist(), gaps.tolist())
+    ]
     return SweepResult(mode=spec.mode, rows=tuple(rows))
 
 

@@ -691,8 +691,8 @@ def _inverse_unless_zero_pivot(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def dump_matrix_csv(matrix, path) -> None:
     """Write a matrix to CSV with each entry as a re,im pair of columns."""
-    arr = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    # Each row's interleaved re, im doubles through one format string.
+    pairs = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=complex))).view(float)
+    line = ",".join(["%.17e"] * pairs.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(f"{z.real:.17e},{z.imag:.17e}" for z in row))
-            fh.write("\n")
+        fh.writelines(line % tuple(row) for row in pairs.tolist())

@@ -389,6 +389,26 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", _NOT_NORMAL)
+@pytest.mark.parametrize("entry", ["water_filling", "capacity_closed_form", "milac_rate", "digital_design_and_rate"])
+def test_a_power_vector_is_rejected_wherever_its_bad_power_sits(entry, value, position):
+    h = random_channel(3, 3, 5)
+    design = design_milac(h, SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=(1.0, 2.0, 4.0), noise_power=1.0), 0)
+    f, g, alloc = design.tx.transfer_block(), design.rx.transfer_block(), design.allocation
+    lam = design.factors.sigma[:2] ** 2
+    powers = np.array([1.0, 2.0, 4.0])
+    powers[position] = value
+    call = {
+        "water_filling": lambda: water_filling(lam, powers, 1.0),
+        "capacity_closed_form": lambda: capacity_closed_form(lam, alloc, powers, 1.0),
+        "milac_rate": lambda: milac_rate(g, h, f, alloc, powers, 1.0),
+        "digital_design_and_rate": lambda: digital_design_and_rate(h, design, powers, 1.0),
+    }[entry]
+    with pytest.raises(ValueError, match="total_power must be"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # capacity_closed_form
 

@@ -1,5 +1,9 @@
 """In-process tests of the command-line interface (exit codes, files, config layering)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -215,6 +219,25 @@ def test_bad_snr_grid_exits_one(tmp_path, capsys):
 
 def test_parser_program_name():
     assert build_parser().prog == "milacsim"
+
+
+def test_repeated_calls_in_one_process_are_independent(tmp_path, capsys):
+    # The parser is built once per process; no call's flags or defaults leak into the next.
+    wide, plain = tmp_path / "wide", tmp_path / "plain"
+    assert main(["design-dump", "--streams", "3", "--tx-antennas", "6", "--rx-antennas", "5",
+                 "--out-dir", str(wide)]) == 0
+    assert main(["design-dump", "--out-dir", str(plain)]) == 0
+    assert "streams = 3" in (wide / "summary.txt").read_text()
+    assert (plain / "summary.txt").read_text().startswith("streams = 2\ntx_antennas = 4\nrx_antennas = 4\n")
+    assert main(["--help"]) == 0
+    assert main(_sweep_args(tmp_path / "in_process.csv")) == 0
+    capsys.readouterr()
+    # The same sweep from a fresh interpreter.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    fresh = _sweep_args(tmp_path / "fresh.csv")
+    subprocess.run([sys.executable, "-m", "milacsim.cli", *fresh], env={**os.environ, "PYTHONPATH": src},
+                   capture_output=True, check=True)
+    assert (tmp_path / "in_process.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

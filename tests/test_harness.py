@@ -422,8 +422,10 @@ def _rows_from_run_trial(spec):
         _small_snr_spec(n_trials=5),
         SweepSpec(mode="antenna_sweep", snr_points_db=(3.0,), antenna_points=(3, 5), n_streams=2,
                   n_trials=3, master_seed=8),
+        # Past 128 values numpy's pairwise summation splits a sum into blocks.
+        _small_snr_spec(snr_points_db=(0.0, 10.0), antenna_points=(2,), n_streams=1, n_trials=130, master_seed=9),
     ],
-    ids=["snr", "antennas"],
+    ids=["snr", "antennas", "past_128_trials"],
 )
 def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers):
     # One design per channel rates every SNR point exactly as a fresh run_trial does.
