@@ -5,7 +5,8 @@ the transmit network realizes the leading right singular vectors (scaled
 by j/2) and the receive network the conjugated leading left singular
 vectors (scaled by -j/2), so that the cascade diagonalizes the channel.
 Only those s columns are fixed; each side's unitary is completed from
-them by one Householder QR, so a design costs O(n^2 s) at n antennas.
+them by one Householder QR, so beyond the channel's SVD a design costs
+O(n s^2) at n antennas.
 Power is then water-filled over the per-stream channel eigenvalues.  The
 resulting link rate equals the water-filling capacity of the matched
 digital benchmark, which is also computed here in closed form.
@@ -87,9 +88,9 @@ class SystemConfig:
         _check_positive_finite(noise_power=self.noise_power, ref_admittance=self.ref_admittance)
         if np.ndim(self.tx_power) > 1 or np.size(self.tx_power) == 0:
             raise ValueError("tx_power must be one power or a nonempty vector of powers")
-        powers = tuple(float(p) for p in np.ravel(self.tx_power))
-        for power in powers:
-            _check_positive_finite(tx_power=power)
+        powers = np.ravel(np.asarray(self.tx_power, dtype=float))
+        _check_powers(powers, "tx_power")
+        powers = tuple(powers.tolist())
         object.__setattr__(self, "tx_power", powers if np.ndim(self.tx_power) else powers[0])
 
 
@@ -332,12 +333,13 @@ def _per_power(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _check_powers(power: np.ndarray) -> None:
-    """Raise ValueError naming total_power unless every power is a positive,
-    finite and normal double; its extremes decide, and a NaN reaches both."""
+def _check_powers(power: np.ndarray, name: str = "total_power") -> None:
+    """Raise ValueError naming `name` unless every power is a positive, finite
+    and normal double; its extremes decide, and numpy's min and max pass a NaN
+    through to both."""
     if power.size:
-        _check_positive_finite(total_power=power.min())
-        _check_positive_finite(total_power=power.max())
+        _check_positive_finite(**{name: power.min()})
+        _check_positive_finite(**{name: power.max()})
 
 
 def _power_axis(allocation: PowerAllocation, total_power, trials: tuple = ()) -> np.ndarray:
@@ -491,9 +493,9 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     synthesis on each side, and water-filling over the leading n_streams
     eigenvalues.  Each side's unitary is the Householder completion of its
     leading singular vectors times j, and its network is kept in factored
-    form, so a design costs O(n^2 s) rather than O(n^3).  Only when the
-    synthesis rejects Im{V} or Im{U} as singular are the factors
-    phase-repaired, keeping the networks of the accepted draw.
+    form, so beyond the SVD a design costs O(n s^2) rather than O(n^3).
+    Only when the synthesis rejects Im{V} or Im{U} as singular are the
+    factors phase-repaired, keeping the networks of the accepted draw.
     Only the water-filling depends on the power: at K powers (a vector
     config.tx_power) one call allocates all K, each row as at that power alone.
 

@@ -398,45 +398,27 @@ def complete_scattering_rx(u_bar, u_tilde) -> ScatteringMatrix:
 def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     """Invert the imaginary part of a unitary factor, rejecting near-singular cases.
 
-    An exact zero pivot rejects M; otherwise _check_imag_inverse decides.
+    An exact zero pivot rejects M; otherwise its singular values decide
+    (_regular_by_values).
     """
     try:
         minv = np.linalg.solve(m, np.eye(m.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
-    _check_imag_inverse(m, minv, context)
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not _regular_by_values(sv[0], sv[-1]):
+        raise SingularImaginaryPartError(
+            f"{context}: smallest singular value {sv[-1]:.3e} is below "
+            f"{DEFAULT_IMAG_SV_REL:.1e} of the spectral norm {sv[0]:.3e}"
+        )
     return minv
 
 
-def _check_imag_inverse(m: np.ndarray, minv: np.ndarray, context: str) -> None:
-    """Reject M, given with its computed inverse, when it is near singular.
-
-    M is singular when sigma_min <= rel_tol * sigma_max, with rel_tol =
-    DEFAULT_IMAG_SV_REL read at call time.  The inverse gives kappa_1 exactly
-    and kappa_2 <= n kappa_1, so n rel_tol kappa_1 < 1 proves M regular
-    without an SVD (a NaN bound fails it); the singular values decide only
-    when it does not.
-    """
-    if _proves_regular(m.shape[0], np.linalg.norm(m, 1), np.linalg.norm(minv, 1)):
-        return
-    reason = _singular_by_values(m)
-    if reason:
-        raise SingularImaginaryPartError(f"{context}: {reason}")
-
-
-def _proves_regular(n: int, norm_m, norm_minv):
-    """Whether n rel_tol ||M||_1 ||M^-1||_1 < 1, which proves an n x n M regular
-    (elementwise over stacked norms); a NaN bound fails it."""
-    return n * DEFAULT_IMAG_SV_REL * norm_m * norm_minv < 1.0
-
-
-def _singular_by_values(m: np.ndarray) -> str:
-    """Why M is singular by its singular values, or '' when it is not."""
-    rel_tol = DEFAULT_IMAG_SV_REL
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= rel_tol * sv[0]:
-        return f"smallest singular value {sv[-1]:.3e} is below {rel_tol:.1e} of the spectral norm {sv[0]:.3e}"
-    return ""
+def _regular_by_values(sv_max, sv_min):
+    """Whether a matrix with these extreme singular values counts as regular:
+    sigma_min > rel_tol sigma_max, with rel_tol = DEFAULT_IMAG_SV_REL read at
+    call time (elementwise over stacked values; NaN fails)."""
+    return sv_min > DEFAULT_IMAG_SV_REL * sv_max
 
 
 def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
@@ -596,11 +578,6 @@ class _FactoredSusceptance:
         return x.swapaxes(-1, -2) if self.receive else x
 
 
-# Entries of one column block in _one_norm_of_identity_plus (1 MB of float64,
-# over all trials of a stack).
-_NORM_BLOCK_ENTRIES = 2**17
-
-
 def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusceptance, np.ndarray]:
     """Factored synthesis of the network realizing orthonormal columns q_bar.
 
@@ -610,11 +587,12 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusc
     U[:, :s] = j u_bar carries the transmit side's common phase.  Im V is +-X
     with X = Re Q' = I + a ft, so by Woodbury X^-1 = I - a K^-1 ft with the
     r x r core K = I + ft a, and X^-1 a = a K^-1 puts every block of B on the
-    basis a.  X is judged as the dense synthesis judges Im V: an exact zero
-    pivot of K rejects it, then _check_imag_inverse's kappa_1 proof and
-    singular-value fallback decide, with the 1-norms of X and X^-1 taken as
-    column sums in blocks of _NORM_BLOCK_ENTRIES, in O(n^2 s) and without the
-    dense n x n pair.
+    basis a.  The completion puts the rows of X - I in the range of a as
+    well as its columns, so ft = ft a a^T and X = a K a^T + (I - a a^T): the
+    singular values of X are those of K and, when r < n, n - r ones.  X is
+    judged as the dense synthesis judges Im V: an exact zero pivot of K
+    rejects it, then these singular values decide (_regular_by_values), in
+    O(n s^2) and without the dense n x n matrix.
 
     A stack of q_bar (leading axes) is synthesized in one pass.
 
@@ -626,14 +604,13 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusc
     trials = q_bar.shape[:-2]
     a, qt = _householder_completion(q_bar)
     ft, gt = qt.real, qt.imag
-    eye_r = np.eye(a.shape[-1])
-    kinv, accepted = _inverse_unless_zero_pivot(eye_r + ft @ a)
-    # X = I + a ft and X^-1 = I - a K^-1 ft.
-    proved = _proves_regular(n, _one_norm_of_identity_plus(a, ft), _one_norm_of_identity_plus(a, -(kinv @ ft)))
-    if not (proved | ~accepted).all():
-        for t in np.ndindex(trials):
-            if accepted[t] and not proved[t]:
-                accepted[t] = not _singular_by_values(np.eye(n) + a[t] @ ft[t])
+    k = np.eye(a.shape[-1]) + ft @ a
+    kinv, accepted = _inverse_unless_zero_pivot(k)
+    sv = np.linalg.svd(k, compute_uv=False)
+    sv_max, sv_min = sv[..., 0], sv[..., -1]
+    if a.shape[-1] < n:
+        sv_max, sv_min = np.maximum(sv_max, 1.0), np.minimum(sv_min, 1.0)
+    accepted &= _regular_by_values(sv_max, sv_min)
     # With Y = Im Q' = a gt the side's (Im, Re) pair (M, R) is (X, -Y), or
     # (-X, Y) on the receive side: M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either
     # way, and only the symbol-antenna block -M^-1[:s] changes sign.  Its
@@ -648,25 +625,6 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusc
     core += core.swapaxes(-1, -2)
     core *= 0.5
     return _FactoredSusceptance(a, core, qt, y0, receive), accepted
-
-
-def _one_norm_of_identity_plus(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """||I + a f||_1 of each matrix of the stacks a (n x r) and f (r x n).
-
-    The column sums are taken a block of columns at a time, each block
-    holding about _NORM_BLOCK_ENTRIES entries over the whole stack (at least
-    one column), so the dense n x n matrices are never formed.
-    """
-    n = a.shape[-2]
-    width = max(1, _NORM_BLOCK_ENTRIES // (n * math.prod(a.shape[:-2])))
-    sums = []
-    for j in range(0, n, width):
-        block = a @ f[..., j : j + width]
-        # Add the identity's entries (j + i, i) through the flattened block.
-        cols = block.shape[-1]
-        block.reshape(block.shape[:-2] + (-1,))[..., j * cols :: cols + 1][..., :cols] += 1.0
-        sums.append(np.abs(block).sum(axis=-2).max(axis=-1))
-    return np.max(sums, axis=0) if len(sums) > 1 else sums[0]
 
 
 def _inverse_unless_zero_pivot(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -737,9 +737,14 @@ def test_system_config_takes_a_vector_of_powers():
     for bad in ((), np.ones((2, 2))):
         with pytest.raises(ValueError, match="tx_power must be one power or a nonempty vector"):
             SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=bad, noise_power=1.0)
-    for bad in ((1.0, np.nan), (1e-310, 1.0), (1.0, 0.0)):
-        with pytest.raises(ValueError, match="tx_power must be positive and finite"):
-            SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=bad, noise_power=1.0)
+    # A bad power first, in the middle or last; the vector's extremes decide,
+    # and numpy's min and max pass a NaN through where Python's would drop it.
+    for value in (0.0, np.nan, np.inf, 1e-310):
+        for at in range(3):
+            bad = [1.0, 2.0, 3.0]
+            bad[at] = value
+            with pytest.raises(ValueError, match="tx_power must be positive and finite"):
+                SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=bad, noise_power=1.0)
 
 
 def test_power_allocation_rejects_negative():

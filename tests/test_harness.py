@@ -82,35 +82,46 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_rx, master_seed, real, solves",
+    "n_rx, master_seed, real",
     [
-        # On a Rayleigh channel Im{V} and Im{U} are accepted by their inverses
-        # alone, each from one solve of its Woodbury core.
-        (6, 4, False, 2),
+        # On a Rayleigh channel Im{V} and Im{U} are accepted from their
+        # Woodbury cores alone: one solve and one values-only SVD each.
+        (6, 4, False),
         # A real channel's completion is real orthogonal, so Im{V} = Re Q' is
         # accepted as well and no phase repair runs.
-        (5, 2, True, 2),
+        (5, 2, True),
     ],
     ids=["rayleigh", "real"],
 )
-def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, master_seed, real, solves):
-    calls = {"svd_full": 0, "svd_values": 0, "solve": 0}
+def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, master_seed, real):
+    # SVDs are told apart by their operand: the complex channel, or a real
+    # r x r Woodbury core with r <= min(n, 3s).
+    svds = {"channel_full": 0, "channel_values": 0, "core_values": 0, "other": 0}
+    solves = []
     svd, solve = np.linalg.svd, np.linalg.solve
+    n_tx, s = 6, 3
 
     def counted_svd(a, *args, **kwargs):
-        calls["svd_full" if kwargs.get("compute_uv", True) else "svd_values"] += 1
+        values = "values" if not kwargs.get("compute_uv", True) else "full"
+        if np.iscomplexobj(a) and a.shape == (n_rx, n_tx):
+            svds[f"channel_{values}"] += 1
+        elif values == "values" and not np.iscomplexobj(a) and a.shape[0] == a.shape[1] <= 3 * s:
+            svds["core_values"] += 1
+        else:
+            svds["other"] += 1
         return svd(a, *args, **kwargs)
 
     def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
+        solves.append(1)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=6, n_trials=1, master_seed=master_seed), 0)
-    config = SystemConfig(n_streams=3, n_tx=6, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=n_tx, n_trials=1, master_seed=master_seed), 0)
+    config = SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
     run_trial(h.real if real else h, config, rng_seed=1)
-    assert calls == {"svd_full": 1, "svd_values": 1, "solve": solves}
+    assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 2, "other": 0}
+    assert len(solves) == 2
 
 
 def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(monkeypatch, repair_channel):
@@ -524,8 +535,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     # channel is counted from the stack each spy sees: the number of matrices
     # (or eigenvalue rows) in the argument that carries the trial axis.
     work = dict.fromkeys(
-        ("svd_ordered", "synthesis", "transfer_block", "dense_transfer_block", "svd_values", "water_filling",
-         "milac_rate", "capacity", "digital"),
+        ("svd_ordered", "synthesis", "transfer_block", "dense_transfer_block", "svd_values", "core_svd_values",
+         "other_svd_values", "water_filling", "milac_rate", "capacity", "digital"),
         0,
     )
     calls = dict.fromkeys(work, 0)
@@ -546,9 +557,15 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     svd = np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
+        # Values-only SVDs of a channel (8 x 8, complex) or of a real Woodbury
+        # core of at most 3s = 6 columns; any other operand is counted apart.
         if not kwargs.get("compute_uv", True):
-            calls["svd_values"] += 1
-            work["svd_values"] += stack_size(a, 2)
+            if np.iscomplexobj(a):
+                key = "svd_values" if np.shape(a)[-2:] == (8, 8) else "other_svd_values"
+            else:
+                key = "core_svd_values" if np.shape(a)[-1] <= 6 else "other_svd_values"
+            calls[key] += 1
+            work[key] += stack_size(a, 2)
         return svd(a, *args, **kwargs)
 
     counted(beamforming, "svd_ordered", "svd_ordered", lambda h: stack_size(h, 2))
@@ -565,22 +582,27 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     # Two chunks: a full one and a remainder of 3.
     n_trials = harness.chunk_size(8, 8) + 3
     run_sweep(_small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=n_trials), workers=1)
-    # Per channel: one SVD, one synthesis and one circuit solve per side, one
-    # capacity spectrum, and each rating function takes all four SNR points
-    # in one call; design_milac water-fills them all in one.
+    # Per channel: one SVD, one synthesis, one core spectrum and one circuit
+    # solve per side, one capacity spectrum, and each rating function takes
+    # all four SNR points in one call; design_milac water-fills them all in one.
     assert work == {
         "svd_ordered": n_trials,
         "synthesis": 2 * n_trials,
         "transfer_block": 2 * n_trials,
         "dense_transfer_block": 0,
         "svd_values": n_trials,
+        "core_svd_values": 2 * n_trials,
+        "other_svd_values": 0,
         "water_filling": n_trials,
         "milac_rate": n_trials,
         "capacity": n_trials,
         "digital": n_trials,
     }
     # ... in one stacked call per chunk.
-    assert calls == {**dict.fromkeys(work, 2), "synthesis": 4, "transfer_block": 4, "dense_transfer_block": 0}
+    assert calls == {
+        **dict.fromkeys(work, 2), "synthesis": 4, "core_svd_values": 4, "other_svd_values": 0, "transfer_block": 4,
+        "dense_transfer_block": 0,
+    }
 
 
 def test_sweep_spec_validation():
