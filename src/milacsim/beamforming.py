@@ -557,10 +557,15 @@ def _put_trial(stack, at: tuple, record) -> None:
 
 def _synthesize_both(factors: SvdFactors, config: SystemConfig):
     """Factored transmit and receive networks of the factors' leading columns,
-    with the per-trial mask of the trials both sides accept."""
+    with the per-trial mask of the trials both sides accept.  The sides of a
+    square link, v_bar and conj(u_bar), are one stacked synthesis."""
     s, y0 = config.n_streams, config.ref_admittance
-    tx, tx_ok = _synthesize_factored(factors.v[..., :s], y0, receive=False)
-    rx, rx_ok = _synthesize_factored(np.conj(factors.u[..., :s]), y0, receive=True)
+    v_bar, u_conj = factors.v[..., :s], np.conj(factors.u[..., :s])
+    if v_bar.shape == u_conj.shape:
+        (tx, rx), accepted = _synthesize_factored(np.stack([v_bar, u_conj]), y0, receive=(False, True))
+        return tx, rx, accepted[0] & accepted[1]
+    tx, tx_ok = _synthesize_factored(v_bar, y0, receive=False)
+    rx, rx_ok = _synthesize_factored(u_conj, y0, receive=True)
     return tx, rx, tx_ok & rx_ok
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class SweepSpec:
     one point.  Every trial uses noise_power and ref_admittance; each SNR
     must give a normal transmit power.
     The counts, the seed, both powers and the admittance are checked by
-    building the link config and the ensemble of the smallest antenna count.
+    building the link configs, the smallest antenna count's first, and its
+    ensemble; configs keeps one per antenna count, at all the SNR points.
     """
 
     mode: str
@@ -83,6 +84,7 @@ class SweepSpec:
     master_seed: int = 0
     noise_power: float = 1.0
     ref_admittance: float = DEFAULT_REF_ADMITTANCE
+    configs: tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
@@ -100,7 +102,7 @@ class SweepSpec:
         fixed, points = ("antenna_points", ant) if self.mode == "snr_sweep" else ("snr_points_db", snr)
         if len(points) != 1:
             raise ValueError(f"{fixed} must hold one point in {self.mode}, got {len(points)}")
-        _link_config(self, ant[0], snr)
+        object.__setattr__(self, "configs", tuple(_link_config(self, n, snr) for n in ant))
         ChannelEnsembleSpec(n_rx=ant[0], n_tx=ant[0], n_trials=self.n_trials, master_seed=self.master_seed)
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "antenna_points", ant)
@@ -253,13 +255,12 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     Returns:
         SweepResult with one row per sweep point, in point order.
     """
-    # One config per antenna count, at all its SNR points: each chunk of its trials is one task.
-    configs = [_link_config(spec, n, spec.snr_points_db) for n in spec.antenna_points]
     axis = spec.snr_points_db if spec.mode == "snr_sweep" else spec.antenna_points
     sweep_values = [float(x) for x in axis]
 
+    # One config per antenna count, at all its SNR points: each chunk of its trials is one task.
     tasks = []
-    for config in configs:
+    for config in spec.configs:
         size = chunk_size(config.n_rx, config.n_tx)
         tasks += [(spec, config, range(t, min(t + size, spec.n_trials))) for t in range(0, spec.n_trials, size)]
     n_workers = _resolve_workers(workers)
@@ -272,7 +273,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
 
     # (config, trial, point, 3) -> C-contiguous (sweep point, column, trial): each
     # row's sums run over a contiguous trial axis with numpy's pairwise summation.
-    values = np.concatenate(outcomes).reshape(len(configs), spec.n_trials, -1, 3)
+    values = np.concatenate(outcomes).reshape(len(spec.configs), spec.n_trials, -1, 3)
     values = np.ascontiguousarray(values.transpose(0, 2, 3, 1)).reshape(len(sweep_values), 3, spec.n_trials)
     means = values.sum(axis=-1) / spec.n_trials
     # Worst of the analog and digital gaps to capacity over each row's trials.

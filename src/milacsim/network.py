@@ -187,19 +187,15 @@ def _lu_checked(a: np.ndarray, context: str) -> tuple:
 
 
 def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP.
-
-    A stack of matrices a (leading axes) is solved one matrix at a time
-    against the same rhs, and rejected if any one of them is.
-    """
-    return _each(lambda m: (_GETRS(*_lu_checked(m, context), rhs)[0],), a)[0]
+    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
+    return _GETRS(*_lu_checked(a, context), rhs)[0]
 
 
 def _each(func, *stacks) -> tuple:
     """func's output arrays on each matrix of the stacks (their last two axes), restacked.
 
-    For the LAPACK routines without a stacked form (geqrt, geqrf/orgqr,
-    getrf/gecon/getrs); a single matrix is the stack without leading axes.
+    For the LAPACK and BLAS routines without a stacked form (geqrt, trmm); a
+    single matrix is the stack without leading axes.
     """
     trials = stacks[0].shape[:-2]
     if not trials:
@@ -484,16 +480,7 @@ def susceptance_rx(u, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> Sus
 
 
 _GEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=complex)
-_GEQRF, _ORGQR = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=float)
 _TRMM = scipy.linalg.get_blas_funcs("trmm", dtype=complex)
-
-
-def _orthonormal_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal columns (Householder QR, m x min(m, k)) spanning the k columns of x."""
-    if x.shape[0] == 0:  # s = n leaves no rows, which LAPACK rejects
-        return x[:, :0]
-    qr, tau, _, _ = _GEQRF(x)
-    return _ORGQR(qr[:, : tau.shape[0]], tau)[0]
 
 
 def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +501,8 @@ def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trials = q_bar.shape[:-2]
     qr, t = _each(lambda q: _GEQRT(s, q)[:2], q_bar)
     low = qr[..., s:, :]
-    (b,) = _each(lambda x: (_orthonormal_basis(x),), np.concatenate([low.real, low.imag], axis=-1))
+    # Householder QR's orthonormal columns, (n - s) x min(n - s, 2s), in one stacked call.
+    b = np.linalg.qr(np.concatenate([low.real, low.imag], axis=-1), mode="reduced")[0]
     bt = b.swapaxes(-1, -2)
     tail = t @ low.conj().swapaxes(-1, -2)
     a = np.zeros(trials + (n, s + b.shape[-1]))
@@ -564,21 +552,31 @@ class _FactoredSusceptance:
     def transfer_block(self) -> np.ndarray:
         """transfer_block_from_admittance of the dense network, in O(n s^2).
 
-        N = I + jB/y0 maps the range of E onto itself, where it acts as
-        I + j core; the symbol columns of N^-1 are E (I + j core)^-1 [I_s; 0],
-        one solve of the (s + r)-port core under _solve_checked's condition
-        cap.  N is symmetric, so the receive block (symbol rows, antenna
-        columns) is the transpose of the antenna rows of the symbol columns.
+        N = I + jB/y0 maps the range of E onto itself, where it acts as the
+        (s + r)-port core C = I + j core; the symbol columns of N^-1 are
+        E C^-1 [I_s; 0], with C^-1 from one stacked inverse.  A stack is
+        rejected unless each exact kappa_1 = ||C||_1 ||C^-1||_1 is at most
+        DEFAULT_COND_CAP (a NaN fails); gecon's figure, which _solve_checked
+        judges, is a lower bound of kappa_1, so every core it rejects is
+        rejected here too.  N is symmetric, so the receive block (symbol rows,
+        antenna columns) is the transpose of the antenna rows of the symbol
+        columns.
         """
         a, core = self.a, self.core
         s = core.shape[-1] - a.shape[-1]
-        eye = np.eye(core.shape[-1])
-        context = "susceptance_rx circuit" if self.receive else "susceptance_tx circuit"
-        x = a @ _solve_checked(eye + 1j * core, eye[:, :s], context)[..., s:, :]
+        c = np.eye(core.shape[-1]) + 1j * core
+        cinv = np.linalg.inv(c)
+        kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
+        if not (kappa <= DEFAULT_COND_CAP).all():
+            side = "susceptance_rx" if self.receive else "susceptance_tx"
+            raise SingularMatrixError(
+                f"{side} circuit: condition number {np.max(kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
+            )
+        x = a @ cinv[..., s:, :s]
         return x.swapaxes(-1, -2) if self.receive else x
 
 
-def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusceptance, np.ndarray]:
+def _synthesize_factored(q_bar, y0: float, receive) -> tuple:
     """Factored synthesis of the network realizing orthonormal columns q_bar.
 
     The network is susceptance_tx(V, s, y0) with V = j Q', Q' the Householder
@@ -594,7 +592,10 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusc
     rejects it, then these singular values decide (_regular_by_values), in
     O(n s^2) and without the dense n x n matrix.
 
-    A stack of q_bar (leading axes) is synthesized in one pass.
+    A stack of q_bar (leading axes) is synthesized in one pass, and so are
+    both sides of a link: with a tuple of per-side receive flags the leading
+    axis of q_bar holds the sides, which differ only in the sign of core's
+    symbol-antenna block, and network is the tuple of their networks.
 
     Returns:
         (network, accepted): accepted holds, per matrix of the stack (a 0-d
@@ -618,12 +619,15 @@ def _synthesize_factored(q_bar, y0: float, receive: bool) -> tuple[_FactoredSusc
     top = kinv[..., :s, :]
     core = np.empty(trials + (s + a.shape[-1], s + a.shape[-1]))
     core[..., :s, :s] = -top @ gt[..., :, :s]
-    core[..., :s, s:] = top if receive else -top
+    # -1 on the transmit side, +1 on the receive side: exact.
+    core[..., :s, s:] = np.where(receive, 1.0, -1.0).reshape((-1,) + (1,) * (top.ndim - 1)) * top
     core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
     core[..., s:, s:] = -(gt @ a) @ kinv
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
     core += core.swapaxes(-1, -2)
     core *= 0.5
+    if np.ndim(receive):
+        return tuple(_FactoredSusceptance(a[i], core[i], qt[i], y0, side) for i, side in enumerate(receive)), accepted
     return _FactoredSusceptance(a, core, qt, y0, receive), accepted
 
 

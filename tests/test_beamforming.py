@@ -215,6 +215,68 @@ def test_synthesis_and_repair_share_one_threshold(monkeypatch):
         design_milac(h, _config(2, 4, 4), rng_seed=0)
 
 
+def _spy_syntheses(monkeypatch):
+    """Record the receive flag of every synthesis beamforming makes."""
+    flags = []
+    synthesize = network._synthesize_factored
+
+    def spy(q_bar, y0, receive):
+        flags.append(receive)
+        return synthesize(q_bar, y0, receive)
+
+    monkeypatch.setattr(beamforming, "_synthesize_factored", spy)
+    return flags
+
+
+def _assert_sides_equal_two_calls(tx, rx, accepted, factors, s):
+    # The one-side calls: v_bar on the transmit side, conj(u_bar) on the receive side.
+    y0 = network.DEFAULT_REF_ADMITTANCE
+    alone_tx, ok_tx = network._synthesize_factored(factors.v[..., :s], y0, receive=False)
+    alone_rx, ok_rx = network._synthesize_factored(np.conj(factors.u[..., :s]), y0, receive=True)
+    assert np.array_equal(accepted, ok_tx & ok_rx) and np.shape(accepted) == np.shape(ok_tx)
+    for mine, alone in ((tx, alone_tx), (rx, alone_rx)):
+        assert mine.receive is alone.receive
+        for name in ("a", "qt", "core"):
+            assert np.array_equal(getattr(mine, name), getattr(alone, name)), name
+
+
+@pytest.mark.parametrize("trials", [None, 1, 5, 16], ids=["single", "T1", "T5", "T16"])
+@pytest.mark.parametrize("s", [3, 8], ids=["s3", "s8"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_square_link_synthesizes_both_sides_in_one_call_equal_to_two(monkeypatch, trials, s, real):
+    rng = np.random.default_rng(7 * (trials or 0) + s)
+    shape = (8, 8) if trials is None else (trials, 8, 8)
+    h = rng.standard_normal(shape) + (0.0 if real else 1j) * rng.standard_normal(shape)
+    factors = svd_ordered(h)
+    flags = _spy_syntheses(monkeypatch)
+    tx, rx, accepted = beamforming._synthesize_both(factors, _config(s, 8, 8))
+    assert flags == [(False, True)]
+    _assert_sides_equal_two_calls(tx, rx, accepted, factors, s)
+
+
+def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monkeypatch, repair_channel):
+    # design_milac synthesizes the stack once, then each repair draw once, and
+    # writes the repaired trial's networks through the tx and rx views.
+    rng = np.random.default_rng(5)
+    h = np.stack([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), repair_channel])
+    flags = _spy_syntheses(monkeypatch)
+    design = design_milac(h, _config(4, 4, 4), rng_seed=[0, 1])
+    assert len(flags) >= 2 and all(flag == (False, True) for flag in flags)
+    _assert_sides_equal_two_calls(design.tx, design.rx, np.ones(2, dtype=bool), design.factors, 4)
+    # The repair wrote through the views: both sides still share one stack.
+    assert design.tx.core.base is design.rx.core.base is not None
+
+
+def test_a_wide_link_synthesizes_each_side_in_its_own_call(monkeypatch):
+    rng = np.random.default_rng(11)
+    h = rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7))
+    flags = _spy_syntheses(monkeypatch)
+    factors = svd_ordered(h)
+    tx, rx, accepted = beamforming._synthesize_both(factors, _config(2, 7, 5))
+    assert flags == [False, True]
+    _assert_sides_equal_two_calls(tx, rx, accepted, factors, 2)
+
+
 # ---------------------------------------------------------------------------
 # water_filling
 

@@ -95,7 +95,9 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
 )
 def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, master_seed, real):
     # SVDs are told apart by their operand: the complex channel, or a real
-    # r x r Woodbury core with r <= min(n, 3s).
+    # r x r Woodbury core with r <= min(n, 3s).  Cores and solves are counted
+    # by operand stack size: a square link's two sides share one (2, r, r)
+    # operand, a 5 x 6 link makes one call per side.
     svds = {"channel_full": 0, "channel_values": 0, "core_values": 0, "other": 0}
     solves = []
     svd, solve = np.linalg.svd, np.linalg.solve
@@ -105,15 +107,15 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
         values = "values" if not kwargs.get("compute_uv", True) else "full"
         if np.iscomplexobj(a) and a.shape == (n_rx, n_tx):
             svds[f"channel_{values}"] += 1
-        elif values == "values" and not np.iscomplexobj(a) and a.shape[0] == a.shape[1] <= 3 * s:
-            svds["core_values"] += 1
+        elif values == "values" and not np.iscomplexobj(a) and a.shape[-2] == a.shape[-1] <= 3 * s:
+            svds["core_values"] += int(np.prod(a.shape[:-2]))
         else:
             svds["other"] += 1
         return svd(a, *args, **kwargs)
 
-    def counted_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+    def counted_solve(a, *args, **kwargs):
+        solves.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
@@ -121,7 +123,8 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     config = SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
     run_trial(h.real if real else h, config, rng_seed=1)
     assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 2, "other": 0}
-    assert len(solves) == 2
+    assert sum(solves) == 2
+    assert len(solves) == (1 if n_rx == n_tx else 2)
 
 
 def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(monkeypatch, repair_channel):
@@ -598,10 +601,10 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         "capacity": n_trials,
         "digital": n_trials,
     }
-    # ... in one stacked call per chunk.
+    # ... in one stacked call per chunk; both sides of a square link share one
+    # synthesis, and with it one core spectrum.
     assert calls == {
-        **dict.fromkeys(work, 2), "synthesis": 4, "core_svd_values": 4, "other_svd_values": 0, "transfer_block": 4,
-        "dense_transfer_block": 0,
+        **dict.fromkeys(work, 2), "other_svd_values": 0, "transfer_block": 4, "dense_transfer_block": 0,
     }
 
 
@@ -624,6 +627,17 @@ def test_sweep_spec_validation():
         SweepSpec(mode="snr_sweep", **two_by_two)
     with pytest.raises(ValueError, match="snr_points_db must hold one point"):
         SweepSpec(mode="antenna_sweep", **two_by_two)
+
+
+def test_a_sweep_builds_each_link_config_once(monkeypatch):
+    # The spec builds (and so checks) every antenna count's config, and run_sweep reuses them.
+    built = []
+    link_config = harness._link_config
+    monkeypatch.setattr(harness, "_link_config", lambda spec, n, snr: built.append(n) or link_config(spec, n, snr))
+    spec = SweepSpec(mode="antenna_sweep", snr_points_db=(10.0,), antenna_points=(2, 4), n_streams=1, n_trials=2)
+    run_sweep(spec, workers=1)
+    assert built == [2, 4]
+    assert spec.configs == tuple(link_config(spec, n, (10.0,)) for n in (2, 4))
 
 
 _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)

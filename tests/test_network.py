@@ -428,6 +428,66 @@ def test_a_stacked_synthesis_accepts_each_matrix_as_alone(repair_channel):
                     assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name))
 
 
+@pytest.mark.parametrize("n, s", [(8, 2), (64, 8), (128, 8)])
+def test_the_stacked_circuit_solve_is_the_checked_lu_solve_bit_for_bit(n, s):
+    # Each transfer block of a stack equals a @ (the checked getrf/getrs solve
+    # of its core against [I_s; 0]), antenna rows, transposed on the receive side.
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    design = design_milac(h, SystemConfig(n_streams=s, n_tx=n, n_rx=n, tx_power=1.0, noise_power=1.0), [0, 1, 2])
+    for net in (design.tx, design.rx):
+        block = net.transfer_block()
+        eye = np.eye(net.core.shape[-1])
+        for t in range(3):
+            x = net.a[t] @ _solve_checked(eye + 1j * net.core[t], eye[:, :s], "test")[s:, :]
+            assert np.array_equal(block[t], x.T if net.receive else x)
+
+
+def _factored_stack(cores, receive):
+    """Networks on a random orthonormal basis of 8 antennas, with these (s + r)-port cores at s = 2."""
+    r = cores.shape[-1] - 2
+    a = np.linalg.qr(np.random.default_rng(1).standard_normal((8, r)))[0]
+    trials = cores.shape[:-2]
+    return network._FactoredSusceptance(
+        np.broadcast_to(a, trials + a.shape), cores, np.zeros(trials + (r, 8), complex), Y0, receive
+    )
+
+
+@pytest.mark.parametrize("receive", [False, True], ids=["tx", "rx"])
+def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receive):
+    # I + j c x x^T has eigenvalues 1 and 1 + j c |x|^2, so its kappa_1 grows
+    # with c; one such core, or one NaN entry, rejects the whole stack.
+    x = np.random.default_rng(2).standard_normal(6)
+    side = "susceptance_rx circuit" if receive else "susceptance_tx circuit"
+    fine = np.stack([np.outer(x, x)] * 3)
+    _factored_stack(fine, receive).transfer_block()
+    scaled, holed = fine.copy(), fine.copy()
+    scaled[1] *= 1e13
+    holed[1, 0, 0] = np.nan
+    for cores in (scaled, holed):
+        with pytest.raises(SingularMatrixError, match=side + ": condition number"):
+            _factored_stack(cores, receive).transfer_block()
+
+
+def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
+    # gecon estimates ||C^-1||_1 from below, so a cap just under its figure,
+    # which _solve_checked rejects, rejects the core here too.
+    rng = np.random.default_rng(6)
+    for scale in (0.1, 1.0, 30.0, 1e3):
+        for _ in range(5):
+            g = rng.standard_normal((8, 8))
+            c = np.eye(8) + 1j * scale * (g + g.T)
+            lu, _, _ = network._GETRF(c)
+            estimate = 1.0 / network._GECON(lu, np.linalg.norm(c, 1))[0]
+            exact = np.linalg.norm(c, 1) * np.linalg.norm(np.linalg.inv(c), 1)
+            assert exact >= estimate * (1.0 - 1e-9)
+            monkeypatch.setattr(network, "DEFAULT_COND_CAP", estimate * (1.0 - 1e-9))
+            with pytest.raises(SingularMatrixError):
+                _solve_checked(c, np.eye(8)[:, :2], "test")
+            with pytest.raises(SingularMatrixError):
+                _factored_stack(scale * (g + g.T), False).transfer_block()
+
+
 def test_designing_a_wide_link_holds_no_dense_antenna_square_matrix():
     # The 1024-antenna side is judged by the singular values of its Woodbury
     # core, so the design's peak stays below one 1024 x 1024 float64.
