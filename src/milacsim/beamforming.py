@@ -33,6 +33,7 @@ from .exceptions import (
     _check_integers,
     _check_positive_finite,
 )
+from . import network
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
@@ -52,6 +53,20 @@ DEFAULT_PHASE_ATTEMPTS = 32
 
 # Internal consistency tolerance between the raw and row-normalized rate forms.
 RATE_FORM_CHECK_TOL = 1e-12
+
+# The top-s SVD route serves links of at least TOP_S_MIN_ANTENNAS antennas per
+# side with at most 1/TOP_S_STREAM_RATIO as many streams; elsewhere the economy
+# SVD is as fast or faster.  One BLAS thread, top-s time over economy time:
+# about 0.85 at 64 x 64 with s = 4 and 0.75 at 128 x 128 with s = 8, but 1.0
+# at 64 x 64 with s = 8 and at 128 x 128 with s = 16.
+TOP_S_MIN_ANTENNAS = 64
+TOP_S_STREAM_RATIO = 16
+
+# Largest accepted max-abs entry of H v - u diag(sigma), relative to sigma_1, and
+# of u^H u - I and v^H v - I, for top-s triplets.  Accurate calls read at most
+# 7e-15 up to 128 x 128; on exactly clustered spectra zgesvdx can return INFO = 0
+# with vectors off by O(1).
+TOP_S_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,11 +111,11 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Economy singular value decomposition H = u diag(sigma) v^H (ordered).
+    """Leading singular triplets of H, ordered: H v = u diag(sigma), u^H u = v^H v = I.
 
-    With k = min(n_rx, n_tx), u is n_rx x k, v is n_tx x k and sigma holds
-    the k singular values in descending order; the factors of a stack of
-    channels carry its leading trial axes.
+    u is n_rx x s, v is n_tx x s and sigma holds the s leading singular values
+    in descending order, for any 1 <= s <= k = min(n_rx, n_tx); s = k is the
+    economy SVD.  The factors of a stack of channels carry its leading trial axes.
     """
 
     u: np.ndarray
@@ -115,9 +130,9 @@ class SvdFactors:
             raise DimensionMismatchError("u and v must be matrices and sigma a vector, or stacks of them")
         k = min(u.shape[-2], v.shape[-2])
         trials_agree = u.shape[:-2] == v.shape[:-2] == sigma.shape[:-1]
-        if not u.shape[-1] == v.shape[-1] == sigma.shape[-1] == k or not trials_agree:
+        if not 1 <= u.shape[-1] == v.shape[-1] == sigma.shape[-1] <= k or not trials_agree:
             raise DimensionMismatchError(
-                f"u {u.shape}, sigma {sigma.shape} and v {v.shape} are not an economy SVD"
+                f"u {u.shape}, sigma {sigma.shape} and v {v.shape} are not the leading triplets of an SVD"
             )
         # NaN fails the first test, so no check passes vacuously.
         if not ((sigma >= 0) & (sigma < np.inf)).all() or np.any(np.diff(sigma, axis=-1) > 0):
@@ -127,7 +142,8 @@ class SvdFactors:
         object.__setattr__(self, "sigma", sigma)
 
     def reconstruct(self) -> np.ndarray:
-        """Rebuild the channel matrix from the factors."""
+        """u diag(sigma) v^H: the channel itself when s is at least its rank (as
+        the economy SVD's s = k always is), else its best rank-s approximation."""
         return (self.u * self.sigma[..., None, :]) @ self.v.conj().swapaxes(-1, -2)
 
 
@@ -157,9 +173,8 @@ class Design:
     """Closed-form design of one link, built from a single SVD of its channel.
 
     Attributes:
-        factors: ordered economy SVD after phase repair; its leading columns
-            are the singular vectors both networks realize and the digital
-            precoder uses.
+        factors: the n_streams leading singular triplets after phase repair,
+            whose vectors both networks realize and the digital precoder uses.
         allocation: water-filling fractions over the leading eigenvalues.
         tx: transmit network in factored form; it realizes V = j Q', the
             Householder completion of v_bar, and tx.unitary() is the dense V.
@@ -206,28 +221,75 @@ class RateReport:
     g: np.ndarray
 
 
-def svd_ordered(h) -> SvdFactors:
-    """Economy SVD with descending singular values and a fixed phase convention.
+def _takes_top_s(n_rx: int, n_tx: int, n_streams: int) -> bool:
+    """Whether the size rule sends n_rx x n_tx links with n_streams streams to the top-s route."""
+    k = min(n_rx, n_tx)
+    return k >= TOP_S_MIN_ANTENNAS and TOP_S_STREAM_RATIO * n_streams <= k
+
+
+def svd_route(n_rx: int, n_tx: int, n_streams: int) -> str:
+    """The SVD route svd_ordered takes on n_rx x n_tx links with n_streams streams,
+    with the routine it calls: "top-s (...)" or "economy (numpy.linalg.svd)".
+    A top-s trial whose triplets fail their check still takes the economy SVD."""
+    lapack = network._gesvdx() if _takes_top_s(n_rx, n_tx, n_streams) else None
+    return "economy (numpy.linalg.svd)" if lapack is None else f"top-s ({lapack[2]})"
+
+
+def svd_ordered(h, n_streams=None) -> SvdFactors:
+    """The n_streams leading singular triplets, descending, with a fixed phase convention.
 
     Each column of v is rotated so that its largest-modulus entry is real
     and positive; the paired column of u gets the same rotation, which
-    leaves the reconstruction u diag(sigma) v^H unchanged.  A stack of
-    channels (leading trial axes) is decomposed in one call.
+    leaves u diag(sigma) v^H unchanged.  Without n_streams the factors hold
+    all k = min(n_rx, n_tx) triplets, the economy SVD.
+
+    The route depends on the shape and n_streams alone (svd_route).  On large
+    links with few streams, LAPACK's zgesvdx computes only the s = n_streams
+    leading triplets of each channel, and each result is checked in
+    O(n_rx n_tx s): max |H v - u diag(sigma)| and max |u^H u - I|, |v^H v - I|
+    within TOP_S_CHECK_TOL (times sigma_1 for the first).  A trial that fails
+    the check, or the call, takes the economy SVD alone, and every trial does
+    when no bundled library exports zgesvdx.  Elsewhere the economy SVD of a
+    stack of channels (leading trial axes) is one call, cut to s triplets.
 
     Raises:
         NonFiniteInputError: if h contains NaN or infinite entries.
+        ValueError: if n_streams is not an integer from 1 to k.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2:
         raise DimensionMismatchError(f"channel matrix must be 2-D, or a stack of them, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
-    u, sigma, vh = np.linalg.svd(h, full_matrices=False)
-    v = vh.conj().swapaxes(-1, -2)
+    n_rx, n_tx = h.shape[-2:]
+    s = min(n_rx, n_tx) if n_streams is None else n_streams
+    _check_integers(n_streams=s)
+    if not 1 <= s <= min(n_rx, n_tx):
+        raise ValueError(f"n_streams={s} is not from 1 to min(n_rx, n_tx)={min(n_rx, n_tx)}")
+    top = network._top_triplets(h, s) if _takes_top_s(n_rx, n_tx, s) else None
+    if top is None:
+        u, sigma, v = _economy_triplets(h, s)
+    else:
+        u, sigma, v, ok = top
+        eye = np.eye(s)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # NaN fails each test, so a garbage call cannot pass.
+            ok &= np.abs(h @ v - u * sigma[..., None, :]).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL * sigma[..., 0]
+            for x in (u, v):
+                ok &= np.abs(x.conj().swapaxes(-1, -2) @ x - eye).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
+        for t in np.ndindex(ok.shape):
+            if not ok[t]:
+                u[t], sigma[t], v[t] = _economy_triplets(h[t], s)
     entries = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)[..., 0, :]
     mags = np.abs(entries)
     phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()[..., None, :]
     return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
+
+
+def _economy_triplets(h: np.ndarray, s: int) -> tuple:
+    """(u, sigma, v) of the s leading triplets of h's economy SVD (stacked over leading axes)."""
+    u, sigma, vh = np.linalg.svd(h, full_matrices=False)
+    return u[..., :s], sigma[..., :s], vh[..., :s, :].conj().swapaxes(-1, -2)
 
 
 def _check_seed(rng_seed) -> None:
@@ -489,11 +551,13 @@ def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
 def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
-    Pipeline: ordered economy SVD of the channel, closed-form susceptance
-    synthesis on each side, and water-filling over the leading n_streams
-    eigenvalues.  Each side's unitary is the Householder completion of its
-    leading singular vectors times j, and its network is kept in factored
-    form, so beyond the SVD a design costs O(n s^2) rather than O(n^3).
+    Pipeline: the n_streams leading singular triplets of the channel
+    (svd_ordered: only those, from LAPACK's zgesvdx, on large links with few
+    streams; else cut from the economy SVD), closed-form susceptance synthesis
+    on each side, and water-filling over their n_streams eigenvalues.  Each
+    side's unitary is the Householder completion of its leading singular
+    vectors times j, and its network is kept in factored form, so beyond the
+    SVD a design costs O(n s^2) rather than O(n^3).
     Only when the synthesis rejects Im{V} or Im{U} as singular are the
     factors phase-repaired, keeping the networks of the accepted draw.
     Only the water-filling depends on the power: at K powers (a vector
@@ -510,9 +574,9 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
             search; for a stack, a sequence of T such seeds.
 
     Returns:
-        Design holding the repaired factors, the power allocation (one row
-        per power at K powers) and both networks; it unpacks as (b_tx, b_rx,
-        allocation), which builds the dense susceptance matrices.  A stack's
+        Design holding the repaired n_streams triplets, the power allocation
+        (one row per power at K powers) and both networks; it unpacks as (b_tx,
+        b_rx, allocation), which builds the dense susceptance matrices.  A stack's
         design holds every array with a leading trial axis.
 
     Raises:
@@ -535,14 +599,14 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
             raise ValueError(f"rng_seed must hold one seed per channel of the stack of {h.shape[0]}")
     for seed in seeds:
         _check_seed(seed)
-    factors = svd_ordered(h)
+    factors = svd_ordered(h, n_streams=config.n_streams)
     tx, rx, accepted = _synthesize_both(factors, config)
     for t in np.flatnonzero(~accepted):
         at = (t,) if stacked else ()
         single = SvdFactors(u=factors.u[at], sigma=factors.sigma[at], v=factors.v[at])
         for stack, repaired in zip((factors, tx, rx), ensure_invertible_imag(single, config, seeds[t])):
             _put_trial(stack, at, repaired)
-    lam = factors.sigma[..., : config.n_streams] ** 2
+    lam = factors.sigma**2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
     return Design(factors, allocation, tx, rx)
 

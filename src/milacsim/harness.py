@@ -29,6 +29,7 @@ from .beamforming import (
     design_milac,
     digital_design_and_rate,
     milac_rate,
+    svd_route,
     water_filling,
 )
 from .channel import ChannelEnsembleSpec, rayleigh_channel
@@ -306,7 +307,11 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def write_manifest(spec: SweepSpec, path, csv_path) -> None:
-    """Record the sweep description, seed, and package version next to a CSV."""
+    """Record the sweep description, seed, SVD route and package version next to a CSV.
+
+    The two SVD routes give the same rates to 1e-9 but differ in their last
+    bits, so svd_route names the one each antenna count takes (svd_route()).
+    """
     from . import __version__
 
     lines = [
@@ -318,6 +323,7 @@ def write_manifest(spec: SweepSpec, path, csv_path) -> None:
         f"master_seed = {spec.master_seed}",
         f"noise_power = {spec.noise_power!r}",
         f"ref_admittance = {spec.ref_admittance!r}",
+        "svd_route = " + ", ".join(f"{c.n_rx}: {svd_route(c.n_rx, c.n_tx, c.n_streams)}" for c in spec.configs),
         f"csv = {csv_path}",
         f"package_version = {__version__}",
     ]

@@ -26,7 +26,9 @@ from milacsim import (
     digital_design_and_rate,
     ensure_invertible_imag,
     milac_rate,
+    run_trial,
     scattering_to_admittance,
+    snr_db_to_tx_power,
     susceptance_rx,
     susceptance_tx,
     svd_ordered,
@@ -108,13 +110,216 @@ def test_svd_factors_validate_ordering():
         SvdFactors(u=np.eye(2), sigma=np.array([1.0, 2.0]), v=np.eye(2))
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(2))
-    # Economy factors only: k = min(n_rx, n_tx) columns on both sides.
+    # Leading triplets only: the same 1 <= s <= k = min(n_rx, n_tx) columns on both sides.
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.ones(2), v=np.eye(3))
+    for s in (0, 3):
+        with pytest.raises(DimensionMismatchError):
+            SvdFactors(u=np.eye(3)[:2, :s], sigma=np.ones(s), v=np.eye(3)[:, :s])
+    assert SvdFactors(u=np.eye(3)[:2, :1], sigma=np.ones(1), v=np.eye(3)[:, :1]).u.shape == (2, 1)
     # NaN compares false, so it must not slip past the order checks.
     for sigma in ([np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             SvdFactors(u=np.eye(2), sigma=np.array(sigma), v=np.eye(2))
+
+
+def test_svd_ordered_cuts_the_economy_svd_to_n_streams():
+    h = random_channel(5, 7, 2)
+    full, cut = svd_ordered(h), svd_ordered(h, n_streams=2)
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)[..., :2])
+    for bad in (0, 6):
+        with pytest.raises(ValueError, match="n_streams"):
+            svd_ordered(h, n_streams=bad)
+    with pytest.raises(ValueError, match="n_streams must be an integer"):
+        svd_ordered(h, n_streams=2.5)
+
+
+# ---------------------------------------------------------------------------
+# The top-s SVD route
+
+needs_gesvdx = pytest.mark.skipif(network._gesvdx() is None, reason="no bundled library exports zgesvdx")
+
+# -40 to 100 dB in 10 dB steps at unit noise.
+_WIDE_SNR_POWERS = tuple(snr_db_to_tx_power(snr, 1.0) for snr in range(-40, 101, 10))
+
+
+def _assert_rates_reach_capacity(h, s, seeds):
+    config = SystemConfig(n_streams=s, n_tx=h.shape[-1], n_rx=h.shape[-2], tx_power=_WIDE_SNR_POWERS, noise_power=1.0)
+    report = run_trial(h, config, seeds)
+    for rate in (report.milac_rate, report.digital_rate):
+        assert (np.abs(rate - report.capacity) <= 1e-9 * report.capacity).all()
+
+
+def _economy_spy(monkeypatch) -> list:
+    """Record each matrix (stack) that svd_ordered hands to the economy SVD."""
+    calls, economy = [], beamforming._economy_triplets
+    monkeypatch.setattr(beamforming, "_economy_triplets", lambda h, s: calls.append(h) or economy(h, s))
+    return calls
+
+
+def test_the_route_rule_takes_top_s_only_on_large_links_with_few_streams():
+    top_s = beamforming._takes_top_s
+    assert top_s(64, 64, 4) and top_s(128, 128, 8) and top_s(64, 1024, 4) and top_s(1024, 64, 4)
+    assert not (top_s(63, 63, 1) or top_s(64, 64, 5) or top_s(128, 128, 9) or top_s(8, 1024, 1))
+    # Without n_streams, svd_ordered takes all k triplets: the economy SVD.
+    assert not top_s(512, 512, 512)
+
+
+def _haar(n, seed):
+    from scipy.stats import unitary_group
+
+    return unitary_group.rvs(n, random_state=seed)
+
+
+# Exactly clustered spectra, 4 draws each.
+_CLUSTERED = {
+    "3 Haar_128": lambda seed: 3.0 * _haar(128, seed),
+    "kron(I_2, 2 Haar_64)": lambda seed: np.kron(np.eye(2), 2.0 * _haar(64, seed)),
+}
+
+
+@needs_gesvdx
+@pytest.mark.parametrize("name", list(_CLUSTERED))
+def test_top_s_triplets_that_fail_their_check_take_the_economy_svd(monkeypatch, name):
+    # zgesvdx reads part of its real workspace before writing it on these
+    # spectra.  Filled as uninitialized memory can be, it returns INFO = 0 with
+    # vectors off by O(1): each such trial must take the economy SVD.
+    h = np.stack([_CLUSTERED[name](seed) for seed in range(4)])
+    monkeypatch.setattr(network, "_zeroed_rwork", lambda k: np.full(17 * k * k, 5.0))
+    u, sigma, v, ok = network._top_triplets(h, 8)
+    garbage = ok & (np.abs(h @ v - u * sigma[:, None, :]).max(axis=(-2, -1)) > 1e-3 * sigma[:, 0])
+    assert garbage.any()
+    fallbacks = _economy_spy(monkeypatch)
+    factors = svd_ordered(h, n_streams=8)
+    fell_back = [t for t in range(4) if any(np.array_equal(x, h[t]) for x in fallbacks)]
+    assert set(np.flatnonzero(garbage)) <= set(fell_back)
+    residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
+    assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
+    _assert_rates_reach_capacity(h, 8, list(range(4)))
+
+
+@needs_gesvdx
+@pytest.mark.parametrize("name", list(_CLUSTERED))
+def test_a_zeroed_workspace_keeps_zgesvdx_accurate_on_clustered_spectra(monkeypatch, name):
+    h = np.stack([_CLUSTERED[name](seed) for seed in range(4)])
+    fallbacks = _economy_spy(monkeypatch)
+    factors = svd_ordered(h, n_streams=8)
+    assert fallbacks == []
+    residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
+    assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
+    _assert_rates_reach_capacity(h, 8, list(range(4)))
+
+
+@needs_gesvdx
+def test_a_failed_top_s_call_takes_the_economy_svd_for_its_trial_alone(monkeypatch):
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((3, 64, 64)) + 1j * rng.standard_normal((3, 64, 64))
+    top_triplets = network._top_triplets
+
+    def fail_trial_1(h, s):
+        # As for INFO != 0 or fewer than s triplets: the flag is down and the entries are meaningless.
+        u, sigma, v, ok = top_triplets(h, s)
+        u[1], ok[1] = np.nan, False
+        return u, sigma, v, ok
+
+    clean = svd_ordered(h, n_streams=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "_gesvdx", lambda: None)
+        economy_1 = svd_ordered(h[1], n_streams=4)
+    monkeypatch.setattr(network, "_top_triplets", fail_trial_1)
+    fallbacks = _economy_spy(monkeypatch)
+    factors = svd_ordered(h, n_streams=4)
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], h[1])
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(factors, name)[1], getattr(economy_1, name)), name
+        for t in (0, 2):
+            assert np.array_equal(getattr(factors, name)[t], getattr(clean, name)[t]), (t, name)
+
+
+@needs_gesvdx
+def test_numpys_bundled_zgesvdx_gives_the_same_triplets(monkeypatch):
+    h, s = _ROUTE_CASES["128x128"]
+    scipy_route = svd_ordered(h, n_streams=s)
+    monkeypatch.setattr(network, "_GESVDX_SOURCES", network._GESVDX_SOURCES[1:])
+    network._gesvdx.cache_clear()
+    try:
+        if network._gesvdx() is None:
+            pytest.skip("numpy's bundled library does not export zgesvdx")
+        assert "64_ in " in network._gesvdx()[2]
+        fallbacks = _economy_spy(monkeypatch)
+        numpy_route = svd_ordered(h, n_streams=s)
+        assert fallbacks == []
+    finally:
+        network._gesvdx.cache_clear()
+    assert np.abs(numpy_route.sigma - scipy_route.sigma).max() <= 1e-14 * scipy_route.sigma[0]
+    for name in ("u", "v"):
+        assert np.abs(getattr(numpy_route, name) - getattr(scipy_route, name)).max() <= 1e-10
+
+
+def _route_cases():
+    rng = np.random.default_rng(16)
+
+    def cn(n_rx, n_tx):
+        return (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2)
+
+    return {
+        "64x64": (cn(64, 64), 4),
+        "128x128": (cn(128, 128), 8),
+        "wide 64x1024": (cn(64, 1024), 4),
+        "tall 1024x64": (cn(1024, 64), 4),
+        "real 128x128": (rng.standard_normal((128, 128)), 8),
+        "rank 3 at s=8": (cn(128, 3) @ cn(3, 128), 8),
+        "scale 1e-150": (1e-150 * cn(128, 128), 8),
+        "scale 1e150": (1e150 * cn(128, 128), 8),
+    }
+
+
+_ROUTE_CASES = _route_cases()
+
+
+@needs_gesvdx
+@pytest.mark.parametrize("name", list(_ROUTE_CASES))
+def test_top_s_factors_agree_with_the_economy_factors(monkeypatch, name):
+    h, s = _ROUTE_CASES[name]
+    assert beamforming._takes_top_s(*h.shape, s)
+    fallbacks = _economy_spy(monkeypatch)
+    top = svd_ordered(h, n_streams=s)
+    assert fallbacks == []
+    monkeypatch.setattr(network, "_gesvdx", lambda: None)
+    economy = svd_ordered(h, n_streams=s)
+    assert len(fallbacks) == 1
+    sigma_1 = economy.sigma[0]
+    assert np.abs(top.sigma - economy.sigma).max() <= 1e-14 * sigma_1
+    for col in top.v.T:
+        pivot = col[np.argmax(np.abs(col))]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
+    assert np.abs(h @ top.v - top.u * top.sigma).max() <= beamforming.TOP_S_CHECK_TOL * sigma_1
+
+
+@needs_gesvdx
+@pytest.mark.parametrize("name", [name for name in _ROUTE_CASES if name != "scale 1e150"])
+def test_top_s_designs_reach_capacity_from_minus_40_to_100_db(name):
+    # At scale 1e150 no float64 design meets the gate on either route: the
+    # effective SNR reaches 1e300 (the envelope's open large-scale corner).
+    h, s = _ROUTE_CASES[name]
+    _assert_rates_reach_capacity(h, s, 0)
+
+
+@needs_gesvdx
+def test_a_top_s_stack_is_designed_as_each_trial_alone():
+    rng = np.random.default_rng(64)
+    h = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))
+    config = _config(4, 64, 64)
+    assert beamforming._takes_top_s(64, 64, 4)
+    stacked = design_milac(h, config, rng_seed=[0, 1, 2, 3])
+    for t in range(4):
+        alone = design_milac(h[t], config, rng_seed=t)
+        for part, names in (("factors", ("u", "sigma", "v")), ("allocation", ("p",)),
+                            ("tx", ("a", "core", "qt")), ("rx", ("a", "core", "qt"))):
+            for name in names:
+                mine, theirs = getattr(getattr(stacked, part), name), getattr(getattr(alone, part), name)
+                assert np.array_equal(mine[t], theirs), (part, name)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +337,7 @@ def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", repair)
     h = random_channel(5, 5, 7)
     design = design_milac(h, _config(3, 5, 5), rng_seed=0)
-    factors = svd_ordered(h)
+    factors = svd_ordered(h, n_streams=3)
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(design.factors, name), getattr(factors, name))
 
@@ -427,7 +632,9 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
     design = design_milac(h, config, rng_seed=0)
     f, g, alloc = _circuit_blocks(h, config, seed=0)
     lam = design.factors.sigma[:2] ** 2
-    v, u = design.factors.v, design.factors.u
+    # The dense syntheses take square unitaries: the economy factors of the square channel.
+    economy = svd_ordered(h)
+    v, u = economy.v, economy.u
     y = AdmittanceMatrix(1j * design.b_tx.b)
     call = {
         "water_filling": lambda x: water_filling(lam, x, 1.0),
@@ -632,7 +839,7 @@ def test_design_unpacks_as_b_tx_b_rx_allocation():
     design = design_milac(h, config, rng_seed=0)
     b_tx, b_rx, alloc = design
     assert b_tx is design.b_tx and b_rx is design.b_rx and alloc is design.allocation
-    assert np.array_equal(design.factors.sigma, svd_ordered(h).sigma)
+    assert np.array_equal(design.factors.sigma, svd_ordered(h, n_streams=2).sigma)
 
 
 def test_design_rejects_mismatched_channel_shape():

@@ -19,6 +19,7 @@ from milacsim import (
     DimensionMismatchError,
     PhaseSearchExhaustedError,
     PortPartition,
+    SvdFactors,
     SweepResult,
     SweepRow,
     SweepSpec,
@@ -724,19 +725,52 @@ def test_sweep_csv_end_to_end(tmp_path):
     assert len(lines) == 1 + len(result.rows)
 
 
-def test_write_manifest_records_the_run(tmp_path):
-    spec = _small_snr_spec()
-    path = tmp_path / "manifest.txt"
-    write_manifest(spec, path, csv_path="sweep.csv")
-    text = path.read_text()
-    entries = dict(
-        line.split(" = ", 1) for line in text.strip().split("\n") if " = " in line
-    )
-    assert entries["mode"] == "snr_sweep"
-    assert entries["master_seed"] == "11"
-    assert entries["n_trials"] == "4"
-    assert entries["csv"] == "sweep.csv"
-    assert "package_version" in entries
+def _economy_svd_ordered(h, n_streams=None):
+    """The reference economy route: svd_ordered as it was before the top-s route,
+    which phase-fixed all k economy triplets, and the design then read n_streams."""
+    u, sigma, vh = np.linalg.svd(np.asarray(h, dtype=complex), full_matrices=False)
+    v = vh.conj().swapaxes(-1, -2)
+    entries = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    mags = np.abs(entries)
+    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()[..., None, :]
+    s = n_streams or sigma.shape[-1]
+    return SvdFactors(u=(u * phases)[..., :s], sigma=sigma[..., :s], v=(v * phases)[..., :s])
+
+
+def test_without_zgesvdx_a_large_sweep_writes_the_economy_routes_bytes(monkeypatch, tmp_path):
+    # 128 x 128 links with 8 streams take the top-s route when the library is there.
+    assert beamforming._takes_top_s(128, 128, 8)
+    argv = ["sweep-snr", "--antennas", "128", "--streams", "8", "--trials", "2", "--workers", "1", "--out"]
+    monkeypatch.setattr(network, "_gesvdx", lambda: None)
+    assert cli.main(argv + [str(tmp_path / "fallback.csv")]) == 0
+    assert "svd_route = 128: economy (numpy.linalg.svd)\n" in (tmp_path / "fallback.csv.manifest.txt").read_text()
+    monkeypatch.setattr(beamforming, "svd_ordered", _economy_svd_ordered)
+    assert cli.main(argv + [str(tmp_path / "reference.csv")]) == 0
+    assert (tmp_path / "fallback.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_write_manifest_records_the_run(tmp_path, monkeypatch):
+    def entries(spec):
+        path = tmp_path / "manifest.txt"
+        write_manifest(spec, path, csv_path="sweep.csv")
+        return dict(line.split(" = ", 1) for line in path.read_text().strip().split("\n") if " = " in line)
+
+    written = entries(_small_snr_spec())
+    assert written["mode"] == "snr_sweep"
+    assert written["master_seed"] == "11"
+    assert written["n_trials"] == "4"
+    assert written["csv"] == "sweep.csv"
+    assert "package_version" in written
+    # The SVD route of each antenna count, with the routine it calls.
+    assert written["svd_route"] == "8: economy (numpy.linalg.svd)"
+    spec = _small_snr_spec(mode="antenna_sweep", snr_points_db=(0.0,), antenna_points=(8, 64), n_streams=4)
+    lapack = network._gesvdx()
+    top_s = "economy (numpy.linalg.svd)" if lapack is None else f"top-s ({lapack[2]})"
+    assert entries(spec)["svd_route"] == f"8: economy (numpy.linalg.svd), 64: {top_s}"
+    if lapack is not None:
+        assert "zgesvdx" in top_s and "openblas" in top_s
+    monkeypatch.setattr(network, "_gesvdx", lambda: None)
+    assert entries(spec)["svd_route"] == "8: economy (numpy.linalg.svd), 64: economy (numpy.linalg.svd)"
 
 
 # ---------------------------------------------------------------------------
