@@ -182,6 +182,9 @@ class Design:
             whose leading columns are j u_bar.
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
             O(n^2 s) on first access (of a single link's design).
+        f, g: the circuit-realized precoder (n_tx x s) and combiner (s x n_rx),
+            tx.transfer_block() and rx.transfer_block(), built in O(n s^2) on
+            first access; a square link's two circuit solves are one call.
 
     The design of a stack of T channels holds T of each, along a leading axis.
     """
@@ -190,6 +193,20 @@ class Design:
     allocation: PowerAllocation
     tx: _FactoredSusceptance
     rx: _FactoredSusceptance
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.tx.core.shape == self.rx.core.shape:
+            return network._transfer_blocks(self.tx, self.rx)
+        return self.tx.transfer_block(), self.rx.transfer_block()
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._blocks[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._blocks[1]
 
     @cached_property
     def b_tx(self) -> SusceptanceMatrix:
@@ -280,9 +297,12 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
         for t in np.ndindex(ok.shape):
             if not ok[t]:
                 u[t], sigma[t], v[t] = _economy_triplets(h[t], s)
-    entries = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)[..., 0, :]
-    mags = np.abs(entries)
-    phases = np.where(mags > 0, entries / np.where(mags > 0, mags, 1.0), 1.0).conj()[..., None, :]
+    # The largest-modulus entry of each column of v, one row per (trial, column):
+    # at least 1/sqrt(n_tx) in modulus, as every column is a unit vector.
+    cols = v.swapaxes(-1, -2).reshape(-1, v.shape[-2])
+    mags = np.abs(cols)
+    top = np.arange(len(cols)), mags.argmax(axis=-1)
+    phases = np.conjugate(cols[top] / mags[top]).reshape(v.shape[:-2] + (1, s))
     return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
 
 

@@ -10,6 +10,9 @@ from .exceptions import TrialIndexError, _check_integers
 
 _UINT64_SPAN = 2**64
 
+# The state of a Philox generator at the start of its stream (counter 0, empty buffer).
+_PHILOX_START = np.random.Philox(key=0).state
+
 
 @dataclass(frozen=True)
 class ChannelEnsembleSpec:
@@ -37,38 +40,49 @@ class ChannelEnsembleSpec:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
-def rayleigh_channel(spec: ChannelEnsembleSpec, trial_index: int) -> np.ndarray:
-    """One i.i.d. Rayleigh-fading channel matrix of the ensemble.
+def rayleigh_channel(spec: ChannelEnsembleSpec, trial_index: int | range) -> np.ndarray:
+    """One i.i.d. Rayleigh-fading channel matrix of the ensemble, or the stack of a range of them.
 
     Entries are circularly symmetric complex Gaussian with unit variance,
     (a + jb) / sqrt(2) with a, b standard normal.  The normal pairs come
     from a Box-Muller transform of uniforms drawn from a counter-based
     generator keyed by (master_seed, trial_index), so every trial has its
     own substream: trials can be generated in any order, in parallel, and
-    independently of n_trials.
+    independently of n_trials.  A range of trials draws each trial's
+    uniforms from its own substream, one generator reset to each key in
+    turn, and transforms the whole stack at once: entry t of the stack is
+    bit for bit the channel of trial_index[t] alone.
 
     Args:
         spec: ensemble description.
-        trial_index: trial to generate, in [0, spec.n_trials).
+        trial_index: trial to generate, in [0, spec.n_trials), or a range of
+            such trials.
 
     Returns:
-        Complex (n_rx x n_tx) channel matrix.
+        Complex (n_rx x n_tx) channel matrix; for a range of T trials, the
+        (T, n_rx, n_tx) stack.
 
     Raises:
-        TrialIndexError: if trial_index lies outside the ensemble.
-        ValueError: if trial_index is not an integer.
+        TrialIndexError: if a trial index lies outside the ensemble.
+        ValueError: if trial_index is neither an integer nor a range.
     """
-    _check_integers(trial_index=trial_index)
-    if not 0 <= trial_index < spec.n_trials:
-        raise TrialIndexError(
-            f"trial_index {trial_index} outside [0, {spec.n_trials})"
-        )
-    key = np.array([spec.master_seed, trial_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    stacked = isinstance(trial_index, range)
+    if not stacked:
+        _check_integers(trial_index=trial_index)
+    indices = trial_index if stacked else range(trial_index, trial_index + 1)
+    # A range's indices lie between its ends.
+    if not all(0 <= i < spec.n_trials for i in ((indices[0], indices[-1]) if indices else ())):
+        raise TrialIndexError(f"trial_index {trial_index} outside [0, {spec.n_trials})")
     n = spec.n_rx * spec.n_tx
-    u1 = gen.random(n)
-    u2 = gen.random(n)
+    # Uniforms u1 then u2 of each trial, in one draw from its substream.
+    u = np.empty((len(indices), 2 * n))
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for row, index in zip(u, indices):
+        # The start of this trial's substream.
+        key = np.array([spec.master_seed, index], dtype=np.uint64)
+        gen.bit_generator.state = {**_PHILOX_START, "state": {**_PHILOX_START["state"], "key": key}}
+        gen.random(out=row)
     # Box-Muller: radius sqrt(-2 ln(1 - u1)) and angle 2 pi u2 give a standard
     # normal pair (a, b); (a + jb)/sqrt(2) collapses to the form below.
-    entries = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
-    return entries.reshape(spec.n_rx, spec.n_tx)
+    entries = np.sqrt(-np.log1p(-u[:, :n])) * np.exp(2j * np.pi * u[:, n:])
+    return entries.reshape((len(indices), spec.n_rx, spec.n_tx) if stacked else (spec.n_rx, spec.n_tx))

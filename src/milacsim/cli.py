@@ -19,6 +19,7 @@ from .exceptions import MilacError
 from .harness import (
     SweepSpec,
     WORKERS_ENV_VAR,
+    resolve_workers,
     run_sweep,
     run_trial,
     run_verification,
@@ -221,10 +222,11 @@ def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> 
         noise_power=opts["noise_power"],
         ref_admittance=_ref_admittance(opts),
     )
-    result = run_sweep(spec, workers=opts["workers"])
+    workers = resolve_workers(opts["workers"])
+    result = run_sweep(spec, workers=workers)
     out = opts["out"]
     write_csv(result, out)
-    write_manifest(spec, out + ".manifest.txt", out)
+    write_manifest(spec, out + ".manifest.txt", out, workers)
     _print_sweep(result, out)
     return 0
 

@@ -1,13 +1,14 @@
 """Monte-Carlo sweep harness: per-trial evaluation, aggregation, CSV output.
 
 Trials are embarrassingly parallel: each trial's channel comes from a
-counter-based substream and its phase-repair seed from its index, so results
-do not depend on execution order or worker count.  A task is a chunk of
-trials of one antenna count: a fixed range of trial indices, at most 16 and
-fewer on larger links (chunk_size), set by the link's shape alone and never
-by the worker count.  A task stacks its chunk's channels, designs each once
-and rates it at every SNR point of its config, all in one stacked pass that
-gives each trial exactly what run_trial gives it alone.  Aggregation sums
+counter-based substream and its phase-repair seed from the master seed and
+its index, so results do not depend on execution order or worker count.  A
+task is a chunk of trials of one antenna count: a fixed range of trial
+indices, at most 16 and fewer on larger links (chunk_size), set by the
+link's shape alone and never by the worker count.  A task draws its chunk's
+channels in one call, designs each once and rates it at every SNR point of
+its config, all in one stacked pass that gives each trial exactly what
+run_trial gives it alone.  Aggregation sums
 per-trial values in trial order with pairwise summation, which keeps serial
 and parallel runs byte-identical.
 """
@@ -20,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .beamforming import (
     PowerAllocation,
@@ -153,11 +155,12 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     every transmit power of the config.  Only water-filling, the rates and
     the digital benchmark depend on the power, and each takes all of the
     config's powers in one vectorized call.  The analog rate is evaluated on
-    the transfer blocks of the synthesized circuits: each side's factored
-    network is driven with s right-hand sides in O(n s^2), equal to
-    transfer_block_from_admittance of its dense susceptance matrix, which is
-    never formed here.  A stack of T channels runs the same chain once on
-    (T, ...) stacks, and each trial gets exactly what it gets alone.
+    the transfer blocks of the synthesized circuits, the design's f and g:
+    each side's factored network is driven with s right-hand sides in
+    O(n s^2), equal to transfer_block_from_admittance of its dense
+    susceptance matrix, which is never formed here.  A stack of T channels
+    runs the same chain once on (T, ...) stacks, and each trial gets exactly
+    what it gets alone.
 
     Args:
         h: channel matrix (n_rx x n_tx), or a stack of T (T, n_rx, n_tx).
@@ -170,8 +173,7 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
         stack adds a leading trial axis to each.
     """
     design = design_milac(h, config, rng_seed)
-    f = design.tx.transfer_block()
-    g = design.rx.transfer_block()
+    f, g = design.f, design.g
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[..., : config.n_streams] ** 2
     rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
@@ -184,13 +186,9 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
 
 
 def _design_seed(master_seed: int, trial_index: int) -> int:
-    """Phase-repair seed of one trial.
-
-    The trailing 0 of the spawn key keeps the seeds, and so the outputs, of
-    versions that re-seeded exhausted trials with 1, 2, ...
-    """
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trial_index, 0))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Phase-repair seed of one trial: master_seed << 64 | trial_index, distinct
+    for every pair of a 64-bit master seed and a trial index below 2**64."""
+    return master_seed << 64 | trial_index
 
 
 def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfig:
@@ -220,12 +218,15 @@ def _sweep_task(task: tuple) -> np.ndarray:
     ensemble = ChannelEnsembleSpec(
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=spec.n_trials, master_seed=spec.master_seed
     )
-    h = np.stack([rayleigh_channel(ensemble, trial) for trial in trials])
+    h = rayleigh_channel(ensemble, trials)
     report = run_trial(h, config, [_design_seed(spec.master_seed, trial) for trial in trials])
     return np.stack([report.milac_rate, report.digital_rate, report.capacity], axis=-1)
 
 
-def _resolve_workers(workers) -> int:
+def resolve_workers(workers) -> int:
+    """The worker count of a sweep: workers, else the MILACSIM_WORKERS
+    environment variable, else the CPU count; ValueError naming the source
+    unless it is an integer of at least 1."""
     name = "workers"
     if workers is None:
         name, workers = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR, "").strip() or os.cpu_count() or 1
@@ -264,7 +265,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     for config in spec.configs:
         size = chunk_size(config.n_rx, config.n_tx)
         tasks += [(spec, config, range(t, min(t + size, spec.n_trials))) for t in range(0, spec.n_trials, size)]
-    n_workers = _resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
         outcomes = [_sweep_task(t) for t in tasks]
     else:
@@ -306,8 +307,9 @@ def write_csv(result: SweepResult, path) -> None:
         fh.write("\n")
 
 
-def write_manifest(spec: SweepSpec, path, csv_path) -> None:
-    """Record the sweep description, seed, SVD route and package version next to a CSV.
+def write_manifest(spec: SweepSpec, path, csv_path, workers: int) -> None:
+    """Record the sweep description, seed, SVD route, package, numpy and scipy
+    versions and the worker count (as resolve_workers gives it) next to a CSV.
 
     The two SVD routes give the same rates to 1e-9 but differ in their last
     bits, so svd_route names the one each antenna count takes (svd_route()).
@@ -326,6 +328,9 @@ def write_manifest(spec: SweepSpec, path, csv_path) -> None:
         "svd_route = " + ", ".join(f"{c.n_rx}: {svd_route(c.n_rx, c.n_tx, c.n_streams)}" for c in spec.configs),
         f"csv = {csv_path}",
         f"package_version = {__version__}",
+        f"numpy_version = {np.__version__}",
+        f"scipy_version = {scipy.__version__}",
+        f"workers = {workers}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

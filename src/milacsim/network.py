@@ -32,6 +32,7 @@ from pathlib import Path
 import ctypes
 import functools
 import math
+import mmap
 
 import numpy as np
 import scipy
@@ -229,6 +230,13 @@ def _gesvdx():
     return None
 
 
+# zgesvdx real workspaces of at least this many bytes come from a fresh
+# anonymous mapping.  Below it, the heap's zeroing is cheaper than the
+# mapping's page faults: design_milac at 64 x 64 (0.56 MB) took about 5% longer
+# from a mapping, and broke even near 112 x 112 (1.7 MB), one BLAS thread.
+RWORK_MMAP_BYTES = 3 << 19
+
+
 def _zeroed_rwork(k: int) -> np.ndarray:
     """zgesvdx's real workspace for min(m, n) = k, zeroed.
 
@@ -236,8 +244,16 @@ def _zeroed_rwork(k: int) -> np.ndarray:
     uninitialized memory, as LAPACKE_zgesvdx allocates it, those calls return
     INFO = 0 with vectors off by O(1) that change from call to call.  Zeroed,
     they are accurate, and every result depends on the input alone.
+
+    A large workspace comes from a fresh anonymous mapping, which the kernel
+    zeroes page by page as the routine touches it: np.zeros of the same
+    2.2 MB at k = 128 comes from the heap once glibc has raised its mmap
+    threshold, and is then set to zero, and kept resident, in full.
     """
-    return np.zeros(17 * k * k)
+    size = 17 * k * k
+    if 8 * size < RWORK_MMAP_BYTES:
+        return np.zeros(size)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
 
 
 def _top_triplets(h: np.ndarray, s: int):
@@ -290,25 +306,6 @@ def _top_triplets(h: np.ndarray, s: int):
         u[t], v[t] = (left.T, right.conj()) if tall else (right, left.T.conj())
         sigma[t] = values[:s]
     return u, sigma, v, ok
-
-
-def _each(func, *stacks) -> tuple:
-    """func's output arrays on each matrix of the stacks (their last two axes), restacked.
-
-    For the LAPACK and BLAS routines without a stacked form (geqrt, trmm); a
-    single matrix is the stack without leading axes.
-    """
-    trials = stacks[0].shape[:-2]
-    if not trials:
-        return func(*stacks)
-    count = math.prod(trials)
-    if count == 1:
-        # No copies: the matrix itself, and views of its outputs.
-        outs = func(*(x.reshape(x.shape[-2:]) for x in stacks))
-        return tuple(out.reshape(trials + out.shape) for out in outs)
-    flat = [x.reshape((count,) + x.shape[-2:]) for x in stacks]
-    outs = zip(*(func(*mats) for mats in zip(*flat)))
-    return tuple(np.stack(out).reshape(trials + out[0].shape) for out in outs)
 
 
 def _mirror_upper(b: np.ndarray) -> np.ndarray:
@@ -600,7 +597,16 @@ def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, s = q_bar.shape[-2:]
     trials = q_bar.shape[:-2]
-    qr, t = _each(lambda q: _GEQRT(s, q)[:2], q_bar)
+    count = math.prod(trials)
+    # geqrt and trmm have no stacked form: one call per matrix, each in place
+    # on its column-major slice of a stacked copy; qr and t keep LAPACK's
+    # column-major layout, on which the products below are computed.
+    qr = q_bar.swapaxes(-1, -2).copy().reshape((count, s, n))
+    t = np.empty((count, s, s), dtype=complex)
+    for q, tq in zip(qr, t):
+        tq[...] = _GEQRT(s, q.T, overwrite_a=1)[1].T
+    qr = qr.reshape(trials + (s, n)).swapaxes(-1, -2)
+    t = t.reshape(trials + (s, s)).swapaxes(-1, -2)
     low = qr[..., s:, :]
     # Householder QR's orthonormal columns, (n - s) x min(n - s, 2s), in one stacked call.
     b = np.linalg.qr(np.concatenate([low.real, low.imag], axis=-1), mode="reduced")[0]
@@ -612,7 +618,10 @@ def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qt = np.empty(trials + (a.shape[-1], n), dtype=complex)
     qt[..., :s, :s] = q_bar[..., :s, :] - np.eye(s)
     # -W[:s] T L^H, W[:s] being the unit lower triangle of qr[:s].
-    qt[..., :s, s:] = _each(lambda w, x: (_TRMM(-1.0, w, x, lower=1, diag=1),), qr[..., :s, :], tail)[0]
+    wtl = tail.swapaxes(-1, -2).copy()
+    for w, b_t in zip(qr[..., :s, :].reshape((count, s, s)), wtl.reshape((count, n - s, s))):
+        _TRMM(-1.0, w, b_t.T, lower=1, diag=1, overwrite_b=1)
+    qt[..., :s, s:] = wtl.swapaxes(-1, -2)
     qt[..., s:, :s] = bt @ q_bar[..., s:, :]
     qt[..., s:, s:] = -(bt @ low) @ tail
     return a, qt
@@ -663,18 +672,28 @@ class _FactoredSusceptance:
         antenna columns) is the transpose of the antenna rows of the symbol
         columns.
         """
-        a, core = self.a, self.core
-        s = core.shape[-1] - a.shape[-1]
-        c = np.eye(core.shape[-1]) + 1j * core
-        cinv = np.linalg.inv(c)
-        kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
-        if not (kappa <= DEFAULT_COND_CAP).all():
-            side = "susceptance_rx" if self.receive else "susceptance_tx"
+        return _transfer_blocks(self)[0]
+
+
+def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
+    """transfer_block() of each of networks whose cores share one shape, as both
+    sides of a square link do, with all cores inverted in one stacked call.
+    Each network's kappa_1 is checked on its own, in order, so the error names
+    the first side past the cap."""
+    c = np.eye(networks[0].core.shape[-1]) + 1j * np.stack([net.core for net in networks])
+    cinv = np.linalg.inv(c)
+    kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
+    blocks = []
+    for net, net_kappa, net_cinv in zip(networks, kappa, cinv):
+        if not (net_kappa <= DEFAULT_COND_CAP).all():
+            side = "susceptance_rx" if net.receive else "susceptance_tx"
             raise SingularMatrixError(
-                f"{side} circuit: condition number {np.max(kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
+                f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
             )
-        x = a @ cinv[..., s:, :s]
-        return x.swapaxes(-1, -2) if self.receive else x
+        s = net.core.shape[-1] - net.a.shape[-1]
+        x = net.a @ net_cinv[..., s:, :s]
+        blocks.append(x.swapaxes(-1, -2) if net.receive else x)
+    return tuple(blocks)
 
 
 def _synthesize_factored(q_bar, y0: float, receive) -> tuple:

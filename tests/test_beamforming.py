@@ -212,6 +212,32 @@ def test_a_zeroed_workspace_keeps_zgesvdx_accurate_on_clustered_spectra(monkeypa
 
 
 @needs_gesvdx
+@pytest.mark.parametrize("k", [64, 128], ids=["heap", "mapping"])
+def test_the_workspace_is_zeroed_from_either_source_and_gives_the_same_triplets(monkeypatch, k):
+    import mmap
+
+    # Below RWORK_MMAP_BYTES the workspace comes from np.zeros, from it on from an anonymous mapping.
+    def mapped(a):
+        return isinstance(getattr(a.base, "obj", None), mmap.mmap)
+
+    rwork = network._zeroed_rwork(k)
+    assert rwork.shape == (17 * k * k,) and rwork.dtype == float and rwork.flags.writeable
+    assert not rwork.any()
+    assert mapped(rwork) == (k == 128)
+    rng = np.random.default_rng(k)
+    h = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+    fallbacks = _economy_spy(monkeypatch)
+    first = svd_ordered(h, n_streams=k // 16)
+    # The other source for the same size.
+    monkeypatch.setattr(network, "RWORK_MMAP_BYTES", 0 if k == 64 else np.inf)
+    assert mapped(network._zeroed_rwork(k)) == (k == 64)
+    other = svd_ordered(h, n_streams=k // 16)
+    assert fallbacks == []
+    for x, y in ((first.u, other.u), (first.sigma, other.sigma), (first.v, other.v)):
+        assert x.tobytes() == y.tobytes()
+
+
+@needs_gesvdx
 def test_a_failed_top_s_call_takes_the_economy_svd_for_its_trial_alone(monkeypatch):
     rng = np.random.default_rng(3)
     h = rng.standard_normal((3, 64, 64)) + 1j * rng.standard_normal((3, 64, 64))
@@ -470,6 +496,28 @@ def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monke
     _assert_sides_equal_two_calls(design.tx, design.rx, np.ones(2, dtype=bool), design.factors, 4)
     # The repair wrote through the views: both sides still share one stack.
     assert design.tx.core.base is design.rx.core.base is not None
+
+
+@pytest.mark.parametrize(
+    "shape, s", [((3, 6, 6), 2), ((6, 6), 6), ((2, 4, 9), 3), ((9, 4), 2), ((2, 9, 4), 4)],
+    ids=["square_stack", "square", "wide_stack", "tall", "tall_stack"],
+)
+def test_the_designs_f_and_g_are_the_networks_transfer_blocks_bit_for_bit(monkeypatch, shape, s):
+    # A square link inverts both sides' cores in one stacked call; any other
+    # shape makes one call per side.  Either way f and g are what each
+    # network's own transfer_block gives, built once.
+    h = np.random.default_rng(len(shape) * shape[-1]).standard_normal(shape) * (1.0 + 1.0j)
+    h = h + np.random.default_rng(7).standard_normal(shape)
+    design = design_milac(h, _config(s, shape[-1], shape[-2]), [0] * shape[0] if len(shape) == 3 else 0)
+    calls = []
+    blocks = network._transfer_blocks
+    monkeypatch.setattr(network, "_transfer_blocks", lambda *nets: calls.append(len(nets)) or blocks(*nets))
+    assert design.f.tobytes() == design.tx.transfer_block().tobytes()
+    assert design.g.tobytes() == design.rx.transfer_block().tobytes()
+    assert design.f.shape == shape[:-2] + (shape[-1], s) and design.g.shape == shape[:-2] + (s, shape[-2])
+    assert design.f is design.f and design.g is design.g
+    # The first access solved the circuits; the two transfer_block calls above, one network each.
+    assert calls == ([2] if shape[-1] == shape[-2] else [1, 1]) + [1, 1]
 
 
 def test_a_wide_link_synthesizes_each_side_in_its_own_call(monkeypatch):

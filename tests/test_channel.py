@@ -56,12 +56,42 @@ def test_component_variances_are_half_each():
     assert abs(h.imag.mean()) < 0.01
 
 
+@pytest.mark.parametrize(
+    "n_rx, n_tx, n_trials, master_seed, trials",
+    [
+        (8, 8, 5, 1, range(5)),
+        (128, 128, 1, 3, range(1)),
+        (3, 5, 7, 2**64 - 1, range(2, 6)),
+        # The ensemble's last index, alone in its range.
+        (4, 4, 2**62, 9, range(2**62 - 1, 2**62)),
+    ],
+    ids=["8x8x5", "128x128x1", "3x5", "last_index"],
+)
+def test_a_range_of_trials_is_the_stack_of_its_trials_bit_for_bit(n_rx, n_tx, n_trials, master_seed, trials):
+    spec = ChannelEnsembleSpec(n_rx=n_rx, n_tx=n_tx, n_trials=n_trials, master_seed=master_seed)
+    stack = rayleigh_channel(spec, trials)
+    assert stack.shape == (len(trials), n_rx, n_tx) and stack.dtype == np.complex128
+    assert stack.tobytes() == np.stack([rayleigh_channel(spec, t) for t in trials]).tobytes()
+
+
 def test_trial_index_bounds():
     spec = ChannelEnsembleSpec(n_rx=2, n_tx=2, n_trials=3, master_seed=0)
     with pytest.raises(TrialIndexError):
         rayleigh_channel(spec, 3)
     with pytest.raises(TrialIndexError):
         rayleigh_channel(spec, -1)
+    # A range must lie inside the ensemble at both ends.
+    for trials in (range(2, 4), range(3, 5), range(-1, 2)):
+        with pytest.raises(TrialIndexError):
+            rayleigh_channel(spec, trials)
+    assert rayleigh_channel(spec, range(0, 3)).shape == (3, 2, 2)
+
+
+def test_a_trial_index_must_be_an_integer_or_a_range():
+    spec = ChannelEnsembleSpec(n_rx=2, n_tx=2, n_trials=3, master_seed=0)
+    for bad in (1.0, [0, 1]):
+        with pytest.raises(ValueError, match="trial_index must be an integer"):
+            rayleigh_channel(spec, bad)
 
 
 def test_trial_index_error_is_an_index_error():

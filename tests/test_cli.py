@@ -254,10 +254,18 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
     manifest = (tmp_path / "rates.csv.manifest.txt").read_text()
     assert "master_seed = 3" in manifest
     assert "n_trials = 2" in manifest
+    assert "\nworkers = 1\n" in manifest
     # Every data row keeps the analog/digital/capacity agreement tight.
     for line in lines[1:]:
         toks = [float(t) for t in line.split(",")[:5]]
         assert toks[4] <= 1e-9
+
+
+def test_the_manifest_records_the_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MILACSIM_WORKERS", "2")
+    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 0
+    assert "\nworkers = 2\n" in (tmp_path / "r.csv.manifest.txt").read_text()
 
 
 def test_sweep_at_a_tiny_noise_power_keeps_both_rate_forms_in_agreement(tmp_path, capsys):

@@ -464,6 +464,13 @@ def test_chunks_depend_only_on_the_link_shape():
         assert size == 1 or size * n_rx * n_tx <= harness.CHUNK_ENTRIES
 
 
+def test_repair_seeds_are_distinct_across_master_seeds_and_trials():
+    pairs = [(m, t) for m in (0, 2**64 - 1) for t in (0, 1, 2**63)]
+    seeds = [_design_seed(m, t) for m, t in pairs]
+    assert len(set(seeds)) == len(pairs)
+    assert all(isinstance(seed, int) and seed >= 0 for seed in seeds)
+
+
 def _stack_with_a_repair(repair_channel):
     ensemble = ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=2, master_seed=6)
     channels = [rayleigh_channel(ensemble, 0), repair_channel, rayleigh_channel(ensemble, 1)]
@@ -484,6 +491,11 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repa
     stacked = run_trial(np.stack(channels), config, seeds)
     # The repair runs on the rejected trial alone, with that trial's seed.
     assert repairs == [seeds[1]]
+    # The repaired design reproduces.
+    again = run_trial(np.stack(channels), config, seeds)
+    for name in ("milac_rate", "digital_rate", "capacity", "f", "g"):
+        assert getattr(again, name).tobytes() == getattr(stacked, name).tobytes(), name
+    assert again.design.factors.v.tobytes() == stacked.design.factors.v.tobytes()
     # Only a single network has one dense susceptance matrix.
     with pytest.raises(DimensionMismatchError):
         stacked.design.b_tx
@@ -510,9 +522,11 @@ def test_an_exhausted_repair_fails_its_chunk_and_the_cli_exits_two(monkeypatch, 
     with pytest.raises(PhaseSearchExhaustedError):
         run_trial(np.stack(channels), config, seeds)
     # The same chunk through the CLI: trial 1 of a 3-trial sweep draws the repair channel.
+    # The chunk draws its trials in one call.
     draw = harness.rayleigh_channel
     monkeypatch.setattr(
-        harness, "rayleigh_channel", lambda ensemble, t: repair_channel if t == 1 else draw(ensemble, t)
+        harness, "rayleigh_channel",
+        lambda ensemble, trials: np.stack([repair_channel if t == 1 else draw(ensemble, t) for t in trials]),
     )
     argv = ["sweep-snr", "--antennas", "4", "--streams", "4", "--trials", "3", "--workers", "1",
             "--out", str(tmp_path / "sweep.csv")]
@@ -574,7 +588,7 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
 
     counted(beamforming, "svd_ordered", "svd_ordered", lambda h: stack_size(h, 2))
     counted(beamforming, "_synthesize_factored", "synthesis", lambda q_bar, *_: stack_size(q_bar, 2))
-    counted(network._FactoredSusceptance, "transfer_block", "transfer_block", lambda net: stack_size(net.a, 2))
+    counted(network, "_transfer_blocks", "transfer_block", lambda *nets: sum(stack_size(net.a, 2) for net in nets))
     counted(harness, "transfer_block_from_admittance", "dense_transfer_block", lambda y, *_: 1)
     # The harness may do no water-filling of its own; any call through its name counts too.
     for owner in (beamforming, harness):
@@ -603,10 +617,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         "digital": n_trials,
     }
     # ... in one stacked call per chunk; both sides of a square link share one
-    # synthesis, and with it one core spectrum.
-    assert calls == {
-        **dict.fromkeys(work, 2), "other_svd_values": 0, "transfer_block": 4, "dense_transfer_block": 0,
-    }
+    # synthesis, and with it one core spectrum, and one circuit solve.
+    assert calls == {**dict.fromkeys(work, 2), "other_svd_values": 0, "dense_transfer_block": 0}
 
 
 def test_sweep_spec_validation():
@@ -750,9 +762,11 @@ def test_without_zgesvdx_a_large_sweep_writes_the_economy_routes_bytes(monkeypat
 
 
 def test_write_manifest_records_the_run(tmp_path, monkeypatch):
-    def entries(spec):
+    import scipy
+
+    def entries(spec, workers=1):
         path = tmp_path / "manifest.txt"
-        write_manifest(spec, path, csv_path="sweep.csv")
+        write_manifest(spec, path, csv_path="sweep.csv", workers=workers)
         return dict(line.split(" = ", 1) for line in path.read_text().strip().split("\n") if " = " in line)
 
     written = entries(_small_snr_spec())
@@ -761,6 +775,11 @@ def test_write_manifest_records_the_run(tmp_path, monkeypatch):
     assert written["n_trials"] == "4"
     assert written["csv"] == "sweep.csv"
     assert "package_version" in written
+    # The environment that produced the CSV: library versions and the worker count used.
+    assert written["numpy_version"] == np.__version__
+    assert written["scipy_version"] == scipy.__version__
+    assert written["workers"] == "1"
+    assert entries(_small_snr_spec(), workers=3)["workers"] == "3"
     # The SVD route of each antenna count, with the routine it calls.
     assert written["svd_route"] == "8: economy (numpy.linalg.svd)"
     spec = _small_snr_spec(mode="antenna_sweep", snr_points_db=(0.0,), antenna_points=(8, 64), n_streams=4)

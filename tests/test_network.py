@@ -467,6 +467,15 @@ def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receiv
     for cores in (scaled, holed):
         with pytest.raises(SingularMatrixError, match=side + ": condition number"):
             _factored_stack(cores, receive).transfer_block()
+        # Both sides of a square link in one stacked solve: only the side past
+        # the cap is named, whichever of the two it is.
+        tx, rx = _factored_stack(fine, False), _factored_stack(fine, True)
+        if receive:
+            rx = _factored_stack(cores, True)
+        else:
+            tx = _factored_stack(cores, False)
+        with pytest.raises(SingularMatrixError, match=side + ": condition number"):
+            network._transfer_blocks(tx, rx)
 
 
 def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
