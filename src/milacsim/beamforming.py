@@ -47,9 +47,10 @@ from .network import (
 # Two-sided matched source/load voltage division factor in the rate formulas.
 DEFAULT_QUARTER_FACTOR = 4.0
 
-# Attempt budget of the random phase search in ensure_invertible_imag; the
-# only repair budget, so an exhausted search fails the trial.
-DEFAULT_PHASE_ATTEMPTS = 32
+# The common phases e^{j pi k/8}, k = 1..7, that ensure_invertible_imag tries in
+# order; an exhausted ladder fails the trial.  k = 0 is the unrotated attempt,
+# and k + 8 repeats k: Re Q' has the same singular values for v_bar and -v_bar.
+PHASE_LADDER = tuple(np.exp(1j * np.pi * np.arange(1, 8) / 8).tolist())
 
 # Internal consistency tolerance between the raw and row-normalized rate forms.
 RATE_FORM_CHECK_TOL = 1e-12
@@ -312,42 +313,31 @@ def _economy_triplets(h: np.ndarray, s: int) -> tuple:
     return u[..., :s], sigma[..., :s], vh[..., :s, :].conj().swapaxes(-1, -2)
 
 
-def _check_seed(rng_seed) -> None:
-    """Raise ValueError naming rng_seed unless it is a nonnegative integer."""
-    _check_integers(rng_seed=rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
-
-
-def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, rng_seed) -> tuple:
+def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:
     """Phase-rotate SVD factors until both susceptance syntheses succeed.
 
-    Returns (rotated factors, tx, rx) of the first seeded draw that
+    Returns (rotated factors, tx, rx) of the first rung of PHASE_LADDER that
     synthesizes, with the factored networks of design_milac; the synthesis
     is the only invertibility test, and design_milac calls this only after
-    it rejected the factors themselves.  A draw applies random common phases
-    to the paired columns of u and v, which preserves the reconstruction.
+    it rejected the factors themselves.  A rung applies one common phase to
+    every column of u and v, which preserves the reconstruction, so the
+    repaired design depends on the channel alone.
 
     Args:
         factors: decomposition of one channel to repair.
         config: link parameters of the synthesis.
-        rng_seed: nonnegative integer seed for the deterministic phase draws.
 
     Raises:
-        PhaseSearchExhaustedError: if none of DEFAULT_PHASE_ATTEMPTS draws does.
-        ValueError: if rng_seed is not a nonnegative integer.
+        PhaseSearchExhaustedError: if no rung of PHASE_LADDER synthesizes.
     """
-    _check_seed(rng_seed)
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(DEFAULT_PHASE_ATTEMPTS):
-        phase = np.exp(2j * np.pi * rng.random(factors.sigma.shape[0]))
+    for phase in PHASE_LADDER:
         rotated = SvdFactors(u=factors.u * phase, sigma=factors.sigma, v=factors.v * phase)
         tx, rx, accepted = _synthesize_both(rotated, config)
         if accepted:
             return rotated, tx, rx
     raise PhaseSearchExhaustedError(
-        f"no phase rotation made Im{{v}} and Im{{u}} invertible "
-        f"within {DEFAULT_PHASE_ATTEMPTS} attempts"
+        f"no phase rotation on the ladder e^(j pi k/8), k = 1..{len(PHASE_LADDER)}, "
+        "made Im{v} and Im{u} invertible"
     )
 
 
@@ -568,7 +558,7 @@ def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
     return signal / (interference + _at_each_power(row_power, power) * noise_power)
 
 
-def design_milac(h, config: SystemConfig, rng_seed) -> Design:
+def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
     Pipeline: the n_streams leading singular triplets of the channel
@@ -579,19 +569,20 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     vectors times j, and its network is kept in factored form, so beyond the
     SVD a design costs O(n s^2) rather than O(n^3).
     Only when the synthesis rejects Im{V} or Im{U} as singular are the
-    factors phase-repaired, keeping the networks of the accepted draw.
+    factors phase-repaired (ensure_invertible_imag), keeping the networks of
+    the accepted rung.
     Only the water-filling depends on the power: at K powers (a vector
     config.tx_power) one call allocates all K, each row as at that power alone.
 
-    A stack of T channels (T, n_rx, n_tx) with T seeds is designed in one
-    pass, each trial exactly as alone: only the trials whose synthesis is
-    rejected are repaired, one at a time, each with its own seed.
+    A stack of T channels (T, n_rx, n_tx) is designed in one pass, each
+    trial exactly as alone: only the trials whose synthesis is rejected are
+    repaired, one at a time.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config, or a stack of T.
         config: link parameters.
-        rng_seed: nonnegative integer seed of the phase repair's random
-            search; for a stack, a sequence of T such seeds.
+        _seed: ignored.  perfbench passes a third positional argument; it is
+            kept only for that until ROADMAP item 1, like Design.__iter__.
 
     Returns:
         Design holding the repaired n_streams triplets, the power allocation
@@ -602,8 +593,8 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
     Raises:
         DimensionMismatchError: if h is neither a channel of the config's
             shape nor a nonempty stack of them.
-        ValueError: if a seed is not a nonnegative integer, checked whether
-            or not the repair runs, or a stack does not get one per trial.
+        PhaseSearchExhaustedError: if no rung of PHASE_LADDER repairs a
+            rejected trial.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-2:] != (config.n_rx, config.n_tx) or len(h) == 0:
@@ -612,19 +603,12 @@ def design_milac(h, config: SystemConfig, rng_seed) -> Design:
             "nor is it a nonempty stack of such channels"
         )
     stacked = h.ndim == 3
-    seeds = [rng_seed]
-    if stacked:
-        seeds = list(rng_seed) if isinstance(rng_seed, (list, tuple, range, np.ndarray)) else []
-        if len(seeds) != h.shape[0]:
-            raise ValueError(f"rng_seed must hold one seed per channel of the stack of {h.shape[0]}")
-    for seed in seeds:
-        _check_seed(seed)
     factors = svd_ordered(h, n_streams=config.n_streams)
     tx, rx, accepted = _synthesize_both(factors, config)
     for t in np.flatnonzero(~accepted):
         at = (t,) if stacked else ()
         single = SvdFactors(u=factors.u[at], sigma=factors.sigma[at], v=factors.v[at])
-        for stack, repaired in zip((factors, tx, rx), ensure_invertible_imag(single, config, seeds[t])):
+        for stack, repaired in zip((factors, tx, rx), ensure_invertible_imag(single, config)):
             _put_trial(stack, at, repaired)
     lam = factors.sigma**2
     allocation = water_filling(lam, config.tx_power, config.noise_power)

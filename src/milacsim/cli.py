@@ -19,7 +19,6 @@ from .exceptions import MilacError
 from .harness import (
     SweepSpec,
     WORKERS_ENV_VAR,
-    resolve_workers,
     run_sweep,
     run_trial,
     run_verification,
@@ -222,11 +221,10 @@ def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> 
         noise_power=opts["noise_power"],
         ref_admittance=_ref_admittance(opts),
     )
-    workers = resolve_workers(opts["workers"])
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(spec, workers=opts["workers"])
     out = opts["out"]
     write_csv(result, out)
-    write_manifest(spec, out + ".manifest.txt", out, workers)
+    write_manifest(spec, out + ".manifest.txt", out, result.workers)
     _print_sweep(result, out)
     return 0
 
@@ -273,7 +271,7 @@ def _cmd_design_dump(opts: dict) -> int:
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=1, master_seed=opts["seed"]
     )
     h = rayleigh_channel(ensemble, 0)
-    report = run_trial(h, config, opts["seed"])
+    report = run_trial(h, config)
     design = report.design
     n_s = config.n_streams
     # The dense unitaries the networks realize: j times the Householder

@@ -1,8 +1,9 @@
 """Exception hierarchy and input rules for milacsim.
 
 Shape and numerical failures raised deliberately by this package (bad
-shapes, singular matrices, exhausted searches) derive from MilacError, so
-callers can catch the whole family with one clause; the CLI exits 2 on them.
+shapes, singular matrices, an exhausted phase ladder) derive from
+MilacError, so callers can catch the whole family with one clause; the CLI
+exits 2 on them.
 A value that breaks an input rule (a count or seed that is not an integer, a
 power or admittance that is not a positive, finite and normal double) is a
 plain ValueError naming the field, on which the CLI exits 1.  The two rule
@@ -60,7 +61,7 @@ class NonFiniteInputError(MilacError):
 
 
 class PhaseSearchExhaustedError(MilacError):
-    """No column phase rotation met the invertibility threshold within the attempt budget."""
+    """No common phase on the ladder (beamforming.PHASE_LADDER) made Im{V} and Im{U} invertible."""
 
 
 class AllZeroEigenvaluesError(MilacError):

@@ -1,16 +1,16 @@
 """Monte-Carlo sweep harness: per-trial evaluation, aggregation, CSV output.
 
 Trials are embarrassingly parallel: each trial's channel comes from a
-counter-based substream and its phase-repair seed from the master seed and
-its index, so results do not depend on execution order or worker count.  A
-task is a chunk of trials of one antenna count: a fixed range of trial
-indices, at most 16 and fewer on larger links (chunk_size), set by the
-link's shape alone and never by the worker count.  A task draws its chunk's
-channels in one call, designs each once and rates it at every SNR point of
-its config, all in one stacked pass that gives each trial exactly what
-run_trial gives it alone.  Aggregation sums
-per-trial values in trial order with pairwise summation, which keeps serial
-and parallel runs byte-identical.
+counter-based substream keyed by the master seed and its index, and its
+design (any phase repair included) from the channel alone, so results do
+not depend on execution order or worker count.  A task is a chunk of
+trials of one antenna count: a fixed range of trial indices, at most 16 and
+fewer on larger links (chunk_size), set by the link's shape alone and never
+by the worker count.  A task draws its chunk's channels in one call,
+designs each once and rates it at every SNR point of its config, all in
+one stacked pass that gives each trial exactly what run_trial gives it
+alone.  Aggregation sums per-trial values in trial order with pairwise
+summation, which keeps serial and parallel runs byte-identical.
 """
 
 from __future__ import annotations
@@ -125,10 +125,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All rows of a finished sweep, in sweep-point order."""
+    """All rows of a finished sweep, in sweep-point order, and the number of
+    processes that ran its tasks (1 when it ran them in this process)."""
 
     mode: str
     rows: tuple[SweepRow, ...]
+    workers: int = 1
 
 
 def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
@@ -147,7 +149,7 @@ def snr_db_to_tx_power(snr_db: float, noise_power: float) -> float:
     return power
 
 
-def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
+def run_trial(h, config: SystemConfig, _seed=None) -> RateReport:
     """Design, realize, and rate one channel, or a stack of them, through the full circuit path.
 
     The networks come from the channel's SVD alone, so one ordered SVD, one
@@ -165,14 +167,14 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
     Args:
         h: channel matrix (n_rx x n_tx), or a stack of T (T, n_rx, n_tx).
         config: link parameters; a vector tx_power rates the link at each power.
-        rng_seed: nonnegative integer seed of the phase repair (see
-            design_milac); a sequence of T seeds for a stack.
+        _seed: ignored, as by design_milac, and kept only for perfbench's
+            positional seed until ROADMAP item 1.
 
     Returns:
         RateReport with float rates at one power, K-vectors at K powers; a
         stack adds a leading trial axis to each.
     """
-    design = design_milac(h, config, rng_seed)
+    design = design_milac(h, config)
     f, g = design.f, design.g
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[..., : config.n_streams] ** 2
@@ -183,12 +185,6 @@ def run_trial(h, config: SystemConfig, rng_seed) -> RateReport:
         milac_rate=rate, digital_rate=digital, capacity=capacity, per_stream_sinr=sinr,
         design=design, f=f, g=g,
     )
-
-
-def _design_seed(master_seed: int, trial_index: int) -> int:
-    """Phase-repair seed of one trial: master_seed << 64 | trial_index, distinct
-    for every pair of a 64-bit master seed and a trial index below 2**64."""
-    return master_seed << 64 | trial_index
 
 
 def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfig:
@@ -218,8 +214,7 @@ def _sweep_task(task: tuple) -> np.ndarray:
     ensemble = ChannelEnsembleSpec(
         n_rx=config.n_rx, n_tx=config.n_tx, n_trials=spec.n_trials, master_seed=spec.master_seed
     )
-    h = rayleigh_channel(ensemble, trials)
-    report = run_trial(h, config, [_design_seed(spec.master_seed, trial) for trial in trials])
+    report = run_trial(rayleigh_channel(ensemble, trials), config)
     return np.stack([report.milac_rate, report.digital_rate, report.capacity], axis=-1)
 
 
@@ -244,8 +239,8 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
 
     Each task is a chunk of trials of one antenna count, a fixed range of
     chunk_size(n, n) trial indices (the last one holds the remainder), rated
-    in one stacked pass.  A trial whose phase search is exhausted raises
-    PhaseSearchExhaustedError; it is not re-run with another seed.
+    in one stacked pass.  A trial whose phase ladder is exhausted raises
+    PhaseSearchExhaustedError; it is not re-run.
 
     Args:
         spec: sweep description (mode, points, trials, seed, noise power and
@@ -255,7 +250,9 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
             identical for any worker count.
 
     Returns:
-        SweepResult with one row per sweep point, in point order.
+        SweepResult with one row per sweep point, in point order, and the
+        process count used: 1 when one worker or one task runs in this
+        process, else the resolved worker count.
     """
     axis = spec.snr_points_db if spec.mode == "snr_sweep" else spec.antenna_points
     sweep_values = [float(x) for x in axis]
@@ -267,6 +264,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         tasks += [(spec, config, range(t, min(t + size, spec.n_trials))) for t in range(0, spec.n_trials, size)]
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(tasks) == 1:
+        n_workers = 1
         outcomes = [_sweep_task(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (4 * n_workers))
@@ -291,7 +289,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
         )
         for sweep_value, (milac, digital, capacity), gap in zip(sweep_values, means.tolist(), gaps.tolist())
     ]
-    return SweepResult(mode=spec.mode, rows=tuple(rows))
+    return SweepResult(mode=spec.mode, rows=tuple(rows), workers=n_workers)
 
 
 def write_csv(result: SweepResult, path) -> None:
@@ -309,7 +307,7 @@ def write_csv(result: SweepResult, path) -> None:
 
 def write_manifest(spec: SweepSpec, path, csv_path, workers: int) -> None:
     """Record the sweep description, seed, SVD route, package, numpy and scipy
-    versions and the worker count (as resolve_workers gives it) next to a CSV.
+    versions and the worker count (the sweep's SweepResult.workers) next to a CSV.
 
     The two SVD routes give the same rates to 1e-9 but differ in their last
     bits, so svd_route names the one each antenna count takes (svd_route()).
@@ -443,7 +441,7 @@ def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[Verificat
         ensemble = ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=1, master_seed=int(rng.integers(0, 2**63)))
         power = snr_db_to_tx_power(float(rng.uniform(-10, 20)), 1.0)
         config = SystemConfig(n_streams=n_s, n_tx=n, n_rx=n, tx_power=power, noise_power=1.0)
-        report = run_trial(rayleigh_channel(ensemble, 0), config, _design_seed(ensemble.master_seed, 0))
+        report = run_trial(rayleigh_channel(ensemble, 0), config)
         capacity = report.capacity
         return [abs(rate - capacity) / capacity for rate in (report.milac_rate, report.digital_rate)]
 

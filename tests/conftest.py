@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from milacsim import SvdFactors
+
 
 @pytest.fixture
 def repair_channel():
@@ -16,3 +18,16 @@ def repair_channel():
     o = np.linalg.qr(np.array([[3, -2, -2, 1], [2, 3, -1, 1], [-1, -2, 3, 1], [2, 3, 1, 1]], float))[0]
     assert (np.abs(o[:3]).max(axis=0) > np.abs(o[3]) + 0.2).all()
     return np.diag([4.0, 3.0, 2.0, 1.0]) @ (np.diag([1, 1, 1, 1j]) @ o).conj().T
+
+
+@pytest.fixture
+def unrepairable_factors():
+    """8x8 factors that no rung of the phase ladder repairs at 8 streams.
+
+    u = I and v = diag(e^{j(pi/2 - pi k/8)}), k = 0..7: the common phase
+    e^{j pi m/8} of rung m (m = 0 unrotated) turns entry m of v purely
+    imaginary, so Re v, the imaginary part of the transmit unitary j v at
+    s = n, is singular unrotated and on every rung.
+    """
+    k = np.arange(8)
+    return SvdFactors(u=np.eye(8), sigma=np.arange(8.0, 0.0, -1.0), v=np.diag(np.exp(1j * (np.pi / 2 - np.pi * k / 8))))

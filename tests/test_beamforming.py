@@ -144,9 +144,9 @@ needs_gesvdx = pytest.mark.skipif(network._gesvdx() is None, reason="no bundled 
 _WIDE_SNR_POWERS = tuple(snr_db_to_tx_power(snr, 1.0) for snr in range(-40, 101, 10))
 
 
-def _assert_rates_reach_capacity(h, s, seeds):
+def _assert_rates_reach_capacity(h, s):
     config = SystemConfig(n_streams=s, n_tx=h.shape[-1], n_rx=h.shape[-2], tx_power=_WIDE_SNR_POWERS, noise_power=1.0)
-    report = run_trial(h, config, seeds)
+    report = run_trial(h, config)
     for rate in (report.milac_rate, report.digital_rate):
         assert (np.abs(rate - report.capacity) <= 1e-9 * report.capacity).all()
 
@@ -196,7 +196,7 @@ def test_top_s_triplets_that_fail_their_check_take_the_economy_svd(monkeypatch, 
     assert set(np.flatnonzero(garbage)) <= set(fell_back)
     residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
     assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
-    _assert_rates_reach_capacity(h, 8, list(range(4)))
+    _assert_rates_reach_capacity(h, 8)
 
 
 @needs_gesvdx
@@ -208,7 +208,7 @@ def test_a_zeroed_workspace_keeps_zgesvdx_accurate_on_clustered_spectra(monkeypa
     assert fallbacks == []
     residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
     assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
-    _assert_rates_reach_capacity(h, 8, list(range(4)))
+    _assert_rates_reach_capacity(h, 8)
 
 
 @needs_gesvdx
@@ -329,7 +329,7 @@ def test_top_s_designs_reach_capacity_from_minus_40_to_100_db(name):
     # At scale 1e150 no float64 design meets the gate on either route: the
     # effective SNR reaches 1e300 (the envelope's open large-scale corner).
     h, s = _ROUTE_CASES[name]
-    _assert_rates_reach_capacity(h, s, 0)
+    _assert_rates_reach_capacity(h, s)
 
 
 @needs_gesvdx
@@ -338,9 +338,9 @@ def test_a_top_s_stack_is_designed_as_each_trial_alone():
     h = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))
     config = _config(4, 64, 64)
     assert beamforming._takes_top_s(64, 64, 4)
-    stacked = design_milac(h, config, rng_seed=[0, 1, 2, 3])
+    stacked = design_milac(h, config)
     for t in range(4):
-        alone = design_milac(h[t], config, rng_seed=t)
+        alone = design_milac(h[t], config)
         for part, names in (("factors", ("u", "sigma", "v")), ("allocation", ("p",)),
                             ("tx", ("a", "core", "qt")), ("rx", ("a", "core", "qt"))):
             for name in names:
@@ -362,7 +362,7 @@ def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
 
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", repair)
     h = random_channel(5, 5, 7)
-    design = design_milac(h, _config(3, 5, 5), rng_seed=0)
+    design = design_milac(h, _config(3, 5, 5))
     factors = svd_ordered(h, n_streams=3)
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(design.factors, name), getattr(factors, name))
@@ -371,10 +371,11 @@ def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
 def test_ensure_repairs_real_factors_without_changing_the_channel():
     h = np.eye(2)
     factors = svd_ordered(h)
-    repaired, tx, rx = ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
+    repaired, tx, rx = ensure_invertible_imag(factors, _config(1, 2, 2))
     assert repaired is not factors
     assert np.linalg.norm(repaired.reconstruct() - h) <= 1e-10
-    # Paired columns share one common phase per column.
+    # One common phase on every column of u and v: the first rung.
+    assert np.array_equal(repaired.v, factors.v * beamforming.PHASE_LADDER[0])
     assert np.allclose(np.abs(repaired.v), np.abs(factors.v), atol=1e-15)
     assert not np.allclose(repaired.v, factors.v)
     # The networks returned are those of the repaired factors: the dense
@@ -386,36 +387,31 @@ def test_ensure_repairs_real_factors_without_changing_the_channel():
     assert np.abs(rx.dense().b - susceptance_rx(u, 1).b).max() <= 1e-12 * network.DEFAULT_REF_ADMITTANCE
 
 
-def test_ensure_single_attempt_succeeds_on_almost_all_real_channels(monkeypatch):
-    # One random draw of the repair should synthesize essentially every time.
-    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 1)
-    failures = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        factors = svd_ordered(rng.standard_normal((8, 8)))
-        try:
-            ensure_invertible_imag(factors, _config(4, 8, 8), rng_seed=seed)
-        except PhaseSearchExhaustedError:
-            failures += 1
-    assert failures <= 1
+def test_ensure_first_rung_succeeds_on_every_real_channel(monkeypatch):
+    # A real channel's factors need no repair, but rung 1 alone synthesizes them all.
+    monkeypatch.setattr(beamforming, "PHASE_LADDER", beamforming.PHASE_LADDER[:1])
+    for seed in range(200):
+        factors = svd_ordered(np.random.default_rng(seed).standard_normal((8, 8)))
+        repaired, _, _ = ensure_invertible_imag(factors, _config(4, 8, 8))
+        assert np.array_equal(repaired.v, factors.v * beamforming.PHASE_LADDER[0])
 
 
-def test_ensure_exhausted_budget_raises(monkeypatch):
-    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
-    factors = svd_ordered(np.eye(2))
+def test_ensure_exhausted_ladder_raises(unrepairable_factors):
+    # Seven rungs e^{j pi k/8}, k = 1..7; k = 0 is the unrotated attempt.
+    assert np.abs(np.array(beamforming.PHASE_LADDER) - np.exp(1j * np.pi * np.arange(1, 8) / 8)).max() <= 1e-15
+    config = _config(8, 8, 8)
+    factors = unrepairable_factors
+    for phase in (1.0,) + beamforming.PHASE_LADDER:
+        rotated = SvdFactors(u=factors.u * phase, sigma=factors.sigma, v=factors.v * phase)
+        assert not beamforming._synthesize_both(rotated, config)[2]
+    with pytest.raises(PhaseSearchExhaustedError, match=r"ladder e\^\(j pi k/8\), k = 1..7"):
+        ensure_invertible_imag(factors, config)
     with pytest.raises(PhaseSearchExhaustedError):
-        ensure_invertible_imag(factors, _config(1, 2, 2), rng_seed=0)
+        design_milac(factors.reconstruct(), config)
 
 
-def test_ensure_is_deterministic_in_the_seed():
-    factors = svd_ordered(np.eye(3))
-    a, _, _ = ensure_invertible_imag(factors, _config(2, 3, 3), rng_seed=42)
-    b, _, _ = ensure_invertible_imag(factors, _config(2, 3, 3), rng_seed=42)
-    assert np.array_equal(a.v, b.v)
-    assert np.array_equal(a.u, b.u)
-
-
-def test_design_repairs_a_channel_with_a_singular_real_part(monkeypatch, repair_channel):
+@pytest.mark.parametrize("ignored", [(), (0,), (2**64 - 1,)], ids=["omitted", "zero", "2**64-1"])
+def test_design_repairs_a_channel_with_a_singular_real_part(monkeypatch, repair_channel, ignored):
     # At s = n the transmit unitary is j v_bar, and Re v_bar of this channel is singular.
     repairs = []
     ensure = beamforming.ensure_invertible_imag
@@ -426,11 +422,21 @@ def test_design_repairs_a_channel_with_a_singular_real_part(monkeypatch, repair_
 
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
     # The synthesis reports the rejection in its per-trial accept mask.
-    _, accepted = network._synthesize_factored(svd_ordered(repair_channel).v, 1.0, False)
+    factors = svd_ordered(repair_channel)
+    _, accepted = network._synthesize_factored(factors.v, 1.0, False)
     assert not accepted
-    design = design_milac(repair_channel, _config(4, 4, 4), rng_seed=0)
+    config = _config(4, 4, 4)
+    # A third argument is ignored: the design depends on the channel alone.
+    design = design_milac(repair_channel, config, *ignored)
     assert len(repairs) == 1
+    # Rung 1 repairs it.
+    rung = beamforming.PHASE_LADDER[0]
+    assert design.factors.v.tobytes() == (factors.v * rung).tobytes()
+    assert design.factors.u.tobytes() == (factors.u * rung).tobytes()
     assert np.abs(design.factors.reconstruct() - repair_channel).max() <= 1e-12
+    rate, _ = milac_rate(design.g, repair_channel, design.f, design.allocation, 1.0, 1.0)
+    capacity = capacity_closed_form(factors.sigma**2, design.allocation, 1.0, 1.0)
+    assert abs(rate - capacity) <= 1e-9 * capacity
 
 
 def test_synthesis_and_repair_share_one_threshold(monkeypatch):
@@ -438,12 +444,12 @@ def test_synthesis_and_repair_share_one_threshold(monkeypatch):
     h = random_channel(4, 4, 3)
     factors = svd_ordered(h)
     susceptance_tx(factors.v, 2)
-    design_milac(h, _config(2, 4, 4), rng_seed=0)
+    design_milac(h, _config(2, 4, 4))
     monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", 1.0)
     with pytest.raises(SingularImaginaryPartError):
         susceptance_tx(factors.v, 2)
     with pytest.raises(PhaseSearchExhaustedError):
-        design_milac(h, _config(2, 4, 4), rng_seed=0)
+        design_milac(h, _config(2, 4, 4))
 
 
 def _spy_syntheses(monkeypatch):
@@ -486,13 +492,14 @@ def test_a_square_link_synthesizes_both_sides_in_one_call_equal_to_two(monkeypat
 
 
 def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monkeypatch, repair_channel):
-    # design_milac synthesizes the stack once, then each repair draw once, and
-    # writes the repaired trial's networks through the tx and rx views.
+    # design_milac synthesizes the stack once, then the repaired trial on each
+    # rung it tries (rung 1 suffices here), and writes its networks through the
+    # tx and rx views.
     rng = np.random.default_rng(5)
     h = np.stack([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), repair_channel])
     flags = _spy_syntheses(monkeypatch)
-    design = design_milac(h, _config(4, 4, 4), rng_seed=[0, 1])
-    assert len(flags) >= 2 and all(flag == (False, True) for flag in flags)
+    design = design_milac(h, _config(4, 4, 4))
+    assert flags == [(False, True)] * 2
     _assert_sides_equal_two_calls(design.tx, design.rx, np.ones(2, dtype=bool), design.factors, 4)
     # The repair wrote through the views: both sides still share one stack.
     assert design.tx.core.base is design.rx.core.base is not None
@@ -508,7 +515,7 @@ def test_the_designs_f_and_g_are_the_networks_transfer_blocks_bit_for_bit(monkey
     # network's own transfer_block gives, built once.
     h = np.random.default_rng(len(shape) * shape[-1]).standard_normal(shape) * (1.0 + 1.0j)
     h = h + np.random.default_rng(7).standard_normal(shape)
-    design = design_milac(h, _config(s, shape[-1], shape[-2]), [0] * shape[0] if len(shape) == 3 else 0)
+    design = design_milac(h, _config(s, shape[-1], shape[-2]))
     calls = []
     blocks = network._transfer_blocks
     monkeypatch.setattr(network, "_transfer_blocks", lambda *nets: calls.append(len(nets)) or blocks(*nets))
@@ -642,7 +649,7 @@ def test_rating_functions_reject_a_noise_power_that_is_not_positive_and_finite(r
         "water_filling": lambda: water_filling(lam, 1.0, noise_power),
         "capacity": lambda: capacity_closed_form(lam, alloc, 1.0, noise_power),
         "milac_rate": lambda: milac_rate(g, h, f, alloc, 1.0, noise_power),
-        "digital": lambda: digital_design_and_rate(h, design_milac(h, config, rng_seed=0), 1.0, noise_power),
+        "digital": lambda: digital_design_and_rate(h, design_milac(h, config), 1.0, noise_power),
     }[rating]
     with pytest.raises(ValueError, match="noise_power must be positive and finite"):
         call()
@@ -665,8 +672,6 @@ _INPUT_RULES = {
     "PortPartition.n_outputs": ("n_outputs", (2.5,)),
     "susceptance_tx.n_streams": ("n_streams", (2.5,)),
     "susceptance_rx.n_streams": ("n_streams", (2.5,)),
-    "design_milac": ("rng_seed", (2.5, -1)),
-    "ensure_invertible_imag": ("rng_seed", (1.5, -1)),
 }
 
 
@@ -674,10 +679,9 @@ _INPUT_RULES = {
     "entry, value", [(entry, value) for entry, (_, values) in _INPUT_RULES.items() for value in values]
 )
 def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
-    # A Rayleigh channel: the seed is checked although no phase repair runs.
     h = random_channel(3, 3, 5)
     config = _config(2, 3, 3)
-    design = design_milac(h, config, rng_seed=0)
+    design = design_milac(h, config)
     f, g, alloc = _circuit_blocks(h, config, seed=0)
     lam = design.factors.sigma[:2] ** 2
     # The dense syntheses take square unitaries: the economy factors of the square channel.
@@ -698,8 +702,6 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "PortPartition.n_outputs": lambda x: PortPartition(2, x),
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
         "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
-        "design_milac": lambda x: design_milac(h, config, x),
-        "ensure_invertible_imag": lambda x: ensure_invertible_imag(design.factors, config, x),
     }[entry]
     field = _INPUT_RULES[entry][0]
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -711,7 +713,7 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
 @pytest.mark.parametrize("entry", ["water_filling", "capacity_closed_form", "milac_rate", "digital_design_and_rate"])
 def test_a_power_vector_is_rejected_wherever_its_bad_power_sits(entry, value, position):
     h = random_channel(3, 3, 5)
-    design = design_milac(h, SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=(1.0, 2.0, 4.0), noise_power=1.0), 0)
+    design = design_milac(h, SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=(1.0, 2.0, 4.0), noise_power=1.0))
     f, g, alloc = design.tx.transfer_block(), design.rx.transfer_block(), design.allocation
     lam = design.factors.sigma[:2] ** 2
     powers = np.array([1.0, 2.0, 4.0])
@@ -807,7 +809,7 @@ def test_milac_rate_validates_shapes():
 
 def _circuit_blocks(h, config, seed):
     """Precoder/combiner transfer blocks realized through admittance solves."""
-    b_tx, b_rx, alloc = design_milac(h, config, rng_seed=seed)
+    b_tx, b_rx, alloc = design_milac(h, config)
     f = transfer_block_from_admittance(
         AdmittanceMatrix(1j * b_tx.b),
         PortPartition(config.n_streams, config.n_tx),
@@ -884,7 +886,7 @@ def test_design_survives_rank_deficient_channel():
 def test_design_unpacks_as_b_tx_b_rx_allocation():
     h = random_channel(4, 3, 12)
     config = SystemConfig(n_streams=2, n_tx=3, n_rx=4, tx_power=1.0, noise_power=1.0)
-    design = design_milac(h, config, rng_seed=0)
+    design = design_milac(h, config)
     b_tx, b_rx, alloc = design
     assert b_tx is design.b_tx and b_rx is design.b_rx and alloc is design.allocation
     assert np.array_equal(design.factors.sigma, svd_ordered(h, n_streams=2).sigma)
@@ -893,7 +895,7 @@ def test_design_unpacks_as_b_tx_b_rx_allocation():
 def test_design_rejects_mismatched_channel_shape():
     config = SystemConfig(n_streams=1, n_tx=3, n_rx=2, tx_power=1.0, noise_power=1.0)
     with pytest.raises(DimensionMismatchError):
-        design_milac(np.eye(3), config, rng_seed=0)
+        design_milac(np.eye(3), config)
 
 
 def test_design_rate_monotone_in_transmit_power():
@@ -929,7 +931,7 @@ def test_digital_single_stream_closed_form():
     h = np.diag([3.0, 1.0]).astype(complex)
     config = SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=2.0, noise_power=0.5)
     w, rate = digital_design_and_rate(
-        h, design_milac(h, config, rng_seed=0), config.tx_power, config.noise_power
+        h, design_milac(h, config), config.tx_power, config.noise_power
     )
     assert w.shape == (2, 1)
     assert abs(rate - np.log2(1.0 + 2.0 * 9.0 / (4.0 * 0.5))) <= 1e-12
@@ -939,7 +941,7 @@ def test_digital_rejects_a_design_for_another_config():
     # A 3x3 design rated on a 4x3 channel, or at two powers with one allocation.
     h = random_channel(3, 3, 5)
     config = SystemConfig(n_streams=1, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
-    design = design_milac(h, config, rng_seed=0)
+    design = design_milac(h, config)
     with pytest.raises(DimensionMismatchError):
         digital_design_and_rate(random_channel(4, 3, 5), design, 1.0, 1.0)
     with pytest.raises(DimensionMismatchError):
@@ -950,7 +952,7 @@ def test_digital_scaled_unitary_uses_uniform_allocation():
     h = 2.0 * np.eye(4)
     config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
     w, rate = digital_design_and_rate(
-        h, design_milac(h, config, rng_seed=0), config.tx_power, config.noise_power
+        h, design_milac(h, config), config.tx_power, config.noise_power
     )
     expected = 4.0 * np.log2(1.0 + 1.0 * 4.0 / (4.0 * 1.0 * 4.0))
     assert abs(rate - expected) <= 1e-12
@@ -963,7 +965,7 @@ def test_digital_precoder_spends_unit_power():
         h = random_channel(5, 6, 300 + seed)
         config = SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=2.0, noise_power=1.0)
         w, _ = digital_design_and_rate(
-            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+            h, design_milac(h, config), config.tx_power, config.noise_power
         )
         assert abs(np.linalg.norm(w) ** 2 - 1.0) <= 1e-12
 
@@ -973,7 +975,7 @@ def test_digital_rate_equals_eigenvalue_capacity():
         h = random_channel(4, 4, 600 + seed)
         config = SystemConfig(n_streams=3, n_tx=4, n_rx=4, tx_power=6.0, noise_power=1.0)
         _, rate = digital_design_and_rate(
-            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+            h, design_milac(h, config), config.tx_power, config.noise_power
         )
         factors = svd_ordered(h)
         lam = factors.sigma[:3] ** 2
@@ -989,7 +991,7 @@ def test_analog_and_digital_rates_agree():
         f, g, alloc = _circuit_blocks(h, config, seed)
         analog, _ = milac_rate(g, h, f, alloc, config.tx_power, config.noise_power)
         _, digital = digital_design_and_rate(
-            h, design_milac(h, config, rng_seed=seed), config.tx_power, config.noise_power
+            h, design_milac(h, config), config.tx_power, config.noise_power
         )
         assert abs(analog - digital) <= 1e-9 * max(1.0, digital)
 
@@ -1001,7 +1003,7 @@ def test_rating_a_vector_of_powers_equals_rating_each_power_alone(scale, streams
     h = scale * random_channel(4, 4, 21)
     config = SystemConfig(n_streams=3, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
     f, g, _ = _circuit_blocks(h, config, seed=0)
-    design = design_milac(h, config, rng_seed=0)
+    design = design_milac(h, config)
     lam = design.factors.sigma[:3] ** 2
     powers = 10.0 ** (np.linspace(-40.0, 100.0, 29) / 10.0)
     batch = water_filling(lam, powers, 1.0)

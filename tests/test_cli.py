@@ -261,11 +261,14 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
         assert toks[4] <= 1e-9
 
 
-def test_the_manifest_records_the_worker_count_from_the_environment(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("trials, workers", [(17, 2), (1, 1)], ids=["two_tasks", "one_task"])
+def test_the_manifest_records_the_worker_count_from_the_environment(tmp_path, capsys, monkeypatch, trials, workers):
+    # 17 trials at 4x4 are two tasks, run by a pool of 2; a single task runs
+    # in this process, and the manifest says 1.
     monkeypatch.setenv("MILACSIM_WORKERS", "2")
-    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", str(trials), "--out", str(tmp_path / "r.csv")]
     assert main(args) == 0
-    assert "\nworkers = 2\n" in (tmp_path / "r.csv.manifest.txt").read_text()
+    assert f"\nworkers = {workers}\n" in (tmp_path / "r.csv.manifest.txt").read_text()
 
 
 def test_sweep_at_a_tiny_noise_power_keeps_both_rate_forms_in_agreement(tmp_path, capsys):
@@ -522,6 +525,6 @@ def test_design_dump_summary_reports_the_run_trial_rate(tmp_path, capsys):
     )
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=1, master_seed=5), 0)
     config = SystemConfig(n_streams=2, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
-    report = run_trial(h, config, 5)
+    report = run_trial(h, config)
     assert float(summary["milac_rate_bits"]) == report.milac_rate
     assert float(summary["capacity_bits"]) == report.capacity

@@ -33,7 +33,6 @@ from milacsim import (
     write_csv,
     write_manifest,
 )
-from milacsim.harness import _design_seed
 
 
 def test_snr_db_to_tx_power():
@@ -50,7 +49,7 @@ def test_run_trial_report_is_self_consistent():
     spec = ChannelEnsembleSpec(n_rx=8, n_tx=8, n_trials=1, master_seed=3)
     h = rayleigh_channel(spec, 0)
     config = SystemConfig(n_streams=4, n_tx=8, n_rx=8, tx_power=2.0, noise_power=1.0)
-    report = run_trial(h, config, rng_seed=0)
+    report = run_trial(h, config)
     assert report.per_stream_sinr.shape == (4,)
     assert np.all(report.per_stream_sinr >= 0)
     assert abs(report.design.allocation.p.sum() - 1.0) <= 1e-12
@@ -78,7 +77,7 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
         monkeypatch.setattr(beamforming, name, counted(name))
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
     config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=2.0, noise_power=1.0)
-    run_trial(h, config, rng_seed=0)
+    run_trial(h, config)
     assert calls == {"svd_ordered": 1, "water_filling": 1}
 
 
@@ -122,7 +121,7 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=n_tx, n_trials=1, master_seed=master_seed), 0)
     config = SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
-    run_trial(h.real if real else h, config, rng_seed=1)
+    run_trial(h.real if real else h, config)
     assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 2, "other": 0}
     assert sum(solves) == 2
     assert len(solves) == (1 if n_rx == n_tx else 2)
@@ -144,14 +143,14 @@ def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(m
              (repair_channel, SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=4.0, noise_power=1.0), 1)]
     for h, config, n_repairs in cases:
         del repairs[:]
-        report = run_trial(h, config, rng_seed=1)
+        report = run_trial(h, config)
         assert len(repairs) == n_repairs
         for rate in (report.milac_rate, report.digital_rate):
             assert abs(rate - report.capacity) <= 1e-9 * report.capacity
 
 
-def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, repair_channel):
-    # One phase-repair budget: an exhausted search is not retried with a fresh SVD.
+def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, unrepairable_factors):
+    # One phase ladder: an exhausted ladder is not retried with a fresh SVD.
     svds = []
     svd_ordered = beamforming.svd_ordered
 
@@ -160,10 +159,9 @@ def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, rep
         return svd_ordered(*args, **kwargs)
 
     monkeypatch.setattr(beamforming, "svd_ordered", counted)
-    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
-    config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=1.0, noise_power=1.0)
+    config = SystemConfig(n_streams=8, n_tx=8, n_rx=8, tx_power=1.0, noise_power=1.0)
     with pytest.raises(PhaseSearchExhaustedError):
-        run_trial(repair_channel, config, _design_seed(0, 0))
+        run_trial(unrepairable_factors.reconstruct(), config)
     assert len(svds) == 1
 
 
@@ -178,7 +176,7 @@ def test_run_trial_on_a_weak_channel_reaches_capacity():
               for n_streams in (2, 3) for power, noise in ((1e160, 1e-150), (1e10, 1e-300))]
     for scale, n_streams, tx_power, noise_power in cases:
         config = SystemConfig(n_streams=n_streams, n_tx=4, n_rx=4, tx_power=tx_power, noise_power=noise_power)
-        report = run_trial(scale * h, config, rng_seed=0)
+        report = run_trial(scale * h, config)
         assert abs(report.milac_rate - report.capacity) <= 1e-9 * report.capacity
         assert abs(report.digital_rate - report.capacity) <= 1e-9 * report.capacity
 
@@ -206,7 +204,7 @@ def test_run_trial_blocks_equal_the_dense_circuit_solves(kind, n_rx, n_tx, strea
     h = _channel(kind, n_rx, n_tx, seed=n_rx * n_tx)
     n_streams = 1 if streams == "one" else min(n_rx, n_tx)
     config = SystemConfig(n_streams=n_streams, n_tx=n_tx, n_rx=n_rx, tx_power=(1.0, 100.0), noise_power=1.0)
-    report = run_trial(h, config, rng_seed=0)
+    report = run_trial(h, config)
     design, y0 = report.design, config.ref_admittance
     f = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_tx.b), PortPartition(n_streams, n_tx), y0)
     g = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_rx.b), PortPartition(n_rx, n_streams), y0)
@@ -237,7 +235,7 @@ def test_a_wide_link_runs_factored_and_reaches_capacity(monkeypatch, real):
     h = _channel("real" if real else "complex", 8, 512, seed=5)
     powers = tuple(snr_db_to_tx_power(snr_db, 1.0) for snr_db in (-10.0, 10.0, 30.0))
     config = SystemConfig(n_streams=8, n_tx=512, n_rx=8, tx_power=powers, noise_power=1.0)
-    report = run_trial(h, config, rng_seed=0)
+    report = run_trial(h, config)
     for rate in (report.milac_rate, report.digital_rate):
         assert np.abs(rate - report.capacity).max() <= 1e-9 * report.capacity.min()
     assert calls == []
@@ -251,7 +249,7 @@ def test_perturbing_the_precoder_lowers_the_rate(n, n_streams, snr_db):
     config = SystemConfig(
         n_streams=n_streams, n_tx=n, n_rx=n, tx_power=snr_db_to_tx_power(snr_db, 1.0), noise_power=1.0
     )
-    report = run_trial(h, config, rng_seed=0)
+    report = run_trial(h, config)
     rng = np.random.default_rng(5)
     norms = np.linalg.norm(report.f, axis=0)
     delta = rng.standard_normal(report.f.shape) + 1j * rng.standard_normal(report.f.shape)
@@ -267,10 +265,10 @@ def test_run_trial_at_k_powers_equals_run_trial_at_each_power():
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=6, n_tx=6, n_trials=1, master_seed=4), 0)
     powers = (0.1, 2.0, 50.0)
     config = SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=powers, noise_power=1.0)
-    report = run_trial(h, config, rng_seed=0)
+    report = run_trial(h, config)
     assert config.tx_power == powers and report.per_stream_sinr.shape == (3, 3)
     for k, power in enumerate(powers):
-        single = run_trial(h, SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=power, noise_power=1.0), 0)
+        single = run_trial(h, SystemConfig(n_streams=3, n_tx=6, n_rx=6, tx_power=power, noise_power=1.0))
         assert (report.milac_rate[k], report.digital_rate[k], report.capacity[k]) == (
             single.milac_rate, single.digital_rate, single.capacity
         )
@@ -384,9 +382,7 @@ def test_max_rel_gap_is_the_worst_analog_or_digital_gap_per_row():
         )
         analog_gaps, digital_gaps = [], []
         for t in range(spec.n_trials):
-            report = run_trial(
-                rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t)
-            )
+            report = run_trial(rayleigh_channel(ensemble, t), config)
             analog_gaps.append(abs(report.milac_rate - report.capacity) / report.capacity)
             digital_gaps.append(abs(report.digital_rate - report.capacity) / report.capacity)
         assert row.max_rel_gap == max(analog_gaps + digital_gaps)
@@ -409,7 +405,7 @@ def _rows_from_run_trial(spec):
             tx_power=snr_db_to_tx_power(snr_db, spec.noise_power), noise_power=spec.noise_power,
         )
         reports = [
-            run_trial(rayleigh_channel(ensemble, t), config, _design_seed(spec.master_seed, t))
+            run_trial(rayleigh_channel(ensemble, t), config)
             for t in range(spec.n_trials)
         ]
         columns = [
@@ -464,35 +460,31 @@ def test_chunks_depend_only_on_the_link_shape():
         assert size == 1 or size * n_rx * n_tx <= harness.CHUNK_ENTRIES
 
 
-def test_repair_seeds_are_distinct_across_master_seeds_and_trials():
-    pairs = [(m, t) for m in (0, 2**64 - 1) for t in (0, 1, 2**63)]
-    seeds = [_design_seed(m, t) for m, t in pairs]
-    assert len(set(seeds)) == len(pairs)
-    assert all(isinstance(seed, int) and seed >= 0 for seed in seeds)
-
-
-def _stack_with_a_repair(repair_channel):
-    ensemble = ChannelEnsembleSpec(n_rx=4, n_tx=4, n_trials=2, master_seed=6)
-    channels = [rayleigh_channel(ensemble, 0), repair_channel, rayleigh_channel(ensemble, 1)]
-    config = SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=(0.5, 4.0, 400.0), noise_power=1.0)
-    return channels, config, [_design_seed(3, t) for t in range(3)]
+def _stack_with_a_repair(channel):
+    """Two Rayleigh channels around `channel`, whose design must phase-repair at s = n."""
+    n = len(channel)
+    ensemble = ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=2, master_seed=6)
+    channels = [rayleigh_channel(ensemble, 0), channel, rayleigh_channel(ensemble, 1)]
+    config = SystemConfig(n_streams=n, n_tx=n, n_rx=n, tx_power=(0.5, 4.0, 400.0), noise_power=1.0)
+    return channels, config
 
 
 def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repaired(monkeypatch, repair_channel):
-    channels, config, seeds = _stack_with_a_repair(repair_channel)
+    channels, config = _stack_with_a_repair(repair_channel)
     repairs = []
     ensure = beamforming.ensure_invertible_imag
 
-    def counted(factors, config, rng_seed):
-        repairs.append(rng_seed)
-        return ensure(factors, config, rng_seed)
+    def counted(factors, config):
+        repairs.append(factors.v.copy())
+        return ensure(factors, config)
 
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
-    stacked = run_trial(np.stack(channels), config, seeds)
-    # The repair runs on the rejected trial alone, with that trial's seed.
-    assert repairs == [seeds[1]]
+    stacked = run_trial(np.stack(channels), config)
+    # The repair runs once, on the rejected trial alone.
+    assert len(repairs) == 1
+    assert repairs[0].tobytes() == beamforming.svd_ordered(np.stack(channels)).v[1].tobytes()
     # The repaired design reproduces.
-    again = run_trial(np.stack(channels), config, seeds)
+    again = run_trial(np.stack(channels), config)
     for name in ("milac_rate", "digital_rate", "capacity", "f", "g"):
         assert getattr(again, name).tobytes() == getattr(stacked, name).tobytes(), name
     assert again.design.factors.v.tobytes() == stacked.design.factors.v.tobytes()
@@ -500,7 +492,7 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repa
     with pytest.raises(DimensionMismatchError):
         stacked.design.b_tx
     for t, h in enumerate(channels):
-        alone = run_trial(h, config, seeds[t])
+        alone = run_trial(h, config)
         for name in ("milac_rate", "digital_rate", "capacity", "per_stream_sinr", "f", "g"):
             assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name)), name
         design, single = stacked.design, alone.design
@@ -516,36 +508,31 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repa
             assert np.abs(rate - alone.capacity).max() <= 1e-9 * alone.capacity.min()
 
 
-def test_an_exhausted_repair_fails_its_chunk_and_the_cli_exits_two(monkeypatch, repair_channel, tmp_path, capsys):
-    channels, config, seeds = _stack_with_a_repair(repair_channel)
-    monkeypatch.setattr(beamforming, "DEFAULT_PHASE_ATTEMPTS", 0)
+def test_an_exhausted_repair_fails_its_chunk_and_the_cli_exits_two(monkeypatch, unrepairable_factors, tmp_path, capsys):
+    unrepairable = unrepairable_factors.reconstruct()
+    channels, config = _stack_with_a_repair(unrepairable)
     with pytest.raises(PhaseSearchExhaustedError):
-        run_trial(np.stack(channels), config, seeds)
-    # The same chunk through the CLI: trial 1 of a 3-trial sweep draws the repair channel.
+        run_trial(np.stack(channels), config)
+    # The same chunk through the CLI: trial 1 of a 3-trial sweep draws the unrepairable channel.
     # The chunk draws its trials in one call.
     draw = harness.rayleigh_channel
     monkeypatch.setattr(
         harness, "rayleigh_channel",
-        lambda ensemble, trials: np.stack([repair_channel if t == 1 else draw(ensemble, t) for t in trials]),
+        lambda ensemble, trials: np.stack([unrepairable if t == 1 else draw(ensemble, t) for t in trials]),
     )
-    argv = ["sweep-snr", "--antennas", "4", "--streams", "4", "--trials", "3", "--workers", "1",
+    argv = ["sweep-snr", "--antennas", "8", "--streams", "8", "--trials", "3", "--workers", "1",
             "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(argv) == 2
     assert "no phase rotation" in capsys.readouterr().err
 
 
-def test_a_stack_is_nonempty_and_needs_one_seed_per_channel():
+def test_a_stack_is_nonempty():
     channels = np.stack([_channel("complex", 3, 3, seed) for seed in range(2)])
     config = SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=1.0, noise_power=1.0)
-    for bad in (0, [0], [0, 1, 2]):
-        with pytest.raises(ValueError, match="one seed per channel"):
-            run_trial(channels, config, bad)
-    with pytest.raises(ValueError, match="rng_seed must be an integer"):
-        run_trial(channels, config, [0, 1.5])
     # Neither an empty stack nor a stack of stacks is a channel stack.
     for bad in (channels[:0], channels[None]):
         with pytest.raises(DimensionMismatchError, match="nonempty stack"):
-            run_trial(bad, config, [0] * len(bad))
+            run_trial(bad, config)
 
 
 def test_snr_sweep_designs_each_channel_once(monkeypatch):
@@ -815,8 +802,8 @@ def _nan_transfer_block(theta, partition):
     return np.full((partition.n_outputs, partition.n_inputs), np.nan)
 
 
-def _nan_analog_rate(h, config, rng_seed):
-    return dataclasses.replace(run_trial(h, config, rng_seed), milac_rate=np.nan)
+def _nan_analog_rate(h, config):
+    return dataclasses.replace(run_trial(h, config), milac_rate=np.nan)
 
 
 @pytest.mark.parametrize(
