@@ -410,6 +410,26 @@ def test_ensure_exhausted_ladder_raises(unrepairable_factors):
         design_milac(factors.reconstruct(), config)
 
 
+@pytest.mark.parametrize("n, s", [(5, 2), (8, 3), (6, 6), (9, 1)])
+def test_a_half_turn_repeats_a_rung(n, s):
+    # Why the ladder stops at k = 7: the phase e^{j pi (k + 8)/8} = -e^{j pi k/8}
+    # leaves the singular values of X = Re Q' of each side, which the synthesis
+    # judges, and so its verdict, as rung k leaves them.
+    def re_completion_values(q_bar):
+        a, qt = network._householder_completion(q_bar)
+        return np.linalg.svd(np.eye(n) + a @ qt.real, compute_uv=False)
+
+    factors = svd_ordered(random_channel(n, n, 10 * n + s), n_streams=s)
+    config = _config(s, n, n)
+    for phase in (1.0,) + beamforming.PHASE_LADDER:
+        for q_bar in (factors.v[:, :s], np.conj(factors.u[:, :s])):
+            values, turned = re_completion_values(q_bar * phase), re_completion_values(-q_bar * phase)
+            assert np.abs(values - turned).max() <= 1e-12 * values.max()
+        verdicts = [beamforming._synthesize_both(SvdFactors(u=factors.u * c, sigma=factors.sigma, v=factors.v * c),
+                                                 config)[2] for c in (phase, -phase)]
+        assert verdicts[0] == verdicts[1]
+
+
 @pytest.mark.parametrize("ignored", [(), (0,), (2**64 - 1,)], ids=["omitted", "zero", "2**64-1"])
 def test_design_repairs_a_channel_with_a_singular_real_part(monkeypatch, repair_channel, ignored):
     # At s = n the transmit unitary is j v_bar, and Re v_bar of this channel is singular.

@@ -535,6 +535,19 @@ def test_a_stack_is_nonempty():
             run_trial(bad, config)
 
 
+def test_run_trial_ignores_a_third_argument(repair_channel):
+    # Kept for callers that still pass a repair seed: neither a seed, nor the
+    # per-channel seed lists a stack once needed, changes a bit of the report.
+    channels, config = _stack_with_a_repair(repair_channel)
+    for h in (np.stack(channels), repair_channel):
+        plain = run_trial(h, config)
+        for ignored in (0, 2**64 - 1, [0], [0, 1.5]):
+            report = run_trial(h, config, ignored)
+            for name in ("milac_rate", "digital_rate", "capacity", "f", "g"):
+                assert getattr(report, name).tobytes() == getattr(plain, name).tobytes(), name
+            assert report.design.factors.v.tobytes() == plain.design.factors.v.tobytes()
+
+
 def test_snr_sweep_designs_each_channel_once(monkeypatch):
     # A task rates a chunk of channels in one stacked pass, so the work per
     # channel is counted from the stack each spy sees: the number of matrices
