@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     AllZeroEigenvaluesError,
@@ -56,17 +57,16 @@ PHASE_LADDER = tuple(np.exp(1j * np.pi * np.arange(1, 8) / 8).tolist())
 RATE_FORM_CHECK_TOL = 1e-12
 
 # The top-s SVD route serves links of at least TOP_S_MIN_ANTENNAS antennas per
-# side with at most 1/TOP_S_STREAM_RATIO as many streams; elsewhere the economy
-# SVD is as fast or faster.  One BLAS thread, top-s time over economy time:
-# about 0.85 at 64 x 64 with s = 4 and 0.75 at 128 x 128 with s = 8, but 1.0
-# at 64 x 64 with s = 8 and at 128 x 128 with s = 16.
+# side with at most 1/TOP_S_STREAM_RATIO as many streams.  One BLAS thread,
+# top-s time over economy time: about 0.66 at 64 x 64 with s = 4, 0.51 at
+# 128 x 128 with s = 8 and 0.25-0.32 at 64 x 1024 and 1024 x 64 with s = 4.
 TOP_S_MIN_ANTENNAS = 64
 TOP_S_STREAM_RATIO = 16
 
-# Largest accepted max-abs entry of H v - u diag(sigma), relative to sigma_1, and
-# of u^H u - I and v^H v - I, for top-s triplets.  Accurate calls read at most
-# 7e-15 up to 128 x 128; on exactly clustered spectra zgesvdx can return INFO = 0
-# with vectors off by O(1).
+# Largest accepted max-abs entry of H v - u diag(sigma) and H^H u - v diag(sigma),
+# relative to sigma_1, and of u^H u - I and v^H v - I, for top-s triplets.
+# Rayleigh channels up to 1024 x 64 and exactly clustered spectra read about
+# 3e-15 at most; u^H u - I grows as eps (sigma_1/sigma_s)^2.
 TOP_S_CHECK_TOL = 1e-12
 
 
@@ -247,10 +247,11 @@ def _takes_top_s(n_rx: int, n_tx: int, n_streams: int) -> bool:
 
 def svd_route(n_rx: int, n_tx: int, n_streams: int) -> str:
     """The SVD route svd_ordered takes on n_rx x n_tx links with n_streams streams,
-    with the routine it calls: "top-s (...)" or "economy (numpy.linalg.svd)".
-    A top-s trial whose triplets fail their check still takes the economy SVD."""
-    lapack = network._gesvdx() if _takes_top_s(n_rx, n_tx, n_streams) else None
-    return "economy (numpy.linalg.svd)" if lapack is None else f"top-s ({lapack[2]})"
+    with the routine it calls.  A top-s trial whose triplets fail their check
+    still takes the economy SVD."""
+    if _takes_top_s(n_rx, n_tx, n_streams):
+        return "top-s (scipy.linalg.eigh of the Gram matrix)"
+    return "economy (numpy.linalg.svd)"
 
 
 def svd_ordered(h, n_streams=None) -> SvdFactors:
@@ -262,13 +263,16 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     all k = min(n_rx, n_tx) triplets, the economy SVD.
 
     The route depends on the shape and n_streams alone (svd_route).  On large
-    links with few streams, LAPACK's zgesvdx computes only the s = n_streams
-    leading triplets of each channel, and each result is checked in
-    O(n_rx n_tx s): max |H v - u diag(sigma)| and max |u^H u - I|, |v^H v - I|
-    within TOP_S_CHECK_TOL (times sigma_1 for the first).  A trial that fails
-    the check, or the call, takes the economy SVD alone, and every trial does
-    when no bundled library exports zgesvdx.  Elsewhere the economy SVD of a
-    stack of channels (leading trial axes) is one call, cut to s triplets.
+    links with few streams, only the s = n_streams leading triplets of each
+    channel are computed, from the s largest eigenpairs of its smaller Gram
+    matrix (_gram_triplets), and each result is checked in O(n_rx n_tx s):
+    max |H v - u diag(sigma)| and max |H^H u - v diag(sigma)| within
+    TOP_S_CHECK_TOL sigma_1, and max |u^H u - I|, |v^H v - I| within
+    TOP_S_CHECK_TOL.  A trial that fails the check takes the economy SVD
+    alone: one whose rank is below s, or whose spread sigma_1/sigma_s exceeds
+    about 60 (the error of u^H u grows as eps (sigma_1/sigma_s)^2).  Elsewhere
+    the economy SVD of a stack of channels (leading trial axes) is one call,
+    cut to s triplets.
 
     Raises:
         NonFiniteInputError: if h contains NaN or infinite entries.
@@ -284,15 +288,17 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     _check_integers(n_streams=s)
     if not 1 <= s <= min(n_rx, n_tx):
         raise ValueError(f"n_streams={s} is not from 1 to min(n_rx, n_tx)={min(n_rx, n_tx)}")
-    top = network._top_triplets(h, s) if _takes_top_s(n_rx, n_tx, s) else None
-    if top is None:
+    if not _takes_top_s(n_rx, n_tx, s):
         u, sigma, v = _economy_triplets(h, s)
     else:
-        u, sigma, v, ok = top
+        u, sigma, v = _gram_triplets(h, s)
         eye = np.eye(s)
         with np.errstate(invalid="ignore", over="ignore"):
-            # NaN fails each test, so a garbage call cannot pass.
-            ok &= np.abs(h @ v - u * sigma[..., None, :]).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL * sigma[..., 0]
+            # NaN fails each test, so a garbage triplet cannot pass.  One of the
+            # two residuals is zero by construction; the other is the test.
+            bound = TOP_S_CHECK_TOL * sigma[..., 0]
+            ok = np.abs(h @ v - u * sigma[..., None, :]).max(axis=(-2, -1)) <= bound
+            ok &= np.abs(h.conj().swapaxes(-1, -2) @ u - v * sigma[..., None, :]).max(axis=(-2, -1)) <= bound
             for x in (u, v):
                 ok &= np.abs(x.conj().swapaxes(-1, -2) @ x - eye).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
         for t in np.ndindex(ok.shape):
@@ -311,6 +317,43 @@ def _economy_triplets(h: np.ndarray, s: int) -> tuple:
     """(u, sigma, v) of the s leading triplets of h's economy SVD (stacked over leading axes)."""
     u, sigma, vh = np.linalg.svd(h, full_matrices=False)
     return u[..., :s], sigma[..., :s], vh[..., :s, :].conj().swapaxes(-1, -2)
+
+
+_HERK = scipy.linalg.get_blas_funcs("herk", dtype=complex)
+
+
+def _gram_triplets(h: np.ndarray, s: int) -> tuple:
+    """(u, sigma, v) of the s leading singular triplets of each matrix of a stack
+    h (leading axes), from the s largest eigenpairs of its smaller Gram matrix.
+
+    Each matrix is first scaled by an exact power of two, so that its largest
+    real or imaginary part lies in [1/2, 1): the Gram matrix then neither
+    overflows nor underflows, and h and 2^k h give the same vectors bit for
+    bit.  For n_tx <= n_rx the eigenvectors of a^H a are v and u = a v / sigma,
+    else those of a a^H are u and v = a^H u / sigma.  Nothing here is checked:
+    a triplet of rank below s holds NaN or vectors that are not unit.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    _, e = np.frexp(np.abs(h.view(float)).max(axis=(-2, -1), keepdims=True))
+    a = np.ldexp(h.view(float), -e).view(complex)
+    tall = h.shape[-1] <= h.shape[-2]
+    k = min(h.shape[-2:])
+    w = np.empty(h.shape[:-2] + (s,))
+    z = np.empty(h.shape[:-2] + (k, s), dtype=complex)
+    for t in np.ndindex(h.shape[:-2]):
+        # The lower triangle of a^H a (trans=2) or of a a^H (trans=0).
+        gram = _HERK(1.0, a[t], trans=2 if tall else 0, lower=1)
+        values, vectors = scipy.linalg.eigh(
+            gram, subset_by_index=[k - s, k - 1], driver="evr", check_finite=False, overwrite_a=True
+        )
+        # In an exact cluster zheevr can return fewer than s eigenpairs; NaN fails the check.
+        w[t], z[t] = (values[::-1], vectors[:, ::-1]) if values.size == s else (np.nan, np.nan)
+    b = a if tall else a.conj().swapaxes(-1, -2)
+    root = np.sqrt(np.maximum(w, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = (b @ z) / root[..., None, :]
+    sigma = np.ldexp(root, e[..., 0])
+    return (y, sigma, z) if tall else (z, sigma, y)
 
 
 def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:
@@ -562,12 +605,13 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     """Globally optimal transmit/receive susceptance design for a channel.
 
     Pipeline: the n_streams leading singular triplets of the channel
-    (svd_ordered: only those, from LAPACK's zgesvdx, on large links with few
-    streams; else cut from the economy SVD), closed-form susceptance synthesis
-    on each side, and water-filling over their n_streams eigenvalues.  Each
-    side's unitary is the Householder completion of its leading singular
-    vectors times j, and its network is kept in factored form, so beyond the
-    SVD a design costs O(n s^2) rather than O(n^3).
+    (svd_ordered: only those, from the Gram matrix's eigenpairs, on large
+    links with few streams; else cut from the economy SVD), closed-form
+    susceptance synthesis on each side, and water-filling over their
+    n_streams eigenvalues.  Each side's unitary is the Householder
+    completion of its leading singular vectors times j, and its network is
+    kept in factored form, so beyond the SVD a design costs O(n s^2) rather
+    than O(n^3).
     Only when the synthesis rejects Im{V} or Im{U} as singular are the
     factors phase-repaired (ensure_invertible_imag), keeping the networks of
     the accepted rung.

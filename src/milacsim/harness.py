@@ -305,9 +305,20 @@ def write_csv(result: SweepResult, path) -> None:
         fh.write("\n")
 
 
+def _blas(package) -> str:
+    """Name and version of the BLAS a package was built with, from its build
+    configuration; "unknown" where the package does not record it."""
+    try:
+        blas = package.__config__.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError):
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def write_manifest(spec: SweepSpec, path, csv_path, workers: int) -> None:
     """Record the sweep description, seed, SVD route, package, numpy and scipy
-    versions and the worker count (the sweep's SweepResult.workers) next to a CSV.
+    versions, the BLAS each was built with and the worker count (the sweep's
+    SweepResult.workers) next to a CSV.
 
     The two SVD routes give the same rates to 1e-9 but differ in their last
     bits, so svd_route names the one each antenna count takes (svd_route()).
@@ -328,6 +339,7 @@ def write_manifest(spec: SweepSpec, path, csv_path, workers: int) -> None:
         f"package_version = {__version__}",
         f"numpy_version = {np.__version__}",
         f"scipy_version = {scipy.__version__}",
+        f"blas = numpy: {_blas(np)}, scipy: {_blas(scipy)}",
         f"workers = {workers}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

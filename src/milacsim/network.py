@@ -26,16 +26,10 @@ are the "outputs", so a single slicing rule covers both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
-import ctypes
-import functools
 import math
-import mmap
+from dataclasses import dataclass
 
 import numpy as np
-import scipy
 import scipy.linalg
 
 from .exceptions import (
@@ -194,118 +188,6 @@ def _lu_checked(a: np.ndarray, context: str) -> tuple:
 def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
     return _GETRS(*_lu_checked(a, context), rhs)[0]
-
-
-# LAPACKE's zgesvdx_work, which computes only chosen singular triplets in a
-# caller's workspace, in the OpenBLAS bundled with scipy (32-bit integers), else
-# in numpy's (64-bit).
-_GESVDX_SOURCES = (
-    (scipy, "scipy_LAPACKE_zgesvdx_work", ctypes.c_int),
-    (np, "scipy_LAPACKE_zgesvdx_work64_", ctypes.c_int64),
-)
-
-
-@functools.cache
-def _gesvdx():
-    """(function, integer type, "symbol in library") of the first bundled zgesvdx,
-    loaded on first use; None when no bundled library exports it.
-
-    A bundled library sits in the package's sibling `<package>.libs` directory,
-    under a file name that carries a build hash.
-    """
-    for package, symbol, integer in _GESVDX_SOURCES:
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                func = getattr(ctypes.CDLL(str(path)), symbol)
-            except (OSError, AttributeError):
-                continue
-            ptr, char = ctypes.c_void_p, ctypes.c_char
-            func.argtypes = [
-                ctypes.c_int, char, char, char, integer, integer, ptr, integer, ctypes.c_double, ctypes.c_double,
-                integer, integer, ctypes.POINTER(integer), ptr, ptr, integer, ptr, integer, ptr, integer, ptr, ptr,
-            ]
-            func.restype = integer
-            return func, integer, f"{symbol} in {path.name}"
-    return None
-
-
-# zgesvdx real workspaces of at least this many bytes come from a fresh
-# anonymous mapping.  Below it, the heap's zeroing is cheaper than the
-# mapping's page faults: design_milac at 64 x 64 (0.56 MB) took about 5% longer
-# from a mapping, and broke even near 112 x 112 (1.7 MB), one BLAS thread.
-RWORK_MMAP_BYTES = 3 << 19
-
-
-def _zeroed_rwork(k: int) -> np.ndarray:
-    """zgesvdx's real workspace for min(m, n) = k, zeroed.
-
-    On clustered spectra zgesvdx reads part of it before writing it: in
-    uninitialized memory, as LAPACKE_zgesvdx allocates it, those calls return
-    INFO = 0 with vectors off by O(1) that change from call to call.  Zeroed,
-    they are accurate, and every result depends on the input alone.
-
-    A large workspace comes from a fresh anonymous mapping, which the kernel
-    zeroes page by page as the routine touches it: np.zeros of the same
-    2.2 MB at k = 128 comes from the heap once glibc has raised its mmap
-    threshold, and is then set to zero, and kept resident, in full.
-    """
-    size = 17 * k * k
-    if 8 * size < RWORK_MMAP_BYTES:
-        return np.zeros(size)
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
-
-
-def _top_triplets(h: np.ndarray, s: int):
-    """(u, sigma, v, ok) of the s leading singular triplets of each matrix of a
-    stack h (leading axes), from zgesvdx with RANGE = 'I', IL = 1, IU = s; None
-    when no bundled library exports it.
-
-    ok is False for a matrix whose call reports an error (INFO != 0, or other
-    than s triplets); its entries of u, sigma and v are then meaningless.  Each
-    call gets a complex copy that LAPACK reads in column-major order as the tall
-    one of h and h^T: a C-ordered h is h^T there, and h^T = conj(v) diag(sigma) u^T.
-    """
-    lapack = _gesvdx()
-    if lapack is None:
-        return None
-    func, integer, _ = lapack
-    n_rx, n_tx = h.shape[-2:]
-    tall = n_rx > n_tx
-    m, n = (n_rx, n_tx) if tall else (n_tx, n_rx)
-    trials = h.shape[:-2]
-    u = np.empty(trials + (n_rx, s), dtype=complex)
-    v = np.empty(trials + (n_tx, s), dtype=complex)
-    sigma = np.empty(trials + (s,))
-    ok = np.zeros(trials, dtype=bool)
-    values = np.empty(n)
-    iwork = np.empty(12 * n, dtype=integer)
-    found = integer(0)
-    # Column-major left vectors (m x s) and right vectors' conjugate transpose (s x n).
-    left = np.empty((s, m), dtype=complex)
-    right = np.empty((n, s), dtype=complex)
-
-    def call(a, work, lwork, rwork):
-        return func(
-            102, b"V", b"V", b"I", m, n, a.ctypes.data, m, 0.0, 0.0, 1, s, ctypes.byref(found),
-            values.ctypes.data, left.ctypes.data, m, right.ctypes.data, s,
-            work.ctypes.data, lwork, rwork.ctypes.data, iwork.ctypes.data,
-        )
-
-    work = None
-    for t in np.ndindex(trials):
-        a = np.array(h[t], dtype=complex, order="F" if tall else "C")
-        rwork = _zeroed_rwork(n)
-        if work is None:
-            # Workspace query: the optimal length comes back in work[0].
-            work = np.zeros(1, dtype=complex)
-            call(a, work, -1, rwork)
-            work = np.empty(max(1, int(work[0].real)), dtype=complex)
-        info = call(a, work, work.size, rwork)
-        ok[t] = info == 0 and found.value == s
-        u[t], v[t] = (left.T, right.conj()) if tall else (right, left.T.conj())
-        sigma[t] = values[:s]
-    return u, sigma, v, ok
 
 
 def _mirror_upper(b: np.ndarray) -> np.ndarray:

@@ -138,8 +138,6 @@ def test_svd_ordered_cuts_the_economy_svd_to_n_streams():
 # ---------------------------------------------------------------------------
 # The top-s SVD route
 
-needs_gesvdx = pytest.mark.skipif(network._gesvdx() is None, reason="no bundled library exports zgesvdx")
-
 # -40 to 100 dB in 10 dB steps at unit noise.
 _WIDE_SNR_POWERS = tuple(snr_db_to_tx_power(snr, 1.0) for snr in range(-40, 101, 10))
 
@@ -156,6 +154,18 @@ def _economy_spy(monkeypatch) -> list:
     calls, economy = [], beamforming._economy_triplets
     monkeypatch.setattr(beamforming, "_economy_triplets", lambda h, s: calls.append(h) or economy(h, s))
     return calls
+
+
+def _economy_route(monkeypatch, h, s) -> SvdFactors:
+    """svd_ordered(h, s) with the size rule sending every link to the economy SVD."""
+    with monkeypatch.context() as patch:
+        patch.setattr(beamforming, "_takes_top_s", lambda n_rx, n_tx, n_streams: False)
+        return svd_ordered(h, n_streams=s)
+
+
+def _assert_same_factors(mine: SvdFactors, theirs: SvdFactors):
+    for name in ("u", "sigma", "v"):
+        assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes(), name
 
 
 def test_the_route_rule_takes_top_s_only_on_large_links_with_few_streams():
@@ -179,29 +189,8 @@ _CLUSTERED = {
 }
 
 
-@needs_gesvdx
 @pytest.mark.parametrize("name", list(_CLUSTERED))
-def test_top_s_triplets_that_fail_their_check_take_the_economy_svd(monkeypatch, name):
-    # zgesvdx reads part of its real workspace before writing it on these
-    # spectra.  Filled as uninitialized memory can be, it returns INFO = 0 with
-    # vectors off by O(1): each such trial must take the economy SVD.
-    h = np.stack([_CLUSTERED[name](seed) for seed in range(4)])
-    monkeypatch.setattr(network, "_zeroed_rwork", lambda k: np.full(17 * k * k, 5.0))
-    u, sigma, v, ok = network._top_triplets(h, 8)
-    garbage = ok & (np.abs(h @ v - u * sigma[:, None, :]).max(axis=(-2, -1)) > 1e-3 * sigma[:, 0])
-    assert garbage.any()
-    fallbacks = _economy_spy(monkeypatch)
-    factors = svd_ordered(h, n_streams=8)
-    fell_back = [t for t in range(4) if any(np.array_equal(x, h[t]) for x in fallbacks)]
-    assert set(np.flatnonzero(garbage)) <= set(fell_back)
-    residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
-    assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
-    _assert_rates_reach_capacity(h, 8)
-
-
-@needs_gesvdx
-@pytest.mark.parametrize("name", list(_CLUSTERED))
-def test_a_zeroed_workspace_keeps_zgesvdx_accurate_on_clustered_spectra(monkeypatch, name):
+def test_clustered_spectra_take_the_gram_route_without_fallback(monkeypatch, name):
     h = np.stack([_CLUSTERED[name](seed) for seed in range(4)])
     fallbacks = _economy_spy(monkeypatch)
     factors = svd_ordered(h, n_streams=8)
@@ -211,76 +200,68 @@ def test_a_zeroed_workspace_keeps_zgesvdx_accurate_on_clustered_spectra(monkeypa
     _assert_rates_reach_capacity(h, 8)
 
 
-@needs_gesvdx
-@pytest.mark.parametrize("k", [64, 128], ids=["heap", "mapping"])
-def test_the_workspace_is_zeroed_from_either_source_and_gives_the_same_triplets(monkeypatch, k):
-    import mmap
+@pytest.mark.parametrize("spoil", ["NaN triplet", "too few eigenpairs"])
+def test_a_failed_top_s_check_takes_the_economy_svd_for_its_trial_alone(monkeypatch, spoil):
+    import scipy.linalg
 
-    # Below RWORK_MMAP_BYTES the workspace comes from np.zeros, from it on from an anonymous mapping.
-    def mapped(a):
-        return isinstance(getattr(a.base, "obj", None), mmap.mmap)
-
-    rwork = network._zeroed_rwork(k)
-    assert rwork.shape == (17 * k * k,) and rwork.dtype == float and rwork.flags.writeable
-    assert not rwork.any()
-    assert mapped(rwork) == (k == 128)
-    rng = np.random.default_rng(k)
-    h = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
-    fallbacks = _economy_spy(monkeypatch)
-    first = svd_ordered(h, n_streams=k // 16)
-    # The other source for the same size.
-    monkeypatch.setattr(network, "RWORK_MMAP_BYTES", 0 if k == 64 else np.inf)
-    assert mapped(network._zeroed_rwork(k)) == (k == 64)
-    other = svd_ordered(h, n_streams=k // 16)
-    assert fallbacks == []
-    for x, y in ((first.u, other.u), (first.sigma, other.sigma), (first.v, other.v)):
-        assert x.tobytes() == y.tobytes()
-
-
-@needs_gesvdx
-def test_a_failed_top_s_call_takes_the_economy_svd_for_its_trial_alone(monkeypatch):
     rng = np.random.default_rng(3)
     h = rng.standard_normal((3, 64, 64)) + 1j * rng.standard_normal((3, 64, 64))
-    top_triplets = network._top_triplets
-
-    def fail_trial_1(h, s):
-        # As for INFO != 0 or fewer than s triplets: the flag is down and the entries are meaningless.
-        u, sigma, v, ok = top_triplets(h, s)
-        u[1], ok[1] = np.nan, False
-        return u, sigma, v, ok
-
     clean = svd_ordered(h, n_streams=4)
-    with monkeypatch.context() as patch:
-        patch.setattr(network, "_gesvdx", lambda: None)
-        economy_1 = svd_ordered(h[1], n_streams=4)
-    monkeypatch.setattr(network, "_top_triplets", fail_trial_1)
+    economy_1 = _economy_route(monkeypatch, h[1], 4)
+    if spoil == "NaN triplet":
+        # As for a channel of rank below s: NaN where sigma_s is zero.
+        gram_triplets = beamforming._gram_triplets
+
+        def spoiled(h, s):
+            u, sigma, v = gram_triplets(h, s)
+            u[1] = np.nan
+            return u, sigma, v
+
+        monkeypatch.setattr(beamforming, "_gram_triplets", spoiled)
+    else:
+        # zheevr with RANGE = 'I' can return fewer pairs than asked in an exact
+        # cluster: 4 of 8 on kron(I_2, 2 Haar_64), draw 12, with scipy 1.17's OpenBLAS.
+        eigh, calls = scipy.linalg.eigh, []
+
+        def spoiled(*args, **kwargs):
+            values, vectors = eigh(*args, **kwargs)
+            calls.append(values.size)
+            return (values[2:], vectors[:, 2:]) if len(calls) == 2 else (values, vectors)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
     fallbacks = _economy_spy(monkeypatch)
     factors = svd_ordered(h, n_streams=4)
     assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], h[1])
+    if spoil == "too few eigenpairs":
+        assert calls == [4, 4, 4]
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(factors, name)[1], getattr(economy_1, name)), name
         for t in (0, 2):
             assert np.array_equal(getattr(factors, name)[t], getattr(clean, name)[t]), (t, name)
 
 
-@needs_gesvdx
-def test_numpys_bundled_zgesvdx_gives_the_same_triplets(monkeypatch):
-    h, s = _ROUTE_CASES["128x128"]
-    scipy_route = svd_ordered(h, n_streams=s)
-    monkeypatch.setattr(network, "_GESVDX_SOURCES", network._GESVDX_SOURCES[1:])
-    network._gesvdx.cache_clear()
-    try:
-        if network._gesvdx() is None:
-            pytest.skip("numpy's bundled library does not export zgesvdx")
-        assert "64_ in " in network._gesvdx()[2]
-        fallbacks = _economy_spy(monkeypatch)
-        numpy_route = svd_ordered(h, n_streams=s)
-        assert fallbacks == []
-    finally:
-        network._gesvdx.cache_clear()
-    assert np.abs(numpy_route.sigma - scipy_route.sigma).max() <= 1e-14 * scipy_route.sigma[0]
-    for name in ("u", "v"):
-        assert np.abs(getattr(numpy_route, name) - getattr(scipy_route, name)).max() <= 1e-10
+def test_a_triplet_that_only_the_adjoint_residual_rejects_takes_the_economy_svd(monkeypatch):
+    # Gram eigenvalues 3, 2, 1, then 0.01: v = (e_1 + e_3)/sqrt(2) is a unit
+    # Rayleigh-quotient vector with |H v| = sqrt(2), so u = H v / sqrt(2)
+    # passes H v = u sigma and both orthonormality tests, yet H^H u = (3 e_1 +
+    # e_3)/2 is not v sigma = e_1 + e_3.
+    h = np.diag(np.sqrt([3.0, 2.0, 1.0] + [0.01] * 61)).astype(complex)
+    v = np.zeros((64, 1), dtype=complex)
+    v[[0, 2], 0] = 1 / np.sqrt(2)
+    sigma = np.array([np.sqrt(2)])
+    u = h @ v / sigma
+    tol = beamforming.TOP_S_CHECK_TOL
+    assert np.abs(h @ v - u * sigma).max() <= tol * sigma[0]
+    for x in (u, v):
+        assert np.abs(x.conj().T @ x - 1).max() <= tol
+    assert np.abs(h.conj().T @ u - v * sigma).max() > 0.1 * sigma[0]
+
+    monkeypatch.setattr(beamforming, "_gram_triplets", lambda h, s: (u.copy(), sigma.copy(), v.copy()))
+    fallbacks = _economy_spy(monkeypatch)
+    factors = svd_ordered(h, n_streams=1)
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], h)
+    _assert_same_factors(factors, _economy_route(monkeypatch, h, 1))
+    assert factors.sigma[0] == np.sqrt(3.0)
 
 
 def _route_cases():
@@ -304,16 +285,18 @@ def _route_cases():
 _ROUTE_CASES = _route_cases()
 
 
-@needs_gesvdx
 @pytest.mark.parametrize("name", list(_ROUTE_CASES))
 def test_top_s_factors_agree_with_the_economy_factors(monkeypatch, name):
     h, s = _ROUTE_CASES[name]
     assert beamforming._takes_top_s(*h.shape, s)
     fallbacks = _economy_spy(monkeypatch)
     top = svd_ordered(h, n_streams=s)
-    assert fallbacks == []
-    monkeypatch.setattr(network, "_gesvdx", lambda: None)
-    economy = svd_ordered(h, n_streams=s)
+    economy = _economy_route(monkeypatch, h, s)
+    if name == "rank 3 at s=8":
+        # sigma_4..8 are zero: the Gram route cannot give orthonormal u there.
+        assert len(fallbacks) == 2 and np.array_equal(fallbacks[0], h)
+        _assert_same_factors(top, economy)
+        return
     assert len(fallbacks) == 1
     sigma_1 = economy.sigma[0]
     assert np.abs(top.sigma - economy.sigma).max() <= 1e-14 * sigma_1
@@ -321,9 +304,21 @@ def test_top_s_factors_agree_with_the_economy_factors(monkeypatch, name):
         pivot = col[np.argmax(np.abs(col))]
         assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
     assert np.abs(h @ top.v - top.u * top.sigma).max() <= beamforming.TOP_S_CHECK_TOL * sigma_1
+    assert np.abs(h.conj().T @ top.u - top.v * top.sigma).max() <= beamforming.TOP_S_CHECK_TOL * sigma_1
 
 
-@needs_gesvdx
+@pytest.mark.parametrize("name", ["128x128", "wide 64x1024", "tall 1024x64", "real 128x128"])
+def test_a_power_of_two_scale_leaves_the_gram_vectors_bit_for_bit(monkeypatch, name):
+    h, s = _ROUTE_CASES[name]
+    fallbacks = _economy_spy(monkeypatch)
+    base = svd_ordered(h, n_streams=s)
+    for scale in (2.0**400, 2.0**-400):
+        scaled = svd_ordered(scale * h, n_streams=s)
+        assert scaled.u.tobytes() == base.u.tobytes() and scaled.v.tobytes() == base.v.tobytes()
+        assert scaled.sigma.tobytes() == (scale * base.sigma).tobytes()
+    assert fallbacks == []
+
+
 @pytest.mark.parametrize("name", [name for name in _ROUTE_CASES if name != "scale 1e150"])
 def test_top_s_designs_reach_capacity_from_minus_40_to_100_db(name):
     # At scale 1e150 no float64 design meets the gate on either route: the
@@ -332,7 +327,6 @@ def test_top_s_designs_reach_capacity_from_minus_40_to_100_db(name):
     _assert_rates_reach_capacity(h, s)
 
 
-@needs_gesvdx
 def test_a_top_s_stack_is_designed_as_each_trial_alone():
     rng = np.random.default_rng(64)
     h = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))

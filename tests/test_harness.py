@@ -749,13 +749,21 @@ def _economy_svd_ordered(h, n_streams=None):
     return SvdFactors(u=(u * phases)[..., :s], sigma=sigma[..., :s], v=(v * phases)[..., :s])
 
 
-def test_without_zgesvdx_a_large_sweep_writes_the_economy_routes_bytes(monkeypatch, tmp_path):
-    # 128 x 128 links with 8 streams take the top-s route when the library is there.
+def test_a_large_sweep_whose_top_s_checks_all_fail_writes_the_economy_routes_bytes(monkeypatch, tmp_path):
+    # 128 x 128 links with 8 streams take the top-s route; NaN triplets fail
+    # every check, so each trial takes the economy SVD alone.
     assert beamforming._takes_top_s(128, 128, 8)
     argv = ["sweep-snr", "--antennas", "128", "--streams", "8", "--trials", "2", "--workers", "1", "--out"]
-    monkeypatch.setattr(network, "_gesvdx", lambda: None)
+
+    def nan_triplets(h, s):
+        trials, (n_rx, n_tx) = h.shape[:-2], h.shape[-2:]
+        return (np.full(trials + (n_rx, s), np.nan + 0j), np.full(trials + (s,), np.nan),
+                np.full(trials + (n_tx, s), np.nan + 0j))
+
+    monkeypatch.setattr(beamforming, "_gram_triplets", nan_triplets)
     assert cli.main(argv + [str(tmp_path / "fallback.csv")]) == 0
-    assert "svd_route = 128: economy (numpy.linalg.svd)\n" in (tmp_path / "fallback.csv.manifest.txt").read_text()
+    route = "svd_route = 128: top-s (scipy.linalg.eigh of the Gram matrix)\n"
+    assert route in (tmp_path / "fallback.csv.manifest.txt").read_text()
     monkeypatch.setattr(beamforming, "svd_ordered", _economy_svd_ordered)
     assert cli.main(argv + [str(tmp_path / "reference.csv")]) == 0
     assert (tmp_path / "fallback.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -780,16 +788,17 @@ def test_write_manifest_records_the_run(tmp_path, monkeypatch):
     assert written["scipy_version"] == scipy.__version__
     assert written["workers"] == "1"
     assert entries(_small_snr_spec(), workers=3)["workers"] == "3"
+    # The BLAS each library was built with, as its build configuration records it.
+    built = [package.__config__.CONFIG["Build Dependencies"]["blas"] for package in (np, scipy)]
+    numpy_blas, scipy_blas = (f"{blas['name']} {blas['version']}" for blas in built)
+    assert written["blas"] == f"numpy: {numpy_blas}, scipy: {scipy_blas}"
+    monkeypatch.setattr(scipy, "__config__", None)
+    assert entries(_small_snr_spec())["blas"] == f"numpy: {numpy_blas}, scipy: unknown"
     # The SVD route of each antenna count, with the routine it calls.
     assert written["svd_route"] == "8: economy (numpy.linalg.svd)"
     spec = _small_snr_spec(mode="antenna_sweep", snr_points_db=(0.0,), antenna_points=(8, 64), n_streams=4)
-    lapack = network._gesvdx()
-    top_s = "economy (numpy.linalg.svd)" if lapack is None else f"top-s ({lapack[2]})"
+    top_s = "top-s (scipy.linalg.eigh of the Gram matrix)"
     assert entries(spec)["svd_route"] == f"8: economy (numpy.linalg.svd), 64: {top_s}"
-    if lapack is not None:
-        assert "zgesvdx" in top_s and "openblas" in top_s
-    monkeypatch.setattr(network, "_gesvdx", lambda: None)
-    assert entries(spec)["svd_route"] == "8: economy (numpy.linalg.svd), 64: economy (numpy.linalg.svd)"
 
 
 # ---------------------------------------------------------------------------
