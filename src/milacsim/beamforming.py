@@ -19,7 +19,7 @@ each side); it cancels out of none of the formulas and is kept explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -58,8 +58,8 @@ RATE_FORM_CHECK_TOL = 1e-12
 
 # The top-s SVD route serves links of at least TOP_S_MIN_ANTENNAS antennas per
 # side with at most 1/TOP_S_STREAM_RATIO as many streams.  One BLAS thread,
-# top-s time over economy time: about 0.66 at 64 x 64 with s = 4, 0.51 at
-# 128 x 128 with s = 8 and 0.25-0.32 at 64 x 1024 and 1024 x 64 with s = 4.
+# top-s time over economy time: about 0.55 at 64 x 64 with s = 4, 0.44 at
+# 128 x 128 with s = 8 and 0.21-0.28 at 64 x 1024 and 1024 x 64 with s = 4.
 TOP_S_MIN_ANTENNAS = 64
 TOP_S_STREAM_RATIO = 16
 
@@ -250,7 +250,7 @@ def svd_route(n_rx: int, n_tx: int, n_streams: int) -> str:
     with the routine it calls.  A top-s trial whose triplets fail their check
     still takes the economy SVD."""
     if _takes_top_s(n_rx, n_tx, n_streams):
-        return "top-s (scipy.linalg.eigh of the Gram matrix)"
+        return "top-s (zhetrd + dstemr of the Gram matrix)"
     return "economy (numpy.linalg.svd)"
 
 
@@ -281,24 +281,26 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2:
         raise DimensionMismatchError(f"channel matrix must be 2-D, or a stack of them, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
     n_rx, n_tx = h.shape[-2:]
     s = min(n_rx, n_tx) if n_streams is None else n_streams
     _check_integers(n_streams=s)
     if not 1 <= s <= min(n_rx, n_tx):
         raise ValueError(f"n_streams={s} is not from 1 to min(n_rx, n_tx)={min(n_rx, n_tx)}")
     if not _takes_top_s(n_rx, n_tx, s):
+        if not np.all(np.isfinite(h)):
+            raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
         u, sigma, v = _economy_triplets(h, s)
     else:
-        u, sigma, v = _gram_triplets(h, s)
+        u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
         eye = np.eye(s)
         with np.errstate(invalid="ignore", over="ignore"):
             # NaN fails each test, so a garbage triplet cannot pass.  One of the
             # two residuals is zero by construction; the other is the test.
+            # u^H H - diag(sigma) v^H is the adjoint residual, conjugated.
             bound = TOP_S_CHECK_TOL * sigma[..., 0]
             ok = np.abs(h @ v - u * sigma[..., None, :]).max(axis=(-2, -1)) <= bound
-            ok &= np.abs(h.conj().swapaxes(-1, -2) @ u - v * sigma[..., None, :]).max(axis=(-2, -1)) <= bound
+            adjoint = u.conj().swapaxes(-1, -2) @ h - sigma[..., :, None] * v.conj().swapaxes(-1, -2)
+            ok &= np.abs(adjoint).max(axis=(-2, -1)) <= bound
             for x in (u, v):
                 ok &= np.abs(x.conj().swapaxes(-1, -2) @ x - eye).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
         for t in np.ndindex(ok.shape):
@@ -320,6 +322,15 @@ def _economy_triplets(h: np.ndarray, s: int) -> tuple:
 
 
 _HERK = scipy.linalg.get_blas_funcs("herk", dtype=complex)
+_HETRD, _HETRD_LWORK, _UNMQR = scipy.linalg.get_lapack_funcs(("hetrd", "hetrd_lwork", "unmqr"), dtype=complex)
+_STEMR = scipy.linalg.get_lapack_funcs("stemr", dtype=float)
+
+
+@cache
+def _hetrd_lwork(k: int) -> int:
+    """zhetrd's optimal workspace for a k x k matrix, queried once per k."""
+    work, _ = _HETRD_LWORK(k, lower=1)
+    return int(work.real)
 
 
 def _gram_triplets(h: np.ndarray, s: int) -> tuple:
@@ -329,31 +340,66 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     Each matrix is first scaled by an exact power of two, so that its largest
     real or imaginary part lies in [1/2, 1): the Gram matrix then neither
     overflows nor underflows, and h and 2^k h give the same vectors bit for
-    bit.  For n_tx <= n_rx the eigenvectors of a^H a are v and u = a v / sigma,
-    else those of a a^H are u and v = a^H u / sigma.  Nothing here is checked:
-    a triplet of rank below s holds NaN or vectors that are not unit.
+    bit.  The Gram matrix (zherk) is reduced to real tridiagonal form once
+    (zhetrd), MRRR (dstemr) gives that form's s largest eigenpairs, and the
+    reduction's reflectors carry the vectors z back (zunmqr).  For
+    n_tx <= n_rx the z are v, else u.  The product y of the scaled channel (or
+    its adjoint) with z has the other side's vectors as its normalized
+    columns, and sigma as its column norms: the square roots of z's Rayleigh
+    quotients, accurate to about eps sigma_1, where the square roots of
+    dstemr's eigenvalues are not.  Nothing here is checked: a trial for which
+    dstemr returns fewer than s pairs, or any routine an error, holds NaN, and
+    one of rank below s holds NaN or vectors that are not orthonormal.
+
+    Raises:
+        NonFiniteInputError: if h contains NaN or infinite entries (the max
+            that sets the scale is then not finite).
     """
     h = np.ascontiguousarray(h, dtype=complex)
-    _, e = np.frexp(np.abs(h.view(float)).max(axis=(-2, -1), keepdims=True))
-    a = np.ldexp(h.view(float), -e).view(complex)
+    parts = h.view(float)
+    top = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    if not np.isfinite(top).all():
+        raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
+    _, e = np.frexp(top)
+    a = np.ldexp(parts, -e[..., None, None]).view(complex)
     tall = h.shape[-1] <= h.shape[-2]
     k = min(h.shape[-2:])
-    w = np.empty(h.shape[:-2] + (s,))
+    lwork = _hetrd_lwork(k)
     z = np.empty(h.shape[:-2] + (k, s), dtype=complex)
+    off_diagonal = np.empty(k)  # dstemr's e has one spare entry, its workspace
     for t in np.ndindex(h.shape[:-2]):
-        # The lower triangle of a^H a (trans=2) or of a a^H (trans=0).
-        gram = _HERK(1.0, a[t], trans=2 if tall else 0, lower=1)
-        values, vectors = scipy.linalg.eigh(
-            gram, subset_by_index=[k - s, k - 1], driver="evr", check_finite=False, overwrite_a=True
-        )
-        # In an exact cluster zheevr can return fewer than s eigenpairs; NaN fails the check.
-        w[t], z[t] = (values[::-1], vectors[:, ::-1]) if values.size == s else (np.nan, np.nan)
-    b = a if tall else a.conj().swapaxes(-1, -2)
-    root = np.sqrt(np.maximum(w, 0.0))
+        # a is row-major, so a^T is column-major and zherk reads it without a
+        # copy: a^T conj(a) = conj(a^H a) (trans=0), or conj(a a^H) (trans=2).
+        # The eigenvectors of that lower triangle are the conjugated z.
+        gram = _HERK(1.0, a[t].T, trans=0 if tall else 2, lower=1)
+        c, d, off_diagonal[:-1], tau, info_t = _HETRD(gram, lower=1, lwork=lwork, overwrite_a=1)
+        m, _, w, info_m = _STEMR(d, off_diagonal, 2, 0.0, 0.0, k - s + 1, k)  # by index, ascending
+        # zunmtr for the lower triangle, which SciPy does not wrap: the k - 1
+        # reflectors lie below c's diagonal and act on rows 1.. of w.  A flat
+        # view from c's second entry hands them to zunmqr with leading
+        # dimension k, without a copy.  The minimal workspace (unblocked code)
+        # is also the faster one for s columns.
+        reflectors = c.ravel(order="F")[1 : 1 + k * (k - 1)].reshape((k, k - 1), order="F")
+        rows = w[1:, s - 1 :: -1].astype(complex, order="F")
+        rows, _, info_q = _UNMQR(b"L", b"N", reflectors, tau, rows, s, overwrite_c=1)
+        z[t][0] = w[0, s - 1 :: -1]
+        np.conjugate(rows, out=z[t][1:])
+        if m != s or info_t != 0 or info_m != 0 or info_q != 0:
+            z[t] = np.nan
+    if tall:
+        y = a @ z
+    else:
+        y = (z.conj().swapaxes(-1, -2) @ a).conj().swapaxes(-1, -2)
+    root = np.linalg.norm(y, axis=-2)
+    # On an exact cluster the norms can come out of order; reorder only there.
+    if (root[..., 1:] > root[..., :-1]).any():
+        order = np.argsort(-root, axis=-1, kind="stable")
+        root = np.take_along_axis(root, order, axis=-1)
+        y, z = (np.take_along_axis(x, order[..., None, :], axis=-1) for x in (y, z))
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = (b @ z) / root[..., None, :]
-    sigma = np.ldexp(root, e[..., 0])
-    return (y, sigma, z) if tall else (z, sigma, y)
+        x = y / root[..., None, :]
+    sigma = np.ldexp(root, e[..., None])
+    return (x, sigma, z) if tall else (z, sigma, x)
 
 
 def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:

@@ -182,28 +182,43 @@ def _haar(n, seed):
     return unitary_group.rvs(n, random_state=seed)
 
 
-# Exactly clustered spectra, 4 draws each.
+# Exactly clustered spectra: draws 0-3, and the draws on which zheevr (RANGE =
+# 'I') returned fewer than 8 eigenpairs with scipy 1.17's OpenBLAS.
 _CLUSTERED = {
-    "3 Haar_128": lambda seed: 3.0 * _haar(128, seed),
-    "kron(I_2, 2 Haar_64)": lambda seed: np.kron(np.eye(2), 2.0 * _haar(64, seed)),
+    "3 Haar_128": (lambda seed: 3.0 * _haar(128, seed), (0, 1, 2, 3, 33)),
+    "kron(I_2, 2 Haar_64)": (lambda seed: np.kron(np.eye(2), 2.0 * _haar(64, seed)), (0, 1, 2, 3, 12, 26, 32, 49, 54, 79)),
+    "kron(I_4, Haar_32)": (lambda seed: np.kron(np.eye(4), _haar(32, seed)), (13, 24, 33, 41, 66)),
 }
 
 
 @pytest.mark.parametrize("name", list(_CLUSTERED))
 def test_clustered_spectra_take_the_gram_route_without_fallback(monkeypatch, name):
-    h = np.stack([_CLUSTERED[name](seed) for seed in range(4)])
+    draw, seeds = _CLUSTERED[name]
+    h = np.stack([draw(seed) for seed in seeds])
     fallbacks = _economy_spy(monkeypatch)
     factors = svd_ordered(h, n_streams=8)
-    assert fallbacks == []
     residual = np.abs(h @ factors.v - factors.u * factors.sigma[:, None, :]).max(axis=(-2, -1))
     assert (residual <= beamforming.TOP_S_CHECK_TOL * factors.sigma[:, 0]).all()
     _assert_rates_reach_capacity(h, 8)
+    assert fallbacks == []
 
 
-@pytest.mark.parametrize("spoil", ["NaN triplet", "too few eigenpairs"])
+def _spoil_second_call(monkeypatch, name, spoil):
+    """Patch beamforming's LAPACK handle `name` so that its second call (trial 1
+    of a stack) returns what `spoil` makes of its outputs; return the call log."""
+    routine, calls = getattr(beamforming, name), []
+
+    def spoiled(*args, **kwargs):
+        out = routine(*args, **kwargs)
+        calls.append(out[0])
+        return spoil(*out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(beamforming, name, spoiled)
+    return calls
+
+
+@pytest.mark.parametrize("spoil", ["NaN triplet", "too few eigenpairs", "dstemr error"])
 def test_a_failed_top_s_check_takes_the_economy_svd_for_its_trial_alone(monkeypatch, spoil):
-    import scipy.linalg
-
     rng = np.random.default_rng(3)
     h = rng.standard_normal((3, 64, 64)) + 1j * rng.standard_normal((3, 64, 64))
     clean = svd_ordered(h, n_streams=4)
@@ -218,22 +233,16 @@ def test_a_failed_top_s_check_takes_the_economy_svd_for_its_trial_alone(monkeypa
             return u, sigma, v
 
         monkeypatch.setattr(beamforming, "_gram_triplets", spoiled)
+    elif spoil == "too few eigenpairs":
+        # As zheevr did on exact clusters: m < s pairs, reported without an error.
+        calls = _spoil_second_call(monkeypatch, "_STEMR", lambda m, w, z, info: (m - 2, w, z, info))
     else:
-        # zheevr with RANGE = 'I' can return fewer pairs than asked in an exact
-        # cluster: 4 of 8 on kron(I_2, 2 Haar_64), draw 12, with scipy 1.17's OpenBLAS.
-        eigh, calls = scipy.linalg.eigh, []
-
-        def spoiled(*args, **kwargs):
-            values, vectors = eigh(*args, **kwargs)
-            calls.append(values.size)
-            return (values[2:], vectors[:, 2:]) if len(calls) == 2 else (values, vectors)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", spoiled)
+        calls = _spoil_second_call(monkeypatch, "_STEMR", lambda m, w, z, info: (m, w, z, 1))
     fallbacks = _economy_spy(monkeypatch)
     factors = svd_ordered(h, n_streams=4)
     assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], h[1])
-    if spoil == "too few eigenpairs":
-        assert calls == [4, 4, 4]
+    if spoil != "NaN triplet":
+        assert len(calls) == 3
     for name in ("u", "sigma", "v"):
         assert np.array_equal(getattr(factors, name)[1], getattr(economy_1, name)), name
         for t in (0, 2):
@@ -305,6 +314,23 @@ def test_top_s_factors_agree_with_the_economy_factors(monkeypatch, name):
         assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
     assert np.abs(h @ top.v - top.u * top.sigma).max() <= beamforming.TOP_S_CHECK_TOL * sigma_1
     assert np.abs(h.conj().T @ top.u - top.v * top.sigma).max() <= beamforming.TOP_S_CHECK_TOL * sigma_1
+
+
+@pytest.mark.parametrize("n, s, draws, seed", [(64, 4, 120, 5), (128, 8, 30, 17)])
+def test_top_s_singular_values_agree_with_the_economy_svd_on_many_draws(monkeypatch, n, s, draws, seed):
+    # The column norms of H z keep sigma within 1e-14 sigma_1 of the economy
+    # SVD's.  The square roots of dstemr's eigenvalues do not: each seed holds
+    # a draw where they miss by 5.4e-14 (64) and 2.6e-14 sigma_1 (128) with
+    # scipy 1.17's OpenBLAS.
+    rng = np.random.default_rng([n, seed])
+    h = (rng.standard_normal((draws, n, n)) + 1j * rng.standard_normal((draws, n, n))) / np.sqrt(2)
+    fallbacks = _economy_spy(monkeypatch)
+    top = svd_ordered(h, n_streams=s)
+    sigma = np.linalg.svd(h, compute_uv=False)[:, :s]
+    assert (np.abs(top.sigma - sigma).max(axis=-1) <= 1e-14 * sigma[:, 0]).all()
+    for scale in (2.0**400, 2.0**-400):
+        assert svd_ordered(scale * h, n_streams=s).sigma.tobytes() == (scale * top.sigma).tobytes()
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("name", ["128x128", "wide 64x1024", "tall 1024x64", "real 128x128"])

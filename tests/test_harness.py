@@ -762,7 +762,7 @@ def test_a_large_sweep_whose_top_s_checks_all_fail_writes_the_economy_routes_byt
 
     monkeypatch.setattr(beamforming, "_gram_triplets", nan_triplets)
     assert cli.main(argv + [str(tmp_path / "fallback.csv")]) == 0
-    route = "svd_route = 128: top-s (scipy.linalg.eigh of the Gram matrix)\n"
+    route = "svd_route = 128: top-s (zhetrd + dstemr of the Gram matrix)\n"
     assert route in (tmp_path / "fallback.csv.manifest.txt").read_text()
     monkeypatch.setattr(beamforming, "svd_ordered", _economy_svd_ordered)
     assert cli.main(argv + [str(tmp_path / "reference.csv")]) == 0
@@ -797,7 +797,7 @@ def test_write_manifest_records_the_run(tmp_path, monkeypatch):
     # The SVD route of each antenna count, with the routine it calls.
     assert written["svd_route"] == "8: economy (numpy.linalg.svd)"
     spec = _small_snr_spec(mode="antenna_sweep", snr_points_db=(0.0,), antenna_points=(8, 64), n_streams=4)
-    top_s = "top-s (scipy.linalg.eigh of the Gram matrix)"
+    top_s = "top-s (zhetrd + dstemr of the Gram matrix)"
     assert entries(spec)["svd_route"] == f"8: economy (numpy.linalg.svd), 64: {top_s}"
 
 
