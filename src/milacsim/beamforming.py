@@ -184,8 +184,9 @@ class Design:
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
             O(n^2 s) on first access (of a single link's design).
         f, g: the circuit-realized precoder (n_tx x s) and combiner (s x n_rx),
-            tx.transfer_block() and rx.transfer_block(), built in O(n s^2) on
-            first access; a square link's two circuit solves are one call.
+            the transfer blocks of tx and rx (network._transfer_blocks), built
+            in O(n s^2) on first access; a square link's two circuit solves are
+            one call.
 
     The design of a stack of T channels holds T of each, along a leading axis.
     """
@@ -197,9 +198,7 @@ class Design:
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.tx.core.shape == self.rx.core.shape:
-            return network._transfer_blocks(self.tx, self.rx)
-        return self.tx.transfer_block(), self.rx.transfer_block()
+        return network._transfer_blocks(self.tx, self.rx)
 
     @property
     def f(self) -> np.ndarray:
@@ -225,8 +224,8 @@ class Design:
 @dataclass(frozen=True, eq=False)
 class RateReport:
     """Per-trial record of the analog rate, digital benchmark, and capacity,
-    with the design and its circuit-realized precoder f and combiner g.  At K
-    transmit powers the rates are K-vectors and per_stream_sinr is (K, n_streams).
+    with the design whose circuit blocks design.f and design.g were rated.  At
+    K transmit powers the rates are K-vectors and per_stream_sinr is (K, n_streams).
     A stack of T channels adds a leading trial axis to every array.
     """
 
@@ -235,8 +234,6 @@ class RateReport:
     capacity: float
     per_stream_sinr: np.ndarray
     design: Design
-    f: np.ndarray
-    g: np.ndarray
 
 
 def _takes_top_s(n_rx: int, n_tx: int, n_streams: int) -> bool:
@@ -454,15 +451,14 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     Raises:
         AllZeroEigenvaluesError: if, for some trial and power, every
             eigenvalue is zero or so small that its floor overflows.
-        ValueError: if a power or noise_power is not a positive, finite and
-            normal double.
+        ValueError: if an eigenvalue is negative or not finite, or a power or
+            noise_power is not a positive, finite and normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim < 1 or lam.shape[-1] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector, or a stack of them")
-    if not ((lam >= 0) & (lam < np.inf)).all():
-        raise ValueError("eigenvalues must be nonnegative and finite")
+    _check_spectrum(lam)
     power = np.asarray(total_power, dtype=float)
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
@@ -487,6 +483,12 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     level = np.take_along_axis(levels, m - 1, axis=-1)
     p = np.maximum(0.0, level - excess)
     return PowerAllocation(p=p, water_level=_per_power((a_min + level)[..., 0]))
+
+
+def _check_spectrum(lam: np.ndarray) -> None:
+    """Raise ValueError unless every eigenvalue is nonnegative and finite (NaN fails)."""
+    if not ((lam >= 0) & (lam < np.inf)).all():
+        raise ValueError("eigenvalues must be nonnegative and finite")
 
 
 def _per_power(values):
@@ -534,11 +536,12 @@ def capacity_closed_form(
     matched by allocation.p) give the rates of each trial.
 
     Raises:
-        ValueError: if a power or noise_power is not a positive, finite and
-            normal double.
+        ValueError: if an eigenvalue is negative or not finite, or a power or
+            noise_power is not a positive, finite and normal double.
     """
     _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
+    _check_spectrum(lam)
     p = allocation.p
     if lam.shape[-1:] != p.shape[-1:]:
         raise DimensionMismatchError(

@@ -286,8 +286,8 @@ def _cmd_design_dump(opts: dict) -> int:
     dump_matrix_csv(design.b_rx.b, os.path.join(out_dir, "susceptance_rx.csv"))
     dump_matrix_csv(theta_tx.theta, os.path.join(out_dir, "scattering_tx.csv"))
     dump_matrix_csv(theta_rx.theta, os.path.join(out_dir, "scattering_rx.csv"))
-    dump_matrix_csv(report.f, os.path.join(out_dir, "precoder_block.csv"))
-    dump_matrix_csv(report.g, os.path.join(out_dir, "combiner_block.csv"))
+    dump_matrix_csv(design.f, os.path.join(out_dir, "precoder_block.csv"))
+    dump_matrix_csv(design.g, os.path.join(out_dir, "combiner_block.csv"))
     with open(os.path.join(out_dir, "allocation.csv"), "w", encoding="utf-8") as fh:
         fh.write("stream,power_fraction\n")
         for s, p in enumerate(design.allocation.p):

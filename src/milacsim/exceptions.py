@@ -15,9 +15,10 @@ import sys
 
 
 def _check_integers(**values) -> None:
-    """Raise ValueError naming the first value that is not an integer (numpy's count, 2.0 does not)."""
+    """Raise ValueError naming the first value that is not an integer (numpy's
+    count; 2.0 does not, and neither does True, which is no count)."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -175,16 +175,12 @@ def run_trial(h, config: SystemConfig, _seed=None) -> RateReport:
         stack adds a leading trial axis to each.
     """
     design = design_milac(h, config)
-    f, g = design.f, design.g
     # The capacity takes its own spectrum, so it checks the design independently.
     lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[..., : config.n_streams] ** 2
-    rate, sinr = milac_rate(g, h, f, design.allocation, config.tx_power, config.noise_power)
+    rate, sinr = milac_rate(design.g, h, design.f, design.allocation, config.tx_power, config.noise_power)
     capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
     _, digital = digital_design_and_rate(h, design, config.tx_power, config.noise_power)
-    return RateReport(
-        milac_rate=rate, digital_rate=digital, capacity=capacity, per_stream_sinr=sinr,
-        design=design, f=f, g=g,
-    )
+    return RateReport(milac_rate=rate, digital_rate=digital, capacity=capacity, per_stream_sinr=sinr, design=design)
 
 
 def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfig:

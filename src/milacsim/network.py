@@ -541,40 +541,37 @@ class _FactoredSusceptance:
         q = np.eye(self.a.shape[-2]) + self.a @ self.qt
         return 1j * (np.conj(q) if self.receive else q)
 
-    def transfer_block(self) -> np.ndarray:
-        """transfer_block_from_admittance of the dense network, in O(n s^2).
-
-        N = I + jB/y0 maps the range of E onto itself, where it acts as the
-        (s + r)-port core C = I + j core; the symbol columns of N^-1 are
-        E C^-1 [I_s; 0], with C^-1 from one stacked inverse.  A stack is
-        rejected unless each exact kappa_1 = ||C||_1 ||C^-1||_1 is at most
-        DEFAULT_COND_CAP (a NaN fails); gecon's figure, which _solve_checked
-        judges, is a lower bound of kappa_1, so every core it rejects is
-        rejected here too.  N is symmetric, so the receive block (symbol rows,
-        antenna columns) is the transpose of the antenna rows of the symbol
-        columns.
-        """
-        return _transfer_blocks(self)[0]
-
 
 def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
-    """transfer_block() of each of networks whose cores share one shape, as both
-    sides of a square link do, with all cores inverted in one stacked call.
-    Each network's kappa_1 is checked on its own, in order, so the error names
-    the first side past the cap."""
-    c = np.eye(networks[0].core.shape[-1]) + 1j * np.stack([net.core for net in networks])
-    cinv = np.linalg.inv(c)
-    kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
+    """transfer_block_from_admittance of each network's dense form, in O(n s^2).
+
+    N = I + jB/y0 maps the range of E onto itself, where it acts as the
+    (s + r)-port core C = I + j core; the symbol columns of N^-1 are
+    E C^-1 [I_s; 0].  Cores that share one shape, as both sides of a square
+    link do, are inverted in one stacked call; otherwise each network is
+    solved on its own.  A network (each matrix of a stack) is rejected
+    unless its exact kappa_1 = ||C||_1 ||C^-1||_1 is at most DEFAULT_COND_CAP
+    (a NaN fails), and the networks are checked in order, so the error names
+    the first side past the cap.  gecon's figure, which _solve_checked judges,
+    is a lower bound of kappa_1, so every core it rejects is rejected here
+    too.  N is symmetric, so the receive block (symbol rows, antenna columns)
+    is the transpose of the antenna rows of the symbol columns.
+    """
+    shared = len({net.core.shape for net in networks}) == 1
     blocks = []
-    for net, net_kappa, net_cinv in zip(networks, kappa, cinv):
-        if not (net_kappa <= DEFAULT_COND_CAP).all():
-            side = "susceptance_rx" if net.receive else "susceptance_tx"
-            raise SingularMatrixError(
-                f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
-            )
-        s = net.core.shape[-1] - net.a.shape[-1]
-        x = net.a @ net_cinv[..., s:, :s]
-        blocks.append(x.swapaxes(-1, -2) if net.receive else x)
+    for group in [networks] if shared else [(net,) for net in networks]:
+        c = np.eye(group[0].core.shape[-1]) + 1j * np.stack([net.core for net in group])
+        cinv = np.linalg.inv(c)
+        kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
+        for net, net_kappa, net_cinv in zip(group, kappa, cinv):
+            if not (net_kappa <= DEFAULT_COND_CAP).all():
+                side = "susceptance_rx" if net.receive else "susceptance_tx"
+                raise SingularMatrixError(
+                    f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
+                )
+            s = net.core.shape[-1] - net.a.shape[-1]
+            x = net.a @ net_cinv[..., s:, :s]
+            blocks.append(x.swapaxes(-1, -2) if net.receive else x)
     return tuple(blocks)
 
 

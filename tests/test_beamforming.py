@@ -110,6 +110,8 @@ def test_svd_factors_validate_ordering():
         SvdFactors(u=np.eye(2), sigma=np.array([1.0, 2.0]), v=np.eye(2))
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.array([1.0]), v=np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="must be matrices"):
+        SvdFactors(u=np.ones(2), sigma=np.ones(1), v=np.eye(2)[:, :1])
     # Leading triplets only: the same 1 <= s <= k = min(n_rx, n_tx) columns on both sides.
     with pytest.raises(DimensionMismatchError):
         SvdFactors(u=np.eye(2), sigma=np.ones(2), v=np.eye(3))
@@ -133,6 +135,8 @@ def test_svd_ordered_cuts_the_economy_svd_to_n_streams():
             svd_ordered(h, n_streams=bad)
     with pytest.raises(ValueError, match="n_streams must be an integer"):
         svd_ordered(h, n_streams=2.5)
+    with pytest.raises(DimensionMismatchError, match="must be 2-D"):
+        svd_ordered(h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,22 @@ def _assert_rates_reach_capacity(h, s):
     report = run_trial(h, config)
     for rate in (report.milac_rate, report.digital_rate):
         assert (np.abs(rate - report.capacity) <= 1e-9 * report.capacity).all()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_the_top_s_route_rejects_a_nonfinite_channel(monkeypatch, part, value, stacked):
+    # The max that sets each channel's power-of-two scale is the route's only
+    # finiteness test; it must see both parts of every channel of a stack.
+    h = np.stack([random_channel(64, 64, 9), random_channel(64, 64, 10)]) if stacked else random_channel(64, 64, 9)
+    parts = h.view(float).reshape(h.shape + (2,))
+    parts[(-1, 5, 7) if stacked else (5, 7)][0 if part == "real" else 1] = value
+    assert beamforming._takes_top_s(64, 64, 4)
+    economy = _economy_spy(monkeypatch)
+    with pytest.raises(NonFiniteInputError, match="NaN or infinite"):
+        svd_ordered(h, n_streams=4)
+    assert economy == []
 
 
 def _economy_spy(monkeypatch) -> list:
@@ -550,21 +570,24 @@ def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monke
     ids=["square_stack", "square", "wide_stack", "tall", "tall_stack"],
 )
 def test_the_designs_f_and_g_are_the_networks_transfer_blocks_bit_for_bit(monkeypatch, shape, s):
+    # The design hands both networks to one _transfer_blocks call, built once.
     # A square link inverts both sides' cores in one stacked call; any other
     # shape makes one call per side.  Either way f and g are what each
-    # network's own transfer_block gives, built once.
+    # network's own solve gives.
     h = np.random.default_rng(len(shape) * shape[-1]).standard_normal(shape) * (1.0 + 1.0j)
     h = h + np.random.default_rng(7).standard_normal(shape)
     design = design_milac(h, _config(s, shape[-1], shape[-2]))
-    calls = []
-    blocks = network._transfer_blocks
+    calls, inversions = [], []
+    blocks, inv = network._transfer_blocks, np.linalg.inv
     monkeypatch.setattr(network, "_transfer_blocks", lambda *nets: calls.append(len(nets)) or blocks(*nets))
-    assert design.f.tobytes() == design.tx.transfer_block().tobytes()
-    assert design.g.tobytes() == design.rx.transfer_block().tobytes()
-    assert design.f.shape == shape[:-2] + (shape[-1], s) and design.g.shape == shape[:-2] + (s, shape[-2])
-    assert design.f is design.f and design.g is design.g
-    # The first access solved the circuits; the two transfer_block calls above, one network each.
-    assert calls == ([2] if shape[-1] == shape[-2] else [1, 1]) + [1, 1]
+    monkeypatch.setattr(np.linalg, "inv", lambda c: inversions.append(len(c)) or inv(c))
+    f, g = design.f, design.g
+    assert design.f is f and design.g is g
+    assert calls == [2]
+    assert inversions == ([2] if shape[-1] == shape[-2] else [1, 1])
+    assert f.tobytes() == blocks(design.tx)[0].tobytes()
+    assert g.tobytes() == blocks(design.rx)[0].tobytes()
+    assert f.shape == shape[:-2] + (shape[-1], s) and g.shape == shape[:-2] + (s, shape[-2])
 
 
 def test_a_wide_link_synthesizes_each_side_in_its_own_call(monkeypatch):
@@ -708,10 +731,14 @@ _INPUT_RULES = {
     "transfer_block_from_admittance": ("ref_admittance", _NOT_NORMAL),
     "susceptance_tx": ("ref_admittance", _NOT_NORMAL),
     "susceptance_rx": ("ref_admittance", _NOT_NORMAL),
-    "PortPartition.n_inputs": ("n_inputs", (2.5,)),
-    "PortPartition.n_outputs": ("n_outputs", (2.5,)),
-    "susceptance_tx.n_streams": ("n_streams", (2.5,)),
-    "susceptance_rx.n_streams": ("n_streams", (2.5,)),
+    "water_filling.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
+    "capacity_closed_form.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
+    # True is an int to Python, but no count.
+    "PortPartition.n_inputs": ("n_inputs", (2.5, True)),
+    "PortPartition.n_outputs": ("n_outputs", (2.5, True)),
+    "susceptance_tx.n_streams": ("n_streams", (2.5, True)),
+    "susceptance_rx.n_streams": ("n_streams", (2.5, True)),
+    "svd_ordered.n_streams": ("n_streams", (2.5, True)),
 }
 
 
@@ -738,10 +765,13 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "transfer_block_from_admittance": lambda x: transfer_block_from_admittance(y, PortPartition(2, 3), x),
         "susceptance_tx": lambda x: susceptance_tx(v, 2, x),
         "susceptance_rx": lambda x: susceptance_rx(u, 2, x),
+        "water_filling.eigenvalues": lambda x: water_filling(np.append(lam, x), 1.0, 1.0),
+        "capacity_closed_form.eigenvalues": lambda x: capacity_closed_form(lam * [1.0, x], alloc, 1.0, 1.0),
         "PortPartition.n_inputs": lambda x: PortPartition(x, 3),
         "PortPartition.n_outputs": lambda x: PortPartition(2, x),
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
         "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
+        "svd_ordered.n_streams": lambda x: svd_ordered(h, x),
     }[entry]
     field = _INPUT_RULES[entry][0]
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -754,7 +784,7 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
 def test_a_power_vector_is_rejected_wherever_its_bad_power_sits(entry, value, position):
     h = random_channel(3, 3, 5)
     design = design_milac(h, SystemConfig(n_streams=2, n_tx=3, n_rx=3, tx_power=(1.0, 2.0, 4.0), noise_power=1.0))
-    f, g, alloc = design.tx.transfer_block(), design.rx.transfer_block(), design.allocation
+    f, g, alloc = design.f, design.g, design.allocation
     lam = design.factors.sigma[:2] ** 2
     powers = np.array([1.0, 2.0, 4.0])
     powers[position] = value
@@ -845,6 +875,8 @@ def test_milac_rate_validates_shapes():
         milac_rate(np.eye(3), np.eye(3), np.eye(3)[:, :2], alloc, 1.0, 1.0)
     with pytest.raises(DimensionMismatchError):
         milac_rate(np.eye(2), np.eye(3), np.eye(2), alloc, 1.0, 1.0)
+    with pytest.raises(DimensionMismatchError, match="must be matrices"):
+        milac_rate(np.ones(2), np.eye(2), np.eye(2), alloc, 1.0, 1.0)
 
 
 def _circuit_blocks(h, config, seed):
@@ -1109,3 +1141,5 @@ def test_system_config_takes_a_vector_of_powers():
 def test_power_allocation_rejects_negative():
     with pytest.raises(ValueError):
         PowerAllocation(p=np.array([0.5, -0.1]), water_level=1.0)
+    with pytest.raises(DimensionMismatchError, match="must be a vector"):
+        PowerAllocation(p=np.array(1.0), water_level=1.0)

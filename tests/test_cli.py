@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import milacsim.cli as cli
 import milacsim.harness as harness
 from milacsim import ChannelEnsembleSpec, SystemConfig, rayleigh_channel, run_trial
 from milacsim.cli import build_parser, main
@@ -215,6 +216,13 @@ def test_bad_snr_grid_exits_one(tmp_path, capsys):
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-step", "0"])) == 1
     assert main(_sweep_args(tmp_path / "r.csv", extra=["--snr-min", "9", "--snr-max", "1"])) == 1
     capsys.readouterr()
+
+
+def test_a_non_integer_antenna_point_exits_one(tmp_path, capsys):
+    args = ["sweep-antennas", "--antenna-points", "4,x", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 1
+    assert "expected a comma-separated list of integers, got '4,x'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_parser_program_name():
@@ -458,6 +466,18 @@ def test_verify_exits_zero_when_all_pass(capsys):
     assert "all checks passed" in out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_a_failing_verify_check_exits_two(monkeypatch, capsys):
+    rows = (
+        harness.VerificationRow(name="passes", cases=3, worst=0.0, tol=1e-9, passed=True),
+        harness.VerificationRow(name="fails", cases=3, worst=np.nan, tol=1e-9, passed=False),
+    )
+    monkeypatch.setattr(cli, "run_verification", lambda master_seed, n_cases: rows)
+    assert main(["verify", "--cases", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" in out
+    assert "some checks FAILED" in out and "all checks passed" not in out
 
 
 def test_verify_rejects_zero_cases(capsys):

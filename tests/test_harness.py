@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from operator import attrgetter
 import subprocess
 import sys
 
@@ -208,12 +209,12 @@ def test_run_trial_blocks_equal_the_dense_circuit_solves(kind, n_rx, n_tx, strea
     design, y0 = report.design, config.ref_admittance
     f = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_tx.b), PortPartition(n_streams, n_tx), y0)
     g = transfer_block_from_admittance(AdmittanceMatrix(1j * design.b_rx.b), PortPartition(n_rx, n_streams), y0)
-    assert np.abs(report.f - f).max() <= 1e-12 and np.abs(report.g - g).max() <= 1e-12
+    assert np.abs(design.f - f).max() <= 1e-12 and np.abs(design.g - g).max() <= 1e-12
     v, u = design.tx.unitary(), design.rx.unitary()
     assert np.abs(v[:, :n_streams] - 1j * design.factors.v[:, :n_streams]).max() <= 1e-14
     assert np.abs(u[:, :n_streams] - 1j * design.factors.u[:, :n_streams]).max() <= 1e-14
-    assert np.abs(report.f - v[:, :n_streams] / 2).max() <= 1e-12
-    assert np.abs(report.g - u[:, :n_streams].conj().T / 2).max() <= 1e-12
+    assert np.abs(design.f - v[:, :n_streams] / 2).max() <= 1e-12
+    assert np.abs(design.g - u[:, :n_streams].conj().T / 2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -251,12 +252,12 @@ def test_perturbing_the_precoder_lowers_the_rate(n, n_streams, snr_db):
     )
     report = run_trial(h, config)
     rng = np.random.default_rng(5)
-    norms = np.linalg.norm(report.f, axis=0)
-    delta = rng.standard_normal(report.f.shape) + 1j * rng.standard_normal(report.f.shape)
-    f = report.f + 1e-6 * norms * delta / np.linalg.norm(delta, axis=0)
+    norms = np.linalg.norm(report.design.f, axis=0)
+    delta = rng.standard_normal(report.design.f.shape) + 1j * rng.standard_normal(report.design.f.shape)
+    f = report.design.f + 1e-6 * norms * delta / np.linalg.norm(delta, axis=0)
     f *= norms / np.linalg.norm(f, axis=0)
     rate, _ = beamforming.milac_rate(
-        report.g, h, f, report.design.allocation, config.tx_power, config.noise_power
+        report.design.g, h, f, report.design.allocation, config.tx_power, config.noise_power
     )
     assert rate < report.milac_rate
 
@@ -278,7 +279,8 @@ def test_run_trial_at_k_powers_equals_run_trial_at_each_power():
         # One design serves every power: the factors, networks and blocks are the scalar run's.
         assert np.array_equal(report.design.factors.v, single.design.factors.v)
         assert np.array_equal(report.design.b_tx.b, single.design.b_tx.b)
-        assert np.array_equal(report.f, single.f) and np.array_equal(report.g, single.g)
+        assert np.array_equal(report.design.f, single.design.f)
+        assert np.array_equal(report.design.g, single.design.g)
     # Low power water-fills fewer streams than high power.
     p = report.design.allocation.p
     assert np.count_nonzero(p[0]) < np.count_nonzero(p[2])
@@ -485,16 +487,16 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repa
     assert repairs[0].tobytes() == beamforming.svd_ordered(np.stack(channels)).v[1].tobytes()
     # The repaired design reproduces.
     again = run_trial(np.stack(channels), config)
-    for name in ("milac_rate", "digital_rate", "capacity", "f", "g"):
-        assert getattr(again, name).tobytes() == getattr(stacked, name).tobytes(), name
+    for name in ("milac_rate", "digital_rate", "capacity", "design.f", "design.g"):
+        assert attrgetter(name)(again).tobytes() == attrgetter(name)(stacked).tobytes(), name
     assert again.design.factors.v.tobytes() == stacked.design.factors.v.tobytes()
     # Only a single network has one dense susceptance matrix.
     with pytest.raises(DimensionMismatchError):
         stacked.design.b_tx
     for t, h in enumerate(channels):
         alone = run_trial(h, config)
-        for name in ("milac_rate", "digital_rate", "capacity", "per_stream_sinr", "f", "g"):
-            assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name)), name
+        for name in ("milac_rate", "digital_rate", "capacity", "per_stream_sinr", "design.f", "design.g"):
+            assert np.array_equal(attrgetter(name)(stacked)[t], attrgetter(name)(alone)), name
         design, single = stacked.design, alone.design
         for mine, theirs in [
             (design.factors.u, single.factors.u), (design.factors.sigma, single.factors.sigma),
@@ -543,8 +545,8 @@ def test_run_trial_ignores_a_third_argument(repair_channel):
         plain = run_trial(h, config)
         for ignored in (0, 2**64 - 1, [0], [0, 1.5]):
             report = run_trial(h, config, ignored)
-            for name in ("milac_rate", "digital_rate", "capacity", "f", "g"):
-                assert getattr(report, name).tobytes() == getattr(plain, name).tobytes(), name
+            for name in ("milac_rate", "digital_rate", "capacity", "design.f", "design.g"):
+                assert attrgetter(name)(report).tobytes() == attrgetter(name)(plain).tobytes(), name
             assert report.design.factors.v.tobytes() == plain.design.factors.v.tobytes()
 
 
@@ -630,6 +632,8 @@ def test_sweep_spec_validation():
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0, 0.0), antenna_points=(4,), n_streams=1)
     with pytest.raises(ValueError):
         SweepSpec(mode="snr_sweep", snr_points_db=(5.0, 0.0), antenna_points=(4,), n_streams=1)
+    with pytest.raises(ValueError, match="antenna_points must be strictly ascending"):
+        SweepSpec(mode="antenna_sweep", snr_points_db=(0.0,), antenna_points=(8, 4), n_streams=1)
     with pytest.raises(ValueError):
         SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=8)
     with pytest.raises(ValueError):
@@ -656,7 +660,7 @@ def test_a_sweep_builds_each_link_config_once(monkeypatch):
 _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
 
 
-@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
 @pytest.mark.parametrize(
     "field, build",
     [
@@ -678,7 +682,8 @@ _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
          "trial_index", "verify.n_cases", "verify.master_seed"],
 )
 def test_counts_and_seeds_must_be_integers(field, build, value):
-    # 2.0 would be usable but is rejected all the same: a count or seed is never rounded.
+    # 2.0 would be usable but is rejected all the same: a count or seed is never
+    # rounded.  True is an int to Python, but no count.
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         build(value)
     build(np.int64(1))  # numpy integers are integers

@@ -286,6 +286,8 @@ def test_completion_rejects_bad_shapes():
     v = random_unitary(4, 0)
     with pytest.raises(DimensionMismatchError):
         complete_scattering_tx(v[:, :2], v[:, 2:3])  # columns do not fill the square
+    with pytest.raises(DimensionMismatchError, match="share their row count"):
+        complete_scattering_tx(v[:, :2], v[:3, 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +437,7 @@ def test_the_stacked_circuit_solve_is_the_checked_lu_solve_bit_for_bit(n, s):
     rng = np.random.default_rng(n)
     h = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
     design = design_milac(h, SystemConfig(n_streams=s, n_tx=n, n_rx=n, tx_power=1.0, noise_power=1.0))
-    for net in (design.tx, design.rx):
-        block = net.transfer_block()
+    for net, block in ((design.tx, design.f), (design.rx, design.g)):
         eye = np.eye(net.core.shape[-1])
         for t in range(3):
             x = net.a[t] @ _solve_checked(eye + 1j * net.core[t], eye[:, :s], "test")[s:, :]
@@ -460,22 +461,24 @@ def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receiv
     x = np.random.default_rng(2).standard_normal(6)
     side = "susceptance_rx circuit" if receive else "susceptance_tx circuit"
     fine = np.stack([np.outer(x, x)] * 3)
-    _factored_stack(fine, receive).transfer_block()
+    network._transfer_blocks(_factored_stack(fine, receive))
     scaled, holed = fine.copy(), fine.copy()
     scaled[1] *= 1e13
     holed[1, 0, 0] = np.nan
     for cores in (scaled, holed):
         with pytest.raises(SingularMatrixError, match=side + ": condition number"):
-            _factored_stack(cores, receive).transfer_block()
-        # Both sides of a square link in one stacked solve: only the side past
-        # the cap is named, whichever of the two it is.
-        tx, rx = _factored_stack(fine, False), _factored_stack(fine, True)
-        if receive:
-            rx = _factored_stack(cores, True)
-        else:
-            tx = _factored_stack(cores, False)
-        with pytest.raises(SingularMatrixError, match=side + ": condition number"):
-            network._transfer_blocks(tx, rx)
+            network._transfer_blocks(_factored_stack(cores, receive))
+        # The other side's cores have the same shape, as on a square link (one
+        # stacked solve), or one port fewer (one solve per side).  Only the
+        # side past the cap is named, whichever of the two it is.
+        for other in (fine, fine[:, :-1, :-1]):
+            tx, rx = _factored_stack(other, False), _factored_stack(other, True)
+            if receive:
+                rx = _factored_stack(cores, True)
+            else:
+                tx = _factored_stack(cores, False)
+            with pytest.raises(SingularMatrixError, match=side + ": condition number"):
+                network._transfer_blocks(tx, rx)
 
 
 def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
@@ -494,7 +497,7 @@ def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
             with pytest.raises(SingularMatrixError):
                 _solve_checked(c, np.eye(8)[:, :2], "test")
             with pytest.raises(SingularMatrixError):
-                _factored_stack(scale * (g + g.T), False).transfer_block()
+                network._transfer_blocks(_factored_stack(scale * (g + g.T), False))
 
 
 def test_designing_a_wide_link_holds_no_dense_antenna_square_matrix():
@@ -636,6 +639,16 @@ def test_susceptance_stream_count_validated():
 def test_admittance_requires_square():
     with pytest.raises(DimensionMismatchError):
         AdmittanceMatrix(np.zeros((2, 3)))
+
+
+def test_susceptance_type_takes_a_real_square_matrix():
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        SusceptanceMatrix(np.zeros((2, 3)))
+    # A complex array passes only with every imaginary part exactly zero.
+    b = SusceptanceMatrix(np.array([[1.0, 2.0], [2.0, 0.0]], dtype=complex))
+    assert b.b.dtype == float and b.n_ports == 2
+    with pytest.raises(ValueError, match="must be real valued"):
+        SusceptanceMatrix(np.array([[1.0, 2.0], [2.0, 1e-300j]]))
 
 
 def test_susceptance_type_rejects_asymmetric():

@@ -58,9 +58,9 @@ def run_workflow(workflow: Path) -> int:
             env["PATH"] = os.path.dirname(sys.executable) + os.pathsep + env.get("PATH", "")
             env["RUNNER_TEMP"] = str(temp / "runner")
             Path(env["RUNNER_TEMP"]).mkdir(exist_ok=True)
-            script = temp / f"step-{number}.sh"
+            script = temp / f"{job_name}-step-{number}.sh"
             script.write_text(step["run"])
-            log = temp / f"step-{number}.log"
+            log = temp / f"{job_name}-step-{number}.log"
             start = time.monotonic()
             with open(log, "w") as out:
                 try:
