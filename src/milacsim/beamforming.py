@@ -18,7 +18,7 @@ each side); it cancels out of none of the formulas and is kept explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -284,8 +284,7 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     if not 1 <= s <= min(n_rx, n_tx):
         raise ValueError(f"n_streams={s} is not from 1 to min(n_rx, n_tx)={min(n_rx, n_tx)}")
     if not _takes_top_s(n_rx, n_tx, s):
-        if not np.all(np.isfinite(h)):
-            raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
+        _check_finite(("channel matrix", h))
         u, sigma, v = _economy_triplets(h, s)
     else:
         u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
@@ -310,6 +309,13 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     top = np.arange(len(cols)), mags.argmax(axis=-1)
     phases = np.conjugate(cols[top] / mags[top]).reshape(v.shape[:-2] + (1, s))
     return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
+
+
+def _check_finite(*named) -> None:
+    """Raise NonFiniteInputError naming the first (name, array) pair that holds NaN or inf."""
+    for name, x in named:
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
 
 
 def _economy_triplets(h: np.ndarray, s: int) -> tuple:
@@ -355,8 +361,7 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     h = np.ascontiguousarray(h, dtype=complex)
     parts = h.view(float)
     top = np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
-    if not np.isfinite(top).all():
-        raise NonFiniteInputError("channel matrix contains NaN or infinite entries")
+    _check_finite(("channel matrix", top))
     _, e = np.frexp(top)
     a = np.ldexp(parts, -e[..., None, None]).view(complex)
     tall = h.shape[-1] <= h.shape[-2]
@@ -399,28 +404,36 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     return (x, sigma, z) if tall else (z, sigma, x)
 
 
-def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:
+def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, accepted=False) -> tuple:
     """Phase-rotate SVD factors until both susceptance syntheses succeed.
 
-    Returns (rotated factors, tx, rx) of the first rung of PHASE_LADDER that
-    synthesizes, with the factored networks of design_milac; the synthesis
-    is the only invertibility test, and design_milac calls this only after
-    it rejected the factors themselves.  A rung applies one common phase to
-    every column of u and v, which preserves the reconstruction, so the
-    repaired design depends on the channel alone.
+    Each rung of PHASE_LADDER is one synthesis of the whole stack, in which
+    each trial not marked in accepted takes the first rung it passes.
+    Returns (rotated factors, tx, rx), with the factored networks of
+    design_milac, once every trial synthesizes; the synthesis is the only
+    invertibility test, and design_milac calls this only after it rejected
+    some trial.  A rung applies one common phase to every column of u and v,
+    which preserves the reconstruction, so the repaired design depends on
+    the channel alone.
 
     Args:
-        factors: decomposition of one channel to repair.
+        factors: decomposition of one channel, or of a stack of them.
         config: link parameters of the synthesis.
+        accepted: per trial, whether it keeps its factors (by default none does).
 
     Raises:
-        PhaseSearchExhaustedError: if no rung of PHASE_LADDER synthesizes.
+        PhaseSearchExhaustedError: if some trial passes no rung of PHASE_LADDER.
     """
+    keep = np.asarray(accepted, dtype=bool)[..., None, None]
+    u, v = factors.u, factors.v
     for phase in PHASE_LADDER:
-        rotated = SvdFactors(u=factors.u * phase, sigma=factors.sigma, v=factors.v * phase)
-        tx, rx, accepted = _synthesize_both(rotated, config)
-        if accepted:
+        # Not a multiply by 1, which can flip a signed zero: geqrt's reflector takes its sign.
+        u, v = np.where(keep, u, factors.u * phase), np.where(keep, v, factors.v * phase)
+        rotated = SvdFactors(u=u, sigma=factors.sigma, v=v)
+        tx, rx, ok = _synthesize_both(rotated, config)
+        if ok.all():
             return rotated, tx, rx
+        keep = keep | ok[..., None, None]
     raise PhaseSearchExhaustedError(
         f"no phase rotation on the ladder e^(j pi k/8), k = 1..{len(PHASE_LADDER)}, "
         "made Im{v} and Im{u} invertible"
@@ -552,6 +565,7 @@ def capacity_closed_form(
     return _per_power(np.log1p(snr).sum(axis=-1) / np.log(2.0))
 
 
+@np.errstate(invalid="ignore")  # a NaN or inf input is named where the rate forms disagree
 def milac_rate(
     g,
     h,
@@ -592,6 +606,7 @@ def milac_rate(
     Raises:
         ZeroCombinerRowError: if a row of g is identically zero.
         DimensionMismatchError: if the operand shapes are inconsistent.
+        NonFiniteInputError: if g, h or f contains NaN or infinite entries.
         RateFormMismatchError: if the raw and row-normalized rates of a point
             disagree beyond RATE_FORM_CHECK_TOL; the message gives the first
             such point's two rates.
@@ -628,6 +643,7 @@ def milac_rate(
     rate_norm = np.log1p(sinr_norm).sum(axis=-1) / np.log(2.0)
     agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
     if not agree.all():
+        _check_finite(("combiner g", g), ("channel matrix", h), ("precoder f", f))
         k = np.argmin(np.ravel(agree))
         raise RateFormMismatchError(
             f"rate forms disagree: {float(np.ravel(rate)[k])!r} vs {float(np.ravel(rate_norm)[k])!r}"
@@ -668,8 +684,8 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     config.tx_power) one call allocates all K, each row as at that power alone.
 
     A stack of T channels (T, n_rx, n_tx) is designed in one pass, each
-    trial exactly as alone: only the trials whose synthesis is rejected are
-    repaired, one at a time.
+    trial exactly as alone: the trials whose synthesis is rejected are
+    repaired together, on the whole stack, and the others keep their factors.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config, or a stack of T.
@@ -695,25 +711,13 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
             f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx}), "
             "nor is it a nonempty stack of such channels"
         )
-    stacked = h.ndim == 3
     factors = svd_ordered(h, n_streams=config.n_streams)
     tx, rx, accepted = _synthesize_both(factors, config)
-    for t in np.flatnonzero(~accepted):
-        at = (t,) if stacked else ()
-        single = SvdFactors(u=factors.u[at], sigma=factors.sigma[at], v=factors.v[at])
-        for stack, repaired in zip((factors, tx, rx), ensure_invertible_imag(single, config)):
-            _put_trial(stack, at, repaired)
+    if not accepted.all():
+        factors, tx, rx = ensure_invertible_imag(factors, config, accepted)
     lam = factors.sigma**2
     allocation = water_filling(lam, config.tx_power, config.noise_power)
     return Design(factors, allocation, tx, rx)
-
-
-def _put_trial(stack, at: tuple, record) -> None:
-    """Write the arrays of record into entry `at` of the same fields of stack."""
-    for field in fields(stack):
-        value = getattr(record, field.name)
-        if isinstance(value, np.ndarray):
-            getattr(stack, field.name)[at] = value
 
 
 def _synthesize_both(factors: SvdFactors, config: SystemConfig):
@@ -730,6 +734,7 @@ def _synthesize_both(factors: SvdFactors, config: SystemConfig):
     return tx, rx, tx_ok & rx_ok
 
 
+@np.errstate(invalid="ignore")  # a NaN or inf in h is named where the Gram forms show it
 def digital_design_and_rate(h, design: Design, total_power, noise_power: float) -> tuple:
     """Optimal fully digital precoder on a design's factors and its achievable rate.
 
@@ -754,6 +759,7 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     Raises:
         DimensionMismatchError: if h is not the design's channel shape, or the
             allocation does not hold one row per power.
+        NonFiniteInputError: if h contains NaN or infinite entries.
         ValueError: if a power or noise_power is not a positive, finite and
             normal double.
     """
@@ -773,6 +779,8 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     a = _at_each_power(h @ v_bar, power, tail=2) * scale
     # Power before noise, as in capacity_closed_form: power / noise_power can overflow.
     gram = power[..., None] * (a.conj().swapaxes(-1, -2) @ a) / (DEFAULT_QUARTER_FACTOR * noise_power)
+    if not np.isfinite(gram).all():  # checked before eigvalsh, which fails on it from s = 3 on
+        _check_finite(("channel matrix", h))
     # Round-off can leave a Gram eigenvalue slightly negative.
     eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     return w, _per_power(np.log1p(eig).sum(axis=-1) / np.log(2.0))

@@ -221,10 +221,11 @@ def resolve_workers(workers) -> int:
     name = "workers"
     if workers is None:
         name, workers = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR, "").strip() or os.cpu_count() or 1
-    try:
-        workers = int(workers)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {workers!r}") from None
+        try:
+            workers = int(workers)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {workers!r}") from None
+    _check_integers(workers=workers)
     if workers < 1:
         raise ValueError(f"{name} must be at least 1, got {workers}")
     return workers

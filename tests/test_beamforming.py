@@ -450,6 +450,34 @@ def test_ensure_exhausted_ladder_raises(unrepairable_factors):
         design_milac(factors.reconstruct(), config)
 
 
+def _rung_two_factors():
+    """8x8 factors that the unrotated attempt and rung 1 reject and rung 2 repairs at 8 streams.
+
+    As unrepairable_factors, with v = diag(e^{j(pi/2 - pi k/8)}), but k = 0, 1
+    and then 1/2, which no rung turns purely imaginary.
+    """
+    k = np.array([0.0, 1.0] + [0.5] * 6)
+    return SvdFactors(u=np.eye(8), sigma=np.arange(8.0, 0.0, -1.0), v=np.diag(np.exp(1j * (np.pi / 2 - np.pi * k / 8))))
+
+
+@pytest.mark.parametrize("shape, s", [((4, 4), 2), ((8, 8), 8)])
+def test_ensure_on_a_stack_repairs_each_trial_as_alone(shape, s):
+    # Without a mask every trial is rotated, and each takes the first rung it passes.
+    singles = [svd_ordered(random_channel(*shape, seed), n_streams=s) for seed in (1, 2)]
+    if s == 8:
+        singles.insert(1, _rung_two_factors())
+    stack = SvdFactors(*(np.stack([getattr(f, name) for f in singles]) for name in ("u", "sigma", "v")))
+    config = _config(s, shape[1], shape[0])
+    repaired, tx, rx = ensure_invertible_imag(stack, config)
+    if s == 8:
+        assert np.array_equal(repaired.v[1], singles[1].v * beamforming.PHASE_LADDER[1])
+    for t, single in enumerate(singles):
+        alone = ensure_invertible_imag(single, config)
+        for mine, theirs, names in zip((repaired, tx, rx), alone, ("u sigma v", "a core qt", "a core qt")):
+            for name in names.split():
+                assert getattr(mine, name)[t].tobytes() == getattr(theirs, name).tobytes(), (t, name)
+
+
 @pytest.mark.parametrize("n, s", [(5, 2), (8, 3), (6, 6), (9, 1)])
 def test_a_half_turn_repeats_a_rung(n, s):
     # Why the ladder stops at k = 7: the phase e^{j pi (k + 8)/8} = -e^{j pi k/8}
@@ -739,7 +767,19 @@ _INPUT_RULES = {
     "susceptance_tx.n_streams": ("n_streams", (2.5, True)),
     "susceptance_rx.n_streams": ("n_streams", (2.5, True)),
     "svd_ordered.n_streams": ("n_streams", (2.5, True)),
+    # An array with a NaN or inf entry is a NonFiniteInputError naming it.
+    "milac_rate.g": ("combiner g", (np.nan, np.inf)),
+    "milac_rate.h": ("channel matrix", (np.nan, np.inf)),
+    "milac_rate.f": ("precoder f", (np.nan, np.inf)),
+    "digital_design_and_rate.h": ("channel matrix", (np.nan, np.inf)),
 }
+_ARRAYS = ("combiner g", "channel matrix", "precoder f")
+
+
+def _spoiled(x, value):
+    x = x.copy()
+    x[0, 1] = value
+    return x
 
 
 @pytest.mark.parametrize(
@@ -772,9 +812,20 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
         "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
         "svd_ordered.n_streams": lambda x: svd_ordered(h, x),
+        "milac_rate.g": lambda x: milac_rate(_spoiled(g, x), h, f, alloc, 1.0, 1.0),
+        "milac_rate.h": lambda x: milac_rate(g, _spoiled(h, x), f, alloc, 1.0, 1.0),
+        "milac_rate.f": lambda x: milac_rate(g, h, _spoiled(f, x), alloc, 1.0, 1.0),
+        # At 3 streams eigvalsh raises LinAlgError on a NaN Gram form; at 2 it returns NaN.
+        "digital_design_and_rate.h": lambda x: digital_design_and_rate(
+            _spoiled(h, x), design_milac(h, _config(3, 3, 3)), 1.0, 1.0
+        ),
     }[entry]
     field = _INPUT_RULES[entry][0]
-    with pytest.raises(ValueError, match=f"{field} must be"):
+    if field in _ARRAYS:
+        error, rule = NonFiniteInputError, "contains NaN or infinite entries"
+    else:
+        error, rule = ValueError, "must be"
+    with pytest.raises(error, match=f"{field} {rule}"):
         call(value)
 
 

@@ -320,7 +320,9 @@ def test_high_snr_sweep_at_64_antennas_keeps_every_rate_within_1e9(tmp_path, cap
 
 
 def test_manifest_records_the_reference_admittance(tmp_path, capsys):
-    # The manifest must tell apart sweeps whose CSVs may differ.
+    # A sweep never builds the dense susceptance matrices, the only reader of
+    # the reference admittance, so --z0 changes no byte of its CSV; the
+    # manifest still records the value the run was given.
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(_sweep_args(a)) == 0
     assert main(_sweep_args(b, extra=["--z0", "37"])) == 0
@@ -333,6 +335,7 @@ def test_manifest_records_the_reference_admittance(tmp_path, capsys):
     assert "ref_admittance = 0.02" in manifest(a)
     assert "ref_admittance = 0.02702702702702703" in manifest(b)
     assert manifest(a) != manifest(b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_snr_is_deterministic(tmp_path, capsys):

@@ -471,20 +471,27 @@ def _stack_with_a_repair(channel):
     return channels, config
 
 
-def test_a_stacked_trial_gets_what_it_gets_alone_and_only_a_rejected_one_is_repaired(monkeypatch, repair_channel):
+def test_a_stacked_trial_gets_what_it_gets_alone_and_rejected_trials_are_repaired_on_the_stack(
+    monkeypatch, repair_channel
+):
     channels, config = _stack_with_a_repair(repair_channel)
     repairs = []
     ensure = beamforming.ensure_invertible_imag
 
-    def counted(factors, config):
-        repairs.append(factors.v.copy())
-        return ensure(factors, config)
+    def counted(factors, config, accepted):
+        repairs.append((factors.v.copy(), np.copy(accepted)))
+        return ensure(factors, config, accepted)
 
     monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
     stacked = run_trial(np.stack(channels), config)
-    # The repair runs once, on the rejected trial alone.
+    # The repair runs once, on the whole stack, with the accepted trials marked.
+    unrotated = beamforming.svd_ordered(np.stack(channels)).v
     assert len(repairs) == 1
-    assert repairs[0].tobytes() == beamforming.svd_ordered(np.stack(channels)).v[1].tobytes()
+    assert repairs[0][0].tobytes() == unrotated.tobytes()
+    assert repairs[0][1].tolist() == [True, False, True]
+    # The accepted trials keep their unrotated factors.
+    for t in (0, 2):
+        assert stacked.design.factors.v[t].tobytes() == unrotated[t].tobytes()
     # The repaired design reproduces.
     again = run_trial(np.stack(channels), config)
     for name in ("milac_rate", "digital_rate", "capacity", "design.f", "design.g"):
@@ -660,7 +667,7 @@ def test_a_sweep_builds_each_link_config_once(monkeypatch):
 _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
 
 
-@pytest.mark.parametrize("value", [2.0, 2.5, True])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
 @pytest.mark.parametrize(
     "field, build",
     [
@@ -675,15 +682,16 @@ _ENSEMBLE = dict(n_rx=2, n_tx=2, n_trials=4, master_seed=0)
         ("trial_index", lambda v: rayleigh_channel(ChannelEnsembleSpec(**_ENSEMBLE), v)),
         ("n_cases", lambda v: run_verification(0, v)),
         ("master_seed", lambda v: run_verification(v, 1)),
+        ("workers", lambda v: harness.resolve_workers(v)),
     ],
     ids=["config.n_streams", "config.n_tx", "config.n_rx",
          "sweep.n_trials", "sweep.master_seed", "sweep.antenna_points",
          "ensemble.n_rx", "ensemble.n_tx", "ensemble.n_trials", "ensemble.master_seed",
-         "trial_index", "verify.n_cases", "verify.master_seed"],
+         "trial_index", "verify.n_cases", "verify.master_seed", "sweep.workers"],
 )
 def test_counts_and_seeds_must_be_integers(field, build, value):
     # 2.0 would be usable but is rejected all the same: a count or seed is never
-    # rounded.  True is an int to Python, but no count.
+    # rounded or parsed.  True is an int to Python, but no count.
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         build(value)
     build(np.int64(1))  # numpy integers are integers
