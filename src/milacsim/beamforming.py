@@ -27,7 +27,6 @@ import scipy.linalg
 from .exceptions import (
     AllZeroEigenvaluesError,
     DimensionMismatchError,
-    NonFiniteInputError,
     PhaseSearchExhaustedError,
     RateFormMismatchError,
     ZeroCombinerRowError,
@@ -38,6 +37,7 @@ from . import network
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
+    _check_finite,
     _FactoredSusceptance,
     _synthesize_factored,
     # The dense reference syntheses stay reachable here: perfbench traces them by this module.
@@ -309,13 +309,6 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     top = np.arange(len(cols)), mags.argmax(axis=-1)
     phases = np.conjugate(cols[top] / mags[top]).reshape(v.shape[:-2] + (1, s))
     return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
-
-
-def _check_finite(*named) -> None:
-    """Raise NonFiniteInputError naming the first (name, array) pair that holds NaN or inf."""
-    for name, x in named:
-        if not np.isfinite(x).all():
-            raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
 
 
 def _economy_triplets(h: np.ndarray, s: int) -> tuple:

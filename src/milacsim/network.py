@@ -34,6 +34,7 @@ import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
+    NonFiniteInputError,
     NotUnitaryInputError,
     SingularImaginaryPartError,
     SingularMatrixError,
@@ -117,9 +118,10 @@ class SusceptanceMatrix:
                 raise ValueError("susceptance matrix must be real valued")
             b = b.real
         b = np.array(b, dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise ValueError("susceptance matrix contains non-finite entries")
         scale = np.abs(b).max(initial=0.0)
+        # A NaN or inf entry makes the max non-finite.
+        if not np.isfinite(scale):
+            raise ValueError("susceptance matrix contains non-finite entries")
         asym = np.abs(b - b.T).max(initial=0.0)
         if asym > DEFAULT_SYMMETRY_TOL * max(scale, 1.0):
             raise ValueError(f"susceptance matrix asymmetry {asym:.3e} exceeds tolerance")
@@ -168,16 +170,22 @@ class LosslessReciprocalReport:
 _GETRF, _GECON, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
 
 
-def _lu_checked(a: np.ndarray, context: str) -> tuple:
-    """LU factors of a, rejected when the condition estimate exceeds DEFAULT_COND_CAP."""
+def _lu_checked(a: np.ndarray, context: str, *named) -> tuple:
+    """LU factors of a, rejected when the condition estimate exceeds DEFAULT_COND_CAP.
+
+    A NaN or inf entry of a fails the estimate (its 1-norm is not finite).
+    named holds the (name, array) pairs a is built from; when a is rejected,
+    the first of them that holds NaN or inf is named by a NonFiniteInputError.
+    """
     a = np.asarray(a, dtype=complex)
-    anorm = np.linalg.norm(a, 1)
+    anorm = np.abs(a).sum(axis=0).max()
     # An exactly singular factor (info > 0) is reported through the rcond check below.
     lu, piv, info = _GETRF(a)
     if info < 0:
         raise SingularMatrixError(f"{context}: LU factorization failed (illegal argument {-info})")
     rcond, _ = _GECON(lu, anorm)
     if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
+        _check_finite(*named)
         est = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularMatrixError(
             f"{context}: condition estimate {est:.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
@@ -185,14 +193,27 @@ def _lu_checked(a: np.ndarray, context: str) -> tuple:
     return lu, piv
 
 
-def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP."""
-    return _GETRS(*_lu_checked(a, context), rhs)[0]
+def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str, *named) -> np.ndarray:
+    """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP; see _lu_checked."""
+    return _GETRS(*_lu_checked(a, context, *named), rhs)[0]
+
+
+def _check_finite(*named) -> None:
+    """Raise NonFiniteInputError naming the first (name, array) pair that holds NaN or inf."""
+    for name, x in named:
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
 
 
 def _mirror_upper(b: np.ndarray) -> np.ndarray:
-    """Exact symmetrization: reflect the upper triangle onto the lower one."""
-    return np.triu(b) + np.triu(b, 1).T
+    """Exact symmetrization: reflect the upper triangle onto the lower one.
+
+    Every entry is the upper one plus 0.0, so a -0.0 becomes +0.0; b is not
+    written.
+    """
+    out = b + 0.0
+    np.copyto(out, out.T, where=np.tri(b.shape[0], k=-1, dtype=bool))
+    return out
 
 
 def admittance_to_scattering(y: AdmittanceMatrix, y0: float = DEFAULT_REF_ADMITTANCE) -> ScatteringMatrix:
@@ -208,10 +229,11 @@ def admittance_to_scattering(y: AdmittanceMatrix, y0: float = DEFAULT_REF_ADMITT
     Raises:
         SingularMatrixError: if y0 I + Y is singular or its condition
             estimate exceeds DEFAULT_COND_CAP.
+        NonFiniteInputError: if Y contains NaN or infinite entries.
     """
     _check_positive_finite(ref_admittance=y0)
     eye = np.eye(y.n_ports)
-    theta = _solve_checked(y0 * eye + y.y, y0 * eye - y.y, "admittance_to_scattering")
+    theta = _solve_checked(y0 * eye + y.y, y0 * eye - y.y, "admittance_to_scattering", ("admittance matrix", y.y))
     return ScatteringMatrix(theta)
 
 
@@ -224,10 +246,11 @@ def scattering_to_admittance(theta: ScatteringMatrix, y0: float = DEFAULT_REF_AD
     Raises:
         SingularMatrixError: if S + I is singular (an eigenvalue of S is -1),
             which corresponds to a network with no admittance description.
+        NonFiniteInputError: if S contains NaN or infinite entries.
     """
     _check_positive_finite(ref_admittance=y0)
     eye = np.eye(theta.n_ports)
-    inv = _solve_checked(theta.theta + eye, eye, "scattering_to_admittance")
+    inv = _solve_checked(theta.theta + eye, eye, "scattering_to_admittance", ("scattering matrix", theta.theta))
     return AdmittanceMatrix(y0 * (2.0 * inv - eye))
 
 
@@ -251,6 +274,11 @@ def transfer_block_from_admittance(
 
     Returns:
         Complex (n_outputs x n_inputs) transfer block.
+
+    Raises:
+        SingularMatrixError: if Y/y0 + I is singular or its condition
+            estimate exceeds DEFAULT_COND_CAP.
+        NonFiniteInputError: if Y contains NaN or infinite entries.
     """
     _check_positive_finite(ref_admittance=y0)
     if partition.n_ports != y.n_ports:
@@ -258,10 +286,20 @@ def transfer_block_from_admittance(
             f"partition covers {partition.n_ports} ports, network has {y.n_ports}"
         )
     n, n_in = y.n_ports, partition.n_inputs
-    lu, piv = _lu_checked(y.y / y0 + np.eye(n), "transfer_block_from_admittance")
+    # Y / y0 + I, bit for bit as numpy's complex division by y0 and the sum
+    # with np.eye(n) give it: that division multiplies by 1 / y0, and the
+    # sum's + 0.0 turns every -0.0 into +0.0.  An inf entry makes a NaN here,
+    # which the LU check names.
+    with np.errstate(invalid="ignore"):
+        a = y.y * (1.0 / y0)
+    a += 0.0
+    a.reshape(-1)[:: n + 1] += 1.0
+    lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y))
+    # The unit columns of the inputs, or of the outputs for the transposed solve.
     if n_in <= partition.n_outputs:
-        return _GETRS(lu, piv, np.eye(n)[:, :n_in])[0][n_in:]
-    return _GETRS(lu, piv, np.eye(n)[:, n_in:], trans=1)[0][:n_in].T
+        return _GETRS(lu, piv, np.eye(n, n_in, dtype=complex, order="F"), overwrite_b=1)[0][n_in:]
+    units = np.eye(n, partition.n_outputs, -n_in, dtype=complex, order="F")
+    return _GETRS(lu, piv, units, trans=1, overwrite_b=1)[0][:n_in].T
 
 
 def transfer_block_from_scattering(theta: ScatteringMatrix, partition: PortPartition) -> np.ndarray:

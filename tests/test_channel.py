@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from milacsim import ChannelEnsembleSpec, TrialIndexError, rayleigh_channel
+from milacsim import ChannelEnsembleSpec, TrialIndexError, channel, rayleigh_channel
 
 
 def test_same_seed_and_trial_are_bit_identical():
@@ -72,6 +72,22 @@ def test_a_range_of_trials_is_the_stack_of_its_trials_bit_for_bit(n_rx, n_tx, n_
     stack = rayleigh_channel(spec, trials)
     assert stack.shape == (len(trials), n_rx, n_tx) and stack.dtype == np.complex128
     assert stack.tobytes() == np.stack([rayleigh_channel(spec, t) for t in trials]).tobytes()
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(8, 9), (3, 4), (64, 65)])
+def test_a_trial_is_the_start_of_its_keys_philox_stream(monkeypatch, n_rx, n_tx):
+    # Each trial resets the generator to the start of its key's stream, so
+    # neither the generator's seed nor the trials drawn before reach a draw.
+    spec = ChannelEnsembleSpec(n_rx=n_rx, n_tx=n_tx, n_trials=6, master_seed=77)
+    n = n_rx * n_tx
+    expected = []
+    for t in range(6):
+        u = np.random.Generator(np.random.Philox(key=np.array([77, t], dtype=np.uint64))).random(2 * n)
+        expected.append((np.sqrt(-np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])).reshape(n_rx, n_tx))
+        assert rayleigh_channel(spec, t).tobytes() == expected[t].tobytes()
+    monkeypatch.setattr(channel, "_SEEDS", np.random.SeedSequence(12345))
+    assert rayleigh_channel(spec, range(6)).tobytes() == np.stack(expected).tobytes()
+    assert rayleigh_channel(spec, 5).tobytes() == expected[5].tobytes()
 
 
 def test_trial_index_bounds():

@@ -1,5 +1,7 @@
 """Tests for multiport network conversions, completions, and susceptance synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from scipy.stats import unitary_group
 from milacsim import (
     AdmittanceMatrix,
     DimensionMismatchError,
+    NonFiniteInputError,
     NotUnitaryInputError,
     PortPartition,
     ScatteringMatrix,
@@ -159,6 +162,64 @@ def test_checked_solve_is_scipy_lu_bit_for_bit():
         _solve_checked(np.zeros((3, 3)), np.eye(3), "test")
 
 
+def _with_signed_zeros(y, rng):
+    """y with about a third of its real and of its imaginary parts set to +0.0 or -0.0."""
+    y = np.array(y, dtype=complex)
+    for part in (y.real, y.imag):
+        zeros = rng.random(part.shape) < 0.35
+        part[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return y
+
+
+@pytest.mark.parametrize("n_in, n_out", [(2, 5), (5, 2), (3, 3)], ids=["fewer-inputs", "fewer-outputs", "square"])
+def test_transfer_block_keeps_the_bits_of_the_division_and_identity_solve(n_in, n_out):
+    # The block forms Y / y0 + I by one multiply and solves against unit columns
+    # built directly; its bits must be those of dividing by y0, adding np.eye(n)
+    # and solving against np.eye(n)'s columns, signed zeros included.  Every
+    # second case couples no input to an output, so its block is all zeros, and
+    # every third is a design's Y = jB form.
+    rng = np.random.default_rng(23)
+    n = n_in + n_out
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
+    for case in range(24):
+        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if case % 3 == 1:
+            y = 1j * (y.real + y.real.T)
+        if case % 2:
+            y[:n_in, n_in:] = y[n_in:, :n_in] = 0.0
+        y = _with_signed_zeros(y, rng)
+        for y0 in (Y0, 1.0, 3.0):
+            lu, piv, _ = getrf(y / y0 + np.eye(n))
+            if n_in <= n_out:
+                expected = getrs(lu, piv, np.eye(n)[:, :n_in])[0][n_in:]
+            else:
+                expected = getrs(lu, piv, np.eye(n)[:, n_in:], trans=1)[0][:n_in].T
+            block = transfer_block_from_admittance(AdmittanceMatrix(y), PortPartition(n_in, n_out), y0)
+            assert block.shape == expected.shape == (n_out, n_in)
+            assert block.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("n_in, n_out", [(2, 5), (5, 2)], ids=["fewer-inputs", "fewer-outputs"])
+def test_a_non_finite_admittance_or_scattering_matrix_is_named(value, part, n_in, n_out):
+    # Each solve rejects the matrix at its condition check and names the input;
+    # no RuntimeWarning escapes on the way.
+    rng = np.random.default_rng(42)
+    n = n_in + n_out
+    for i, j in ((0, 0), (0, n - 1), (n - 1, 0), (n_in, n_in - 1), (n - 1, n - 1)):
+        m = Y0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        getattr(m, part)[i, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInputError, match="^admittance matrix contains NaN or infinite entries$"):
+                transfer_block_from_admittance(AdmittanceMatrix(m), PortPartition(n_in, n_out), Y0)
+            with pytest.raises(NonFiniteInputError, match="^admittance matrix contains NaN or infinite entries$"):
+                admittance_to_scattering(AdmittanceMatrix(m), Y0)
+            with pytest.raises(NonFiniteInputError, match="^scattering matrix contains NaN or infinite entries$"):
+                scattering_to_admittance(ScatteringMatrix(m), Y0)
+
+
 def test_transfer_block_partition_must_cover_ports():
     with pytest.raises(DimensionMismatchError):
         transfer_block_from_admittance(AdmittanceMatrix(np.zeros((4, 4))), PortPartition(2, 3), Y0)
@@ -271,6 +332,24 @@ def test_completion_rejects_non_unitary_input():
         complete_scattering_tx(bad[:, :1], bad[:, 1:])
     with pytest.raises(NotUnitaryInputError):
         complete_scattering_rx(bad[:, :1], bad[:, 1:])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_mirror_upper_keeps_the_bits_of_the_triangle_sum(dtype):
+    # One copy with the strict lower triangle overwritten must give the bits of
+    # np.triu(b) + np.triu(b, 1).T: -0.0 turns into +0.0, NaN and inf pass
+    # through, and b itself is not written.
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    for n in (1, 2, 5, 68):
+        b = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0.0)
+        for part in (b.real, b.imag) if dtype is complex else (b,):
+            marked = rng.random((n, n)) < 0.3
+            part[marked] = rng.choice(special, size=marked.sum())
+        before = b.tobytes()
+        out = network._mirror_upper(b)
+        assert out.dtype == b.dtype and out.tobytes() == (np.triu(b) + np.triu(b, 1).T).tobytes()
+        assert b.tobytes() == before
 
 
 @pytest.mark.parametrize("complete", [complete_scattering_tx, complete_scattering_rx])
@@ -659,6 +738,19 @@ def test_susceptance_type_rejects_asymmetric():
 def test_susceptance_type_rejects_nonfinite():
     with pytest.raises(ValueError):
         SusceptanceMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_susceptance_type_messages_name_a_non_finite_entry_before_an_asymmetry(value):
+    b = np.array([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"^susceptance matrix asymmetry 5\.000e-01 exceeds tolerance$"):
+        SusceptanceMatrix(b)
+    b[1, 1] = value
+    with pytest.raises(ValueError, match="^susceptance matrix contains non-finite entries$"):
+        SusceptanceMatrix(b)
+    # The imaginary part is judged first.
+    with pytest.raises(ValueError, match="^susceptance matrix must be real valued$"):
+        SusceptanceMatrix(b + 1j)
 
 
 def test_port_partition_validates_counts():
