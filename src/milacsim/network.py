@@ -170,12 +170,12 @@ class LosslessReciprocalReport:
 _GETRF, _GECON, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
 
 
-def _lu_checked(a: np.ndarray, context: str, *named) -> tuple:
+def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None) -> tuple:
     """LU factors of a, rejected when the condition estimate exceeds DEFAULT_COND_CAP.
 
     A NaN or inf entry of a fails the estimate (its 1-norm is not finite).
-    named holds the (name, array) pairs a is built from; when a is rejected,
-    the first of them that holds NaN or inf is named by a NonFiniteInputError.
+    source is the (name, array) pair a is built from; when a is rejected and
+    that array holds NaN or inf, a NonFiniteInputError names it.
     """
     a = np.asarray(a, dtype=complex)
     anorm = np.abs(a).sum(axis=0).max()
@@ -185,7 +185,8 @@ def _lu_checked(a: np.ndarray, context: str, *named) -> tuple:
         raise SingularMatrixError(f"{context}: LU factorization failed (illegal argument {-info})")
     rcond, _ = _GECON(lu, anorm)
     if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
-        _check_finite(*named)
+        if source is not None:
+            _check_finite(source)
         est = np.inf if rcond == 0 else 1.0 / rcond
         raise SingularMatrixError(
             f"{context}: condition estimate {est:.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
@@ -193,9 +194,9 @@ def _lu_checked(a: np.ndarray, context: str, *named) -> tuple:
     return lu, piv
 
 
-def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str, *named) -> np.ndarray:
+def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str, source: tuple | None = None) -> np.ndarray:
     """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP; see _lu_checked."""
-    return _GETRS(*_lu_checked(a, context, *named), rhs)[0]
+    return _GETRS(*_lu_checked(a, context, source), rhs)[0]
 
 
 def _check_finite(*named) -> None:
@@ -289,9 +290,10 @@ def transfer_block_from_admittance(
     # Y / y0 + I, bit for bit as numpy's complex division by y0 and the sum
     # with np.eye(n) give it: that division multiplies by 1 / y0, and the
     # sum's + 0.0 turns every -0.0 into +0.0.  An inf entry makes a NaN here,
-    # which the LU check names.
+    # which the LU check names.  The buffer is row-major whatever y.y's layout,
+    # so its flat view below is a view and the identity lands in it.
     with np.errstate(invalid="ignore"):
-        a = y.y * (1.0 / y0)
+        a = np.multiply(y.y, 1.0 / y0, order="C")
     a += 0.0
     a.reshape(-1)[:: n + 1] += 1.0
     lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y))

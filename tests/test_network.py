@@ -177,7 +177,9 @@ def test_transfer_block_keeps_the_bits_of_the_division_and_identity_solve(n_in, 
     # built directly; its bits must be those of dividing by y0, adding np.eye(n)
     # and solving against np.eye(n)'s columns, signed zeros included.  Every
     # second case couples no input to an output, so its block is all zeros, and
-    # every third is a design's Y = jB form.
+    # every third is a design's Y = jB form.  Y is given row-major, column-major,
+    # as a transposed view and as a strided view, since an admittance keeps its
+    # input's memory layout.
     rng = np.random.default_rng(23)
     n = n_in + n_out
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
@@ -194,9 +196,12 @@ def test_transfer_block_keeps_the_bits_of_the_division_and_identity_solve(n_in, 
                 expected = getrs(lu, piv, np.eye(n)[:, :n_in])[0][n_in:]
             else:
                 expected = getrs(lu, piv, np.eye(n)[:, n_in:], trans=1)[0][:n_in].T
-            block = transfer_block_from_admittance(AdmittanceMatrix(y), PortPartition(n_in, n_out), y0)
-            assert block.shape == expected.shape == (n_out, n_in)
-            assert block.tobytes() == expected.tobytes()
+            strided = np.zeros((2 * n, 2 * n), dtype=complex)
+            strided[::2, ::2] = y
+            for layout in (y, np.asfortranarray(y), y.T.copy().T, strided[::2, ::2]):
+                block = transfer_block_from_admittance(AdmittanceMatrix(layout), PortPartition(n_in, n_out), y0)
+                assert block.shape == expected.shape == (n_out, n_in)
+                assert block.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
