@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import TrialIndexError, _check_integers
-
-_UINT64_SPAN = 2**64
+from .exceptions import TrialIndexError, _check_integers, _check_seed
 
 # The state of a Philox generator at the start of its stream (counter 0, empty buffer).
 _PHILOX_START = np.random.Philox(key=0).state
@@ -40,8 +38,7 @@ class ChannelEnsembleSpec:
             raise ValueError("antenna counts must be at least 1")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if not 0 <= self.master_seed < _UINT64_SPAN:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.master_seed)
 
 
 def rayleigh_channel(spec: ChannelEnsembleSpec, trial_index: int | range) -> np.ndarray:

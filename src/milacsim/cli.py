@@ -78,7 +78,6 @@ _SWEEP_FLAGS = {
     "seed": 0,
     "out": _REQUIRED,
     "noise_power": 1.0,
-    "z0": 50.0,
     "workers": None,
 }
 
@@ -219,7 +218,6 @@ def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> 
         n_trials=opts["trials"],
         master_seed=opts["seed"],
         noise_power=opts["noise_power"],
-        ref_admittance=_ref_admittance(opts),
     )
     result = run_sweep(spec, workers=opts["workers"])
     out = opts["out"]
@@ -301,6 +299,7 @@ def _cmd_design_dump(opts: dict) -> int:
                     f"rx_antennas = {config.n_rx}",
                     f"snr_db = {opts['snr_db']!r}",
                     f"master_seed = {opts['seed']}",
+                    f"ref_admittance = {config.ref_admittance!r}",
                     f"water_level = {design.allocation.water_level:.17e}",
                     f"milac_rate_bits = {report.milac_rate:.17e}",
                     f"capacity_bits = {report.capacity:.17e}",

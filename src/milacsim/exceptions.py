@@ -6,7 +6,7 @@ MilacError, so callers can catch the whole family with one clause; the CLI
 exits 2 on them.
 A value that breaks an input rule (a count or seed that is not an integer, a
 power or admittance that is not a positive, finite and normal double) is a
-plain ValueError naming the field, on which the CLI exits 1.  The two rule
+plain ValueError naming the field, on which the CLI exits 1.  The rule
 helpers live here, in the leaf module that every other one imports.
 """
 
@@ -20,6 +20,12 @@ def _check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(master_seed) -> None:
+    """Raise ValueError unless the integer master_seed fits in a channel's uint64 key."""
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
 def _check_positive_finite(**values) -> None:

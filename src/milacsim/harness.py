@@ -35,7 +35,7 @@ from .beamforming import (
     water_filling,
 )
 from .channel import ChannelEnsembleSpec, rayleigh_channel
-from .exceptions import _check_integers, _check_positive_finite
+from .exceptions import _check_integers, _check_positive_finite, _check_seed
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -72,9 +72,8 @@ class SweepSpec:
     holds the one fixed antenna count; for an antenna sweep antenna_points
     supplies the x-axis and snr_points_db holds the one fixed SNR.  Both point
     vectors must be strictly ascending, and the fixed one must hold exactly
-    one point.  Every trial uses noise_power and ref_admittance; each SNR
-    must give a normal transmit power.
-    The counts, the seed, both powers and the admittance are checked by
+    one point.  Every trial uses noise_power; each SNR must give a normal
+    transmit power.  The counts, the seed and both powers are checked by
     building the link configs, the smallest antenna count's first, and its
     ensemble; configs keeps one per antenna count, at all the SNR points.
     """
@@ -86,7 +85,6 @@ class SweepSpec:
     n_trials: int = 100
     master_seed: int = 0
     noise_power: float = 1.0
-    ref_admittance: float = DEFAULT_REF_ADMITTANCE
     configs: tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,7 +189,6 @@ def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfi
         n_rx=n_antennas,
         tx_power=tuple(snr_db_to_tx_power(snr_db, spec.noise_power) for snr_db in snr_points_db),
         noise_power=spec.noise_power,
-        ref_admittance=spec.ref_admittance,
     )
 
 
@@ -240,8 +237,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
     PhaseSearchExhaustedError; it is not re-run.
 
     Args:
-        spec: sweep description (mode, points, trials, seed, noise power and
-            reference admittance).
+        spec: sweep description (mode, points, trials, seed and noise power).
         workers: process count; defaults to the MILACSIM_WORKERS environment
             variable or, failing that, the available CPU count.  Results are
             identical for any worker count.
@@ -330,7 +326,6 @@ def write_manifest(spec: SweepSpec, path, csv_path, workers: int) -> None:
         f"n_trials = {spec.n_trials}",
         f"master_seed = {spec.master_seed}",
         f"noise_power = {spec.noise_power!r}",
-        f"ref_admittance = {spec.ref_admittance!r}",
         "svd_route = " + ", ".join(f"{c.n_rx}: {svd_route(c.n_rx, c.n_tx, c.n_streams)}" for c in spec.configs),
         f"csv = {csv_path}",
         f"package_version = {__version__}",
@@ -364,13 +359,15 @@ def run_verification(master_seed: int = 0, n_cases: int = 25) -> tuple[Verificat
     check; the suite passes iff every row passes.
 
     Raises:
-        ValueError: if master_seed or n_cases is not an integer, or n_cases
-            is below 1, which would leave every check vacuous.
+        ValueError: if master_seed or n_cases is not an integer, master_seed
+            does not fit in an unsigned 64-bit integer, or n_cases is below
+            1, which would leave every check vacuous.
     """
     # Imported here: scipy.stats costs most of the package's import time.
     from scipy.stats import unitary_group
 
     _check_integers(master_seed=master_seed, n_cases=n_cases)
+    _check_seed(master_seed)
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     rng = np.random.default_rng(master_seed)

@@ -408,6 +408,32 @@ def test_design_keeps_the_svd_factors_when_they_synthesize(monkeypatch):
         assert np.array_equal(getattr(design.factors, name), getattr(factors, name))
 
 
+@pytest.mark.parametrize(
+    "n, s, draws, top_s",
+    [(8, 4, 100, False), (8, 8, 100, False), (64, 4, 20, False), (64, 4, 20, True), (64, 64, 10, False),
+     (128, 8, 10, False), (128, 8, 10, True)],
+    ids=["8x8-s4", "8x8-s8", "64x64-s4-economy", "64x64-s4-top-s", "64x64-s64", "128x128-s8-economy",
+         "128x128-s8-top-s"],
+)
+def test_a_real_channel_never_runs_phase_repair(monkeypatch, n, s, draws, top_s):
+    # A real channel has real singular vectors, so each side's completion Q is
+    # real and the network's unitary jQ has Im{jQ} = Re Q = Q, which is
+    # orthogonal: the first synthesis accepts every draw on either SVD route.
+    def repair(*args, **kwargs):
+        raise AssertionError("a real channel needs no phase repair")
+
+    monkeypatch.setattr(beamforming, "ensure_invertible_imag", repair)
+    if top_s:
+        assert beamforming._takes_top_s(n, n, s)
+    else:
+        monkeypatch.setattr(beamforming, "_takes_top_s", lambda n_rx, n_tx, n_streams: False)
+    economy = _economy_spy(monkeypatch)
+    h = np.random.default_rng([n, s]).standard_normal((draws, n, n))
+    design = design_milac(h, _config(s, n, n))
+    assert len(economy) == (0 if top_s else 1)
+    assert not design.factors.u.imag.any() and not design.factors.v.imag.any()
+
+
 def test_ensure_repairs_real_factors_without_changing_the_channel():
     h = np.eye(2)
     factors = svd_ordered(h)
@@ -580,16 +606,15 @@ def test_a_square_link_synthesizes_both_sides_in_one_call_equal_to_two(monkeypat
 
 
 def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monkeypatch, repair_channel):
-    # design_milac synthesizes the stack once, then the repaired trial on each
-    # rung it tries (rung 1 suffices here), and writes its networks through the
-    # tx and rx views.
+    # design_milac synthesizes the stack once, then the whole stack again on
+    # each rung it tries (rung 1 suffices here), and keeps that rung's networks.
     rng = np.random.default_rng(5)
     h = np.stack([rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), repair_channel])
     flags = _spy_syntheses(monkeypatch)
     design = design_milac(h, _config(4, 4, 4))
     assert flags == [(False, True)] * 2
     _assert_sides_equal_two_calls(design.tx, design.rx, np.ones(2, dtype=bool), design.factors, 4)
-    # The repair wrote through the views: both sides still share one stack.
+    # The rung's networks come from one stacked synthesis: both sides share its stack.
     assert design.tx.core.base is design.rx.core.base is not None
 
 
@@ -759,6 +784,7 @@ _INPUT_RULES = {
     "transfer_block_from_admittance": ("ref_admittance", _NOT_NORMAL),
     "susceptance_tx": ("ref_admittance", _NOT_NORMAL),
     "susceptance_rx": ("ref_admittance", _NOT_NORMAL),
+    "SystemConfig.ref_admittance": ("ref_admittance", _NOT_NORMAL),
     "water_filling.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
     "capacity_closed_form.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
     # True is an int to Python, but no count.
@@ -805,6 +831,7 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "transfer_block_from_admittance": lambda x: transfer_block_from_admittance(y, PortPartition(2, 3), x),
         "susceptance_tx": lambda x: susceptance_tx(v, 2, x),
         "susceptance_rx": lambda x: susceptance_rx(u, 2, x),
+        "SystemConfig.ref_admittance": lambda x: SystemConfig(2, 3, 3, 1.0, 1.0, ref_admittance=x),
         "water_filling.eigenvalues": lambda x: water_filling(np.append(lam, x), 1.0, 1.0),
         "capacity_closed_form.eigenvalues": lambda x: capacity_closed_form(lam * [1.0, x], alloc, 1.0, 1.0),
         "PortPartition.n_inputs": lambda x: PortPartition(x, 3),

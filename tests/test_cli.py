@@ -1,6 +1,7 @@
 """In-process tests of the command-line interface (exit codes, files, config layering)."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,10 @@ def test_help_exits_zero_and_documents_flags(capsys):
     out = capsys.readouterr().out
     assert "--snr-min" in out
     assert "dB" in out
+    # No rate depends on the reference impedance, so only design-dump takes it.
+    assert "--z0" not in out
+    assert main(["design-dump", "--help"]) == 0
+    out = capsys.readouterr().out
     assert "--z0" in out
     assert "ohms" in out
 
@@ -57,7 +62,6 @@ def test_help_exits_zero_and_documents_flags(capsys):
                 "--seed SEED 64-bit master seed (default 0)",
                 "--out OUT output CSV path; a .manifest.txt is written next to it (required)",
                 "--noise-power NOISE_POWER noise power in watts, linear (default 1.0)",
-                "--z0 Z0 reference impedance in ohms (default 50.0)",
                 "--workers WORKERS worker process count (default $MILACSIM_WORKERS or the CPU count)",
                 "--antennas ANTENNAS antenna count per side (required)",
                 "--snr-min SNR_MIN sweep start in dB (default -10.0)",
@@ -74,7 +78,6 @@ def test_help_exits_zero_and_documents_flags(capsys):
                 "--seed SEED 64-bit master seed (default 0)",
                 "--out OUT output CSV path; a .manifest.txt is written next to it (required)",
                 "--noise-power NOISE_POWER noise power in watts, linear (default 1.0)",
-                "--z0 Z0 reference impedance in ohms (default 50.0)",
                 "--workers WORKERS worker process count (default $MILACSIM_WORKERS or the CPU count)",
                 "--antenna-points ANTENNA_POINTS comma-separated antenna counts (default 16,32,64,128)",
                 "--snr-db SNR_DB SNR in dB (default 0.0)",
@@ -110,6 +113,8 @@ def test_help_lists_every_flag_with_its_default(command, expected, capsys):
     text = " ".join(capsys.readouterr().out.split())
     for entry in expected:
         assert entry in text
+    # ... and no other flag.
+    assert set(re.findall(r"--[a-z0-9-]+", text)) == {entry.split()[0] for entry in expected} | {"--help"}
 
 
 def test_no_command_exits_one(capsys):
@@ -150,35 +155,17 @@ def test_streams_exceeding_antennas_exits_one(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("z0", ["0", "-50"])
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["sweep-snr", "--streams", "2", "--antennas", "4", "--trials", "1", "--workers", "1"],
-        ["sweep-antennas", "--streams", "2", "--antenna-points", "4,8", "--trials", "1", "--workers", "1"],
-        ["design-dump"],
-    ],
-    ids=lambda args: args[0],
-)
-def test_non_positive_z0_exits_one(tmp_path, capsys, args, z0):
-    if args[0] == "design-dump":
-        out = ["--out-dir", str(tmp_path / "d")]
-    else:
-        out = ["--out", str(tmp_path / "r.csv")]
-    assert main([*args, "--z0", z0, *out]) == 1
+def test_non_positive_z0_exits_one(tmp_path, capsys, z0):
+    assert main(["design-dump", "--z0", z0, "--out-dir", str(tmp_path / "d")]) == 1
     assert "--z0 must be positive" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("z0", ["1e-320", "inf", "1e308"])
-@pytest.mark.parametrize("command", ["sweep-snr", "design-dump"])
-def test_z0_without_a_finite_nonzero_reciprocal_exits_one_naming_the_flag(tmp_path, capsys, command, z0):
+def test_z0_without_a_finite_nonzero_reciprocal_exits_one_naming_the_flag(tmp_path, capsys, z0):
     # 1/1e-320 overflows to inf, 1/inf is 0 and 1/1e308 is subnormal: none is a
     # reference admittance.
-    if command == "design-dump":
-        args = ["design-dump", "--out-dir", str(tmp_path / "d")]
-    else:
-        args = _sweep_args(tmp_path / "r.csv")
-    assert main([*args, "--z0", z0]) == 1
+    assert main(["design-dump", "--out-dir", str(tmp_path / "d"), "--z0", z0]) == 1
     assert "--z0 must be positive and finite with a finite reciprocal" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -319,23 +306,22 @@ def test_high_snr_sweep_at_64_antennas_keeps_every_rate_within_1e9(tmp_path, cap
     assert max(float(row.split(",")[4]) for row in rows) <= 1e-9
 
 
-def test_manifest_records_the_reference_admittance(tmp_path, capsys):
-    # A sweep never builds the dense susceptance matrices, the only reader of
-    # the reference admittance, so --z0 changes no byte of its CSV; the
-    # manifest still records the value the run was given.
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(_sweep_args(a)) == 0
-    assert main(_sweep_args(b, extra=["--z0", "37"])) == 0
-    capsys.readouterr()
-
-    def manifest(path):
-        text = (tmp_path / f"{path.name}.manifest.txt").read_text()
-        return [line for line in text.split("\n") if not line.startswith("csv = ")]
-
-    assert "ref_admittance = 0.02" in manifest(a)
-    assert "ref_admittance = 0.02702702702702703" in manifest(b)
-    assert manifest(a) != manifest(b)
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-antennas"])
+def test_a_sweep_given_z0_exits_one_and_writes_nothing(tmp_path, capsys, command, source):
+    # No rate depends on the reference admittance, so a sweep takes no --z0.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("z0 = 50\n")
+    extra = ["--z0", "50"] if source == "flag" else ["--config", str(cfg)]
+    points = ["--antennas", "4"] if command == "sweep-snr" else ["--antenna-points", "4"]
+    args = [command, "--streams", "2", *points, "--trials", "1", "--workers", "1", "--out", str(tmp_path / "r.csv")]
+    assert main([*args, *extra]) == 1
+    err = capsys.readouterr().err
+    if source == "flag":
+        assert "unrecognized arguments: --z0 50" in err
+    else:
+        assert f"config key 'z0' is not a flag of {command}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_sweep_snr_is_deterministic(tmp_path, capsys):
@@ -483,6 +469,24 @@ def test_a_failing_verify_check_exits_two(monkeypatch, capsys):
     assert "some checks FAILED" in out and "all checks passed" not in out
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["-1", "2**64"])
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-antennas", "verify", "design-dump"])
+def test_a_seed_outside_64_bits_exits_one_naming_the_field(tmp_path, capsys, command, seed):
+    out = ["--out-dir", str(tmp_path / "d")] if command == "design-dump" else ["--out", str(tmp_path / "r.csv")]
+    args = {
+        "sweep-snr": ["sweep-snr", "--streams", "2", "--antennas", "4", "--trials", "1", "--workers", "1", *out],
+        "sweep-antennas": ["sweep-antennas", "--streams", "2", "--antenna-points", "4", "--trials", "1",
+                           "--workers", "1", *out],
+        "verify": ["verify", "--cases", "1"],
+        "design-dump": ["design-dump", *out],
+    }[command]
+    assert main([*args, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert "master_seed must fit in an unsigned 64-bit integer" in captured.err
+    assert "all checks passed" not in captured.out
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_rejects_zero_cases(capsys):
     assert main(["verify", "--cases", "0"]) == 1
     captured = capsys.readouterr()
@@ -551,3 +555,29 @@ def test_design_dump_summary_reports_the_run_trial_rate(tmp_path, capsys):
     report = run_trial(h, config)
     assert float(summary["milac_rate_bits"]) == report.milac_rate
     assert float(summary["capacity_bits"]) == report.capacity
+
+
+def test_design_dump_records_the_reference_admittance_that_scales_its_susceptances(tmp_path, capsys):
+    # y0 scales B and nothing else: halving z0 doubles both susceptance files
+    # bit for bit and leaves the other five matrix and allocation files as
+    # they were; summary.txt records the value and changes in that line alone.
+    link = ["--tx-antennas", "7", "--rx-antennas", "5", "--streams", "3"]
+    default, half = tmp_path / "default", tmp_path / "half"
+    assert main(["design-dump", *link, "--out-dir", str(default)]) == 0
+    assert main(["design-dump", *link, "--z0", "25", "--out-dir", str(half)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in default.iterdir())
+    assert names == sorted(p.name for p in half.iterdir()) and len(names) == 8
+    susceptances = ["susceptance_rx.csv", "susceptance_tx.csv"]
+    unchanged = set(names) - set(susceptances) - {"summary.txt"}
+    assert len(unchanged) == 5
+    for name in unchanged:
+        assert (default / name).read_bytes() == (half / name).read_bytes(), name
+    for name in susceptances:
+        b, b_half = (np.loadtxt(d / name, delimiter=",", ndmin=2) for d in (default, half))
+        assert b.shape[0] == (10 if name == "susceptance_tx.csv" else 8)
+        assert (2.0 * b).tobytes() == b_half.tobytes(), name
+    lines, half_lines = ((d / "summary.txt").read_text().splitlines() for d in (default, half))
+    changed = [(a, b) for a, b in zip(lines, half_lines) if a != b]
+    assert len(lines) == len(half_lines)
+    assert changed == [("ref_admittance = 0.02", "ref_admittance = 0.04")]

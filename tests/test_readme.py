@@ -1,7 +1,9 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its lists match the program."""
 
 import re
 from pathlib import Path
+
+from milacsim import SweepSpec, write_manifest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +17,13 @@ def test_the_library_quick_start_runs():
     block = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M)
     assert block is not None, "the quick start has no python block"
     exec(compile(block.group(1), f"{README.name} (Library quick start)", "exec"), {})
+
+
+def test_the_readme_lists_the_manifest_keys_in_order(tmp_path):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"Its lines, in this order, are (.*?), each as `key = value`", text)
+    assert listed is not None, "the README lists no manifest keys"
+    spec = SweepSpec(mode="snr_sweep", snr_points_db=(0.0,), antenna_points=(4,), n_streams=2, n_trials=1)
+    write_manifest(spec, tmp_path / "manifest.txt", csv_path="r.csv", workers=1)
+    keys = [line.split(" = ", 1)[0] for line in (tmp_path / "manifest.txt").read_text().splitlines()]
+    assert re.findall(r"`(\w+)`", listed.group(1)) == keys
