@@ -27,7 +27,7 @@ import scipy.linalg
 from .exceptions import (
     AllZeroEigenvaluesError,
     DimensionMismatchError,
-    PhaseSearchExhaustedError,
+    PhaseSearchExhaustedError,  # noqa: F401  kept for perfbench until ROADMAP item 1
     RateFormMismatchError,
     ZeroCombinerRowError,
     _check_integers,
@@ -47,11 +47,6 @@ from .network import (
 
 # Two-sided matched source/load voltage division factor in the rate formulas.
 DEFAULT_QUARTER_FACTOR = 4.0
-
-# The common phases e^{j pi k/8}, k = 1..7, that ensure_invertible_imag tries in
-# order; an exhausted ladder fails the trial.  k = 0 is the unrotated attempt,
-# and k + 8 repeats k: Re Q' has the same singular values for v_bar and -v_bar.
-PHASE_LADDER = tuple(np.exp(1j * np.pi * np.arange(1, 8) / 8).tolist())
 
 # Internal consistency tolerance between the raw and row-normalized rate forms.
 RATE_FORM_CHECK_TOL = 1e-12
@@ -174,13 +169,15 @@ class Design:
     """Closed-form design of one link, built from a single SVD of its channel.
 
     Attributes:
-        factors: the n_streams leading singular triplets after phase repair,
-            whose vectors both networks realize and the digital precoder uses.
+        factors: the n_streams leading singular triplets (svd_ordered), whose
+            vectors both networks realize, up to each network's common phase
+            e^{j theta}, and the digital precoder uses.
         allocation: water-filling fractions over the leading eigenvalues.
-        tx: transmit network in factored form; it realizes V = j Q', the
-            Householder completion of v_bar, and tx.unitary() is the dense V.
+        tx: transmit network in factored form; it realizes V = j e^{j theta} Q',
+            Q' the Householder completion of v_bar, with tx.theta = 0 unless
+            the synthesis repaired Im V, and tx.unitary() is the dense V.
         rx: receive network in factored form; rx.unitary() is the dense U,
-            whose leading columns are j u_bar.
+            whose leading columns are j e^{-j theta} u_bar with rx.theta.
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
             O(n^2 s) on first access (of a single link's design).
         f, g: the circuit-realized precoder (n_tx x s) and combiner (s x n_rx),
@@ -397,40 +394,13 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     return (x, sigma, z) if tall else (z, sigma, x)
 
 
-def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig, accepted=False) -> tuple:
-    """Phase-rotate SVD factors until both susceptance syntheses succeed.
+def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:
+    """(factors, tx, rx) of _synthesize_both, which repairs each rejected side itself.
 
-    Each rung of PHASE_LADDER is one synthesis of the whole stack, in which
-    each trial not marked in accepted takes the first rung it passes.
-    Returns (rotated factors, tx, rx), with the factored networks of
-    design_milac, once every trial synthesizes; the synthesis is the only
-    invertibility test, and design_milac calls this only after it rejected
-    some trial.  A rung applies one common phase to every column of u and v,
-    which preserves the reconstruction, so the repaired design depends on
-    the channel alone.
-
-    Args:
-        factors: decomposition of one channel, or of a stack of them.
-        config: link parameters of the synthesis.
-        accepted: per trial, whether it keeps its factors (by default none does).
-
-    Raises:
-        PhaseSearchExhaustedError: if some trial passes no rung of PHASE_LADDER.
+    Kept for perfbench until ROADMAP item 1: its tracing wraps this name.
+    design_milac does not call it.
     """
-    keep = np.asarray(accepted, dtype=bool)[..., None, None]
-    u, v = factors.u, factors.v
-    for phase in PHASE_LADDER:
-        # Not a multiply by 1, which can flip a signed zero: geqrt's reflector takes its sign.
-        u, v = np.where(keep, u, factors.u * phase), np.where(keep, v, factors.v * phase)
-        rotated = SvdFactors(u=u, sigma=factors.sigma, v=v)
-        tx, rx, ok = _synthesize_both(rotated, config)
-        if ok.all():
-            return rotated, tx, rx
-        keep = keep | ok[..., None, None]
-    raise PhaseSearchExhaustedError(
-        f"no phase rotation on the ladder e^(j pi k/8), k = 1..{len(PHASE_LADDER)}, "
-        "made Im{v} and Im{u} invertible"
-    )
+    return (factors, *_synthesize_both(factors, config))
 
 
 def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocation:
@@ -669,16 +639,14 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     n_streams eigenvalues.  Each side's unitary is the Householder
     completion of its leading singular vectors times j, and its network is
     kept in factored form, so beyond the SVD a design costs O(n s^2) rather
-    than O(n^3).
-    Only when the synthesis rejects Im{V} or Im{U} as singular are the
-    factors phase-repaired (ensure_invertible_imag), keeping the networks of
-    the accepted rung.
+    than O(n^3).  A side whose Im{V} or Im{U} the synthesis rejects as
+    singular is rotated there by one closed-form common phase (phase
+    repair); the factors are never rotated.
     Only the water-filling depends on the power: at K powers (a vector
     config.tx_power) one call allocates all K, each row as at that power alone.
 
     A stack of T channels (T, n_rx, n_tx) is designed in one pass, each
-    trial exactly as alone: the trials whose synthesis is rejected are
-    repaired together, on the whole stack, and the others keep their factors.
+    trial exactly as alone.
 
     Args:
         h: channel matrix (n_rx x n_tx) matching config, or a stack of T.
@@ -687,7 +655,7 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
             kept only for that until ROADMAP item 1, like Design.__iter__.
 
     Returns:
-        Design holding the repaired n_streams triplets, the power allocation
+        Design holding the n_streams triplets, the power allocation
         (one row per power at K powers) and both networks; it unpacks as (b_tx,
         b_rx, allocation), which builds the dense susceptance matrices.  A stack's
         design holds every array with a leading trial axis.
@@ -695,8 +663,6 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     Raises:
         DimensionMismatchError: if h is neither a channel of the config's
             shape nor a nonempty stack of them.
-        PhaseSearchExhaustedError: if no rung of PHASE_LADDER repairs a
-            rejected trial.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-2:] != (config.n_rx, config.n_tx) or len(h) == 0:
@@ -705,26 +671,19 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
             "nor is it a nonempty stack of such channels"
         )
     factors = svd_ordered(h, n_streams=config.n_streams)
-    tx, rx, accepted = _synthesize_both(factors, config)
-    if not accepted.all():
-        factors, tx, rx = ensure_invertible_imag(factors, config, accepted)
-    lam = factors.sigma**2
-    allocation = water_filling(lam, config.tx_power, config.noise_power)
+    tx, rx = _synthesize_both(factors, config)
+    allocation = water_filling(factors.sigma**2, config.tx_power, config.noise_power)
     return Design(factors, allocation, tx, rx)
 
 
 def _synthesize_both(factors: SvdFactors, config: SystemConfig):
-    """Factored transmit and receive networks of the factors' leading columns,
-    with the per-trial mask of the trials both sides accept.  The sides of a
-    square link, v_bar and conj(u_bar), are one stacked synthesis."""
+    """Factored transmit and receive networks of the factors' leading columns.
+    The sides of a square link, v_bar and conj(u_bar), are one stacked synthesis."""
     s, y0 = config.n_streams, config.ref_admittance
     v_bar, u_conj = factors.v[..., :s], np.conj(factors.u[..., :s])
     if v_bar.shape == u_conj.shape:
-        (tx, rx), accepted = _synthesize_factored(np.stack([v_bar, u_conj]), y0, receive=(False, True))
-        return tx, rx, accepted[0] & accepted[1]
-    tx, tx_ok = _synthesize_factored(v_bar, y0, receive=False)
-    rx, rx_ok = _synthesize_factored(u_conj, y0, receive=True)
-    return tx, rx, tx_ok & rx_ok
+        return _synthesize_factored(np.stack([v_bar, u_conj]), y0, receive=(False, True))
+    return _synthesize_factored(v_bar, y0, receive=False), _synthesize_factored(u_conj, y0, receive=True)
 
 
 @np.errstate(invalid="ignore")  # a NaN or inf in h is named where the Gram forms show it
@@ -733,8 +692,7 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
 
     The precoder is W = v_bar diag(sqrt(p)) with v_bar the leading n_streams
     columns of design.factors.v and p the design's water-filling fractions,
-    so ||W||_F^2 = 1.  Phase repair rotates the columns of v but leaves the
-    singular values, and hence p and the rate, unchanged.  The rate is
+    so ||W||_F^2 = 1.  The rate is
 
         log2 det(I + total_power / (DEFAULT_QUARTER_FACTOR * noise_power) * H W W^H H^H)
 

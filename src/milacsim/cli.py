@@ -273,7 +273,7 @@ def _cmd_design_dump(opts: dict) -> int:
     design = report.design
     n_s = config.n_streams
     # The dense unitaries the networks realize: j times the Householder
-    # completions of the leading singular vectors.
+    # completions of the leading singular vectors, each side times its phase.
     v, u = design.tx.unitary(), design.rx.unitary()
     theta_tx = complete_scattering_tx(v[:, :n_s], v[:, n_s:])
     theta_rx = complete_scattering_rx(u[:, :n_s], u[:, n_s:])
@@ -298,6 +298,7 @@ def _cmd_design_dump(opts: dict) -> int:
                     f"tx_antennas = {config.n_tx}",
                     f"rx_antennas = {config.n_rx}",
                     f"snr_db = {opts['snr_db']!r}",
+                    f"noise_power = {config.noise_power!r}",
                     f"master_seed = {opts['seed']}",
                     f"ref_admittance = {config.ref_admittance!r}",
                     f"water_level = {design.allocation.water_level:.17e}",

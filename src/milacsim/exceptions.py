@@ -1,7 +1,7 @@
 """Exception hierarchy and input rules for milacsim.
 
 Shape and numerical failures raised deliberately by this package (bad
-shapes, singular matrices, an exhausted phase ladder) derive from
+shapes, singular matrices, a singular imaginary part) derive from
 MilacError, so callers can catch the whole family with one clause; the CLI
 exits 2 on them.
 A value that breaks an input rule (a count or seed that is not an integer, a
@@ -68,7 +68,7 @@ class NonFiniteInputError(MilacError):
 
 
 class PhaseSearchExhaustedError(MilacError):
-    """No common phase on the ladder (beamforming.PHASE_LADDER) made Im{V} and Im{U} invertible."""
+    """Kept for perfbench until ROADMAP item 1; nothing in milacsim raises it."""
 
 
 class AllZeroEigenvaluesError(MilacError):

@@ -233,8 +233,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
 
     Each task is a chunk of trials of one antenna count, a fixed range of
     chunk_size(n, n) trial indices (the last one holds the remainder), rated
-    in one stacked pass.  A trial whose phase ladder is exhausted raises
-    PhaseSearchExhaustedError; it is not re-run.
+    in one stacked pass.
 
     Args:
         spec: sweep description (mode, points, trials, seed and noise power).

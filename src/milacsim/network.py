@@ -554,11 +554,12 @@ class _FactoredSusceptance:
     """One side's susceptance network, kept as a small core on an orthonormal basis.
 
     In the transmit port order (symbols, then antennas) B / y0 = E core E^T
-    with E = blockdiag(I_s, a): a is n x r with orthonormal columns and core
-    is real symmetric (s + r) x (s + r).  The receive network puts its antenna
-    ports first.  The network realizes the unitary completion I + a @ qt;
-    see _synthesize_factored.  Stacked a, core and qt (leading axes) hold one
-    network per trial; dense() takes a single network.
+    with E = blockdiag(I_s, a), plus the antenna shunt -tan(theta) (I - a a^T)
+    when theta is nonzero: a is n x r with orthonormal columns and core is real
+    symmetric (s + r) x (s + r).  The receive network puts its antenna ports
+    first.  The network realizes the unitary completion e^{j theta} (I + a @ qt);
+    see _synthesize_factored.  Stacked a, core, qt and theta (leading axes)
+    hold one network per trial; dense() takes a single network.
     """
 
     a: np.ndarray
@@ -566,6 +567,7 @@ class _FactoredSusceptance:
     qt: np.ndarray
     y0: float
     receive: bool
+    theta: np.ndarray
 
     def dense(self) -> SusceptanceMatrix:
         """The full susceptance matrix, in O(n^2 s)."""
@@ -574,11 +576,17 @@ class _FactoredSusceptance:
             raise DimensionMismatchError(f"a stack of {a.shape[:-2]} networks has no single susceptance matrix")
         s = core.shape[0] - a.shape[1]
         bsa = core[:s, s:] @ a.T
-        return _assemble_susceptance(core[:s, :s], bsa, a @ core[s:, s:] @ a.T, self.y0, self.receive)
+        baa = a @ core[s:, s:] @ a.T
+        if self.theta:
+            baa -= np.tan(self.theta) * (np.eye(len(a)) - a @ a.T)
+        return _assemble_susceptance(core[:s, :s], bsa, baa, self.y0, self.receive)
 
     def unitary(self) -> np.ndarray:
         """The dense V (U on the receive side) whose susceptance_tx (susceptance_rx) is this network."""
         q = np.eye(self.a.shape[-2]) + self.a @ self.qt
+        theta = np.asarray(self.theta)[..., None, None]
+        # Not a multiply by 1 at theta = 0, which can flip a signed zero.
+        q = np.where(theta == 0, q, np.exp(1j * theta) * q)
         return 1j * (np.conj(q) if self.receive else q)
 
 
@@ -615,79 +623,106 @@ def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
     return tuple(blocks)
 
 
-def _synthesize_factored(q_bar, y0: float, receive) -> tuple:
+def _synthesize_factored(q_bar, y0: float, receive):
     """Factored synthesis of the network realizing orthonormal columns q_bar.
 
-    The network is susceptance_tx(V, s, y0) with V = j Q', Q' the Householder
-    completion I + a qt of q_bar = v_bar; on the receive side q_bar =
-    conj(u_bar), and it is susceptance_rx(U, s, y0) with conj(U) = -j Q', so
-    U[:, :s] = j u_bar carries the transmit side's common phase.  Im V is +-X
-    with X = Re Q' = I + a ft, so by Woodbury X^-1 = I - a K^-1 ft with the
-    r x r core K = I + ft a, and X^-1 a = a K^-1 puts every block of B on the
-    basis a.  The completion puts the rows of X - I in the range of a as
-    well as its columns, so ft = ft a a^T and X = a K a^T + (I - a a^T): the
-    singular values of X are those of K and, when r < n, n - r ones.  X is
-    judged as the dense synthesis judges Im V: an exact zero pivot of K
-    rejects it, then these singular values decide (_regular_by_values), in
-    O(n s^2) and without the dense n x n matrix.
+    The network is susceptance_tx(V, s, y0) with V = j e^{j theta} Q', Q' the
+    Householder completion I + a qt of q_bar = v_bar; on the receive side
+    q_bar = conj(u_bar), and it is susceptance_rx(U, s, y0) with conj(U) =
+    -j e^{j theta} Q', so U[:, :s] = j e^{-j theta} u_bar.  No rate depends on
+    theta.  Q' is the identity off range(a) (ft = ft a a^T, gt = gt a a^T) and
+    the r x r unitary Z = I + qt a on it, so with (c, d) = (cos, sin) theta
+    Im V is +-X = +-Re(e^{j theta} Q') = +-(c (I - a a^T) + a K a^T), K = c I +
+    (c ft - d gt) a.  By Woodbury X^-1 a = a K^-1 puts every block of B on the
+    basis a, but for the antenna shunt -tan(theta) (I - a a^T), and X has the
+    singular values of K and, when r < n, n - r of c: they decide
+    (_regular_core) in O(n s^2), without the dense n x n matrix.
+
+    Every side is judged at theta = 0, where these are the unrotated
+    expressions; a side that passes keeps theta = 0.  A rejected side takes
+    theta* (_rotation), which bounds sigma_min / sigma_max of X below by
+    sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)), and K(theta*) is judged
+    again as a guard.  One stacked solve then inverts the final cores, each on
+    its own, so no side's repair moves another side's bits.
 
     A stack of q_bar (leading axes) is synthesized in one pass, and so are
     both sides of a link: with a tuple of per-side receive flags the leading
     axis of q_bar holds the sides, which differ only in the sign of core's
-    symbol-antenna block, and network is the tuple of their networks.
+    symbol-antenna block, and the result is the tuple of their networks.
 
-    Returns:
-        (network, accepted): accepted holds, per matrix of the stack (a 0-d
-        bool for one), whether X is regular; a rejected network is unusable.
+    Raises:
+        SingularImaginaryPartError: if a rotated core fails the guard, which
+            only a DEFAULT_IMAG_SV_REL above the bound allows.
     """
     n, s = q_bar.shape[-2:]
     trials = q_bar.shape[:-2]
     a, qt = _householder_completion(q_bar)
     ft, gt = qt.real, qt.imag
-    k = np.eye(a.shape[-1]) + ft @ a
-    kinv, accepted = _inverse_unless_zero_pivot(k)
-    sv = np.linalg.svd(k, compute_uv=False)
-    sv_max, sv_min = sv[..., 0], sv[..., -1]
-    if a.shape[-1] < n:
-        sv_max, sv_min = np.maximum(sv_max, 1.0), np.minimum(sv_min, 1.0)
-    accepted &= _regular_by_values(sv_max, sv_min)
+    r = a.shape[-1]
+    k = np.eye(r) + ft @ a
+    theta = np.zeros(trials)
+    rejected = ~_regular_core(k, n, 1.0)
+    repair = rejected.any()
+    if repair:
+        a_r = a[rejected]
+        theta[rejected] = _rotation(np.eye(r) + qt[rejected] @ a_r)
+        cos, sin = (x(theta[rejected])[:, None, None] for x in (np.cos, np.sin))
+        g_r = sin * ft[rejected] + cos * gt[rejected]
+        k[rejected] = cos * np.eye(r) + (cos * ft[rejected] - sin * gt[rejected]) @ a_r
+        if not _regular_core(k[rejected], n, cos[:, 0, 0]).all():
+            raise SingularImaginaryPartError(
+                f"imaginary part below {DEFAULT_IMAG_SV_REL:.1e} of its spectral norm after the closed-form rotation"
+            )
+    # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
+    kinv = np.linalg.solve(k, np.eye(r)[(None,) * (k.ndim - 2)])
     # With Y = Im Q' = a gt the side's (Im, Re) pair (M, R) is (X, -Y), or
     # (-X, Y) on the receive side: M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either
     # way, and only the symbol-antenna block -M^-1[:s] changes sign.  Its
     # coordinates are (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
     top = kinv[..., :s, :]
-    core = np.empty(trials + (s + a.shape[-1], s + a.shape[-1]))
+    core = np.empty(trials + (s + r, s + r))
     core[..., :s, :s] = -top @ gt[..., :, :s]
     # -1 on the transmit side, +1 on the receive side: exact.
     core[..., :s, s:] = np.where(receive, 1.0, -1.0).reshape((-1,) + (1,) * (top.ndim - 1)) * top
     core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
     core[..., s:, s:] = -(gt @ a) @ kinv
+    if repair:
+        # The same blocks at theta*: Im(e^{j theta} Q') a = a (sin I + G a), G = g_r.
+        core[rejected, :s, :s] = -top[rejected] @ (sin * np.eye(r, s) + g_r[..., :s])
+        core[rejected, s:, s:] = -(sin * np.eye(r) + g_r @ a_r) @ kinv[rejected]
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
     core += core.swapaxes(-1, -2)
     core *= 0.5
     if np.ndim(receive):
-        return tuple(_FactoredSusceptance(a[i], core[i], qt[i], y0, side) for i, side in enumerate(receive)), accepted
-    return _FactoredSusceptance(a, core, qt, y0, receive), accepted
+        return tuple(_FactoredSusceptance(a[i], core[i], qt[i], y0, side, theta[i]) for i, side in enumerate(receive))
+    return _FactoredSusceptance(a, core, qt, y0, receive, theta)
 
 
-def _inverse_unless_zero_pivot(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of each matrix of a stack, and which have no exact zero pivot.
+def _regular_core(k: np.ndarray, n: int, outside) -> np.ndarray:
+    """Per core K of a stack, whether X = a K a^T + outside (I - a a^T), outside > 0,
+    is regular (_regular_by_values): it has K's singular values and outside."""
+    sv = np.linalg.svd(k, compute_uv=False)
+    sv_max, sv_min = sv[..., 0], sv[..., -1]
+    if k.shape[-1] < n:
+        sv_max, sv_min = np.maximum(sv_max, outside), np.minimum(sv_min, outside)
+    return _regular_by_values(sv_max, sv_min)
 
-    A matrix with one gets the identity in place of an inverse.
+
+def _rotation(z: np.ndarray) -> np.ndarray:
+    """The angle theta* in (-pi/2, pi/2) of each r x r unitary Z of a stack.
+
+    Re(e^{j theta} Z) has the singular values |cos(theta + psi_i / 2)|, where
+    e^{j psi_i} are the eigenvalues of the symmetric unitary Z^T Z, and the
+    complement of range(a) adds psi = 0.  With c the midpoint of the largest
+    circular gap of {0, psi_1, ..., psi_r}, 2 theta* = pi - c moves that gap's
+    middle to pi: every angle stays at least pi / (r + 1) from pi, so every
+    singular value is at least sin(pi / (2 (r + 1))), cos(theta*) included.
     """
-    eye = np.eye(k.shape[-1])
-    try:
-        # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
-        return np.linalg.solve(k, eye[(None,) * (k.ndim - 2)]), np.ones(k.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    kinv, regular = np.empty_like(k), np.ones(k.shape[:-2], dtype=bool)
-    for t in np.ndindex(k.shape[:-2]):
-        try:
-            kinv[t] = np.linalg.solve(k[t], eye)
-        except np.linalg.LinAlgError:
-            kinv[t], regular[t] = eye, False
-    return kinv, regular
+    psi = np.angle(np.linalg.eigvals(z.swapaxes(-1, -2) @ z))
+    points = np.sort(np.concatenate([np.zeros(psi.shape[:-1] + (1,)), psi], axis=-1), axis=-1)
+    gaps = np.diff(points, axis=-1, append=points[..., :1] + 2 * np.pi)
+    middle = np.take_along_axis(points + gaps / 2, gaps.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return np.angle(-np.exp(-1j * middle)) / 2
 
 
 def dump_matrix_csv(matrix, path) -> None:

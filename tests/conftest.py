@@ -22,12 +22,26 @@ def repair_channel():
 
 @pytest.fixture
 def unrepairable_factors():
-    """8x8 factors that no rung of the phase ladder repairs at 8 streams.
+    """8x8 factors whose transmit side is singular at every sixteenth turn, at 8 streams.
 
     u = I and v = diag(e^{j(pi/2 - pi k/8)}), k = 0..7: the common phase
-    e^{j pi m/8} of rung m (m = 0 unrotated) turns entry m of v purely
-    imaginary, so Re v, the imaginary part of the transmit unitary j v at
-    s = n, is singular unrotated and on every rung.
+    e^{j pi m/8} (m = 0 unrotated) turns entry m of v purely imaginary, so
+    Re v, the imaginary part of the transmit unitary j v at s = n, is
+    singular unrotated and at each of those phases.
     """
     k = np.arange(8)
     return SvdFactors(u=np.eye(8), sigma=np.arange(8.0, 0.0, -1.0), v=np.diag(np.exp(1j * (np.pi / 2 - np.pi * k / 8))))
+
+
+@pytest.fixture
+def diagonal_channel():
+    """The n x n channel diag(sigma_k e^{j(pi/2 - pi k/8)}), sigma = n..1, as a function of n.
+
+    Its ordered factors are v = I and u = h / sigma, whose first column is
+    purely imaginary: the receive side must phase-repair at s = n.
+    """
+    def channel(n):
+        k = np.arange(n)
+        return np.diag(np.arange(n, 0.0, -1.0) * np.exp(1j * (np.pi / 2 - np.pi * k / 8)))
+
+    return channel

@@ -581,3 +581,24 @@ def test_design_dump_records_the_reference_admittance_that_scales_its_susceptanc
     changed = [(a, b) for a, b in zip(lines, half_lines) if a != b]
     assert len(lines) == len(half_lines)
     assert changed == [("ref_admittance = 0.02", "ref_admittance = 0.04")]
+
+
+def test_design_dump_records_the_noise_power(tmp_path, capsys):
+    # The noise power moves the water-filling and the rates, never a network:
+    # the six matrix files keep every byte, and summary.txt records the value.
+    default, noisy = tmp_path / "default", tmp_path / "noisy"
+    assert main(["design-dump", "--out-dir", str(default)]) == 0
+    assert main(["design-dump", "--noise-power", "3", "--out-dir", str(noisy)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in default.iterdir())
+    assert names == sorted(p.name for p in noisy.iterdir()) and len(names) == 8
+    matrices = [name for name in names if name not in ("allocation.csv", "summary.txt")]
+    assert len(matrices) == 6
+    for name in matrices:
+        assert (default / name).read_bytes() == (noisy / name).read_bytes(), name
+    assert (default / "allocation.csv").read_bytes() != (noisy / "allocation.csv").read_bytes()
+    lines, noisy_lines = ((d / "summary.txt").read_text().splitlines() for d in (default, noisy))
+    assert len(lines) == len(noisy_lines)
+    changed = [(a.split(" = ")[0], a, b) for a, b in zip(lines, noisy_lines) if a != b]
+    assert [key for key, _, _ in changed] == ["noise_power", "milac_rate_bits", "capacity_bits"]
+    assert changed[0][1:] == ("noise_power = 1.0", "noise_power = 3.0")

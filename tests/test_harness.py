@@ -18,7 +18,6 @@ from milacsim import (
     CSV_HEADER,
     ChannelEnsembleSpec,
     DimensionMismatchError,
-    PhaseSearchExhaustedError,
     PortPartition,
     SvdFactors,
     SweepResult,
@@ -128,30 +127,22 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     assert len(solves) == (1 if n_rx == n_tx else 2)
 
 
-def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(monkeypatch, repair_channel):
+def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(repair_channel):
     # A real channel's completion has Im{V} = Re Q' orthogonal, so it needs no
-    # repair; a channel whose Re v_bar is singular at s = n does.
-    repairs = []
-    ensure = beamforming.ensure_invertible_imag
-
-    def counted(*args, **kwargs):
-        repairs.append(1)
-        return ensure(*args, **kwargs)
-
-    monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
+    # repair; a channel whose Re v_bar is singular at s = n does, on its transmit side.
     real = rayleigh_channel(ChannelEnsembleSpec(n_rx=5, n_tx=6, n_trials=1, master_seed=2), 0).real
-    cases = [(real, SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=4.0, noise_power=1.0), 0),
-             (repair_channel, SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=4.0, noise_power=1.0), 1)]
-    for h, config, n_repairs in cases:
-        del repairs[:]
+    cases = [(real, SystemConfig(n_streams=3, n_tx=6, n_rx=5, tx_power=4.0, noise_power=1.0), False),
+             (repair_channel, SystemConfig(n_streams=4, n_tx=4, n_rx=4, tx_power=4.0, noise_power=1.0), True)]
+    for h, config, repaired in cases:
         report = run_trial(h, config)
-        assert len(repairs) == n_repairs
+        assert (report.design.tx.theta != 0) == repaired and report.design.rx.theta == 0
         for rate in (report.milac_rate, report.digital_rate):
             assert abs(rate - report.capacity) <= 1e-9 * report.capacity
 
 
-def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, unrepairable_factors):
-    # One phase ladder: an exhausted ladder is not retried with a fresh SVD.
+def test_a_channel_singular_at_every_sixteenth_turn_takes_one_svd_and_reaches_capacity(
+    monkeypatch, unrepairable_factors
+):
     svds = []
     svd_ordered = beamforming.svd_ordered
 
@@ -160,10 +151,12 @@ def test_exhausted_phase_search_fails_the_trial_without_a_rerun(monkeypatch, unr
         return svd_ordered(*args, **kwargs)
 
     monkeypatch.setattr(beamforming, "svd_ordered", counted)
-    config = SystemConfig(n_streams=8, n_tx=8, n_rx=8, tx_power=1.0, noise_power=1.0)
-    with pytest.raises(PhaseSearchExhaustedError):
-        run_trial(unrepairable_factors.reconstruct(), config)
+    config = SystemConfig(n_streams=8, n_tx=8, n_rx=8, tx_power=(0.1, 10.0, 1000.0), noise_power=1.0)
+    report = run_trial(unrepairable_factors.reconstruct(), config)
     assert len(svds) == 1
+    assert report.design.rx.theta != 0
+    for rate in (report.milac_rate, report.digital_rate):
+        assert np.abs(rate - report.capacity).max() <= 1e-9 * report.capacity.min()
 
 
 def test_run_trial_on_a_weak_channel_reaches_capacity():
@@ -220,7 +213,7 @@ def test_run_trial_blocks_equal_the_dense_circuit_solves(kind, n_rx, n_tx, strea
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_a_wide_link_runs_factored_and_reaches_capacity(monkeypatch, real):
     # 8 x 512 with 8 streams: no dense network is formed, no circuit is solved
-    # densely and no phase repair runs, yet both rates reach the capacity.
+    # densely and no side is rotated, yet both rates reach the capacity.
     calls = []
 
     def forbidden(name):
@@ -232,7 +225,6 @@ def test_a_wide_link_runs_factored_and_reaches_capacity(monkeypatch, real):
     for owner in (harness, network):
         monkeypatch.setattr(owner, "transfer_block_from_admittance", forbidden("transfer_block_from_admittance"))
     monkeypatch.setattr(network._FactoredSusceptance, "dense", forbidden("dense"))
-    monkeypatch.setattr(beamforming, "ensure_invertible_imag", forbidden("ensure_invertible_imag"))
     h = _channel("real" if real else "complex", 8, 512, seed=5)
     powers = tuple(snr_db_to_tx_power(snr_db, 1.0) for snr_db in (-10.0, 10.0, 30.0))
     config = SystemConfig(n_streams=8, n_tx=512, n_rx=8, tx_power=powers, noise_power=1.0)
@@ -240,6 +232,7 @@ def test_a_wide_link_runs_factored_and_reaches_capacity(monkeypatch, real):
     for rate in (report.milac_rate, report.digital_rate):
         assert np.abs(rate - report.capacity).max() <= 1e-9 * report.capacity.min()
     assert calls == []
+    assert report.design.tx.theta == report.design.rx.theta == 0
 
 
 @pytest.mark.parametrize("n, n_streams, snr_db", [(8, 2, 20.0), (64, 8, 60.0), (64, 8, 100.0)])
@@ -471,32 +464,19 @@ def _stack_with_a_repair(channel):
     return channels, config
 
 
-def test_a_stacked_trial_gets_what_it_gets_alone_and_rejected_trials_are_repaired_on_the_stack(
-    monkeypatch, repair_channel
-):
+def test_a_stacked_trial_gets_what_it_gets_alone_and_a_rejected_trial_is_repaired_in_the_stack(repair_channel):
     channels, config = _stack_with_a_repair(repair_channel)
-    repairs = []
-    ensure = beamforming.ensure_invertible_imag
-
-    def counted(factors, config, accepted):
-        repairs.append((factors.v.copy(), np.copy(accepted)))
-        return ensure(factors, config, accepted)
-
-    monkeypatch.setattr(beamforming, "ensure_invertible_imag", counted)
     stacked = run_trial(np.stack(channels), config)
-    # The repair runs once, on the whole stack, with the accepted trials marked.
-    unrotated = beamforming.svd_ordered(np.stack(channels)).v
-    assert len(repairs) == 1
-    assert repairs[0][0].tobytes() == unrotated.tobytes()
-    assert repairs[0][1].tolist() == [True, False, True]
-    # The accepted trials keep their unrotated factors.
-    for t in (0, 2):
-        assert stacked.design.factors.v[t].tobytes() == unrotated[t].tobytes()
+    # Only the rejected trial's transmit side is rotated; no trial's factors are.
+    assert (stacked.design.tx.theta != 0).tolist() == [False, True, False]
+    assert not stacked.design.rx.theta.any()
+    unrotated = beamforming.svd_ordered(np.stack(channels))
+    for name in ("u", "sigma", "v"):
+        assert getattr(stacked.design.factors, name).tobytes() == getattr(unrotated, name).tobytes(), name
     # The repaired design reproduces.
     again = run_trial(np.stack(channels), config)
-    for name in ("milac_rate", "digital_rate", "capacity", "design.f", "design.g"):
+    for name in ("milac_rate", "digital_rate", "capacity", "design.f", "design.g", "design.tx.core"):
         assert attrgetter(name)(again).tobytes() == attrgetter(name)(stacked).tobytes(), name
-    assert again.design.factors.v.tobytes() == stacked.design.factors.v.tobytes()
     # Only a single network has one dense susceptance matrix.
     with pytest.raises(DimensionMismatchError):
         stacked.design.b_tx
@@ -509,30 +489,34 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_rejected_trials_are_repaire
             (design.factors.u, single.factors.u), (design.factors.sigma, single.factors.sigma),
             (design.factors.v, single.factors.v), (design.allocation.p, single.allocation.p),
             (design.allocation.water_level, single.allocation.water_level),
-            (design.tx.a, single.tx.a), (design.tx.core, single.tx.core), (design.tx.qt, single.tx.qt),
-            (design.rx.a, single.rx.a), (design.rx.core, single.rx.core), (design.rx.qt, single.rx.qt),
+            *((getattr(getattr(design, side), name), getattr(getattr(single, side), name))
+              for side in ("tx", "rx") for name in ("a", "core", "qt", "theta")),
         ]:
             assert np.array_equal(mine[t], theirs)
         for rate in (alone.milac_rate, alone.digital_rate):
             assert np.abs(rate - alone.capacity).max() <= 1e-9 * alone.capacity.min()
 
 
-def test_an_exhausted_repair_fails_its_chunk_and_the_cli_exits_two(monkeypatch, unrepairable_factors, tmp_path, capsys):
+def test_a_channel_singular_at_every_sixteenth_turn_designs_in_its_chunk_and_the_cli_exits_zero(
+    monkeypatch, unrepairable_factors, tmp_path
+):
     unrepairable = unrepairable_factors.reconstruct()
     channels, config = _stack_with_a_repair(unrepairable)
-    with pytest.raises(PhaseSearchExhaustedError):
-        run_trial(np.stack(channels), config)
-    # The same chunk through the CLI: trial 1 of a 3-trial sweep draws the unrepairable channel.
+    report = run_trial(np.stack(channels), config)
+    for rate in (report.milac_rate, report.digital_rate):
+        assert (np.abs(rate - report.capacity) <= 1e-9 * report.capacity).all()
+    # The same chunk through the CLI: trial 1 of a 3-trial sweep draws that channel.
     # The chunk draws its trials in one call.
     draw = harness.rayleigh_channel
     monkeypatch.setattr(
         harness, "rayleigh_channel",
         lambda ensemble, trials: np.stack([unrepairable if t == 1 else draw(ensemble, t) for t in trials]),
     )
-    argv = ["sweep-snr", "--antennas", "8", "--streams", "8", "--trials", "3", "--workers", "1",
-            "--out", str(tmp_path / "sweep.csv")]
-    assert cli.main(argv) == 2
-    assert "no phase rotation" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-snr", "--antennas", "8", "--streams", "8", "--trials", "3", "--workers", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    gaps = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+    assert gaps and max(gaps) <= 1e-9
 
 
 def test_a_stack_is_nonempty():

@@ -468,8 +468,8 @@ def test_the_core_singular_values_decide_as_the_dense_matrix(monkeypatch, repair
     monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", rel_tol)
     verdicts = []
     for q_bar in _synthesis_inputs(repair_channel):
-        _, accepted = network._synthesize_factored(q_bar, Y0, receive=receive)
-        verdicts.append(bool(accepted))
+        # A rejected side is rotated, and only a rejected one.
+        verdicts.append(network._synthesize_factored(q_bar, Y0, receive=receive).theta == 0)
         assert verdicts[-1] == _dense_verdict(q_bar)
     # The repair channel's transmit side is rejected at every threshold, and
     # at 0.2 the singular values reject several more.
@@ -488,30 +488,53 @@ def test_the_dense_matrix_has_the_core_singular_values_and_ones(repair_channel):
         assert np.abs(np.sort(dense) - np.sort(np.r_[core, np.ones(n - r)])).max() <= 1e-13
 
 
-def test_the_verdict_counts_the_unit_singular_values_outside_the_core(monkeypatch):
-    # On a = E_2, ft = -I/2 gives K = I/2, perfectly conditioned alone, while
-    # X = diag(1/2, 1/2, 1, 1) has sigma_min / sigma_max = 1/2.
-    a = np.eye(4)[:, :2]
-    qt = np.zeros((2, 4), dtype=complex)
-    qt[:, :2] = -0.5 * np.eye(2)
-    monkeypatch.setattr(network, "_householder_completion", lambda q_bar: (a, qt))
+def test_the_verdict_counts_the_singular_values_outside_the_core(monkeypatch):
+    # K = I/2 is perfectly conditioned alone, while X = a K a^T + c (I - a a^T)
+    # at n = 4 has sigma_min / sigma_max = 1/2 for c = 1 (theta = 0) and c = 1/4;
+    # at n = 2 there is no complement.
+    k = np.stack([0.5 * np.eye(2)] * 2)
     for rel_tol, regular in ((0.49, True), (0.51, False)):
         monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", rel_tol)
-        assert bool(network._synthesize_factored(np.eye(4)[:, :1], Y0, receive=False)[1]) == regular
+        assert network._regular_core(k, 4, 1.0).tolist() == [regular] * 2
+        assert network._regular_core(k, 4, np.array([0.25, 0.5])).tolist() == [regular, True]
+        assert network._regular_core(k, 2, 1e-9).tolist() == [True] * 2
 
 
-def test_a_stacked_synthesis_accepts_each_matrix_as_alone(repair_channel):
+def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel):
     # Stacks of the same shape, one with the repair channel's rejected side.
     inputs = _synthesis_inputs(repair_channel)
     for shape in {q.shape for q in inputs}:
         same = np.stack([q for q in inputs if q.shape == shape])
-        stacked, accepted = network._synthesize_factored(same, Y0, receive=True)
+        stacked = network._synthesize_factored(same, Y0, receive=True)
         for t, q_bar in enumerate(same):
-            alone, ok = network._synthesize_factored(q_bar, Y0, receive=True)
-            assert accepted[t] == ok
-            if ok:
-                for name in ("a", "core", "qt"):
-                    assert np.array_equal(getattr(stacked, name)[t], getattr(alone, name))
+            alone = network._synthesize_factored(q_bar, Y0, receive=True)
+            for name in ("a", "core", "qt", "theta"):
+                assert getattr(stacked, name)[t].tobytes() == np.asarray(getattr(alone, name)).tobytes()
+    assert (network._synthesize_factored(np.stack(inputs[:2]), Y0, receive=False).theta != 0).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("n_rx, n_tx, s, shunts", [(9, 7, 3, 0), (12, 12, 2, 2), (5, 8, 1, 2), (8, 8, 8, 0)])
+def test_a_rotated_network_is_the_dense_synthesis_of_its_rotated_unitary(monkeypatch, n_rx, n_tx, s, shunts):
+    # Every side is rejected at theta = 0 here and rotated by theta*; on sides
+    # with r < n the antenna block carries the shunt -tan(theta*) (I - a a^T).
+    regular = network._regular_core
+    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: regular(k, n, c) & (np.ndim(c) > 0))
+    rng = np.random.default_rng(n_rx * n_tx + s)
+    h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+    design = design_milac(h, SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=1.0, noise_power=1.0))
+    shunted = 0
+    for net, block, partition, dense in ((design.tx, design.f, PortPartition(s, n_tx), susceptance_tx),
+                                         (design.rx, design.g, PortPartition(n_rx, s), susceptance_rx)):
+        n, r = net.a.shape
+        shunted += r < n and net.theta != 0
+        q = net.unitary()
+        assert np.abs(net.dense().b - dense(q, s, Y0).b).max() <= 1e-13 * Y0
+        reference = transfer_block_from_admittance(AdmittanceMatrix(1j * net.dense().b), partition, Y0)
+        assert np.abs(block - reference).max() <= 1e-14
+        assert np.abs(block - (q[:, :s].conj().T if net.receive else q[:, :s]) / 2).max() <= 1e-14
+        sv = np.linalg.svd(q.imag, compute_uv=False)
+        assert sv[-1] / sv[0] >= np.sin(np.pi / (2 * (r + 1)))
+    assert shunted == shunts
 
 
 @pytest.mark.parametrize("n, s", [(8, 2), (64, 8), (128, 8)])
@@ -534,7 +557,7 @@ def _factored_stack(cores, receive):
     a = np.linalg.qr(np.random.default_rng(1).standard_normal((8, r)))[0]
     trials = cores.shape[:-2]
     return network._FactoredSusceptance(
-        np.broadcast_to(a, trials + a.shape), cores, np.zeros(trials + (r, 8), complex), Y0, receive
+        np.broadcast_to(a, trials + a.shape), cores, np.zeros(trials + (r, 8), complex), Y0, receive, np.zeros(trials)
     )
 
 
