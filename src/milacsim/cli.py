@@ -228,13 +228,15 @@ def _run_sweep_command(opts: dict, mode: str, snr_points_db, antenna_points) -> 
 
 
 def _cmd_sweep_snr(opts: dict) -> int:
-    if opts["snr_step"] <= 0:
+    for key in ("snr_min", "snr_max", "snr_step"):
+        if not np.isfinite(opts[key]):
+            raise _CliError(f"--{key.replace('_', '-')} must be finite, got {opts[key]!r}")
+    start, stop, step = opts["snr_min"], opts["snr_max"], opts["snr_step"]
+    if step <= 0:
         raise _CliError("--snr-step must be positive")
-    if opts["snr_max"] < opts["snr_min"]:
+    if stop < start:
         raise _CliError("--snr-max must not be below --snr-min")
-    points = tuple(
-        float(x) for x in np.arange(opts["snr_min"], opts["snr_max"] + opts["snr_step"] / 2, opts["snr_step"])
-    )
+    points = tuple(float(x) for x in np.arange(start, stop + step / 2, step))
     return _run_sweep_command(opts, "snr_sweep", points, (opts["antennas"],))
 
 

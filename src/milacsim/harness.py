@@ -4,13 +4,13 @@ Trials are embarrassingly parallel: each trial's channel comes from a
 counter-based substream keyed by the master seed and its index, and its
 design (any phase repair included) from the channel alone, so results do
 not depend on execution order or worker count.  A task is a chunk of
-trials of one antenna count: a fixed range of trial indices, at most 16 and
-fewer on larger links (chunk_size), set by the link's shape alone and never
-by the worker count.  A task draws its chunk's channels in one call,
-designs each once and rates it at every SNR point of its config, all in
-one stacked pass that gives each trial exactly what run_trial gives it
-alone.  Aggregation sums per-trial values in trial order with pairwise
-summation, which keeps serial and parallel runs byte-identical.
+trials of one antenna count: a fixed range of trial indices, as many as
+128 x 128 channel entries hold and at least one (chunk_size), set by the
+link's shape alone and never by the worker count.  A task draws its chunk's
+channels in one call, designs each once and rates it at every SNR point of
+its config, all in one stacked pass that gives each trial exactly what
+run_trial gives it alone.  Aggregation sums per-trial values in trial
+order with pairwise summation, so serial and parallel runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ WORKERS_ENV_VAR = "MILACSIM_WORKERS"
 
 CSV_HEADER = "sweep_value,mean_milac_rate,mean_digital_rate,mean_capacity,max_rel_gap,n_trials"
 
-# A sweep task stacks at most this many trials, and at most this many channel
-# entries (one 128 x 128 link): larger links run one trial per task.
-CHUNK_TRIALS = 16
+# A sweep task stacks the trials whose channels fit in this many entries (one 128 x 128 link).
 CHUNK_ENTRIES = 128 * 128
 
 
@@ -193,9 +191,9 @@ def _link_config(spec: SweepSpec, n_antennas: int, snr_points_db) -> SystemConfi
 
 
 def chunk_size(n_rx: int, n_tx: int) -> int:
-    """Trials per sweep task on n_rx x n_tx links: CHUNK_TRIALS, fewer when
-    their channels would hold more than CHUNK_ENTRIES entries, at least one."""
-    return max(1, min(CHUNK_TRIALS, CHUNK_ENTRIES // (n_rx * n_tx)))
+    """Trials per sweep task on n_rx x n_tx links: as many as CHUNK_ENTRIES
+    channel entries hold (256 of an 8 x 8 link), and at least one."""
+    return max(1, CHUNK_ENTRIES // (n_rx * n_tx))
 
 
 def _sweep_task(task: tuple) -> np.ndarray:
@@ -233,7 +231,7 @@ def run_sweep(spec: SweepSpec, workers=None) -> SweepResult:
 
     Each task is a chunk of trials of one antenna count, a fixed range of
     chunk_size(n, n) trial indices (the last one holds the remainder), rated
-    in one stacked pass.
+    in one stacked pass; a sweep of one task runs here, with no pool.
 
     Args:
         spec: sweep description (mode, points, trials, seed and noise power).

@@ -179,10 +179,8 @@ def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None) -> tup
     """
     a = np.asarray(a, dtype=complex)
     anorm = np.abs(a).sum(axis=0).max()
-    # An exactly singular factor (info > 0) is reported through the rcond check below.
-    lu, piv, info = _GETRF(a)
-    if info < 0:
-        raise SingularMatrixError(f"{context}: LU factorization failed (illegal argument {-info})")
+    # An exactly singular factor (info > 0) fails the rcond check below; no argument can be illegal.
+    lu, piv, _ = _GETRF(a)
     rcond, _ = _GECON(lu, anorm)
     if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
         if source is not None:
@@ -441,6 +439,7 @@ def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> Susc
     """Closed-form susceptance synthesis; see susceptance_tx and susceptance_rx."""
     caller = "susceptance_rx" if receive else "susceptance_tx"
     q = _as_square_complex(q, "unitary factor")
+    _check_finite((f"{caller}: unitary factor", q))
     if receive:
         np.conjugate(q, out=q)
     n = q.shape[0]
@@ -483,6 +482,7 @@ def susceptance_tx(v, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> Sus
         y0: reference admittance in siemens.
 
     Raises:
+        NonFiniteInputError: if v contains NaN or infinite entries.
         SingularImaginaryPartError: if Im{v} is singular at DEFAULT_IMAG_SV_REL;
             rotate the columns of v by nonreal phases and retry.
     """

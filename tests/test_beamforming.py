@@ -529,8 +529,8 @@ def test_a_stacked_synthesis_repairs_each_trial_as_alone(shape, s):
 
 
 def test_a_repair_leaves_the_other_trials_of_its_chunk_bit_for_bit(repair_channel):
-    # A 16-trial chunk of 4 x 4 links, then the same chunk with trial 5 replaced
-    # by the repair channel: the other trials' networks keep every bit.
+    # A stack of 16 trials of 4 x 4 links, then the same stack with trial 5
+    # replaced by the repair channel: the other trials' networks keep every bit.
     rng = np.random.default_rng(22)
     h = rng.standard_normal((16, 4, 4)) + 1j * rng.standard_normal((16, 4, 4))
     repaired = h.copy()

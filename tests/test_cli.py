@@ -205,6 +205,14 @@ def test_bad_snr_grid_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--snr-min", "--snr-max", "--snr-step"])
+def test_a_non_finite_snr_grid_flag_exits_one_naming_the_flag(tmp_path, capsys, flag, value):
+    assert main(_sweep_args(tmp_path / "r.csv", extra=[f"{flag}={value}"])) == 1
+    assert f"error: {flag} must be finite, got {float(value)!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_non_integer_antenna_point_exits_one(tmp_path, capsys):
     args = ["sweep-antennas", "--antenna-points", "4,x", "--trials", "1", "--out", str(tmp_path / "r.csv")]
     assert main(args) == 1
@@ -258,10 +266,10 @@ def test_sweep_snr_writes_csv_and_manifest(tmp_path, capsys):
 
 @pytest.mark.parametrize("trials, workers", [(17, 2), (1, 1)], ids=["two_tasks", "one_task"])
 def test_the_manifest_records_the_worker_count_from_the_environment(tmp_path, capsys, monkeypatch, trials, workers):
-    # 17 trials at 4x4 are two tasks, run by a pool of 2; a single task runs
-    # in this process, and the manifest says 1.
+    # 17 trials at 32x32 are two tasks (16 + 1), run by a pool of 2; a single
+    # task runs in this process, and the manifest says 1.
     monkeypatch.setenv("MILACSIM_WORKERS", "2")
-    args = ["sweep-snr", "--antennas", "4", "--streams", "2", "--trials", str(trials), "--out", str(tmp_path / "r.csv")]
+    args = ["sweep-snr", "--antennas", "32", "--streams", "2", "--trials", str(trials), "--out", str(tmp_path / "r.csv")]
     assert main(args) == 0
     assert f"\nworkers = {workers}\n" in (tmp_path / "r.csv.manifest.txt").read_text()
 

@@ -1,6 +1,7 @@
 """Tests for the simulation harness: per-trial runs, sweeps, CSV output, verification."""
 
 import dataclasses
+import inspect
 import os
 from operator import attrgetter
 import subprocess
@@ -440,18 +441,35 @@ def test_sweep_rows_equal_rows_rebuilt_from_run_trial_bit_for_bit(spec, workers)
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_sweep_of_one_chunk_and_a_remainder_equals_rows_rebuilt_from_run_trial(workers):
-    # A full chunk of trials and a remainder of 3, however the pool splits them.
-    spec = _small_snr_spec(antenna_points=(4,), n_trials=harness.chunk_size(4, 4) + 3, master_seed=21)
+    # A full chunk of 16 trials of a 32x32 link and a remainder of 3, however the pool splits them.
+    spec = _small_snr_spec(antenna_points=(32,), n_trials=harness.chunk_size(32, 32) + 3, master_seed=21)
     assert run_sweep(spec, workers=workers).rows == _rows_from_run_trial(spec)
 
 
+def test_sweep_rows_do_not_depend_on_the_chunk_size_or_the_worker_count(monkeypatch):
+    # 40 trials of a 4x4 link in chunks of 1, of 17 (17 + 17 + 6) and of 1,024 (one chunk, no pool).
+    spec = _small_snr_spec(antenna_points=(4,), n_trials=40, master_seed=23)
+    rows = set()
+    for entries, size in ((16, 1), (16 * 17, 17), (128 * 128, 1024)):
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
+        assert harness.chunk_size(4, 4) == size
+        for workers in (1, 2):
+            result = run_sweep(spec, workers=workers)
+            assert result.workers == (1 if size >= spec.n_trials else workers)
+            rows.add(result.rows)
+    assert rows == {_rows_from_run_trial(spec)}
+
+
 def test_chunks_depend_only_on_the_link_shape():
-    assert harness.chunk_size(8, 8) == harness.CHUNK_TRIALS
+    # As many trials as CHUNK_ENTRIES channel entries hold, and at least one; never a worker count.
+    assert list(inspect.signature(harness.chunk_size).parameters) == ["n_rx", "n_tx"]
+    assert harness.chunk_size(1, 1) == harness.CHUNK_ENTRIES == 128 * 128
+    assert (harness.chunk_size(4, 4), harness.chunk_size(8, 8), harness.chunk_size(32, 32)) == (1024, 256, 16)
     assert harness.chunk_size(128, 128) == harness.chunk_size(8, 2048) == harness.chunk_size(512, 512) == 1
     assert harness.chunk_size(64, 64) == harness.CHUNK_ENTRIES // 4096
     for n_rx, n_tx in ((1, 1), (3, 5), (40, 40), (90, 90), (8, 2048)):
         size = harness.chunk_size(n_rx, n_tx)
-        assert 1 <= size <= harness.CHUNK_TRIALS
+        assert size >= 1 and harness.CHUNK_ENTRIES < (size + 1) * n_rx * n_tx
         assert size == 1 or size * n_rx * n_tx <= harness.CHUNK_ENTRIES
 
 

@@ -388,6 +388,16 @@ def test_susceptance_rx_rejects_real_unitary():
         susceptance_rx(np.eye(2), 1, Y0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"])
+@pytest.mark.parametrize("synthesize", [susceptance_tx, susceptance_rx])
+def test_a_non_finite_unitary_factor_is_named(value, synthesize):
+    v = rotated_unitary(4, 2)
+    v[3, 1] = value
+    with pytest.raises(NonFiniteInputError, match=f"^{synthesize.__name__}: unitary factor contains NaN or infinite"):
+        synthesize(v, 2, Y0)
+
+
 def _small_one_norm_matrix(n, kappa, rng):
     """Singular pairs (e1, w) on top and (w, e1) at the bottom, w = (0, 1, ..., 1)/sqrt(n - 1),
     so that kappa_1 is about kappa_2 / (n - 1): a 1-norm condition estimate makes such a
