@@ -698,9 +698,11 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
 
     evaluated on the n_streams x n_streams Gram form as a sum of log1p over
     its eigenvalues, which keeps the digits of weak channels where
-    I + Gram rounds to I.  For a vector of K powers (design.allocation.p of
-    shape (K, n_streams)) the K Gram forms are diagonalized in one stacked
-    call, and so are those of a stack of channels with its stacked design.
+    I + Gram rounds to I.  The form M = (H v_bar)^H H v_bar is built once per
+    channel, and each power's Gram form scales its rows and columns by
+    sqrt(p).  For a vector of K powers (design.allocation.p of shape
+    (K, n_streams)) the K Gram forms are diagonalized in one stacked call,
+    and so are those of a stack of channels with its stacked design.
 
     Returns:
         Tuple (precoder W of shape (n_tx, n_streams), rate in bits per
@@ -725,11 +727,13 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
     p = design.allocation.p
     power = _power_axis(design.allocation, total_power, h.shape[:-2])
     v_bar = factors.v[..., : p.shape[-1]]
-    scale = np.sqrt(p)[..., None, :]
-    w = _at_each_power(v_bar, power, tail=2) * scale
-    a = _at_each_power(h @ v_bar, power, tail=2) * scale
+    sqrt_p = np.sqrt(p)
+    w = _at_each_power(v_bar, power, tail=2) * sqrt_p[..., None, :]
+    hv = h @ v_bar
+    m = _at_each_power(hv.conj().swapaxes(-1, -2) @ hv, power, tail=2)
+    scaled = sqrt_p[..., :, None] * m * sqrt_p[..., None, :]
     # Power before noise, as in capacity_closed_form: power / noise_power can overflow.
-    gram = power[..., None] * (a.conj().swapaxes(-1, -2) @ a) / (DEFAULT_QUARTER_FACTOR * noise_power)
+    gram = power[..., None] * scaled / (DEFAULT_QUARTER_FACTOR * noise_power)
     if not np.isfinite(gram).all():  # checked before eigvalsh, which fails on it from s = 3 on
         _check_finite(("channel matrix", h))
     # Round-off can leave a Gram eigenvalue slightly negative.

@@ -84,6 +84,14 @@ def rayleigh_channel(spec: ChannelEnsembleSpec, trial_index: int | range) -> np.
         gen.bit_generator.state = {**_PHILOX_START, "state": {**_PHILOX_START["state"], "key": key}}
         gen.random(out=row)
     # Box-Muller: radius sqrt(-2 ln(1 - u1)) and angle 2 pi u2 give a standard
-    # normal pair (a, b); (a + jb)/sqrt(2) collapses to the form below.
-    entries = np.sqrt(-np.log1p(-u[:, :n])) * np.exp(2j * np.pi * u[:, n:])
+    # normal pair (a, b); (a + jb)/sqrt(2) collapses to sqrt(-ln(1 - u1)) e^{2 pi j u2},
+    # computed in place on one complex and the u1 buffer, bit for bit as that expression.
+    u1 = u[:, :n]
+    entries = np.multiply(2j * np.pi, u[:, n:])
+    np.exp(entries, out=entries)
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    np.negative(u1, out=u1)
+    np.sqrt(u1, out=u1)
+    entries *= u1
     return entries.reshape((len(indices), spec.n_rx, spec.n_tx) if stacked else (spec.n_rx, spec.n_tx))

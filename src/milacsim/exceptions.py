@@ -37,7 +37,11 @@ def _check_positive_finite(**values) -> None:
     """
     for name, value in values.items():
         # The smallest and largest normal doubles; NaN fails both comparisons.
-        if not sys.float_info.min <= value <= sys.float_info.max:
+        try:
+            normal = sys.float_info.min <= value <= sys.float_info.max
+        except (TypeError, ValueError):  # None, a string, complex or list; an array of several values
+            normal = False
+        if not normal:
             raise ValueError(
                 f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
             )

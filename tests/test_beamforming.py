@@ -1151,6 +1151,24 @@ def test_rating_a_vector_of_powers_equals_rating_each_power_alone(scale, streams
         assert abs(rate - capacities[k]) <= 1e-9 * capacities[k]
 
 
+@pytest.mark.parametrize("n, s", [(64, 4), (8, 2)], ids=["top-s", "economy"])
+def test_digital_rate_of_a_stack_at_each_power_is_its_own_call_and_its_log_det(n, s):
+    # 3 channels x 5 powers from 0 to 20 dB in one call: each (trial, power) is
+    # bit for bit its single-channel, single-power call, and its rate is the
+    # log-det of I + c H W W^H H^H.
+    powers = tuple(snr_db_to_tx_power(snr_db, 1.0) for snr_db in range(0, 21, 5))
+    stack = np.stack([random_channel(n, n, 900 + t) for t in range(3)])
+    w, rates = digital_design_and_rate(stack, design_milac(stack, _config(s, n, n, powers)), powers, 1.0)
+    assert w.shape == (3, 5, n, s) and rates.shape == (3, 5)
+    for t, h in enumerate(stack):
+        for k, power in enumerate(powers):
+            w_alone, rate = digital_design_and_rate(h, design_milac(h, _config(s, n, n, power)), power, 1.0)
+            assert rates[t, k] == rate and w[t, k].tobytes() == w_alone.tobytes()
+            hw = h @ w_alone
+            _, log_det = np.linalg.slogdet(np.eye(n) + power / 4.0 * hw @ hw.conj().T)
+            assert abs(rate - log_det / np.log(2.0)) <= 1e-12 * rate
+
+
 def test_rating_rejects_an_allocation_without_one_row_per_power():
     alloc = water_filling(np.array([2.0, 1.0]), np.array([1.0, 2.0, 4.0]), 1.0)
     with pytest.raises(DimensionMismatchError):

@@ -74,7 +74,7 @@ def test_a_range_of_trials_is_the_stack_of_its_trials_bit_for_bit(n_rx, n_tx, n_
     assert stack.tobytes() == np.stack([rayleigh_channel(spec, t) for t in trials]).tobytes()
 
 
-@pytest.mark.parametrize("n_rx, n_tx", [(8, 9), (3, 4), (64, 65)])
+@pytest.mark.parametrize("n_rx, n_tx", [(8, 9), (3, 4), (64, 65), (128, 128)])
 def test_a_trial_is_the_start_of_its_keys_philox_stream(monkeypatch, n_rx, n_tx):
     # Each trial resets the generator to the start of its key's stream, so
     # neither the generator's seed nor the trials drawn before reach a draw.

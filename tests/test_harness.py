@@ -705,6 +705,26 @@ def test_sweep_spec_rejects_a_bad_noise_power(value):
         _small_snr_spec(noise_power=value)
 
 
+@pytest.mark.parametrize(
+    "value", [None, "1.0", 1.0 + 0j, [1.0], np.ones(2)], ids=["None", "str", "complex", "list", "array"]
+)
+@pytest.mark.parametrize("entry", ["SystemConfig", "SweepSpec", "water_filling", "milac_rate", "snr_db_to_tx_power"])
+def test_a_noise_power_that_is_no_real_number_is_a_value_error_naming_it(entry, value):
+    # An unordered value (TypeError) or an array of several (ambiguous truth)
+    # breaks the comparison itself; the rule still names the field.
+    h = rayleigh_channel(ChannelEnsembleSpec(**_ENSEMBLE), 0)
+    design = beamforming.design_milac(h, SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=1.0, noise_power=1.0))
+    call = {
+        "SystemConfig": lambda: SystemConfig(n_streams=1, n_tx=2, n_rx=2, tx_power=1.0, noise_power=value),
+        "SweepSpec": lambda: _small_snr_spec(noise_power=value),
+        "water_filling": lambda: beamforming.water_filling(np.array([2.0, 1.0]), 1.0, value),
+        "milac_rate": lambda: beamforming.milac_rate(design.g, h, design.f, design.allocation, 1.0, value),
+        "snr_db_to_tx_power": lambda: snr_db_to_tx_power(0.0, value),
+    }[entry]
+    with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # CSV and manifest
 
