@@ -30,6 +30,7 @@ from .exceptions import (
     PhaseSearchExhaustedError,  # noqa: F401  kept for perfbench until ROADMAP item 1
     RateFormMismatchError,
     ZeroCombinerRowError,
+    _as_doubles,
     _check_integers,
     _check_positive_finite,
 )
@@ -97,12 +98,11 @@ class SystemConfig:
                 f"{min(self.n_tx, self.n_rx)}"
             )
         _check_positive_finite(noise_power=self.noise_power, ref_admittance=self.ref_admittance)
-        if np.ndim(self.tx_power) > 1 or np.size(self.tx_power) == 0:
+        powers = _as_doubles(self.tx_power, "tx_power")
+        if powers.ndim > 1 or powers.size == 0:
             raise ValueError("tx_power must be one power or a nonempty vector of powers")
-        powers = np.ravel(np.asarray(self.tx_power, dtype=float))
         _check_powers(powers, "tx_power")
-        powers = tuple(powers.tolist())
-        object.__setattr__(self, "tx_power", powers if np.ndim(self.tx_power) else powers[0])
+        object.__setattr__(self, "tx_power", tuple(powers.tolist()) if powers.ndim else powers.item())
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +435,7 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     if lam.ndim < 1 or lam.shape[-1] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector, or a stack of them")
     _check_spectrum(lam)
-    power = np.asarray(total_power, dtype=float)
+    power = _as_doubles(total_power, "total_power")
     if power.ndim > 1:
         raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
     _check_powers(power)
@@ -484,7 +484,7 @@ def _check_powers(power: np.ndarray, name: str = "total_power") -> None:
 def _power_axis(allocation: PowerAllocation, total_power, trials: tuple = ()) -> np.ndarray:
     """total_power with a trailing stream axis, one power per row of allocation.p
     after its trial axes; each power must be a positive, finite and normal double."""
-    power = np.asarray(total_power, dtype=float)
+    power = _as_doubles(total_power, "total_power")
     if trials + power.shape != allocation.p.shape[:-1]:
         raise DimensionMismatchError(
             f"allocation {allocation.p.shape} does not hold one row per power {power.shape}"

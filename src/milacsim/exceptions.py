@@ -13,6 +13,8 @@ helpers live here, in the leaf module that every other one imports.
 import numbers
 import sys
 
+import numpy as np
+
 
 def _check_integers(**values) -> None:
     """Raise ValueError naming the first value that is not an integer (numpy's
@@ -45,6 +47,19 @@ def _check_positive_finite(**values) -> None:
             raise ValueError(
                 f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
             )
+
+
+def _as_doubles(value, name: str) -> np.ndarray:
+    """np.asarray(value, dtype=float), or the ValueError naming `name` when
+    that conversion fails: a dict, a string, a complex number, a ragged
+    list or an integer beyond the double range.  numpy would cast a complex
+    array to float, dropping its imaginary part, so that is refused too."""
+    if getattr(value, "dtype", None) is not None and value.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex {type(value).__name__}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a double or a vector of doubles: {exc}") from None
 
 
 class MilacError(Exception):

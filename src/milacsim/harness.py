@@ -35,7 +35,7 @@ from .beamforming import (
     water_filling,
 )
 from .channel import ChannelEnsembleSpec, rayleigh_channel
-from .exceptions import _check_integers, _check_positive_finite, _check_seed
+from .exceptions import _as_doubles, _check_integers, _check_positive_finite, _check_seed
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -88,10 +88,17 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {SWEEP_MODES}, got {self.mode!r}")
-        snr = tuple(float(x) for x in self.snr_points_db)
-        for n in self.antenna_points:
+        snr = _as_doubles(self.snr_points_db, "snr_points_db")
+        if snr.ndim != 1:
+            raise ValueError(f"snr_points_db must be a vector of SNRs in dB, got {snr.ndim} dimensions")
+        snr = tuple(snr.tolist())
+        try:
+            ant = tuple(self.antenna_points)
+        except TypeError:
+            raise ValueError(f"antenna_points must be a vector of antenna counts, got {self.antenna_points!r}") from None
+        for n in ant:
             _check_integers(antenna_points=n)
-        ant = tuple(int(x) for x in self.antenna_points)
+        ant = tuple(int(x) for x in ant)
         if len(snr) == 0 or len(ant) == 0:
             raise ValueError("sweep point vectors must be nonempty")
         if any(b <= a for a, b in zip(snr, snr[1:])):

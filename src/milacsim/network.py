@@ -26,6 +26,7 @@ are the "outputs", so a single slicing rule covers both sides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +128,13 @@ class SusceptanceMatrix:
             raise ValueError(f"susceptance matrix asymmetry {asym:.3e} exceeds tolerance")
         object.__setattr__(self, "b", _frozen(b))
 
+    @classmethod
+    def _wrap(cls, b: np.ndarray) -> SusceptanceMatrix:
+        """A SusceptanceMatrix holding b itself, unchecked: b must be finite and exactly symmetric."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "b", _frozen(b))
+        return matrix
+
     @property
     def n_ports(self) -> int:
         return self.b.shape[0]
@@ -170,17 +178,25 @@ class LosslessReciprocalReport:
 _GETRF, _GECON, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
 
 
-def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None) -> tuple:
-    """LU factors of a, rejected when the condition estimate exceeds DEFAULT_COND_CAP.
+def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None, kappa_bound: float = np.inf) -> tuple:
+    """LU factors of a, rejected when its condition number may exceed DEFAULT_COND_CAP.
 
-    A NaN or inf entry of a fails the estimate (its 1-norm is not finite).
-    source is the (name, array) pair a is built from; when a is rejected and
-    that array holds NaN or inf, a NonFiniteInputError names it.
+    kappa_bound is a proven upper bound of kappa_1(a) = ||a||_1 ||a^-1||_1,
+    or inf.  Within the cap it accepts the LU without an estimate: gecon's
+    figure is a lower bound of kappa_1, so gecon would accept it too.  Any
+    other a is judged by gecon's estimate, which a NaN or inf entry fails
+    (its 1-norm is not finite).  source is the (name, array) pair a is built
+    from; when a is rejected and that array holds NaN or inf, a
+    NonFiniteInputError names it.  A complex column-major a is factored in
+    place.
     """
     a = np.asarray(a, dtype=complex)
-    anorm = np.abs(a).sum(axis=0).max()
+    if kappa_bound <= DEFAULT_COND_CAP:
+        return _GETRF(a, overwrite_a=1)[:2]
+    # Column sums taken row by row, as over a row-major array, whatever a's layout.
+    anorm = np.abs(a, order="C").sum(axis=0).max()
     # An exactly singular factor (info > 0) fails the rcond check below; no argument can be illegal.
-    lu, piv, _ = _GETRF(a)
+    lu, piv, _ = _GETRF(a, overwrite_a=1)
     rcond, _ = _GECON(lu, anorm)
     if not np.isfinite(rcond) or rcond * DEFAULT_COND_CAP < 1.0:
         if source is not None:
@@ -204,14 +220,20 @@ def _check_finite(*named) -> None:
             raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
 
 
-def _mirror_upper(b: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only mask of the strict lower triangle of an n x n matrix."""
+    return _frozen(np.tri(n, k=-1, dtype=bool))
+
+
+def _mirror_upper(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact symmetrization: reflect the upper triangle onto the lower one.
 
     Every entry is the upper one plus 0.0, so a -0.0 becomes +0.0; b is not
-    written.
+    written unless it is out.
     """
-    out = b + 0.0
-    np.copyto(out, out.T, where=np.tri(b.shape[0], k=-1, dtype=bool))
+    out = np.add(b, 0.0, out=out)
+    np.copyto(out, out.T, where=_strict_lower(b.shape[0]))
     return out
 
 
@@ -266,6 +288,16 @@ def transfer_block_from_admittance(
     system against the output columns on the same LU, since (A^-1)^T =
     (A^T)^-1 for any A.
 
+    A lossless network, Y + Y^H = 0 exactly (Y = jB with B real symmetric,
+    as every design gives), needs no condition estimate.  Rounding maps x
+    and -x to opposite values, so Y/y0 as computed is skew-Hermitian too and
+    A = Y/y0 + I is I plus a skew-Hermitian matrix: Re x^H A x = ||x||^2
+    for every x, so ||A x|| >= ||x||, sigma_min(A) >= 1 and ||A^-1||_1 <=
+    sqrt(n) ||A^-1||_2 <= sqrt(n).  Hence kappa_1(A) <= sqrt(n) ||A||_1 <=
+    n ||A||_F, and when that is within DEFAULT_COND_CAP the LU is accepted
+    without gecon (_lu_checked).  A lossy or non-finite network, or one past
+    that bound, meets gecon's estimate as any matrix does.
+
     Args:
         y: admittance matrix of the full network.
         partition: port split; inputs come first in the port ordering.
@@ -288,13 +320,21 @@ def transfer_block_from_admittance(
     # Y / y0 + I, bit for bit as numpy's complex division by y0 and the sum
     # with np.eye(n) give it: that division multiplies by 1 / y0, and the
     # sum's + 0.0 turns every -0.0 into +0.0.  An inf entry makes a NaN here,
-    # which the LU check names.  The buffer is row-major whatever y.y's layout,
-    # so its flat view below is a view and the identity lands in it.
-    with np.errstate(invalid="ignore"):
-        a = np.multiply(y.y, 1.0 / y0, order="C")
-    a += 0.0
-    a.reshape(-1)[:: n + 1] += 1.0
-    lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y))
+    # which the LU check names.  The buffer is column-major whatever y.y's
+    # layout, so getrf factors it in place and its flat column-major view
+    # below is a view, in which the identity lands.
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = np.multiply(y.y, 1.0 / y0, order="F")
+        a += 0.0
+        entries = a.reshape(-1, order="F")
+        entries[:: n + 1] += 1.0
+        kappa_bound = np.inf
+        # Y + Y^H = 0 exactly; a NaN or inf entry fails it (inf - inf is NaN).
+        if not (y.y + y.y.conj().T).any():
+            # ||A||_F is the 2-norm of A's real and imaginary parts; a huge one overflows to inf.
+            parts = entries.view(float)
+            kappa_bound = n * math.sqrt(parts @ parts)
+    lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y), kappa_bound)
     # The unit columns of the inputs, or of the outputs for the transposed solve.
     if n_in <= partition.n_outputs:
         return _GETRS(lu, piv, np.eye(n, n_in, dtype=complex, order="F"), overwrite_b=1)[0][n_in:]
@@ -453,7 +493,12 @@ def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> Susc
 
 
 def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> SusceptanceMatrix:
-    """y0 [[bss, bsa], [bsa^T, baa]] in the side's port order, mirrored to exact symmetry."""
+    """y0 [[bss, bsa], [bsa^T, baa]] in the side's port order, mirrored to exact symmetry.
+
+    The buffer the blocks are assembled in is scaled and mirrored in place
+    and then held by the SusceptanceMatrix: exactly symmetric, it needs the
+    finite-entry check alone.
+    """
     n, s = baa.shape[0], bss.shape[0]
     sym, ant = _port_slices(n, s, receive)
     b = np.empty((n + s, n + s))
@@ -461,7 +506,11 @@ def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> Susceptanc
     b[sym, ant] = bsa
     b[ant, sym] = bsa.T
     b[ant, ant] = baa
-    return SusceptanceMatrix(_mirror_upper(y0 * b))
+    b *= y0
+    _mirror_upper(b, out=b)
+    if not np.isfinite(b).all():
+        raise ValueError("susceptance matrix contains non-finite entries")
+    return SusceptanceMatrix._wrap(b)
 
 
 def susceptance_tx(v, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> SusceptanceMatrix:

@@ -17,6 +17,7 @@ from milacsim import (
     RateFormMismatchError,
     SingularImaginaryPartError,
     SvdFactors,
+    SweepSpec,
     SystemConfig,
     ZeroCombinerRowError,
     admittance_to_scattering,
@@ -765,13 +766,21 @@ def test_rating_functions_reject_a_noise_power_that_is_not_positive_and_finite(r
 
 
 _NOT_NORMAL = (0.0, -1.0, np.nan, np.inf, 1e-320)
+# Powers with no double form: beyond the double range, a dict, complex values
+# (numpy would drop a complex array's imaginary part) and a ragged list.
+_BEYOND_DOUBLE = 10**400
+_NOT_DOUBLES = (_BEYOND_DOUBLE, [1.0, _BEYOND_DOUBLE], {"p": 1.0}, 1 + 1j, np.array([1.0 + 1.0j]), [[1.0], [1.0, 2.0]])
 
 # Entry point -> (field its error names, values that break the field's rule).
 _INPUT_RULES = {
-    "water_filling": ("total_power", _NOT_NORMAL),
-    "capacity_closed_form": ("total_power", _NOT_NORMAL),
-    "milac_rate": ("total_power", _NOT_NORMAL),
-    "digital_design_and_rate": ("total_power", _NOT_NORMAL),
+    "water_filling": ("total_power", _NOT_NORMAL + _NOT_DOUBLES),
+    "capacity_closed_form": ("total_power", _NOT_NORMAL + _NOT_DOUBLES),
+    "milac_rate": ("total_power", _NOT_NORMAL + _NOT_DOUBLES),
+    "digital_design_and_rate": ("total_power", _NOT_NORMAL + _NOT_DOUBLES),
+    "SystemConfig.tx_power": ("tx_power", _NOT_NORMAL + _NOT_DOUBLES),
+    # A sweep's point vectors must be vectors: not a scalar, None or a matrix.
+    "SweepSpec.snr_points_db": ("snr_points_db", (3.0, None, np.zeros((2, 2)), {"p": 1.0}, 1 + 1j)),
+    "SweepSpec.antenna_points": ("antenna_points", (8, None, np.int64(8))),
     "admittance_to_scattering": ("ref_admittance", _NOT_NORMAL),
     "scattering_to_admittance": ("ref_admittance", _NOT_NORMAL),
     "transfer_block_from_admittance": ("ref_admittance", _NOT_NORMAL),
@@ -802,7 +811,10 @@ def _spoiled(x, value):
 
 
 @pytest.mark.parametrize(
-    "entry, value", [(entry, value) for entry, (_, values) in _INPUT_RULES.items() for value in values]
+    "entry, value",
+    [(entry, value) for entry, (_, values) in _INPUT_RULES.items() for value in values],
+    # 10**400 by name, not by its 401 digits.
+    ids=lambda value: "beyond-double" if value is _BEYOND_DOUBLE else None,
 )
 def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
     h = random_channel(3, 3, 5)
@@ -825,6 +837,9 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "susceptance_tx": lambda x: susceptance_tx(v, 2, x),
         "susceptance_rx": lambda x: susceptance_rx(u, 2, x),
         "SystemConfig.ref_admittance": lambda x: SystemConfig(2, 3, 3, 1.0, 1.0, ref_admittance=x),
+        "SystemConfig.tx_power": lambda x: SystemConfig(2, 3, 3, x, 1.0),
+        "SweepSpec.snr_points_db": lambda x: SweepSpec("snr_sweep", snr_points_db=x, antenna_points=(4,), n_streams=2),
+        "SweepSpec.antenna_points": lambda x: SweepSpec("snr_sweep", snr_points_db=(0.0,), antenna_points=x, n_streams=2),
         "water_filling.eigenvalues": lambda x: water_filling(np.append(lam, x), 1.0, 1.0),
         "capacity_closed_form.eigenvalues": lambda x: capacity_closed_form(lam * [1.0, x], alloc, 1.0, 1.0),
         "PortPartition.n_inputs": lambda x: PortPartition(x, 3),

@@ -204,6 +204,124 @@ def test_transfer_block_keeps_the_bits_of_the_division_and_identity_solve(n_in, 
                 assert block.tobytes() == expected.tobytes()
 
 
+def _reference_solve(y, n_in, y0):
+    """The parent path's block, gecon figure and sqrt(n) ||A||_1 for A = Y / y0 + I:
+    getrf on a row-major copy, gecon on its 1-norm summed row by row, getrs."""
+    n = len(y)
+    a = y / y0 + np.eye(n)
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=complex)
+    lu, piv, _ = getrf(a)
+    rcond = gecon(lu, np.abs(a).sum(axis=0).max())[0]
+    if n_in <= n - n_in:
+        block = getrs(lu, piv, np.eye(n)[:, :n_in])[0][n_in:]
+    else:
+        block = getrs(lu, piv, np.eye(n)[:, n_in:], trans=1)[0][:n_in].T
+    return block, 1.0 / rcond, np.sqrt(n) * np.linalg.norm(a, 1)
+
+
+def _lossless_admittances(repair_channel):
+    """(name, Y, n_in, n_out): both dense networks of designs from 4 to 128 ports,
+    the phase-repaired transmit side (with its antenna shunt term) included, and
+    1j (G + G^T) scaled from 1e-3 to 1e9."""
+    rng = np.random.default_rng(30)
+    links = [
+        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), s)
+        for n, s in ((2, 2), (3, 1), (8, 2), (30, 4), (60, 4), (120, 8))
+    ]
+    links.append((repair_channel, 4))
+    cases = []
+    for h, s in links:
+        n = len(h)
+        design = design_milac(h, SystemConfig(n_streams=s, n_tx=n, n_rx=n, tx_power=10.0, noise_power=1.0))
+        cases.append((f"tx {n + s} ports", 1j * design.b_tx.b, s, n))
+        cases.append((f"rx {n + s} ports", 1j * design.b_rx.b, n, s))
+    assert design.tx.theta != 0, "the repair channel's transmit side must carry the shunt term"
+    for scale in (1e-3, 1.0, 1e3, 1e6, 1e9):
+        g = rng.standard_normal((12, 12))
+        cases.append((f"1j (G + G^T) x {scale:g}", 1j * scale * (g + g.T), 5, 7))
+    return cases
+
+
+def test_a_lossless_admittance_keeps_its_bits_and_its_gecon_decision(monkeypatch, repair_channel):
+    # The certificate skips gecon only where gecon would accept: with the cap
+    # just below and just above both sqrt(n) ||A||_1 and gecon's figure, the
+    # solve accepts exactly when the parent's getrf + gecon did, and every
+    # accepted block keeps the bytes of the getrf/getrs reference.
+    default_cap = network.DEFAULT_COND_CAP
+    for name, y, n_in, n_out in _lossless_admittances(repair_channel):
+        block, estimate, bound = _reference_solve(y, n_in, Y0)
+        partition = PortPartition(n_in, n_out)
+        monkeypatch.setattr(network, "DEFAULT_COND_CAP", default_cap)
+        assert transfer_block_from_admittance(AdmittanceMatrix(y), partition, Y0).tobytes() == block.tobytes(), name
+        for figure in (bound, estimate):
+            for cap in (figure * (1.0 - 1e-9), figure * (1.0 + 1e-9)):
+                monkeypatch.setattr(network, "DEFAULT_COND_CAP", cap)
+                accepted = estimate <= cap
+                try:
+                    out = transfer_block_from_admittance(AdmittanceMatrix(y), partition, Y0)
+                except SingularMatrixError:
+                    assert not accepted, (name, cap)
+                else:
+                    assert accepted and out.tobytes() == block.tobytes(), (name, cap)
+
+
+def test_gecon_runs_only_where_the_lossless_certificate_does_not_hold(monkeypatch, repair_channel):
+    calls = []
+    gecon = network._GECON
+    monkeypatch.setattr(network, "_GECON", lambda *args: calls.append(args) or gecon(*args))
+    for name, y, n_in, n_out in _lossless_admittances(repair_channel)[:-5]:
+        transfer_block_from_admittance(AdmittanceMatrix(y), PortPartition(n_in, n_out), Y0)
+        assert calls == [], name
+    # At this seed each matrix's 1-norm summed column by column (pairwise)
+    # differs in its last bit from the sum taken row by row.
+    rng = np.random.default_rng(33)
+    g = rng.standard_normal((40, 40))
+    lossless = 1j * (g + g.T)
+    # A lossy network (positive conductances on the diagonal), a nonreciprocal
+    # one (Y + Y^H = j (G - G^T)) and a lossless one past the bound each meet
+    # gecon once, on the parent's LU and its 1-norm summed row by row.
+    for y in (lossless + np.diag(rng.random(40) + 0.1), 1j * g, 1e12 * lossless):
+        calls.clear()
+        try:
+            transfer_block_from_admittance(AdmittanceMatrix(y), PortPartition(4, 36), Y0)
+        except SingularMatrixError:
+            pass
+        assert len(calls) == 1
+        a = y / Y0 + np.eye(40)
+        lu, anorm = calls[0]
+        assert lu.tobytes() == scipy.linalg.lu_factor(a)[0].tobytes() and anorm == np.abs(a).sum(axis=0).max()
+    # A NaN or inf fails the test, a symmetric imaginary inf included, and is named as before.
+    for value in (np.nan, np.inf, complex(0.0, np.inf)):
+        y = lossless.copy()
+        y[1, 4] = y[4, 1] = value
+        calls.clear()
+        with pytest.raises(NonFiniteInputError, match="^admittance matrix contains NaN or infinite entries$"):
+            transfer_block_from_admittance(AdmittanceMatrix(y), PortPartition(4, 36), Y0)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("receive", [False, True], ids=["tx", "rx"])
+def test_assembled_susceptance_keeps_the_bits_of_the_scaled_mirror(receive):
+    # One buffer is scaled, zero-signed and mirrored in place: the bits of
+    # np.triu(y0 B) + np.triu(y0 B, 1).T, held read-only without a copy; a
+    # non-finite entry of the upper triangle is still named.
+    rng = np.random.default_rng(32)
+    for n, s in ((1, 1), (5, 2), (64, 4)):
+        bss, bsa, baa = (_with_signed_zeros(rng.standard_normal(shape), rng).real for shape in ((s, s), (s, n), (n, n)))
+        sym, ant = network._port_slices(n, s, receive)
+        full = np.empty((n + s, n + s))
+        full[sym, sym], full[sym, ant], full[ant, sym], full[ant, ant] = bss, bsa, bsa.T, baa
+        scaled = Y0 * full
+        out = network._assemble_susceptance(bss, bsa, baa, Y0, receive)
+        assert isinstance(out, SusceptanceMatrix) and not out.b.flags.writeable
+        assert out.b.tobytes() == (np.triu(scaled) + np.triu(scaled, 1).T).tobytes()
+        for value in (np.nan, np.inf):
+            bad = baa.copy()
+            bad[0, -1] = value
+            with pytest.raises(ValueError, match="^susceptance matrix contains non-finite entries$"):
+                network._assemble_susceptance(bss, bsa, bad, Y0, receive)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("part", ["real", "imag"])
 @pytest.mark.parametrize("n_in, n_out", [(2, 5), (5, 2)], ids=["fewer-inputs", "fewer-outputs"])
