@@ -1,8 +1,8 @@
 """Hypothesis search of the closed-form phase repair's bound.
 
 On each side the synthesis completes the leading singular vectors to the
-unitary Q' = I + a qt, which acts on range(a) (r columns, r <= 3s) as the r x r
-unitary Z = I + qt a.  The angle theta* of network._rotation turns the side's
+unitary Q' = I + a (z - I) a^T, which acts on range(a) (r columns, r <= 3s) as
+the r x r unitary z.  The angle theta* of network._rotation turns the side's
 unitary by e^{j theta*}, and the imaginary part then has
 sigma_min / sigma_max >= sin(pi / (2 (r + 1))), whatever the channel.  This
 search applies theta* to every side, rejected or not, of links up to 8 x 8
@@ -72,8 +72,9 @@ def test_the_rotation_bounds_the_imaginary_part_and_the_design_is_its_dense_refe
     for net, block, partition, dense in sides:
         n, r = net.a.shape
         bound = np.sin(np.pi / (2 * (r + 1)))
-        theta = network._rotation(np.eye(r) + net.qt @ net.a)
-        sv = np.linalg.svd(np.real(np.exp(1j * theta) * (np.eye(n) + net.a @ net.qt)), compute_uv=False)
+        theta = network._rotation(net.z)
+        completion = np.eye(n) + net.a @ (net.z - np.eye(r)) @ net.a.T
+        sv = np.linalg.svd(np.real(np.exp(1j * theta) * completion), compute_uv=False)
         assert sv[-1] / sv[0] >= bound - 1e-12
         q = net.unitary()
         if net.theta != 0:

@@ -5,8 +5,9 @@ the transmit network realizes the leading right singular vectors (scaled
 by j/2) and the receive network the conjugated leading left singular
 vectors (scaled by -j/2), so that the cascade diagonalizes the channel.
 Only those s columns are fixed; each side's unitary is completed from
-them by one Householder QR, so beyond the channel's SVD a design costs
-O(n s^2) at n antennas.
+them on their own real subspace of dimension r <= 3s, by one real QR of a
+basis and one QR of an r x s block, so beyond the channel's SVD a design
+costs O(n s^2) at n antennas.
 Power is then water-filled over the per-stream channel eigenvalues.  The
 resulting link rate equals the water-filling capacity of the matched
 digital benchmark, which is also computed here in closed form.
@@ -59,7 +60,7 @@ RATE_FORM_CHECK_TOL = 1e-12
 TOP_S_MIN_ANTENNAS = 64
 TOP_S_STREAM_RATIO = 16
 
-# Largest accepted max-abs entry of H v - u diag(sigma) and H^H u - v diag(sigma),
+# Largest accepted max-abs entry of H v - u diag(sigma) or H^H u - v diag(sigma),
 # relative to sigma_1, and of u^H u - I and v^H v - I, for top-s triplets.
 # Rayleigh channels up to 1024 x 64 and exactly clustered spectra read about
 # 3e-15 at most; u^H u - I grows as eps (sigma_1/sigma_s)^2.
@@ -174,8 +175,9 @@ class Design:
             e^{j theta}, and the digital precoder uses.
         allocation: water-filling fractions over the leading eigenvalues.
         tx: transmit network in factored form; it realizes V = j e^{j theta} Q',
-            Q' the Householder completion of v_bar, with tx.theta = 0 unless
-            the synthesis repaired Im V, and tx.unitary() is the dense V.
+            Q' the unitary completion of v_bar (network._completion), with
+            tx.theta = 0 unless the synthesis repaired Im V, and tx.unitary()
+            is the dense V.
         rx: receive network in factored form; rx.unitary() is the dense U,
             whose leading columns are j e^{-j theta} u_bar with rx.theta.
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
@@ -260,7 +262,8 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     links with few streams, only the s = n_streams leading triplets of each
     channel are computed, from the s largest eigenpairs of its smaller Gram
     matrix (_gram_triplets), and each result is checked in O(n_rx n_tx s):
-    max |H v - u diag(sigma)| and max |H^H u - v diag(sigma)| within
+    max |H^H u - v diag(sigma)| when n_tx <= n_rx, else max |H v - u
+    diag(sigma)| (the other residual is zero by construction), within
     TOP_S_CHECK_TOL sigma_1, and max |u^H u - I|, |v^H v - I| within
     TOP_S_CHECK_TOL.  A trial that fails the check takes the economy SVD
     alone: one whose rank is below s, or whose spread sigma_1/sigma_s exceeds
@@ -287,13 +290,16 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
         u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
         eye = np.eye(s)
         with np.errstate(invalid="ignore", over="ignore"):
-            # NaN fails each test, so a garbage triplet cannot pass.  One of the
-            # two residuals is zero by construction; the other is the test.
-            # u^H H - diag(sigma) v^H is the adjoint residual, conjugated.
-            bound = TOP_S_CHECK_TOL * sigma[..., 0]
-            ok = np.abs(h @ v - u * sigma[..., None, :]).max(axis=(-2, -1)) <= bound
-            adjoint = u.conj().swapaxes(-1, -2) @ h - sigma[..., :, None] * v.conj().swapaxes(-1, -2)
-            ok &= np.abs(adjoint).max(axis=(-2, -1)) <= bound
+            # NaN fails each test, so a garbage triplet cannot pass.  The
+            # residual of the side _gram_triplets builds from the other is zero
+            # by construction, so only the other one is the test: the adjoint
+            # u^H H - diag(sigma) v^H (conjugated) when v is the eigenvector
+            # side (n_tx <= n_rx), else H v - u diag(sigma).
+            if n_tx <= n_rx:
+                residual = u.conj().swapaxes(-1, -2) @ h - sigma[..., :, None] * v.conj().swapaxes(-1, -2)
+            else:
+                residual = h @ v - u * sigma[..., None, :]
+            ok = np.abs(residual).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL * sigma[..., 0]
             for x in (u, v):
                 ok &= np.abs(x.conj().swapaxes(-1, -2) @ x - eye).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
         for t in np.ndindex(ok.shape):
@@ -636,7 +642,7 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
     (svd_ordered: only those, from the Gram matrix's eigenpairs, on large
     links with few streams; else cut from the economy SVD), closed-form
     susceptance synthesis on each side, and water-filling over their
-    n_streams eigenvalues.  Each side's unitary is the Householder
+    n_streams eigenvalues.  Each side's unitary is the unitary
     completion of its leading singular vectors times j, and its network is
     kept in factored form, so beyond the SVD a design costs O(n s^2) rather
     than O(n^3).  A side whose Im{V} or Im{U} the synthesis rejects as

@@ -274,7 +274,7 @@ def _cmd_design_dump(opts: dict) -> int:
     report = run_trial(h, config)
     design = report.design
     n_s = config.n_streams
-    # The dense unitaries the networks realize: j times the Householder
+    # The dense unitaries the networks realize: j times the unitary
     # completions of the leading singular vectors, each side times its phase.
     v, u = design.tx.unitary(), design.rx.unitary()
     theta_tx = complete_scattering_tx(v[:, :n_s], v[:, n_s:])

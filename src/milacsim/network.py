@@ -55,8 +55,9 @@ DEFAULT_UNITARY_TOL = 1e-10
 # Relative symmetry tolerance accepted when constructing a SusceptanceMatrix.
 DEFAULT_SYMMETRY_TOL = 1e-9
 
-# Im{V} counts as singular when its smallest singular value falls below
-# this fraction of its spectral norm.
+# Im{V} counts as singular when its smallest singular value is at most this
+# floor.  Im{V} is a block of a unitary, so its spectral norm is at most 1;
+# a larger norm, which only a matrix from elsewhere has, scales the floor.
 DEFAULT_IMAG_SV_REL = 1e-8
 
 
@@ -470,9 +471,11 @@ def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
 
 def _regular_by_values(sv_max, sv_min):
     """Whether a matrix with these extreme singular values counts as regular:
-    sigma_min > rel_tol sigma_max, with rel_tol = DEFAULT_IMAG_SV_REL read at
-    call time (elementwise over stacked values; NaN fails)."""
-    return sv_min > DEFAULT_IMAG_SV_REL * sv_max
+    sigma_min > floor max(sigma_max, 1), with floor = DEFAULT_IMAG_SV_REL read
+    at call time (elementwise over stacked values; NaN fails).  The imaginary
+    part of a unitary has sigma_max <= 1, so it is judged on the unitary's own
+    scale, not on its own: one whose entries are all rounding noise fails."""
+    return sv_min > DEFAULT_IMAG_SV_REL * np.maximum(sv_max, 1.0)
 
 
 def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
@@ -548,54 +551,35 @@ def susceptance_rx(u, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> Sus
     return _synthesize_susceptance(u, n_streams, y0, receive=True)
 
 
-_GEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=complex)
-_TRMM = scipy.linalg.get_blas_funcs("trmm", dtype=complex)
+def _completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary completion Q' = I + a (z - I) a^T of orthonormal columns q_bar, with Q'[:, :s] = q_bar.
 
-
-def _householder_completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary completion Q' = I + a @ qt of orthonormal columns q_bar, with Q'[:, :s] = q_bar.
-
-    One Householder QR q_bar = Q R gives Q = I - W T W^H in compact WY form
-    (W unit lower trapezoidal, T upper triangular, both from LAPACK's geqrt,
-    which also covers reflectors with tau = 0).  R is diagonal and unimodular
-    up to rounding because q_bar is orthonormal, so Q' = [q_bar, Q[:, s:]] is
-    unitary, and its tail is Q[:, s:] = E_tail - W T L^H with L = W[s:].  Every
-    column of Q' - I lies in the span of E_s and of Re L, Im L below the s
-    symbol rows, so Q' - I = a qt on the real orthonormal basis
-    a = blockdiag(I_s, b), b spanning [Re L, Im L]: a has r <= min(n, 3s)
-    columns, Re Q' = I + a @ qt.real and Im Q' = a @ qt.imag.  A stack of
-    q_bar (leading axes) gives stacks of a and qt.
+    Every column of q_bar lies in range(a) of the real orthonormal basis
+    a = blockdiag(I_s, b), b spanning [Re q_bar[s:], Im q_bar[s:]]: a has
+    r = s + min(n - s, 2s) <= min(n, 3s) columns, and q_hat = a^T q_bar is
+    r x s with orthonormal columns.  One complete Householder QR of q_hat
+    gives an r x r unitary whose R is diagonal with entries +-1 up to
+    rounding, so its leading columns are replaced by q_hat itself: that is
+    z, and Q' acts as z on range(a) and as the identity off it.  Its
+    reflectors are those of the n x s Householder QR of q_bar, restricted to
+    range(a).  A real q_bar gives a real z.  A stack of q_bar (leading axes)
+    gives stacks of a and z, each from one stacked call.
     """
     n, s = q_bar.shape[-2:]
-    trials = q_bar.shape[:-2]
-    count = math.prod(trials)
-    # geqrt and trmm have no stacked form: one call per matrix, each in place
-    # on its column-major slice of a stacked copy; qr and t keep LAPACK's
-    # column-major layout, on which the products below are computed.
-    qr = q_bar.swapaxes(-1, -2).copy().reshape((count, s, n))
-    t = np.empty((count, s, s), dtype=complex)
-    for q, tq in zip(qr, t):
-        tq[...] = _GEQRT(s, q.T, overwrite_a=1)[1].T
-    qr = qr.reshape(trials + (s, n)).swapaxes(-1, -2)
-    t = t.reshape(trials + (s, s)).swapaxes(-1, -2)
-    low = qr[..., s:, :]
-    # Householder QR's orthonormal columns, (n - s) x min(n - s, 2s), in one stacked call.
-    b = np.linalg.qr(np.concatenate([low.real, low.imag], axis=-1), mode="reduced")[0]
-    bt = b.swapaxes(-1, -2)
-    tail = t @ low.conj().swapaxes(-1, -2)
-    a = np.zeros(trials + (n, s + b.shape[-1]))
+    low = q_bar[..., s:, :]
+    # [Re, Im] q_bar[s:] = b t, so b^T q_bar[s:] = t[:, :s] + j t[:, s:].
+    b, t = np.linalg.qr(np.concatenate([low.real, low.imag], axis=-1), mode="reduced")
+    r = s + b.shape[-1]
+    a = np.zeros(q_bar.shape[:-2] + (n, r))
     a[..., :s, :s] = np.eye(s)
     a[..., s:, s:] = b
-    qt = np.empty(trials + (a.shape[-1], n), dtype=complex)
-    qt[..., :s, :s] = q_bar[..., :s, :] - np.eye(s)
-    # -W[:s] T L^H, W[:s] being the unit lower triangle of qr[:s].
-    wtl = tail.swapaxes(-1, -2).copy()
-    for w, b_t in zip(qr[..., :s, :].reshape((count, s, s)), wtl.reshape((count, n - s, s))):
-        _TRMM(-1.0, w, b_t.T, lower=1, diag=1, overwrite_b=1)
-    qt[..., :s, s:] = wtl.swapaxes(-1, -2)
-    qt[..., s:, :s] = bt @ q_bar[..., s:, :]
-    qt[..., s:, s:] = -(bt @ low) @ tail
-    return a, qt
+    q_hat = np.empty(q_bar.shape[:-2] + (r, s), dtype=complex)
+    q_hat[..., :s, :] = q_bar[..., :s, :]
+    q_hat.real[..., s:, :] = t[..., :s]
+    q_hat.imag[..., s:, :] = t[..., s:]
+    z = np.linalg.qr(q_hat, mode="complete")[0]
+    z[..., :s] = q_hat
+    return a, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,14 +590,15 @@ class _FactoredSusceptance:
     with E = blockdiag(I_s, a), plus the antenna shunt -tan(theta) (I - a a^T)
     when theta is nonzero: a is n x r with orthonormal columns and core is real
     symmetric (s + r) x (s + r).  The receive network puts its antenna ports
-    first.  The network realizes the unitary completion e^{j theta} (I + a @ qt);
-    see _synthesize_factored.  Stacked a, core, qt and theta (leading axes)
-    hold one network per trial; dense() takes a single network.
+    first.  The network realizes the unitary completion e^{j theta} Q',
+    Q' = I + a (z - I) a^T with z the r x r unitary of _completion; see
+    _synthesize_factored.  Stacked a, core, z and theta (leading axes) hold
+    one network per trial; dense() takes a single network.
     """
 
     a: np.ndarray
     core: np.ndarray
-    qt: np.ndarray
+    z: np.ndarray
     y0: float
     receive: bool
     theta: np.ndarray
@@ -632,7 +617,8 @@ class _FactoredSusceptance:
 
     def unitary(self) -> np.ndarray:
         """The dense V (U on the receive side) whose susceptance_tx (susceptance_rx) is this network."""
-        q = np.eye(self.a.shape[-2]) + self.a @ self.qt
+        a = self.a
+        q = np.eye(a.shape[-2]) + a @ (self.z - np.eye(a.shape[-1])) @ a.swapaxes(-1, -2)
         theta = np.asarray(self.theta)[..., None, None]
         # Not a multiply by 1 at theta = 0, which can flip a signed zero.
         q = np.where(theta == 0, q, np.exp(1j * theta) * q)
@@ -676,23 +662,23 @@ def _synthesize_factored(q_bar, y0: float, receive):
     """Factored synthesis of the network realizing orthonormal columns q_bar.
 
     The network is susceptance_tx(V, s, y0) with V = j e^{j theta} Q', Q' the
-    Householder completion I + a qt of q_bar = v_bar; on the receive side
-    q_bar = conj(u_bar), and it is susceptance_rx(U, s, y0) with conj(U) =
-    -j e^{j theta} Q', so U[:, :s] = j e^{-j theta} u_bar.  No rate depends on
-    theta.  Q' is the identity off range(a) (ft = ft a a^T, gt = gt a a^T) and
-    the r x r unitary Z = I + qt a on it, so with (c, d) = (cos, sin) theta
-    Im V is +-X = +-Re(e^{j theta} Q') = +-(c (I - a a^T) + a K a^T), K = c I +
-    (c ft - d gt) a.  By Woodbury X^-1 a = a K^-1 puts every block of B on the
-    basis a, but for the antenna shunt -tan(theta) (I - a a^T), and X has the
-    singular values of K and, when r < n, n - r of c: they decide
-    (_regular_core) in O(n s^2), without the dense n x n matrix.
+    completion I + a (z - I) a^T of q_bar = v_bar (_completion); on the
+    receive side q_bar = conj(u_bar), and it is susceptance_rx(U, s, y0) with
+    conj(U) = -j e^{j theta} Q', so U[:, :s] = j e^{-j theta} u_bar.  No rate
+    depends on theta.  Q' is the identity off range(a) and the r x r unitary
+    z on it, so with W = e^{j theta} z and c = cos theta, Im V is +-X =
+    +-Re(e^{j theta} Q') = +-(c (I - a a^T) + a K a^T), K = Re W.  By
+    Woodbury X^-1 a = a K^-1 puts every block of B on the basis a, but for
+    the antenna shunt -tan(theta) (I - a a^T), and X has the singular values
+    of K and, when r < n, n - r of c: they decide (_regular_core) in
+    O(n s^2), without the dense n x n matrix.
 
-    Every side is judged at theta = 0, where these are the unrotated
-    expressions; a side that passes keeps theta = 0.  A rejected side takes
-    theta* (_rotation), which bounds sigma_min / sigma_max of X below by
-    sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)), and K(theta*) is judged
-    again as a guard.  One stacked solve then inverts the final cores, each on
-    its own, so no side's repair moves another side's bits.
+    Every side is judged at theta = 0, where W = z; a side that passes keeps
+    theta = 0.  A rejected side takes theta* (_rotation), which bounds every
+    singular value of X below by sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)),
+    and X is judged again as a guard: K = Re W and, when r < n, cos theta*
+    must clear the floor.  One stacked solve then inverts the final cores,
+    each on its own, so no side's repair moves another side's bits.
 
     A stack of q_bar (leading axes) is synthesized in one pass, and so are
     both sides of a link: with a tuple of per-side receive flags the leading
@@ -705,56 +691,49 @@ def _synthesize_factored(q_bar, y0: float, receive):
     """
     n, s = q_bar.shape[-2:]
     trials = q_bar.shape[:-2]
-    a, qt = _householder_completion(q_bar)
-    ft, gt = qt.real, qt.imag
+    a, z = _completion(q_bar)
     r = a.shape[-1]
-    k = np.eye(r) + ft @ a
     theta = np.zeros(trials)
-    rejected = ~_regular_core(k, n, 1.0)
-    repair = rejected.any()
-    if repair:
-        a_r = a[rejected]
-        theta[rejected] = _rotation(np.eye(r) + qt[rejected] @ a_r)
-        cos, sin = (x(theta[rejected])[:, None, None] for x in (np.cos, np.sin))
-        g_r = sin * ft[rejected] + cos * gt[rejected]
-        k[rejected] = cos * np.eye(r) + (cos * ft[rejected] - sin * gt[rejected]) @ a_r
-        if not _regular_core(k[rejected], n, cos[:, 0, 0]).all():
+    w = z
+    rejected = ~_regular_core(z.real, n, 1.0)
+    if rejected.any():
+        theta[rejected] = _rotation(z[rejected])
+        w = z.copy()
+        w[rejected] *= np.exp(1j * theta[rejected])[:, None, None]
+        if not _regular_core(w[rejected].real, n, np.cos(theta[rejected])).all():
             raise SingularImaginaryPartError(
                 f"imaginary part below {DEFAULT_IMAG_SV_REL:.1e} of its spectral norm after the closed-form rotation"
             )
+    k, g = w.real, w.imag
     # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
     kinv = np.linalg.solve(k, np.eye(r)[(None,) * (k.ndim - 2)])
-    # With Y = Im Q' = a gt the side's (Im, Re) pair (M, R) is (X, -Y), or
-    # (-X, Y) on the receive side: M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either
-    # way, and only the symbol-antenna block -M^-1[:s] changes sign.  Its
-    # coordinates are (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
+    # With Y = Im(e^{j theta} Q'), which acts on range(a) as G = Im W, the
+    # side's (Im, Re) pair (M, R) is (X, -Y), or (-X, Y) on the receive side:
+    # M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either way, and only the
+    # symbol-antenna block -M^-1[:s] changes sign.  Its coordinates are
+    # (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
     top = kinv[..., :s, :]
     core = np.empty(trials + (s + r, s + r))
-    core[..., :s, :s] = -top @ gt[..., :, :s]
+    core[..., :s, :s] = -top @ g[..., :, :s]
     # -1 on the transmit side, +1 on the receive side: exact.
     core[..., :s, s:] = np.where(receive, 1.0, -1.0).reshape((-1,) + (1,) * (top.ndim - 1)) * top
     core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
-    core[..., s:, s:] = -(gt @ a) @ kinv
-    if repair:
-        # The same blocks at theta*: Im(e^{j theta} Q') a = a (sin I + G a), G = g_r.
-        core[rejected, :s, :s] = -top[rejected] @ (sin * np.eye(r, s) + g_r[..., :s])
-        core[rejected, s:, s:] = -(sin * np.eye(r) + g_r @ a_r) @ kinv[rejected]
+    core[..., s:, s:] = -g @ kinv
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
     core += core.swapaxes(-1, -2)
     core *= 0.5
     if np.ndim(receive):
-        return tuple(_FactoredSusceptance(a[i], core[i], qt[i], y0, side, theta[i]) for i, side in enumerate(receive))
-    return _FactoredSusceptance(a, core, qt, y0, receive, theta)
+        return tuple(_FactoredSusceptance(a[i], core[i], z[i], y0, side, theta[i]) for i, side in enumerate(receive))
+    return _FactoredSusceptance(a, core, z, y0, receive, theta)
 
 
 def _regular_core(k: np.ndarray, n: int, outside) -> np.ndarray:
-    """Per core K of a stack, whether X = a K a^T + outside (I - a a^T), outside > 0,
-    is regular (_regular_by_values): it has K's singular values and outside."""
+    """Per core K of a stack, whether X = a K a^T + outside (I - a a^T) is regular
+    (_regular_by_values): it has K's singular values and, when r < n, outside,
+    a cosine in (0, 1], which can lower sigma_min but cannot raise the floor."""
     sv = np.linalg.svd(k, compute_uv=False)
-    sv_max, sv_min = sv[..., 0], sv[..., -1]
-    if k.shape[-1] < n:
-        sv_max, sv_min = np.maximum(sv_max, outside), np.minimum(sv_min, outside)
-    return _regular_by_values(sv_max, sv_min)
+    sv_min = sv[..., -1] if k.shape[-1] == n else np.minimum(sv[..., -1], outside)
+    return _regular_by_values(sv[..., 0], sv_min)
 
 
 def _rotation(z: np.ndarray) -> np.ndarray:

@@ -269,6 +269,36 @@ def test_a_failed_top_s_check_takes_the_economy_svd_for_its_trial_alone(monkeypa
             assert np.array_equal(getattr(factors, name)[t], getattr(clean, name)[t]), (t, name)
 
 
+@pytest.mark.parametrize("n_rx, n_tx", [(128, 64), (64, 128)], ids=["tall", "wide"])
+@pytest.mark.parametrize("spoil", ["NaN in u", "NaN in v", "u times 1 + 1e-9"])
+def test_a_spoiled_top_s_triplet_takes_the_economy_svd_for_its_trial_alone(monkeypatch, n_rx, n_tx, spoil):
+    # Only the residual of the eigenvector side is formed; a NaN on either
+    # side, or u off by 1e-9 in norm, still fails the check of its trial.
+    rng = np.random.default_rng(n_rx)
+    h = rng.standard_normal((3, n_rx, n_tx)) + 1j * rng.standard_normal((3, n_rx, n_tx))
+    assert beamforming._takes_top_s(n_rx, n_tx, 4)
+    clean = svd_ordered(h, n_streams=4)
+    economy_1 = _economy_route(monkeypatch, h[1], 4)
+    gram_triplets = beamforming._gram_triplets
+
+    def spoiled(h, s):
+        u, sigma, v = gram_triplets(h, s)
+        if spoil == "u times 1 + 1e-9":
+            u[1] *= 1 + 1e-9
+        else:
+            (u if spoil == "NaN in u" else v)[1, 5, 2] = np.nan
+        return u, sigma, v
+
+    monkeypatch.setattr(beamforming, "_gram_triplets", spoiled)
+    fallbacks = _economy_spy(monkeypatch)
+    factors = svd_ordered(h, n_streams=4)
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], h[1])
+    for name in ("u", "sigma", "v"):
+        assert np.array_equal(getattr(factors, name)[1], getattr(economy_1, name)), name
+        for t in (0, 2):
+            assert np.array_equal(getattr(factors, name)[t], getattr(clean, name)[t]), (t, name)
+
+
 def test_a_triplet_that_only_the_adjoint_residual_rejects_takes_the_economy_svd(monkeypatch):
     # Gram eigenvalues 3, 2, 1, then 0.01: v = (e_1 + e_3)/sqrt(2) is a unit
     # Rayleigh-quotient vector with |H v| = sqrt(2), so u = H v / sqrt(2)
@@ -382,7 +412,7 @@ def test_a_top_s_stack_is_designed_as_each_trial_alone():
     for t in range(4):
         alone = design_milac(h[t], config)
         for part, names in (("factors", ("u", "sigma", "v")), ("allocation", ("p",)),
-                            ("tx", ("a", "core", "qt")), ("rx", ("a", "core", "qt"))):
+                            ("tx", ("a", "core", "z")), ("rx", ("a", "core", "z"))):
             for name in names:
                 mine, theirs = getattr(getattr(stacked, part), name), getattr(getattr(alone, part), name)
                 assert np.array_equal(mine[t], theirs), (part, name)
@@ -391,7 +421,7 @@ def test_a_top_s_stack_is_designed_as_each_trial_alone():
 # ---------------------------------------------------------------------------
 # Phase repair in the synthesis
 
-NETWORK_PARTS = ("a", "core", "qt", "theta")
+NETWORK_PARTS = ("a", "core", "z", "theta")
 
 
 def _config(n_streams, n_tx, n_rx, tx_power=1.0):

@@ -508,7 +508,7 @@ def test_a_stacked_trial_gets_what_it_gets_alone_and_a_rejected_trial_is_repaire
             (design.factors.v, single.factors.v), (design.allocation.p, single.allocation.p),
             (design.allocation.water_level, single.allocation.water_level),
             *((getattr(getattr(design, side), name), getattr(getattr(single, side), name))
-              for side in ("tx", "rx") for name in ("a", "core", "qt", "theta")),
+              for side in ("tx", "rx") for name in ("a", "core", "z", "theta")),
         ]:
             assert np.array_equal(mine[t], theirs)
         for rate in (alone.milac_rate, alone.digital_rate):

@@ -530,8 +530,8 @@ def _small_one_norm_matrix(n, kappa, rng):
 
 
 def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
-    # Singular iff sigma_min / sigma_max <= DEFAULT_IMAG_SV_REL, whichever way it
-    # is decided; an accepted inverse is np.linalg.solve's, bit for bit.
+    # Singular iff sigma_min <= DEFAULT_IMAG_SV_REL max(sigma_max, 1), whichever
+    # way it is decided; an accepted inverse is np.linalg.solve's, bit for bit.
     rng = np.random.default_rng(17)
     kappas = [1e4, 1e6, 0.99e8, 0.999e8, 1.001e8, 1.01e8, 1e10, 1e12]
     cases = [np.array([[0.0]]), np.array([[-0.25]])]
@@ -552,7 +552,7 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for m in cases:
         sv = svd(m, compute_uv=False)
-        singular = sv[0] == 0.0 or sv[-1] <= DEFAULT_IMAG_SV_REL * sv[0]
+        singular = sv[0] == 0.0 or sv[-1] <= DEFAULT_IMAG_SV_REL * max(sv[0], 1.0)
         del svd_calls[:]
         if singular:
             with pytest.raises(SingularImaginaryPartError):
@@ -564,18 +564,22 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
             assert np.array_equal(minv, np.linalg.solve(m, np.eye(m.shape[0])))
 
 
+def _dense_x(a, z):
+    """The dense n x n X = Re Q' = I + a (Re z - I) a^T of a completion."""
+    return np.eye(a.shape[0]) + a @ (z.real - np.eye(a.shape[1])) @ a.T
+
+
 def _dense_verdict(q_bar):
     """Whether Im V of q_bar's completion passes the dense test: an exact zero
-    pivot of K = I + ft a rejects it, then the singular values of the dense
-    n x n X = I + a ft decide."""
-    a, qt = network._householder_completion(q_bar)
-    ft = qt.real
+    pivot of K = Re z rejects it, then the singular values of the dense X
+    decide, against the floor scaled by max(sigma_max, 1)."""
+    a, z = network._completion(q_bar)
     try:
-        np.linalg.solve(np.eye(a.shape[1]) + ft @ a, np.eye(a.shape[1]))
+        np.linalg.solve(z.real, np.eye(a.shape[1]))
     except np.linalg.LinAlgError:
         return False
-    sv = scipy.linalg.svdvals(np.eye(a.shape[0]) + a @ ft)
-    return not sv[-1] <= network.DEFAULT_IMAG_SV_REL * sv[0]
+    sv = scipy.linalg.svdvals(_dense_x(a, z))
+    return not sv[-1] <= network.DEFAULT_IMAG_SV_REL * max(sv[0], 1.0)
 
 
 def _synthesis_inputs(repair_channel):
@@ -605,27 +609,53 @@ def test_the_core_singular_values_decide_as_the_dense_matrix(monkeypatch, repair
     assert (verdicts.count(False) == 1) == (rel_tol < 0.2) and verdicts.count(True) > 1
 
 
-def test_the_dense_matrix_has_the_core_singular_values_and_ones(repair_channel):
-    # X = I + a ft = a K a^T + (I - a a^T), K = I + ft a: sigma(X) is sigma(K)
-    # and n - r ones.
-    for q_bar in _synthesis_inputs(repair_channel):
-        a, qt = network._householder_completion(q_bar)
+@pytest.mark.parametrize("n_rx, n_tx, s, real", [(8, 8, 2, False), (64, 64, 4, False), (5, 5, 5, False),
+                                              (6, 6, 3, False), (4, 64, 4, False), (64, 4, 2, False),
+                                              (8, 8, 3, True)],
+                         ids=["8x8", "64x64", "s=n", "n-s<2s", "wide", "tall", "real"])
+def test_the_completion_is_a_unitary_on_an_orthonormal_basis_that_keeps_q_bar(n_rx, n_tx, s, real):
+    rng = np.random.default_rng([n_rx, n_tx, s])
+    h = rng.standard_normal((n_rx, n_tx)) + (0 if real else 1j * rng.standard_normal((n_rx, n_tx)))
+    factors = svd_ordered(h, n_streams=s)
+    for q_bar in (factors.v[:, :s], np.conj(factors.u[:, :s])):
+        a, z = network._completion(q_bar)
         n, r = a.shape
-        core = np.linalg.svd(np.eye(r) + qt.real @ a, compute_uv=False)
-        dense = np.linalg.svd(np.eye(n) + a @ qt.real, compute_uv=False)
+        assert r == s + min(n - s, 2 * s) and z.shape == (r, r)
+        assert np.abs(z.conj().T @ z - np.eye(r)).max() <= 1e-14
+        assert np.abs(a.T @ a - np.eye(r)).max() <= 1e-14
+        assert np.array_equal(a[:s], np.eye(s, r))
+        completion = np.eye(n) + a @ (z - np.eye(r)) @ a.T
+        assert np.abs(completion[:, :s] - q_bar).max() <= 1e-14
+        # A real q_bar gives a real z, so its side never needs the repair.
+        assert not z.imag.any() if real else z.imag.any()
+
+
+def test_the_dense_matrix_has_the_core_singular_values_and_ones(repair_channel):
+    # X = a K a^T + (I - a a^T), K = Re z: sigma(X) is sigma(K) and n - r ones.
+    for q_bar in _synthesis_inputs(repair_channel):
+        a, z = network._completion(q_bar)
+        n, r = a.shape
+        core = np.linalg.svd(z.real, compute_uv=False)
+        dense = np.linalg.svd(_dense_x(a, z), compute_uv=False)
         assert np.abs(np.sort(dense) - np.sort(np.r_[core, np.ones(n - r)])).max() <= 1e-13
 
 
 def test_the_verdict_counts_the_singular_values_outside_the_core(monkeypatch):
-    # K = I/2 is perfectly conditioned alone, while X = a K a^T + c (I - a a^T)
-    # at n = 4 has sigma_min / sigma_max = 1/2 for c = 1 (theta = 0) and c = 1/4;
-    # at n = 2 there is no complement.
+    # K = I/2 is perfectly conditioned alone, but X = a K a^T + c (I - a a^T)
+    # is judged on the unitary's scale: sigma_min(X) against the floor, whatever
+    # sigma_max.  At n = 4, sigma_min is 1/2 for c = 1 (theta = 0) and
+    # c = 1/2, and 1/4 for c = 1/4; at n = 2 there is no complement and
+    # sigma_min = 1/2 for any c.
     k = np.stack([0.5 * np.eye(2)] * 2)
-    for rel_tol, regular in ((0.49, True), (0.51, False)):
+    for rel_tol, regular in ((0.24, True), (0.26, True), (0.49, True), (0.51, False)):
         monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", rel_tol)
         assert network._regular_core(k, 4, 1.0).tolist() == [regular] * 2
-        assert network._regular_core(k, 4, np.array([0.25, 0.5])).tolist() == [regular, True]
-        assert network._regular_core(k, 2, 1e-9).tolist() == [True] * 2
+        assert network._regular_core(k, 4, np.array([0.25, 0.5])).tolist() == [regular and rel_tol < 0.25, regular]
+        assert network._regular_core(k, 2, 1e-9).tolist() == [regular] * 2
+    # sigma_max above 1, which no imaginary part of a unitary has, scales the floor.
+    monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", 0.3)
+    assert network._regular_core(np.diag([4.0, 1.0]), 2, 1.0).tolist() is False
+    assert network._regular_core(np.diag([2.0, 1.0]), 2, 1.0).tolist() is True
 
 
 def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel):
@@ -636,7 +666,7 @@ def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel
         stacked = network._synthesize_factored(same, Y0, receive=True)
         for t, q_bar in enumerate(same):
             alone = network._synthesize_factored(q_bar, Y0, receive=True)
-            for name in ("a", "core", "qt", "theta"):
+            for name in ("a", "core", "z", "theta"):
                 assert getattr(stacked, name)[t].tobytes() == np.asarray(getattr(alone, name)).tobytes()
     assert (network._synthesize_factored(np.stack(inputs[:2]), Y0, receive=False).theta != 0).tolist() == [True, False]
 
@@ -685,7 +715,7 @@ def _factored_stack(cores, receive):
     a = np.linalg.qr(np.random.default_rng(1).standard_normal((8, r)))[0]
     trials = cores.shape[:-2]
     return network._FactoredSusceptance(
-        np.broadcast_to(a, trials + a.shape), cores, np.zeros(trials + (r, 8), complex), Y0, receive, np.zeros(trials)
+        np.broadcast_to(a, trials + a.shape), cores, np.zeros(trials + (r, r), complex), Y0, receive, np.zeros(trials)
     )
 
 
