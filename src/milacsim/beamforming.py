@@ -53,6 +53,9 @@ DEFAULT_QUARTER_FACTOR = 4.0
 # Internal consistency tolerance between the raw and row-normalized rate forms.
 RATE_FORM_CHECK_TOL = 1e-12
 
+# Every rate in bits divides a sum of natural logarithms by this.
+_LN2 = np.log(2.0)
+
 # The top-s SVD route serves links of at least TOP_S_MIN_ANTENNAS antennas per
 # side with at most 1/TOP_S_STREAM_RATIO as many streams.  One BLAS thread,
 # top-s time over economy time: about 0.55 at 64 x 64 with s = 4, 0.44 at
@@ -138,6 +141,16 @@ class SvdFactors:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
 
+    @classmethod
+    def _wrap(cls, u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdFactors:
+        """SvdFactors holding u, sigma and v themselves, unchecked: complex u and v
+        and float sigma that already meet every rule of the constructor."""
+        factors = object.__new__(cls)
+        object.__setattr__(factors, "u", u)
+        object.__setattr__(factors, "sigma", sigma)
+        object.__setattr__(factors, "v", v)
+        return factors
+
     def reconstruct(self) -> np.ndarray:
         """u diag(sigma) v^H: the channel itself when s is at least its rank (as
         the economy SVD's s = k always is), else its best rank-s approximation."""
@@ -163,6 +176,15 @@ class PowerAllocation:
         if not ((p >= 0) & (p < np.inf)).all():
             raise ValueError("stream powers must be nonnegative and finite")
         object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _wrap(cls, p: np.ndarray, water_level) -> PowerAllocation:
+        """A PowerAllocation holding p itself, unchecked: a float array of at
+        least one axis whose entries are nonnegative and finite."""
+        allocation = object.__new__(cls)
+        object.__setattr__(allocation, "p", p)
+        object.__setattr__(allocation, "water_level", water_level)
+        return allocation
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,30 +310,39 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
         u, sigma, v = _economy_triplets(h, s)
     else:
         u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
-        eye = np.eye(s)
         with np.errstate(invalid="ignore", over="ignore"):
             # NaN fails each test, so a garbage triplet cannot pass.  The
             # residual of the side _gram_triplets builds from the other is zero
             # by construction, so only the other one is the test: the adjoint
             # u^H H - diag(sigma) v^H (conjugated) when v is the eigenvector
             # side (n_tx <= n_rx), else H v - u diag(sigma).
+            uh, vh = u.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
             if n_tx <= n_rx:
-                residual = u.conj().swapaxes(-1, -2) @ h - sigma[..., :, None] * v.conj().swapaxes(-1, -2)
+                residual = uh @ h
+                residual -= sigma[..., :, None] * vh
             else:
-                residual = h @ v - u * sigma[..., None, :]
+                residual = h @ v
+                residual -= u * sigma[..., None, :]
             ok = np.abs(residual).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL * sigma[..., 0]
-            for x in (u, v):
-                ok &= np.abs(x.conj().swapaxes(-1, -2) @ x - eye).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
-        for t in np.ndindex(ok.shape):
-            if not ok[t]:
-                u[t], sigma[t], v[t] = _economy_triplets(h[t], s)
+            for xh, x in ((uh, u), (vh, v)):
+                gram = xh @ x
+                gram.reshape(gram.shape[:-2] + (s * s,))[..., :: s + 1] -= 1.0  # x^H x - I
+                ok &= np.abs(gram).max(axis=(-2, -1)) <= TOP_S_CHECK_TOL
+        if not ok.all():
+            for t in np.ndindex(ok.shape):
+                if not ok[t]:
+                    u[t], sigma[t], v[t] = _economy_triplets(h[t], s)
+    # Every rule of SvdFactors holds by construction, but for a sigma_1 past
+    # the double range, which a finite channel near it can have.
+    if not (sigma[..., 0] < np.inf).all():
+        raise ValueError("singular values must be nonnegative, finite and descending")
     # The largest-modulus entry of each column of v, one row per (trial, column):
     # at least 1/sqrt(n_tx) in modulus, as every column is a unit vector.
     cols = v.swapaxes(-1, -2).reshape(-1, v.shape[-2])
     mags = np.abs(cols)
     top = np.arange(len(cols)), mags.argmax(axis=-1)
     phases = np.conjugate(cols[top] / mags[top]).reshape(v.shape[:-2] + (1, s))
-    return SvdFactors(u=u * phases, sigma=sigma, v=v * phases)
+    return SvdFactors._wrap(u * phases, sigma, v * phases)
 
 
 def _economy_triplets(h: np.ndarray, s: int) -> tuple:
@@ -380,15 +411,17 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
         reflectors = c.ravel(order="F")[1 : 1 + k * (k - 1)].reshape((k, k - 1), order="F")
         rows = w[1:, s - 1 :: -1].astype(complex, order="F")
         rows, _, info_q = _UNMQR(b"L", b"N", reflectors, tau, rows, s, overwrite_c=1)
-        z[t][0] = w[0, s - 1 :: -1]
-        np.conjugate(rows, out=z[t][1:])
+        zt = z[t]
+        zt[0] = w[0, s - 1 :: -1]
+        np.conjugate(rows, out=zt[1:])
         if m != s or info_t != 0 or info_m != 0 or info_q != 0:
-            z[t] = np.nan
+            zt[...] = np.nan
     if tall:
         y = a @ z
     else:
         y = (z.conj().swapaxes(-1, -2) @ a).conj().swapaxes(-1, -2)
-    root = np.linalg.norm(y, axis=-2)
+    # The column norms, formed as np.linalg.norm(y, axis=-2) forms them.
+    root = np.sqrt(np.add.reduce((y.conj() * y).real, axis=-2))
     # On an exact cluster the norms can come out of order; reorder only there.
     if (root[..., 1:] > root[..., :-1]).any():
         order = np.argsort(-root, axis=-1, kind="stable")
@@ -409,7 +442,7 @@ def ensure_invertible_imag(factors: SvdFactors, config: SystemConfig) -> tuple:
     return (factors, *_synthesize_both(factors, config))
 
 
-def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocation:
+def water_filling(eigenvalues, total_power, noise_power: float, *, _config_powers: bool = False) -> PowerAllocation:
     """Water-filling power fractions over per-stream channel eigenvalues.
 
     With q = DEFAULT_QUARTER_FACTOR, the insertion factor of the matched
@@ -425,6 +458,8 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
         total_power: total transmit power, linear scale; a vector of K powers
             gives one allocation per power, each computed exactly as alone.
         noise_power: noise power, linear scale.
+        _config_powers: total_power and noise_power are a SystemConfig's,
+            which checked them; design_milac passes them so.
 
     Returns:
         PowerAllocation with fractions summing to one (per trial and power),
@@ -436,19 +471,25 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
         ValueError: if an eigenvalue is negative or not finite, or a power or
             noise_power is not a positive, finite and normal double.
     """
-    _check_positive_finite(noise_power=noise_power)
+    if not _config_powers:
+        _check_positive_finite(noise_power=noise_power)
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim < 1 or lam.shape[-1] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector, or a stack of them")
     _check_spectrum(lam)
-    power = _as_doubles(total_power, "total_power")
-    if power.ndim > 1:
-        raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
-    _check_powers(power)
+    if _config_powers:
+        power = np.asarray(total_power, dtype=float)
+    else:
+        power = _as_doubles(total_power, "total_power")
+        if power.ndim > 1:
+            raise DimensionMismatchError("total_power must be a scalar or a vector of powers")
+        _check_powers(power)
+    n = lam.shape[-1]
     power = power[..., None]
     lam = _at_each_power(lam, power)
     with np.errstate(divide="ignore", over="ignore"):
-        floors = np.where(lam > 0, DEFAULT_QUARTER_FACTOR * noise_power / (power * lam), np.inf)
+        # A zero eigenvalue, of either sign, has the floor +inf.
+        floors = DEFAULT_QUARTER_FACTOR * noise_power / np.abs(power * lam)
     a_min = floors.min(axis=-1, keepdims=True)
     if not (a_min < np.inf).all():
         raise AllZeroEigenvaluesError("all channel eigenvalues are zero or too weak to water-fill")
@@ -457,19 +498,23 @@ def water_filling(eigenvalues, total_power, noise_power: float) -> PowerAllocati
     excess = floors - a_min
     sorted_excess = np.sort(excess, axis=-1)
     # Level of the m smallest floors, m = 1..n; an infinite floor never qualifies.
-    levels = (1.0 + np.cumsum(sorted_excess, axis=-1)) / np.arange(1, lam.shape[-1] + 1)
+    levels = sorted_excess.cumsum(axis=-1)
+    levels += 1.0
+    levels /= np.arange(1, n + 1)
     # The active set is the largest qualifying m; m = 1 always qualifies
     # (level 1 > excess 0).
-    qualifies = levels > sorted_excess
-    m = lam.shape[-1] - np.argmax(qualifies[..., ::-1], axis=-1, keepdims=True)
-    level = np.take_along_axis(levels, m - 1, axis=-1)
+    last = (n - 1) - (levels > sorted_excess)[..., ::-1].argmax(axis=-1, keepdims=True)
+    level = levels[last] if levels.ndim == 1 else np.take_along_axis(levels, last, axis=-1)
     p = np.maximum(0.0, level - excess)
-    return PowerAllocation(p=p, water_level=_per_power((a_min + level)[..., 0]))
+    # p >= 0 by construction; a level whose sum of floors overflowed makes it inf or NaN.
+    if not (p < np.inf).all():
+        raise ValueError("stream powers must be nonnegative and finite")
+    return PowerAllocation._wrap(p, _per_power((a_min + level)[..., 0]))
 
 
 def _check_spectrum(lam: np.ndarray) -> None:
     """Raise ValueError unless every eigenvalue is nonnegative and finite (NaN fails)."""
-    if not ((lam >= 0) & (lam < np.inf)).all():
+    if lam.size and not (lam.min() >= 0 and lam.max() < np.inf):
         raise ValueError("eigenvalues must be nonnegative and finite")
 
 
@@ -482,7 +527,9 @@ def _check_powers(power: np.ndarray, name: str = "total_power") -> None:
     """Raise ValueError naming `name` unless every power is a positive, finite
     and normal double; its extremes decide, and numpy's min and max pass a NaN
     through to both."""
-    if power.size:
+    if power.ndim == 0:
+        _check_positive_finite(**{name: power})
+    elif power.size:
         _check_positive_finite(**{name: power.min()})
         _check_positive_finite(**{name: power.max()})
 
@@ -531,7 +578,7 @@ def capacity_closed_form(
         )
     power = _power_axis(allocation, total_power, lam.shape[:-1])
     snr = power * p * _at_each_power(lam, power) / (DEFAULT_QUARTER_FACTOR * noise_power)
-    return _per_power(np.log1p(snr).sum(axis=-1) / np.log(2.0))
+    return _per_power(np.log1p(snr).sum(axis=-1) / _LN2)
 
 
 @np.errstate(invalid="ignore")  # a NaN or inf input is named where the rate forms disagree
@@ -597,19 +644,23 @@ def milac_rate(
             f"incompatible shapes g {g.shape}, h {h.shape}, f {f.shape}"
         )
     power = _power_axis(allocation, total_power, h.shape[:-2])
-    row_power = np.sum(np.abs(g) ** 2, axis=-1)
+    squared = np.abs(g)
+    squared *= squared
+    row_power = squared.sum(axis=-1)
     if (row_power == 0.0).any():
         raise ZeroCombinerRowError("a combining row of g is identically zero")
 
     effective = g @ h @ f
-    sinr = _per_stream_sinr(effective, row_power, p, power, noise_power)
-    rate = np.log1p(sinr).sum(axis=-1) / np.log(2.0)
+    powered = power * p
+    sinr = _per_stream_sinr(effective, powered, p, power, _at_each_power(row_power, power) * noise_power)
+    rate = np.log1p(sinr).sum(axis=-1) / _LN2
 
     # Row-normalized form: divide each combining row by its norm, which scales
-    # the noise identically; the rate must not change.
+    # the noise identically (to noise_power on every unit row); the rate must
+    # not change.
     normalized = effective / np.sqrt(row_power)[..., None]
-    sinr_norm = _per_stream_sinr(normalized, np.ones_like(row_power), p, power, noise_power)
-    rate_norm = np.log1p(sinr_norm).sum(axis=-1) / np.log(2.0)
+    sinr_norm = _per_stream_sinr(normalized, powered, p, power, noise_power)
+    rate_norm = np.log1p(sinr_norm).sum(axis=-1) / _LN2
     agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
     if not agree.all():
         _check_finite(("combiner g", g), ("channel matrix", h), ("precoder f", f))
@@ -620,19 +671,22 @@ def milac_rate(
     return _per_power(rate), sinr
 
 
-def _per_stream_sinr(effective, row_power, p, power, noise_power) -> np.ndarray:
-    """SINR of each stream (last axis) for an effective channel and combining
-    row powers, at the powers `power` (as _power_axis returns them)."""
-    abs_sq = np.abs(effective) ** 2
-    signal = power * p * _at_each_power(abs_sq.diagonal(axis1=-2, axis2=-1), power)
+def _per_stream_sinr(effective, powered, p, power, noise) -> np.ndarray:
+    """SINR of each stream (last axis) for an effective channel at the powers
+    `power` (as _power_axis returns them), with powered = power * p and noise
+    the noise power of each stream's combining row (a float, or broadcast
+    like the SINRs)."""
+    abs_sq = np.abs(effective)
+    abs_sq *= abs_sq
+    signal = powered * _at_each_power(abs_sq.diagonal(axis1=-2, axis2=-1), power)
     # Sum the interference over t != s directly: subtracting the signal from
     # the full row sum cancels it at high SNR.  The denominator is then at
-    # least row_power * noise_power > 0.
-    cross = abs_sq.copy()
-    streams = np.arange(abs_sq.shape[-1])
-    cross[..., streams, streams] = 0.0
-    interference = power * (p[..., None, :] * _at_each_power(cross, power, tail=2)).sum(axis=-1)
-    return signal / (interference + _at_each_power(row_power, power) * noise_power)
+    # least the noise > 0.  The diagonal, zeroed through a flat view, leaves
+    # the cross terms.
+    n = abs_sq.shape[-1]
+    abs_sq.reshape(abs_sq.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
+    interference = power * (p[..., None, :] * _at_each_power(abs_sq, power, tail=2)).sum(axis=-1)
+    return signal / (interference + noise)
 
 
 def design_milac(h, config: SystemConfig, _seed=None) -> Design:
@@ -678,7 +732,7 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
         )
     factors = svd_ordered(h, n_streams=config.n_streams)
     tx, rx = _synthesize_both(factors, config)
-    allocation = water_filling(factors.sigma**2, config.tx_power, config.noise_power)
+    allocation = water_filling(factors.sigma**2, config.tx_power, config.noise_power, _config_powers=True)
     return Design(factors, allocation, tx, rx)
 
 
@@ -686,10 +740,13 @@ def _synthesize_both(factors: SvdFactors, config: SystemConfig):
     """Factored transmit and receive networks of the factors' leading columns.
     The sides of a square link, v_bar and conj(u_bar), are one stacked synthesis."""
     s, y0 = config.n_streams, config.ref_admittance
-    v_bar, u_conj = factors.v[..., :s], np.conj(factors.u[..., :s])
-    if v_bar.shape == u_conj.shape:
-        return _synthesize_factored(np.stack([v_bar, u_conj]), y0, receive=(False, True))
-    return _synthesize_factored(v_bar, y0, receive=False), _synthesize_factored(u_conj, y0, receive=True)
+    v_bar, u_bar = factors.v[..., :s], factors.u[..., :s]
+    if v_bar.shape == u_bar.shape:
+        sides = np.empty((2,) + v_bar.shape, dtype=complex)
+        sides[0] = v_bar
+        np.conjugate(u_bar, out=sides[1])
+        return _synthesize_factored(sides, y0, receive=(False, True))
+    return _synthesize_factored(v_bar, y0, receive=False), _synthesize_factored(np.conj(u_bar), y0, receive=True)
 
 
 @np.errstate(invalid="ignore")  # a NaN or inf in h is named where the Gram forms show it
@@ -744,4 +801,4 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
         _check_finite(("channel matrix", h))
     # Round-off can leave a Gram eigenvalue slightly negative.
     eig = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    return w, _per_power(np.log1p(eig).sum(axis=-1) / np.log(2.0))
+    return w, _per_power(np.log1p(eig).sum(axis=-1) / _LN2)

@@ -20,7 +20,8 @@ def _check_integers(**values) -> None:
     """Raise ValueError naming the first value that is not an integer (numpy's
     count; 2.0 does not, and neither does True, which is no count)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        # A plain int passes without the slower abstract-class check.
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

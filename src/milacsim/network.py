@@ -227,6 +227,18 @@ def _strict_lower(n: int) -> np.ndarray:
     return _frozen(np.tri(n, k=-1, dtype=bool))
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    return _frozen(np.eye(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_columns(n: int, m: int, k: int) -> np.ndarray:
+    """Read-only column-major complex np.eye(n, m, k)."""
+    return _frozen(np.eye(n, m, k, dtype=complex, order="F"))
+
+
 def _mirror_upper(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact symmetrization: reflect the upper triangle onto the lower one.
 
@@ -318,29 +330,33 @@ def transfer_block_from_admittance(
             f"partition covers {partition.n_ports} ports, network has {y.n_ports}"
         )
     n, n_in = y.n_ports, partition.n_inputs
-    # Y / y0 + I, bit for bit as numpy's complex division by y0 and the sum
-    # with np.eye(n) give it: that division multiplies by 1 / y0, and the
-    # sum's + 0.0 turns every -0.0 into +0.0.  An inf entry makes a NaN here,
-    # which the LU check names.  The buffer is column-major whatever y.y's
-    # layout, so getrf factors it in place and its flat column-major view
-    # below is a view, in which the identity lands.
+    # A column-major copy of Y, whatever y.y's layout, so that getrf factors
+    # it in place and its flat column-major view is a view.  That view lists
+    # Y^T row by row, so against Y's own rows it gives y_ij + conj(y_ji) for
+    # every (i, j), in one contiguous pass: Y + Y^H = 0 exactly, the
+    # certificate (a NaN or inf entry fails it: inf - inf is NaN).
+    a = np.array(y.y, order="F")
+    entries = a.reshape(-1, order="F")
     with np.errstate(invalid="ignore", over="ignore"):
-        a = np.multiply(y.y, 1.0 / y0, order="F")
+        lossless = not (y.y.reshape(-1) + entries.conj()).any()
+        # Y / y0 + I in place, bit for bit as numpy's complex division by y0
+        # and the sum with np.eye(n) give it: that division multiplies by
+        # 1 / y0, and the sum's + 0.0 turns every -0.0 into +0.0.  An inf
+        # entry makes a NaN here, which the LU check names.
+        a *= 1.0 / y0
         a += 0.0
-        entries = a.reshape(-1, order="F")
         entries[:: n + 1] += 1.0
         kappa_bound = np.inf
-        # Y + Y^H = 0 exactly; a NaN or inf entry fails it (inf - inf is NaN).
-        if not (y.y + y.y.conj().T).any():
+        if lossless:
             # ||A||_F is the 2-norm of A's real and imaginary parts; a huge one overflows to inf.
             parts = entries.view(float)
             kappa_bound = n * math.sqrt(parts @ parts)
     lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y), kappa_bound)
-    # The unit columns of the inputs, or of the outputs for the transposed solve.
+    # The unit columns of the inputs, or of the outputs for the transposed
+    # solve; getrs solves on its own copy of them.
     if n_in <= partition.n_outputs:
-        return _GETRS(lu, piv, np.eye(n, n_in, dtype=complex, order="F"), overwrite_b=1)[0][n_in:]
-    units = np.eye(n, partition.n_outputs, -n_in, dtype=complex, order="F")
-    return _GETRS(lu, piv, units, trans=1, overwrite_b=1)[0][:n_in].T
+        return _GETRS(lu, piv, _unit_columns(n, n_in, 0))[0][n_in:]
+    return _GETRS(lu, piv, _unit_columns(n, partition.n_outputs, -n_in), trans=1)[0][:n_in].T
 
 
 def transfer_block_from_scattering(theta: ScatteringMatrix, partition: PortPartition) -> np.ndarray:
@@ -463,8 +479,8 @@ def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     sv = np.linalg.svd(m, compute_uv=False)
     if not _regular_by_values(sv[0], sv[-1]):
         raise SingularImaginaryPartError(
-            f"{context}: smallest singular value {sv[-1]:.3e} is below "
-            f"{DEFAULT_IMAG_SV_REL:.1e} of the spectral norm {sv[0]:.3e}"
+            f"{context}: imaginary part has sigma_min = {sv[-1]:.3e} <= "
+            f"{DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1), sigma_max = {sv[0]:.3e}"
         )
     return minv
 
@@ -571,7 +587,7 @@ def _completion(q_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b, t = np.linalg.qr(np.concatenate([low.real, low.imag], axis=-1), mode="reduced")
     r = s + b.shape[-1]
     a = np.zeros(q_bar.shape[:-2] + (n, r))
-    a[..., :s, :s] = np.eye(s)
+    a[..., :s, :s] = _identity(s)
     a[..., s:, s:] = b
     q_hat = np.empty(q_bar.shape[:-2] + (r, s), dtype=complex)
     q_hat[..., :s, :] = q_bar[..., :s, :]
@@ -643,7 +659,7 @@ def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
     shared = len({net.core.shape for net in networks}) == 1
     blocks = []
     for group in [networks] if shared else [(net,) for net in networks]:
-        c = np.eye(group[0].core.shape[-1]) + 1j * np.stack([net.core for net in group])
+        c = _identity(group[0].core.shape[-1]) + 1j * np.stack([net.core for net in group])
         cinv = np.linalg.inv(c)
         kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
         for net, net_kappa, net_cinv in zip(group, kappa, cinv):
@@ -702,29 +718,37 @@ def _synthesize_factored(q_bar, y0: float, receive):
         w[rejected] *= np.exp(1j * theta[rejected])[:, None, None]
         if not _regular_core(w[rejected].real, n, np.cos(theta[rejected])).all():
             raise SingularImaginaryPartError(
-                f"imaginary part below {DEFAULT_IMAG_SV_REL:.1e} of its spectral norm after the closed-form rotation"
+                f"imaginary part has sigma_min <= {DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1) "
+                "after the closed-form rotation"
             )
     k, g = w.real, w.imag
     # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
-    kinv = np.linalg.solve(k, np.eye(r)[(None,) * (k.ndim - 2)])
+    kinv = np.linalg.solve(k, _identity(r)[(None,) * (k.ndim - 2)])
     # With Y = Im(e^{j theta} Q'), which acts on range(a) as G = Im W, the
     # side's (Im, Re) pair (M, R) is (X, -Y), or (-X, Y) on the receive side:
     # M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either way, and only the
     # symbol-antenna block -M^-1[:s] changes sign.  Its coordinates are
     # (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
     top = kinv[..., :s, :]
+    negated = -g
     core = np.empty(trials + (s + r, s + r))
-    core[..., :s, :s] = -top @ g[..., :, :s]
-    # -1 on the transmit side, +1 on the receive side: exact.
-    core[..., :s, s:] = np.where(receive, 1.0, -1.0).reshape((-1,) + (1,) * (top.ndim - 1)) * top
+    core[..., :s, :s] = top @ negated[..., :, :s]
+    np.multiply(_side_signs(receive, top.ndim), top, out=core[..., :s, s:])
     core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
-    core[..., s:, s:] = -g @ kinv
+    core[..., s:, s:] = negated @ kinv
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
-    core += core.swapaxes(-1, -2)
+    core = core + core.swapaxes(-1, -2)
     core *= 0.5
     if np.ndim(receive):
-        return tuple(_FactoredSusceptance(a[i], core[i], z[i], y0, side, theta[i]) for i, side in enumerate(receive))
+        return tuple([_FactoredSusceptance(a[i], core[i], z[i], y0, side, theta[i]) for i, side in enumerate(receive)])
     return _FactoredSusceptance(a, core, z, y0, receive, theta)
+
+
+@functools.lru_cache(maxsize=8)
+def _side_signs(receive, ndim: int) -> np.ndarray:
+    """Read-only -1 for a transmit side and +1 for a receive side (exact
+    factors), shaped to scale a stack of ndim-axis blocks, sides first."""
+    return _frozen(np.where(receive, 1.0, -1.0).reshape((-1,) + (1,) * (ndim - 1)))
 
 
 def _regular_core(k: np.ndarray, n: int, outside) -> np.ndarray:

@@ -125,6 +125,81 @@ def test_svd_factors_validate_ordering():
             SvdFactors(u=np.eye(2), sigma=np.array(sigma), v=np.eye(2))
 
 
+@pytest.mark.parametrize("kind", ["rayleigh", "real", "stacked"])
+@pytest.mark.parametrize("n, s", [(64, 4), (6, 3)], ids=["top-s", "economy"])
+def test_unchecked_records_hold_what_the_checked_constructors_hold(kind, n, s):
+    # svd_ordered and water_filling hold their results without the
+    # constructors' checks; the records must hold, bit for bit and dtype for
+    # dtype, what SvdFactors(...) and PowerAllocation(...) would hold, and
+    # design_milac's allocation on its config's checked powers must be the
+    # public water_filling's.
+    rng = np.random.default_rng(35)
+    shape = (3, n, n) if kind == "stacked" else (n, n)
+    h = rng.standard_normal(shape) + (0.0 if kind == "real" else 1j * rng.standard_normal(shape))
+    factors = svd_ordered(h, s)
+    checked = SvdFactors(u=factors.u, sigma=factors.sigma, v=factors.v)
+    for name in ("u", "sigma", "v"):
+        held, want = getattr(factors, name), getattr(checked, name)
+        assert held.dtype == want.dtype and held.shape == want.shape and held.tobytes() == want.tobytes(), name
+    for power in (10.0, (0.01, 10.0, 1e4)):
+        allocation = water_filling(factors.sigma**2, power, 2.0)
+        checked = PowerAllocation(p=allocation.p, water_level=allocation.water_level)
+        assert allocation.p.dtype == checked.p.dtype and allocation.p.tobytes() == checked.p.tobytes()
+        assert type(allocation.water_level) is type(checked.water_level)
+        assert np.asarray(allocation.water_level).tobytes() == np.asarray(checked.water_level).tobytes()
+        config = SystemConfig(n_streams=s, n_tx=n, n_rx=n, tx_power=power, noise_power=2.0)
+        designed = design_milac(h, config).allocation
+        assert designed.p.tobytes() == allocation.p.tobytes()
+        assert np.asarray(designed.water_level).tobytes() == np.asarray(allocation.water_level).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_the_checked_entry_points_still_reject_what_they_rejected(value):
+    # Holding records unchecked inside the chain leaves every public check in
+    # place: a NaN, a negative or an inf entry is rejected with the same error
+    # type as before, by both constructors and by water_filling on each input.
+    with pytest.raises(ValueError, match="singular values must be nonnegative, finite and descending"):
+        SvdFactors(u=np.eye(2), sigma=np.array([2.0, value]), v=np.eye(2))
+    with pytest.raises(ValueError, match="stream powers must be nonnegative and finite"):
+        PowerAllocation(p=np.array([0.5, value]), water_level=1.0)
+    with pytest.raises(ValueError, match="eigenvalues must be nonnegative and finite"):
+        water_filling([2.0, value], 1.0, 1.0)
+    with pytest.raises(ValueError, match="total_power must be positive and finite"):
+        water_filling([2.0, 1.0], value, 1.0)
+    with pytest.raises(ValueError, match="total_power must be positive and finite"):
+        water_filling([2.0, 1.0], [1.0, value], 1.0)
+    with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+        water_filling([2.0, 1.0], 1.0, value)
+    if value != -1.0:
+        h = random_channel(64, 64, 3)
+        h[5, 7] = value
+        for s in (4, 8):  # the top-s route and the economy SVD
+            with pytest.raises(NonFiniteInputError):
+                svd_ordered(h, s)
+
+
+def test_water_filling_gives_a_zero_eigenvalue_of_either_sign_no_power():
+    # Every zero eigenvalue has an infinite floor, -0.0 as well as +0.0: the
+    # allocations are equal bit for bit, and that stream gets no power.
+    for power in (2.0, (0.5, 2.0)):
+        plus, minus = (water_filling([3.0, zero, 1.0], power, 1.0) for zero in (0.0, -0.0))
+        assert plus.p.tobytes() == minus.p.tobytes() and (plus.p[..., 1] == 0.0).all()
+        assert np.asarray(plus.water_level).tobytes() == np.asarray(minus.water_level).tobytes()
+
+
+def test_the_unchecked_records_keep_the_rules_where_arithmetic_overflows():
+    # Two results the checked constructors rejected come from overflow, not
+    # from an input: a sigma_1 past the double range, and a water level whose
+    # sum of floors overflows.  Both still raise the constructors' ValueError.
+    with np.errstate(over="ignore"):
+        for s in (2, 4):  # the economy SVD and the top-s route
+            with pytest.raises(ValueError, match="singular values must be nonnegative, finite and descending"):
+                svd_ordered(np.full((64, 64), 1e307, dtype=complex), s)
+        for eigenvalues, power in (([1.0, 4e-308, 4e-308], 1.0), ([[1.0, 4e-308, 4e-308]], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="stream powers must be nonnegative and finite"):
+                water_filling(eigenvalues, power, 1.0)
+
+
 def test_svd_ordered_cuts_the_economy_svd_to_n_streams():
     h = random_channel(5, 7, 2)
     full, cut = svd_ordered(h), svd_ordered(h, n_streams=2)

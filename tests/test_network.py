@@ -300,6 +300,50 @@ def test_gecon_runs_only_where_the_lossless_certificate_does_not_hold(monkeypatc
         assert len(calls) == 1
 
 
+def test_the_lossless_certificate_accepts_what_the_transposed_sum_accepts(monkeypatch):
+    # The certificate adds Y's rows to the conjugated rows of a column-major
+    # copy of Y, which lists Y^T: entry for entry the sum y_ij + conj(y_ji) of
+    # (Y + Y^H).any().  gecon must run exactly where that form is nonzero, the
+    # block keep the reference bytes, and a NaN or inf still be named; a
+    # column-major Y must decide the same.
+    calls = []
+    gecon = network._GECON
+    monkeypatch.setattr(network, "_GECON", lambda *args: calls.append(args) or gecon(*args))
+    rng = np.random.default_rng(34)
+    n = 12
+    g = rng.standard_normal((n, n))
+    b = g + g.T
+    skew = np.triu(g, 1) - np.triu(g, 1).T
+    signed_zeros = 1j * b
+    signed_zeros.real = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+    off_imag = 1j * b
+    off_imag[2, 5] = complex(0.0, np.nextafter(b[2, 5], np.inf))
+    off_real = skew + 1j * b
+    off_real[7, 3] = complex(np.nextafter(skew[7, 3], -np.inf), b[7, 3])
+    cases = [
+        ("Y = jB with signed zeros in Re Y", signed_zeros, True),
+        ("lossless Y with a nonzero skew-symmetric real part", skew + 1j * b, True),
+        ("Im Y one ulp from symmetric", off_imag, False),
+        ("Re Y one ulp from skew-symmetric", off_real, False),
+    ]
+    assert (signed_zeros.real == 0.0).all() and np.signbit(signed_zeros.real).any() and skew.any()
+    for name, y, lossless in cases:
+        assert (not (y + y.conj().T).any()) == lossless, name
+        block = _reference_solve(y, 4, Y0)[0]
+        for layout in (y, np.asfortranarray(y)):
+            calls.clear()
+            out = transfer_block_from_admittance(AdmittanceMatrix(layout), PortPartition(4, n - 4), Y0)
+            assert out.tobytes() == block.tobytes() and len(calls) == (0 if lossless else 1), name
+    for value in (np.nan, np.inf, complex(0.0, np.inf), complex(np.inf, 0.0)):
+        for _, y, _ in cases:
+            bad = y.copy()
+            bad[1, 4] = bad[4, 1] = value
+            calls.clear()
+            with pytest.raises(NonFiniteInputError, match="^admittance matrix contains NaN or infinite entries$"):
+                transfer_block_from_admittance(AdmittanceMatrix(bad), PortPartition(4, n - 4), Y0)
+            assert len(calls) == 1
+
+
 @pytest.mark.parametrize("receive", [False, True], ids=["tx", "rx"])
 def test_assembled_susceptance_keeps_the_bits_of_the_scaled_mirror(receive):
     # One buffer is scaled, zero-signed and mirrored in place: the bits of
