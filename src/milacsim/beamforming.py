@@ -170,7 +170,7 @@ class PowerAllocation:
     water_level: float | np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = _as_doubles(self.p, "stream powers")
         if p.ndim < 1:
             raise DimensionMismatchError("power allocation must be a vector, or one vector per power and trial")
         if not ((p >= 0) & (p < np.inf)).all():
@@ -473,7 +473,7 @@ def water_filling(eigenvalues, total_power, noise_power: float, *, _config_power
     """
     if not _config_powers:
         _check_positive_finite(noise_power=noise_power)
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _as_doubles(eigenvalues, "eigenvalues")
     if lam.ndim < 1 or lam.shape[-1] < 1:
         raise DimensionMismatchError("eigenvalues must form a nonempty vector, or a stack of them")
     _check_spectrum(lam)
@@ -497,7 +497,13 @@ def water_filling(eigenvalues, total_power, noise_power: float, *, _config_power
     # exceed 2**53, where 1 + a_min == a_min would disqualify every candidate.
     excess = floors - a_min
     sorted_excess = np.sort(excess, axis=-1)
-    # Level of the m smallest floors, m = 1..n; an infinite floor never qualifies.
+    # The active set's excesses are below 1 (its levels fall from level 1 at
+    # m = 1), so capping the rest at n + 1 keeps every qualifying level and
+    # lets no running sum overflow.  A capped excess never qualifies: the
+    # smallest excess is 0, so its level is at most (1 + (m - 1)(n + 1)) / m,
+    # below n + 1.
+    np.minimum(sorted_excess, n + 1.0, out=sorted_excess)
+    # Level of the m smallest floors, m = 1..n.
     levels = sorted_excess.cumsum(axis=-1)
     levels += 1.0
     levels /= np.arange(1, n + 1)
@@ -505,10 +511,8 @@ def water_filling(eigenvalues, total_power, noise_power: float, *, _config_power
     # (level 1 > excess 0).
     last = (n - 1) - (levels > sorted_excess)[..., ::-1].argmax(axis=-1, keepdims=True)
     level = levels[last] if levels.ndim == 1 else np.take_along_axis(levels, last, axis=-1)
+    # 0 <= p <= level <= 1 by construction.
     p = np.maximum(0.0, level - excess)
-    # p >= 0 by construction; a level whose sum of floors overflowed makes it inf or NaN.
-    if not (p < np.inf).all():
-        raise ValueError("stream powers must be nonnegative and finite")
     return PowerAllocation._wrap(p, _per_power((a_min + level)[..., 0]))
 
 
@@ -569,7 +573,7 @@ def capacity_closed_form(
             noise_power is not a positive, finite and normal double.
     """
     _check_positive_finite(noise_power=noise_power)
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = _as_doubles(eigenvalues, "eigenvalues")
     _check_spectrum(lam)
     p = allocation.p
     if lam.shape[-1:] != p.shape[-1:]:

@@ -60,6 +60,8 @@ DEFAULT_SYMMETRY_TOL = 1e-9
 # a larger norm, which only a matrix from elsewhere has, scales the floor.
 DEFAULT_IMAG_SV_REL = 1e-8
 
+_EPS = np.finfo(float).eps
+
 
 def _as_square_complex(a, name: str) -> np.ndarray:
     a = np.asarray(a)
@@ -209,6 +211,22 @@ def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None, kappa_
     return lu, piv
 
 
+@np.errstate(over="ignore")  # a huge entry makes the bound inf, which fails any cap
+def _lossless_kappa_bound(rows: np.ndarray, m: int) -> float:
+    """A bound of kappa_1(A) for every m x m matrix A = I + S of a stack, S
+    skew-Hermitian, from rows of A's real and imaginary parts: each row holds
+    one column of an A, or all of an A's entries.  The bound is m times the
+    largest 2-norm of a row (a NaN entry makes it NaN).
+
+    The lemma: Re x^H A x = ||x||^2 for every x, so ||A x|| >= ||x||,
+    sigma_min(A) >= 1, ||A^-1||_1 <= sqrt(m) ||A^-1||_2 <= sqrt(m), and
+    kappa_1(A) <= sqrt(m) ||A||_1 <= m max_j ||a_j||_2 <= m ||A||_F.
+    """
+    # A single row (1-D) is one dot; a stack of rows is one batched product.
+    largest = rows @ rows if rows.ndim == 1 else (rows[..., None, :] @ rows[..., :, None]).max()
+    return m * math.sqrt(largest)
+
+
 def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str, source: tuple | None = None) -> np.ndarray:
     """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP; see _lu_checked."""
     return _GETRS(*_lu_checked(a, context, source), rhs)[0]
@@ -304,12 +322,11 @@ def transfer_block_from_admittance(
     A lossless network, Y + Y^H = 0 exactly (Y = jB with B real symmetric,
     as every design gives), needs no condition estimate.  Rounding maps x
     and -x to opposite values, so Y/y0 as computed is skew-Hermitian too and
-    A = Y/y0 + I is I plus a skew-Hermitian matrix: Re x^H A x = ||x||^2
-    for every x, so ||A x|| >= ||x||, sigma_min(A) >= 1 and ||A^-1||_1 <=
-    sqrt(n) ||A^-1||_2 <= sqrt(n).  Hence kappa_1(A) <= sqrt(n) ||A||_1 <=
-    n ||A||_F, and when that is within DEFAULT_COND_CAP the LU is accepted
-    without gecon (_lu_checked).  A lossy or non-finite network, or one past
-    that bound, meets gecon's estimate as any matrix does.
+    A = Y/y0 + I is I plus a skew-Hermitian matrix, whose kappa_1(A) is at
+    most n ||A||_F (the lemma of _lossless_kappa_bound).  Within
+    DEFAULT_COND_CAP the LU is accepted without gecon (_lu_checked).  A
+    lossy or non-finite network, or one past that bound, meets gecon's
+    estimate as any matrix does.
 
     Args:
         y: admittance matrix of the full network.
@@ -346,11 +363,8 @@ def transfer_block_from_admittance(
         a *= 1.0 / y0
         a += 0.0
         entries[:: n + 1] += 1.0
-        kappa_bound = np.inf
-        if lossless:
-            # ||A||_F is the 2-norm of A's real and imaginary parts; a huge one overflows to inf.
-            parts = entries.view(float)
-            kappa_bound = n * math.sqrt(parts @ parts)
+        # One row of all of A's entries: n ||A||_F.
+        kappa_bound = _lossless_kappa_bound(entries.view(float), n) if lossless else np.inf
     lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y), kappa_bound)
     # The unit columns of the inputs, or of the outputs for the transposed
     # solve; getrs solves on its own copy of them.
@@ -469,19 +483,22 @@ def complete_scattering_rx(u_bar, u_tilde) -> ScatteringMatrix:
 def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     """Invert the imaginary part of a unitary factor, rejecting near-singular cases.
 
-    An exact zero pivot rejects M; otherwise its singular values decide
+    An exact zero pivot rejects M; otherwise the inverse certifies M regular
+    (_certified_regular), or else its singular values decide
     (_regular_by_values).
     """
+    n = m.shape[0]
     try:
-        minv = np.linalg.solve(m, np.eye(m.shape[0]))
+        minv = np.linalg.solve(m, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
-    sv = np.linalg.svd(m, compute_uv=False)
-    if not _regular_by_values(sv[0], sv[-1]):
-        raise SingularImaginaryPartError(
-            f"{context}: imaginary part has sigma_min = {sv[-1]:.3e} <= "
-            f"{DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1), sigma_max = {sv[0]:.3e}"
-        )
+    if not _certified_regular(m, minv, n, 1.0):
+        sv = np.linalg.svd(m, compute_uv=False)
+        if not _regular_by_values(sv[0], sv[-1]):
+            raise SingularImaginaryPartError(
+                f"{context}: imaginary part has sigma_min = {sv[-1]:.3e} <= "
+                f"{DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1), sigma_max = {sv[0]:.3e}"
+            )
     return minv
 
 
@@ -492,6 +509,36 @@ def _regular_by_values(sv_max, sv_min):
     part of a unitary has sigma_max <= 1, so it is judged on the unitary's own
     scale, not on its own: one whose entries are all rounding noise fails."""
     return sv_min > DEFAULT_IMAG_SV_REL * np.maximum(sv_max, 1.0)
+
+
+@np.errstate(all="ignore")  # a figure that overflows or is NaN certifies nothing
+def _certified_regular(k: np.ndarray, x: np.ndarray, n: int, outside) -> np.ndarray:
+    """Per real r x r matrix K of a stack, whether its approximate inverse X
+    proves _regular_core's verdict "regular", without K's singular values;
+    False leaves K undecided.
+
+    With rho >= ||K X - I||_F, rho < 1: ||K X - I||_2 <= rho, so sigma_min(K)
+    ||X||_2 >= sigma_min(K X) >= 1 - rho and sigma_min(K) >= (1 - rho) /
+    ||X||_F; and sigma_max(K) <= ||K||_F.  rho is the computed residual plus
+    gamma ||K||_F ||X||_F, gamma = (r + 2) eps, which bounds the rounding of
+    K X.  K counts as regular when that lower bound, and outside when r < n
+    (as in _regular_core), clears (DEFAULT_IMAG_SV_REL + 4 gamma) max(||K||_F,
+    1): the 4 gamma on the unitary's scale covers the rounding of the norms
+    and of the exact verdict's own singular values, so it accepts K too.
+    """
+    r = k.shape[-1]
+    gamma = (r + 2) * _EPS
+    # K X - I, X and K, stacked so that one call takes the three Frobenius norms.
+    parts = np.empty((3,) + k.shape)
+    np.matmul(k, x, out=parts[0])
+    parts[0].reshape(k.shape[:-2] + (r * r,))[..., :: r + 1] -= 1.0
+    parts[1] = x
+    parts[2] = k
+    residual, x_norm, k_norm = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+    lower = (1.0 - residual - gamma * k_norm * x_norm) / x_norm
+    if r < n:
+        lower = np.minimum(lower, outside)
+    return lower > (DEFAULT_IMAG_SV_REL + 4.0 * gamma) * np.maximum(k_norm, 1.0)
 
 
 def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> SusceptanceMatrix:
@@ -645,31 +692,54 @@ def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
     """transfer_block_from_admittance of each network's dense form, in O(n s^2).
 
     N = I + jB/y0 maps the range of E onto itself, where it acts as the
-    (s + r)-port core C = I + j core; the symbol columns of N^-1 are
+    m-port core C = I + j core, m = s + r; the symbol columns of N^-1 are
     E C^-1 [I_s; 0].  Cores that share one shape, as both sides of a square
-    link do, are inverted in one stacked call; otherwise each network is
-    solved on its own.  A network (each matrix of a stack) is rejected
-    unless its exact kappa_1 = ||C||_1 ||C^-1||_1 is at most DEFAULT_COND_CAP
-    (a NaN fails), and the networks are checked in order, so the error names
-    the first side past the cap.  gecon's figure, which _solve_checked judges,
-    is a lower bound of kappa_1, so every core it rejects is rejected here
-    too.  N is symmetric, so the receive block (symbol rows, antenna columns)
-    is the transpose of the antenna rows of the symbol columns.
+    link do, are solved in one stacked call; otherwise each network is
+    solved on its own.  N is symmetric, so the receive block (symbol rows,
+    antenna columns) is the transpose of the antenna rows of the symbol
+    columns.
+
+    The lemma: core is exactly symmetric (the synthesis averages it with its
+    transpose) and 1j * core has real part +-0, so C is I plus a
+    skew-Hermitian matrix and kappa_1(C) <= sqrt(m) ||C||_1 <= m max_j
+    ||c_j||_2 (_lossless_kappa_bound, over C's columns).  Within
+    DEFAULT_COND_CAP only the s columns [I_s; 0] are solved; numpy's inv is
+    gesv against I, so they hold its bits.  Its proven range at the default
+    floors: an accepted side has ||K^-1||_2 < 1 / DEFAULT_IMAG_SV_REL = 1e8,
+    a rotated one ||K^-1||_2 <= 1 / sin(pi / (2 (r + 1))), and each block of
+    core is K^-1 or rows of it, times at most a block of Im W (norm <= 1),
+    so ||core||_2 <= 3e8 and the bound is at most m ||C||_2 <= m (1 + 3e8):
+    within the cap of 1e12 for m <= 3,333, so for every link with n <= 1,666
+    antennas or s <= 833.  Past the bound (a NaN or huge core, or a cap set
+    lower) the group is inverted in full and
+    a network (each matrix of a stack) is rejected unless its exact kappa_1
+    = ||C||_1 ||C^-1||_1 is at most DEFAULT_COND_CAP (a NaN fails), checked
+    in order, so the error names the first side past the cap.  gecon's
+    figure, which _solve_checked judges, is a lower bound of kappa_1, so
+    every core it rejects is rejected here too.
     """
     shared = len({net.core.shape for net in networks}) == 1
     blocks = []
     for group in [networks] if shared else [(net,) for net in networks]:
-        c = _identity(group[0].core.shape[-1]) + 1j * np.stack([net.core for net in group])
-        cinv = np.linalg.inv(c)
-        kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cinv, 1, axis=(-2, -1))
-        for net, net_kappa, net_cinv in zip(group, kappa, cinv):
-            if not (net_kappa <= DEFAULT_COND_CAP).all():
-                side = "susceptance_rx" if net.receive else "susceptance_tx"
-                raise SingularMatrixError(
-                    f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
-                )
-            s = net.core.shape[-1] - net.a.shape[-1]
-            x = net.a @ net_cinv[..., s:, :s]
+        m = group[0].core.shape[-1]
+        c = _identity(m) + 1j * np.stack([net.core for net in group])
+        # C is symmetric, so its rows are its columns.
+        if _lossless_kappa_bound(c.view(float), m) <= DEFAULT_COND_CAP:
+            # The symbol columns of C^-1: numpy's inv is gesv against I, so these are its bits.
+            s = max(m - net.a.shape[-1] for net in group)
+            cols = np.linalg.solve(c, _unit_columns(m, s, 0)[(None,) * (c.ndim - 2)])
+        else:
+            cols = np.linalg.inv(c)
+            kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cols, 1, axis=(-2, -1))
+            for net, net_kappa in zip(group, kappa):
+                if not (net_kappa <= DEFAULT_COND_CAP).all():
+                    side = "susceptance_rx" if net.receive else "susceptance_tx"
+                    raise SingularMatrixError(
+                        f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
+                    )
+        for net, net_cols in zip(group, cols):
+            s = m - net.a.shape[-1]
+            x = net.a @ net_cols[..., s:, :s]
             blocks.append(x.swapaxes(-1, -2) if net.receive else x)
     return tuple(blocks)
 
@@ -686,15 +756,21 @@ def _synthesize_factored(q_bar, y0: float, receive):
     +-Re(e^{j theta} Q') = +-(c (I - a a^T) + a K a^T), K = Re W.  By
     Woodbury X^-1 a = a K^-1 puts every block of B on the basis a, but for
     the antenna shunt -tan(theta) (I - a a^T), and X has the singular values
-    of K and, when r < n, n - r of c: they decide (_regular_core) in
-    O(n s^2), without the dense n x n matrix.
+    of K and, when r < n, n - r of c: they decide, in O(n s^2) and without
+    the dense n x n matrix.
 
     Every side is judged at theta = 0, where W = z; a side that passes keeps
-    theta = 0.  A rejected side takes theta* (_rotation), which bounds every
-    singular value of X below by sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)),
-    and X is judged again as a guard: K = Re W and, when r < n, cos theta*
-    must clear the floor.  One stacked solve then inverts the final cores,
-    each on its own, so no side's repair moves another side's bits.
+    theta = 0.  The stacked solve that inverts the cores decides first
+    (_judged_inverse): K^-1 certifies sigma_min(K) > DEFAULT_IMAG_SV_REL
+    max(sigma_max(K), 1) through the residual rho = ||K K^-1 - I||_F < 1,
+    sigma_min(K) >= (1 - rho) / ||K^-1||_F and sigma_max(K) <= ||K||_F, with
+    c when r < n (_certified_regular); K's singular values (_regular_core)
+    decide only the sides it leaves undecided, so every verdict is theirs.
+    A rejected side takes theta* (_rotation), which bounds every singular
+    value of X below by sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)), and its
+    rotated core is solved and judged again as a guard: K = Re W and, when
+    r < n, cos theta* must clear the floor.  Each core is solved on its own
+    within the stack, so no side's repair moves another side's bits.
 
     A stack of q_bar (leading axes) is synthesized in one pass, and so are
     both sides of a link: with a tuple of per-side receive flags the leading
@@ -711,19 +787,27 @@ def _synthesize_factored(q_bar, y0: float, receive):
     r = a.shape[-1]
     theta = np.zeros(trials)
     w = z
-    rejected = ~_regular_core(z.real, n, 1.0)
-    if rejected.any():
+    kinv, regular = _judged_inverse(z.real, n, 1.0)
+    if not regular.all():
+        rejected = ~regular
         theta[rejected] = _rotation(z[rejected])
         w = z.copy()
         w[rejected] *= np.exp(1j * theta[rejected])[:, None, None]
-        if not _regular_core(w[rejected].real, n, np.cos(theta[rejected])).all():
+        rotated, regular = _judged_inverse(w[rejected].real, n, np.cos(theta[rejected]))
+        if not regular.all():
             raise SingularImaginaryPartError(
                 f"imaginary part has sigma_min <= {DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1) "
                 "after the closed-form rotation"
             )
+        if kinv is not None and rotated is not None:
+            kinv[rejected] = rotated
+        else:
+            kinv = None
     k, g = w.real, w.imag
-    # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
-    kinv = np.linalg.solve(k, _identity(r)[(None,) * (k.ndim - 2)])
+    if kinv is None:
+        # A stack whose solve raised, solved again on its final cores: an
+        # exactly singular one, which only an exact verdict could accept, raises.
+        kinv = np.linalg.solve(k, _identity(r)[(None,) * (k.ndim - 2)])
     # With Y = Im(e^{j theta} Q'), which acts on range(a) as G = Im W, the
     # side's (Im, Re) pair (M, R) is (X, -Y), or (-X, Y) on the receive side:
     # M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either way, and only the
@@ -758,6 +842,26 @@ def _regular_core(k: np.ndarray, n: int, outside) -> np.ndarray:
     sv = np.linalg.svd(k, compute_uv=False)
     sv_min = sv[..., -1] if k.shape[-1] == n else np.minimum(sv[..., -1], outside)
     return _regular_by_values(sv[..., 0], sv_min)
+
+
+def _judged_inverse(k: np.ndarray, n: int, outside) -> tuple:
+    """(K^-1, _regular_core's verdict) of a stack of cores K, from one solve.
+
+    The solve's K^-1 certifies each core it can (_certified_regular), and
+    _regular_core decides the rest; a stack whose solve raises (an exactly
+    singular or a NaN core) is decided by _regular_core alone, with None for
+    K^-1.  outside is a scalar or one value per core.
+    """
+    # b gets k's number of axes: numpy 1.x solves a b with one axis fewer as a stack of vectors.
+    try:
+        kinv = np.linalg.solve(k, _identity(k.shape[-1])[(None,) * (k.ndim - 2)])
+    except np.linalg.LinAlgError:
+        return None, _regular_core(k, n, outside)
+    regular = np.asarray(_certified_regular(k, kinv, n, outside))
+    if not regular.all():
+        undecided = ~regular
+        regular[undecided] = _regular_core(k[undecided], n, outside if np.ndim(outside) == 0 else outside[undecided])
+    return kinv, regular
 
 
 def _rotation(z: np.ndarray) -> np.ndarray:

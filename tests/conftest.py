@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import milacsim.network as network
 from milacsim import SvdFactors
 
 
@@ -45,3 +46,25 @@ def diagonal_channel():
         return np.diag(np.arange(n, 0.0, -1.0) * np.exp(1j * (np.pi / 2 - np.pi * k / 8)))
 
     return channel
+
+
+@pytest.fixture
+def certificate_agrees():
+    """A check on a stack of Woodbury cores K (leading axis), n and outside as
+    network._regular_core takes them: the core solve's verdicts are the
+    singular values', its K^-1 is np.linalg.solve's, and its certificate
+    accepts only cores they accept.  The check returns what it accepted."""
+    def check(k, n, outside):
+        exact = network._regular_core(k, n, outside)
+        kinv, judged = network._judged_inverse(k, n, outside)
+        assert judged.tolist() == exact.tolist()
+        if kinv is None:  # the stacked solve raised: an exact zero pivot, which no certificate decides
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(k, np.eye(k.shape[-1])[None])
+            return np.zeros(exact.shape, bool)
+        assert kinv.tobytes() == np.linalg.solve(k, np.eye(k.shape[-1])[None]).tobytes()
+        certified = network._certified_regular(k, kinv, n, outside)
+        assert not (certified & ~exact).any()
+        return certified
+
+    return check

@@ -1,5 +1,6 @@
 """Tests for SVD handling, water-filling, rate formulas, and the full designs."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -188,16 +189,24 @@ def test_water_filling_gives_a_zero_eigenvalue_of_either_sign_no_power():
 
 
 def test_the_unchecked_records_keep_the_rules_where_arithmetic_overflows():
-    # Two results the checked constructors rejected come from overflow, not
-    # from an input: a sigma_1 past the double range, and a water level whose
-    # sum of floors overflows.  Both still raise the constructors' ValueError.
+    # A result the checked constructor rejected comes from overflow, not from
+    # an input: a sigma_1 past the double range still raises its ValueError.
     with np.errstate(over="ignore"):
         for s in (2, 4):  # the economy SVD and the top-s route
             with pytest.raises(ValueError, match="singular values must be nonnegative, finite and descending"):
                 svd_ordered(np.full((64, 64), 1e307, dtype=complex), s)
-        for eigenvalues, power in (([1.0, 4e-308, 4e-308], 1.0), ([[1.0, 4e-308, 4e-308]], [1.0, 2.0])):
-            with pytest.raises(ValueError, match="stream powers must be nonnegative and finite"):
-                water_filling(eigenvalues, power, 1.0)
+
+
+def test_water_filling_allocates_floors_whose_running_sum_would_overflow():
+    # Floors [4, 1e308, 1e308] at P = N = 1: only the first stream is active,
+    # and the excesses above the active set are capped before their running
+    # sum, so nothing overflows and no warning is raised, alone or in a stack.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = water_filling([1.0, 4e-308, 4e-308], 1.0, 1.0)
+        stacked = water_filling([[1.0, 4e-308, 4e-308]], [1.0, 2.0], 1.0)
+    assert alone.p.tolist() == [1.0, 0.0, 0.0] and alone.water_level == 5.0
+    assert stacked.p.tolist() == [[[1.0, 0.0, 0.0]] * 2] and stacked.water_level.tolist() == [[5.0, 3.0]]
 
 
 def test_svd_ordered_cuts_the_economy_svd_to_n_streams():
@@ -723,20 +732,22 @@ def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monke
 )
 def test_the_designs_f_and_g_are_the_networks_transfer_blocks_bit_for_bit(monkeypatch, shape, s):
     # The design hands both networks to one _transfer_blocks call, built once.
-    # A square link inverts both sides' cores in one stacked call; any other
-    # shape makes one call per side.  Either way f and g are what each
-    # network's own solve gives.
+    # A square link solves both sides' cores in one stacked call; any other
+    # shape makes one call per side.  Within the lemma's bound no core is
+    # inverted in full.  Either way f and g are what each network's own solve gives.
     h = np.random.default_rng(len(shape) * shape[-1]).standard_normal(shape) * (1.0 + 1.0j)
     h = h + np.random.default_rng(7).standard_normal(shape)
     design = design_milac(h, _config(s, shape[-1], shape[-2]))
-    calls, inversions = [], []
-    blocks, inv = network._transfer_blocks, np.linalg.inv
+    calls, inversions, solves = [], [], []
+    blocks, inv, solve = network._transfer_blocks, np.linalg.inv, np.linalg.solve
     monkeypatch.setattr(network, "_transfer_blocks", lambda *nets: calls.append(len(nets)) or blocks(*nets))
     monkeypatch.setattr(np.linalg, "inv", lambda c: inversions.append(len(c)) or inv(c))
+    monkeypatch.setattr(np.linalg, "solve", lambda c, b: solves.append(len(c)) or solve(c, b))
     f, g = design.f, design.g
     assert design.f is f and design.g is g
     assert calls == [2]
-    assert inversions == ([2] if shape[-1] == shape[-2] else [1, 1])
+    assert inversions == []
+    assert solves == ([2] if shape[-1] == shape[-2] else [1, 1])
     assert f.tobytes() == blocks(design.tx)[0].tobytes()
     assert g.tobytes() == blocks(design.rx)[0].tobytes()
     assert f.shape == shape[:-2] + (shape[-1], s) and g.shape == shape[:-2] + (s, shape[-2])
@@ -875,6 +886,9 @@ _NOT_NORMAL = (0.0, -1.0, np.nan, np.inf, 1e-320)
 # (numpy would drop a complex array's imaginary part) and a ragged list.
 _BEYOND_DOUBLE = 10**400
 _NOT_DOUBLES = (_BEYOND_DOUBLE, [1.0, _BEYOND_DOUBLE], {"p": 1.0}, 1 + 1j, np.array([1.0 + 1.0j]), [[1.0], [1.0, 2.0]])
+# Entries appended to a vector of doubles: a negative, NaN or infinite one,
+# and ones with no double form (np.append makes an object array of a dict).
+_BAD_ENTRIES = (-1.0, np.nan, np.inf, _BEYOND_DOUBLE, {"p": 1.0}, 1 + 1j, np.array([1.0, "x"], dtype=object))
 
 # Entry point -> (field its error names, values that break the field's rule).
 _INPUT_RULES = {
@@ -892,8 +906,9 @@ _INPUT_RULES = {
     "susceptance_tx": ("ref_admittance", _NOT_NORMAL),
     "susceptance_rx": ("ref_admittance", _NOT_NORMAL),
     "SystemConfig.ref_admittance": ("ref_admittance", _NOT_NORMAL),
-    "water_filling.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
-    "capacity_closed_form.eigenvalues": ("eigenvalues", (-1.0, np.nan, np.inf)),
+    "water_filling.eigenvalues": ("eigenvalues", _BAD_ENTRIES),
+    "capacity_closed_form.eigenvalues": ("eigenvalues", _BAD_ENTRIES),
+    "PowerAllocation.p": ("stream powers", _BAD_ENTRIES),
     # True is an int to Python, but no count.
     "PortPartition.n_inputs": ("n_inputs", (2.5, True)),
     "PortPartition.n_outputs": ("n_outputs", (2.5, True)),
@@ -946,7 +961,8 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "SweepSpec.snr_points_db": lambda x: SweepSpec("snr_sweep", snr_points_db=x, antenna_points=(4,), n_streams=2),
         "SweepSpec.antenna_points": lambda x: SweepSpec("snr_sweep", snr_points_db=(0.0,), antenna_points=x, n_streams=2),
         "water_filling.eigenvalues": lambda x: water_filling(np.append(lam, x), 1.0, 1.0),
-        "capacity_closed_form.eigenvalues": lambda x: capacity_closed_form(lam * [1.0, x], alloc, 1.0, 1.0),
+        "capacity_closed_form.eigenvalues": lambda x: capacity_closed_form(np.append(lam[:1], x), alloc, 1.0, 1.0),
+        "PowerAllocation.p": lambda x: PowerAllocation(np.append([0.5], x), 1.0),
         "PortPartition.n_inputs": lambda x: PortPartition(x, 3),
         "PortPartition.n_outputs": lambda x: PortPartition(2, x),
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),

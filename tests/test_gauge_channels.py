@@ -13,6 +13,7 @@ through run_trial, and through the dense susceptance_tx/_rx of its unitaries.
 import numpy as np
 import pytest
 
+import milacsim.network as network
 from milacsim import (
     AdmittanceMatrix,
     PortPartition,
@@ -21,6 +22,7 @@ from milacsim import (
     milac_rate,
     run_trial,
     susceptance_rx,
+    svd_ordered,
     susceptance_tx,
     transfer_block_from_admittance,
 )
@@ -74,6 +76,20 @@ def test_gauge_channels_reach_capacity_through_run_trial(n_rx, n_tx, s):
     report = run_trial(h, _config(n_rx, n_tx, s))
     _assert_at_capacity(report.milac_rate, report.capacity)
     _assert_at_capacity(report.digital_rate, report.capacity)
+
+
+@pytest.mark.parametrize("n_rx, n_tx, s", LINKS)
+def test_gauge_channels_get_the_singular_values_verdicts_from_the_core_solve(certificate_agrees, n_rx, n_tx, s):
+    # Imaginary parts exactly singular, of rounding size or of the offsets'
+    # size, unrotated and, on the sides rejected there, rotated by theta*.
+    factors = svd_ordered(gauge_channels(n_rx, n_tx), s)
+    for q_bar in (factors.v[..., :s], np.conj(factors.u[..., :s])):
+        a, z = network._completion(q_bar)
+        n = a.shape[-2]
+        certificate_agrees(z.real, n, 1.0)
+        rejected = ~network._regular_core(z.real, n, 1.0)
+        theta = network._rotation(z[rejected])
+        certificate_agrees((np.exp(1j * theta)[:, None, None] * z[rejected]).real, n, np.cos(theta))
 
 
 @pytest.mark.parametrize("n_rx, n_tx, s", LINKS)

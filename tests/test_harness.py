@@ -86,7 +86,7 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
     "n_rx, master_seed, real",
     [
         # On a Rayleigh channel Im{V} and Im{U} are accepted from their
-        # Woodbury cores alone: one solve and one values-only SVD each.
+        # Woodbury cores alone: one solve each, which certifies the core.
         (6, 4, False),
         # A real channel's completion is real orthogonal, so Im{V} = Re Q' is
         # accepted as well and no phase repair runs.
@@ -96,9 +96,10 @@ def test_run_trial_takes_one_svd_and_one_water_filling(monkeypatch):
 )
 def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, master_seed, real):
     # SVDs are told apart by their operand: the complex channel, or a real
-    # r x r Woodbury core with r <= min(n, 3s).  Cores and solves are counted
-    # by operand stack size: a square link's two sides share one (2, r, r)
-    # operand, a 5 x 6 link makes one call per side.
+    # r x r Woodbury core with r <= min(n, 3s), which the core's own solve
+    # certifies instead.  Solves are counted by operand stack size, one of the
+    # core and one of the circuit per side: a square link's two sides share
+    # one (2, r, r) operand, a 5 x 6 link makes one call per side.
     svds = {"channel_full": 0, "channel_values": 0, "core_values": 0, "other": 0}
     solves = []
     svd, solve = np.linalg.svd, np.linalg.solve
@@ -123,9 +124,9 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=n_tx, n_trials=1, master_seed=master_seed), 0)
     config = SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=2.0, noise_power=1.0)
     run_trial(h.real if real else h, config)
-    assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 2, "other": 0}
-    assert sum(solves) == 2
-    assert len(solves) == (1 if n_rx == n_tx else 2)
+    assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 0, "other": 0}
+    assert sum(solves) == 4
+    assert len(solves) == (2 if n_rx == n_tx else 4)
 
 
 def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(repair_channel):
@@ -611,16 +612,17 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
     # Two chunks: a full one and a remainder of 3.
     n_trials = harness.chunk_size(8, 8) + 3
     run_sweep(_small_snr_spec(snr_points_db=(-10.0, 0.0, 10.0, 20.0), n_trials=n_trials), workers=1)
-    # Per channel: one SVD, one synthesis, one core spectrum and one circuit
-    # solve per side, one capacity spectrum, and each rating function takes
-    # all four SNR points in one call; design_milac water-fills them all in one.
+    # Per channel: one SVD, one synthesis (whose core solve certifies the
+    # core, so no core spectrum) and one circuit solve per side, one capacity
+    # spectrum, and each rating function takes all four SNR points in one
+    # call; design_milac water-fills them all in one.
     assert work == {
         "svd_ordered": n_trials,
         "synthesis": 2 * n_trials,
         "transfer_block": 2 * n_trials,
         "dense_transfer_block": 0,
         "svd_values": n_trials,
-        "core_svd_values": 2 * n_trials,
+        "core_svd_values": 0,
         "other_svd_values": 0,
         "water_filling": n_trials,
         "milac_rate": n_trials,
@@ -628,8 +630,8 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         "digital": n_trials,
     }
     # ... in one stacked call per chunk; both sides of a square link share one
-    # synthesis, and with it one core spectrum, and one circuit solve.
-    assert calls == {**dict.fromkeys(work, 2), "other_svd_values": 0, "dense_transfer_block": 0}
+    # synthesis and one circuit solve.
+    assert calls == {**dict.fromkeys(work, 2), "core_svd_values": 0, "other_svd_values": 0, "dense_transfer_block": 0}
 
 
 def test_sweep_spec_validation():

@@ -1,5 +1,6 @@
 """Tests for multiport network conversions, completions, and susceptance synthesis."""
 
+import re
 import warnings
 
 import numpy as np
@@ -702,6 +703,97 @@ def test_the_verdict_counts_the_singular_values_outside_the_core(monkeypatch):
     assert network._regular_core(np.diag([2.0, 1.0]), 2, 1.0).tolist() is True
 
 
+@pytest.mark.parametrize("floor", [1e-8, 1e-3])
+@pytest.mark.parametrize("r", [2, 6, 24])
+def test_the_core_certificate_agrees_with_the_singular_values_at_the_floor(monkeypatch, certificate_agrees, floor, r):
+    # Cores K = P diag(sigma) Q^T with sigma_min at (1 -+ 1e-6) floor and
+    # ||K||_F < 1 ("tight"), or with every sigma at (1 -+ 1e-6) sqrt(r) floor
+    # ("flat"), where (1 - rho) / ||K^-1||_F meets the floor; and both at twice
+    # those values.  Below the floor the certificate never decides, at twice
+    # it always does, and in between the singular values decide what it leaves.
+    # A last core has sigma_max = 4, which scales the floor: sigma_min = 3
+    # floor is rejected, though (1 - rho) / ||K^-1||_F clears the floor itself.
+    monkeypatch.setattr(network, "DEFAULT_IMAG_SV_REL", floor)
+    rng = np.random.default_rng(r)
+    profiles = []
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6, 2.0):
+        profiles += [np.r_[np.full(r - 1, 0.9 / np.sqrt(r)), factor * floor], np.full(r, factor * np.sqrt(r) * floor)]
+    cores = []
+    for sigma in profiles + [np.r_[np.full(r - 1, 4.0), 3.0 * floor]]:
+        p, q = (np.linalg.qr(rng.standard_normal((r, r)))[0] for _ in range(2))
+        cores.append((p * sigma) @ q.T)
+    k = np.stack(cores)
+    sv = np.linalg.svd(k, compute_uv=False)
+    assert (sv[:, -1] > floor * np.maximum(sv[:, 0], 1.0)).tolist() == [False] + [True] * 5 + [False]
+    certified = certificate_agrees(k, r, 1.0)
+    assert not certified[:2].any() and certified[4:6].all()
+    # The bound holds for any X, not only the solve's: half or twice K^-1
+    # leaves the residual -I/2 or I and certifies no core the singular values reject.
+    exact = network._regular_core(k, r, 1.0)
+    for scale in (0.5, 2.0):
+        assert not (network._certified_regular(k, scale * np.linalg.inv(k), r, 1.0) & ~exact).any()
+    # With r < n the outside cosine counts too: at the floor it rejects every core.
+    for outside in (1.0, floor, np.full(7, 2.0 * floor)):
+        certificate_agrees(k, r + 2, outside)
+    assert not network._certified_regular(k, network._judged_inverse(k, r + 2, floor)[0], r + 2, floor).any()
+
+
+def test_the_core_certificate_agrees_on_the_repair_channels(
+    certificate_agrees, repair_channel, diagonal_channel, unrepairable_factors
+):
+    # Every rejected side is judged by the singular values and rotated; the
+    # rotated cores, judged again as the guard with their cosines, agree too.
+    sides = [np.asarray(unrepairable_factors.v), np.conj(unrepairable_factors.u)]
+    for h, s in ((repair_channel, 4), (diagonal_channel(8), 8), (diagonal_channel(16), 16), (diagonal_channel(16), 8)):
+        factors = svd_ordered(h, s)
+        sides += [factors.v[:, :s], np.conj(factors.u[:, :s])]
+    rejected = 0
+    for q_bar in sides:
+        a, z = network._completion(q_bar)
+        n, r = a.shape
+        k = z.real[None]
+        certified = certificate_agrees(k, n, 1.0)
+        if network._regular_core(k, n, 1.0)[0]:
+            continue
+        rejected += 1
+        assert not certified[0]
+        theta = network._rotation(z[None])
+        certificate_agrees((np.exp(1j * theta)[:, None, None] * z).real, n, np.cos(theta))
+    assert rejected >= 5
+
+
+def test_an_exactly_singular_core_leaves_its_stack_to_the_singular_values(monkeypatch, repair_channel):
+    # A purely imaginary q_bar has a zero column in K = Re z: the stacked solve
+    # raises, the singular values judge the whole stack, and every side gets
+    # the bits it gets alone.
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0]
+    rayleigh = svd_ordered(np.random.default_rng(5).standard_normal((6, 6)) * (1 + 1j), 2).v[:, :2]
+    stack = np.stack([rayleigh, 1j * q, rayleigh])
+    judged = []
+    regular = network._regular_core
+    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: judged.append(len(k)) or regular(k, n, c))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(network._completion(stack)[1].real, np.eye(6)[None])
+    stacked = network._synthesize_factored(stack, Y0, receive=False)
+    assert judged == [3] and (stacked.theta != 0).tolist() == [False, True, False]
+    for t, q_bar in enumerate(stack):
+        alone = network._synthesize_factored(q_bar, Y0, receive=False)
+        for name in ("a", "core", "z", "theta"):
+            assert getattr(stacked, name)[t].tobytes() == np.asarray(getattr(alone, name)).tobytes()
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_nan_side_still_fails_the_singular_values(position):
+    # A NaN q_bar makes a NaN core, which no certificate accepts: the singular
+    # values meet it, alone or in a stack, and raise as before.
+    q_bar = svd_ordered(np.random.default_rng(6).standard_normal((5, 5)) * (1 - 1j), 2).v[:, :2]
+    stack = np.stack([q_bar, q_bar])
+    stack[position, 1, 0] = np.nan
+    for q in (stack, stack[position]):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            network._synthesize_factored(q, Y0, receive=False)
+
+
 def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel):
     # Stacks of the same shape, one with the repair channel's rejected side.
     inputs = _synthesis_inputs(repair_channel)
@@ -719,7 +811,9 @@ def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel
 def test_a_rotated_network_is_the_dense_synthesis_of_its_rotated_unitary(monkeypatch, n_rx, n_tx, s, shunts):
     # Every side is rejected at theta = 0 here and rotated by theta*; on sides
     # with r < n the antenna block carries the shunt -tan(theta*) (I - a a^T).
+    # No core is certified, so the exact verdict decides each one.
     regular = network._regular_core
+    monkeypatch.setattr(network, "_certified_regular", lambda k, *_: np.zeros(k.shape[:-2], bool))
     monkeypatch.setattr(network, "_regular_core", lambda k, n, c: regular(k, n, c) & (np.ndim(c) > 0))
     rng = np.random.default_rng(n_rx * n_tx + s)
     h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
@@ -766,14 +860,20 @@ def _factored_stack(cores, receive):
 @pytest.mark.parametrize("receive", [False, True], ids=["tx", "rx"])
 def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receive):
     # I + j c x x^T has eigenvalues 1 and 1 + j c |x|^2, so its kappa_1 grows
-    # with c; one such core, or one NaN entry, rejects the whole stack.
+    # with c; one such core, or one NaN entry, rejects the whole stack.  A
+    # core whose squared entries overflow is rejected with no warning.
     x = np.random.default_rng(2).standard_normal(6)
     side = "susceptance_rx circuit" if receive else "susceptance_tx circuit"
     fine = np.stack([np.outer(x, x)] * 3)
     network._transfer_blocks(_factored_stack(fine, receive))
-    scaled, holed = fine.copy(), fine.copy()
+    scaled, holed, huge = fine.copy(), fine.copy(), fine.copy()
     scaled[1] *= 1e13
     holed[1, 0, 0] = np.nan
+    huge[1] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match=side + ": condition number"):
+            network._transfer_blocks(_factored_stack(huge, receive))
     for cores in (scaled, holed):
         with pytest.raises(SingularMatrixError, match=side + ": condition number"):
             network._transfer_blocks(_factored_stack(cores, receive))
@@ -807,6 +907,36 @@ def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
                 _solve_checked(c, np.eye(8)[:, :2], "test")
             with pytest.raises(SingularMatrixError):
                 network._transfer_blocks(_factored_stack(scale * (g + g.T), False))
+
+
+@pytest.mark.parametrize("n_rx, n_tx, s", [(8, 8, 2), (6, 6, 6), (5, 9, 3), (9, 5, 2), (64, 64, 4), (128, 128, 8)])
+def test_past_the_lemmas_bound_the_circuit_solve_inverts_in_full_with_the_same_bits(monkeypatch, n_rx, n_tx, s):
+    # Within sqrt(m) ||C||_1 <= DEFAULT_COND_CAP only C's symbol columns are
+    # solved.  A cap below that bound sends each core to the full inverse and
+    # its exact kappa_1, which the parent took for every core: the blocks keep
+    # their bytes, and a cap below kappa_1 raises the same text as before.
+    rng = np.random.default_rng(n_rx * n_tx + s)
+    h = rng.standard_normal((2, n_rx, n_tx)) + 1j * rng.standard_normal((2, n_rx, n_tx))
+    design = design_milac(h, SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=1.0, noise_power=1.0))
+    inversions, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda c: inversions.append(len(c)) or inv(c))
+    blocks = network._transfer_blocks(design.tx, design.rx)
+    assert [b.tobytes() for b in blocks] == [design.f.tobytes(), design.g.tobytes()] and not inversions
+    c = [np.eye(net.core.shape[-1]) + 1j * net.core for net in (design.tx, design.rx)]
+    bound = max(network._lossless_kappa_bound(x.view(float), x.shape[-1]) for x in c)
+    kappa = [np.linalg.norm(x, 1, axis=(-2, -1)) * np.linalg.norm(inv(x), 1, axis=(-2, -1)) for x in c]
+    assert max(np.max(k) for k in kappa) <= bound <= 1e12
+    monkeypatch.setattr(network, "DEFAULT_COND_CAP", bound * (1.0 - 1e-12))
+    exact = network._transfer_blocks(design.tx, design.rx)
+    assert [b.tobytes() for b in exact] == [b.tobytes() for b in blocks] and inversions
+    worst = {"susceptance_tx": float(np.max(kappa[0])), "susceptance_rx": float(np.max(kappa[1]))}
+    for cap in (0.999 * worst["susceptance_tx"], 0.999 * worst["susceptance_rx"]):
+        monkeypatch.setattr(network, "DEFAULT_COND_CAP", cap)
+        # The first side past the cap is named, with its worst kappa_1.
+        side = next(side for side, k in worst.items() if k > cap)
+        message = f"{side} circuit: condition number {worst[side]:.3e} exceeds cap {cap:.3e}"
+        with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
+            network._transfer_blocks(design.tx, design.rx)
 
 
 def test_designing_a_wide_link_holds_no_dense_antenna_square_matrix():
