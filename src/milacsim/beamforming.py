@@ -32,14 +32,15 @@ from .exceptions import (
     RateFormMismatchError,
     ZeroCombinerRowError,
     _as_doubles,
+    _check_finite,
     _check_integers,
     _check_positive_finite,
+    _held,
 )
 from . import network
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
-    _check_finite,
     _FactoredSusceptance,
     _synthesize_factored,
     # The dense reference syntheses stay reachable here: perfbench traces them by this module.
@@ -141,16 +142,6 @@ class SvdFactors:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
 
-    @classmethod
-    def _wrap(cls, u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdFactors:
-        """SvdFactors holding u, sigma and v themselves, unchecked: complex u and v
-        and float sigma that already meet every rule of the constructor."""
-        factors = object.__new__(cls)
-        object.__setattr__(factors, "u", u)
-        object.__setattr__(factors, "sigma", sigma)
-        object.__setattr__(factors, "v", v)
-        return factors
-
     def reconstruct(self) -> np.ndarray:
         """u diag(sigma) v^H: the channel itself when s is at least its rank (as
         the economy SVD's s = k always is), else its best rank-s approximation."""
@@ -176,15 +167,6 @@ class PowerAllocation:
         if not ((p >= 0) & (p < np.inf)).all():
             raise ValueError("stream powers must be nonnegative and finite")
         object.__setattr__(self, "p", p)
-
-    @classmethod
-    def _wrap(cls, p: np.ndarray, water_level) -> PowerAllocation:
-        """A PowerAllocation holding p itself, unchecked: a float array of at
-        least one axis whose entries are nonnegative and finite."""
-        allocation = object.__new__(cls)
-        object.__setattr__(allocation, "p", p)
-        object.__setattr__(allocation, "water_level", water_level)
-        return allocation
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +324,7 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
     mags = np.abs(cols)
     top = np.arange(len(cols)), mags.argmax(axis=-1)
     phases = np.conjugate(cols[top] / mags[top]).reshape(v.shape[:-2] + (1, s))
-    return SvdFactors._wrap(u * phases, sigma, v * phases)
+    return _held(SvdFactors, u=u * phases, sigma=sigma, v=v * phases)
 
 
 def _economy_triplets(h: np.ndarray, s: int) -> tuple:
@@ -513,7 +495,7 @@ def water_filling(eigenvalues, total_power, noise_power: float, *, _config_power
     level = levels[last] if levels.ndim == 1 else np.take_along_axis(levels, last, axis=-1)
     # 0 <= p <= level <= 1 by construction.
     p = np.maximum(0.0, level - excess)
-    return PowerAllocation._wrap(p, _per_power((a_min + level)[..., 0]))
+    return _held(PowerAllocation, p=p, water_level=_per_power((a_min + level)[..., 0]))
 
 
 def _check_spectrum(lam: np.ndarray) -> None:

@@ -7,7 +7,8 @@ exits 2 on them.
 A value that breaks an input rule (a count or seed that is not an integer, a
 power or admittance that is not a positive, finite and normal double) is a
 plain ValueError naming the field, on which the CLI exits 1.  The rule
-helpers live here, in the leaf module that every other one imports.
+helpers live here, in the leaf module that every other one imports, and so
+does _held, which builds a record from fields that already meet its rules.
 """
 
 import numbers
@@ -48,6 +49,23 @@ def _check_positive_finite(**values) -> None:
             raise ValueError(
                 f"{name} must be positive and finite, and not subnormal (>= {sys.float_info.min!r})"
             )
+
+
+def _check_finite(*named) -> None:
+    """Raise NonFiniteInputError naming the first (name, array) pair that holds NaN or inf."""
+    for name, x in named:
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
+
+
+def _held(cls, **fields):
+    """An instance of the frozen dataclass cls holding these field values
+    themselves, unchecked: each must already meet every rule of cls's
+    constructor, which does not run."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 def _as_doubles(value, name: str) -> np.ndarray:

@@ -35,12 +35,13 @@ import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
-    NonFiniteInputError,
     NotUnitaryInputError,
     SingularImaginaryPartError,
     SingularMatrixError,
+    _check_finite,
     _check_integers,
     _check_positive_finite,
+    _held,
 )
 
 # Reference admittance of a 50 ohm system, in siemens.
@@ -130,13 +131,6 @@ class SusceptanceMatrix:
         if asym > DEFAULT_SYMMETRY_TOL * max(scale, 1.0):
             raise ValueError(f"susceptance matrix asymmetry {asym:.3e} exceeds tolerance")
         object.__setattr__(self, "b", _frozen(b))
-
-    @classmethod
-    def _wrap(cls, b: np.ndarray) -> SusceptanceMatrix:
-        """A SusceptanceMatrix holding b itself, unchecked: b must be finite and exactly symmetric."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "b", _frozen(b))
-        return matrix
 
     @property
     def n_ports(self) -> int:
@@ -230,13 +224,6 @@ def _lossless_kappa_bound(rows: np.ndarray, m: int) -> float:
 def _solve_checked(a: np.ndarray, rhs: np.ndarray, context: str, source: tuple | None = None) -> np.ndarray:
     """LU solve of a x = rhs that rejects matrices beyond DEFAULT_COND_CAP; see _lu_checked."""
     return _GETRS(*_lu_checked(a, context, source), rhs)[0]
-
-
-def _check_finite(*named) -> None:
-    """Raise NonFiniteInputError naming the first (name, array) pair that holds NaN or inf."""
-    for name, x in named:
-        if not np.isfinite(x).all():
-            raise NonFiniteInputError(f"{name} contains NaN or infinite entries")
 
 
 @functools.lru_cache(maxsize=8)
@@ -483,22 +470,20 @@ def complete_scattering_rx(u_bar, u_tilde) -> ScatteringMatrix:
 def _imag_part_inverse(m: np.ndarray, context: str) -> np.ndarray:
     """Invert the imaginary part of a unitary factor, rejecting near-singular cases.
 
-    An exact zero pivot rejects M; otherwise the inverse certifies M regular
-    (_certified_regular), or else its singular values decide
-    (_regular_by_values).
+    An exact zero pivot rejects M; otherwise its singular values decide
+    (_regular_by_values).  This dense reference takes no certificate: the
+    factored synthesis it is compared against does.
     """
-    n = m.shape[0]
     try:
-        minv = np.linalg.solve(m, np.eye(n))
+        minv = np.linalg.solve(m, np.eye(m.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularImaginaryPartError(f"{context}: imaginary part has an exact zero pivot") from exc
-    if not _certified_regular(m, minv, n, 1.0):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if not _regular_by_values(sv[0], sv[-1]):
-            raise SingularImaginaryPartError(
-                f"{context}: imaginary part has sigma_min = {sv[-1]:.3e} <= "
-                f"{DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1), sigma_max = {sv[0]:.3e}"
-            )
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not _regular_by_values(sv[0], sv[-1]):
+        raise SingularImaginaryPartError(
+            f"{context}: imaginary part has sigma_min = {sv[-1]:.3e} <= "
+            f"{DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1), sigma_max = {sv[0]:.3e}"
+        )
     return minv
 
 
@@ -576,7 +561,7 @@ def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> Susceptanc
     _mirror_upper(b, out=b)
     if not np.isfinite(b).all():
         raise ValueError("susceptance matrix contains non-finite entries")
-    return SusceptanceMatrix._wrap(b)
+    return _held(SusceptanceMatrix, b=_frozen(b))
 
 
 def susceptance_tx(v, n_streams: int, y0: float = DEFAULT_REF_ADMITTANCE) -> SusceptanceMatrix:
@@ -767,10 +752,13 @@ def _synthesize_factored(q_bar, y0: float, receive):
     c when r < n (_certified_regular); K's singular values (_regular_core)
     decide only the sides it leaves undecided, so every verdict is theirs.
     A rejected side takes theta* (_rotation), which bounds every singular
-    value of X below by sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)), and its
-    rotated core is solved and judged again as a guard: K = Re W and, when
-    r < n, cos theta* must clear the floor.  Each core is solved on its own
-    within the stack, so no side's repair moves another side's bits.
+    value of X below by sin(pi / (2 (r + 1))) >= sin(pi / (6 s + 2)); a
+    stack whose first solve raises (an exactly singular core) is repaired
+    too.  Then the whole final stack is solved and judged once more, as a
+    guard whose K^-1 the cores take: K = Re W and, when r < n, cos theta
+    must clear the floor.  Each core is solved on its own within the stack,
+    so an accepted side meets the guard with its first bits (cos 0 = 1) and
+    no side's repair moves another side's bits.
 
     A stack of q_bar (leading axes) is synthesized in one pass, and so are
     both sides of a link: with a tuple of per-side receive flags the leading
@@ -778,8 +766,9 @@ def _synthesize_factored(q_bar, y0: float, receive):
     symbol-antenna block, and the result is the tuple of their networks.
 
     Raises:
-        SingularImaginaryPartError: if a rotated core fails the guard, which
-            only a DEFAULT_IMAG_SV_REL above the bound allows.
+        SingularImaginaryPartError: if the guard rejects a core or its solve
+            raises, which only a DEFAULT_IMAG_SV_REL above the bound, or a
+            verdict that accepts an exactly singular core, allows.
     """
     n, s = q_bar.shape[-2:]
     trials = q_bar.shape[:-2]
@@ -788,33 +777,24 @@ def _synthesize_factored(q_bar, y0: float, receive):
     theta = np.zeros(trials)
     w = z
     kinv, regular = _judged_inverse(z.real, n, 1.0)
-    if not regular.all():
+    if kinv is None or not regular.all():
         rejected = ~regular
         theta[rejected] = _rotation(z[rejected])
         w = z.copy()
         w[rejected] *= np.exp(1j * theta[rejected])[:, None, None]
-        rotated, regular = _judged_inverse(w[rejected].real, n, np.cos(theta[rejected]))
-        if not regular.all():
+        kinv, regular = _judged_inverse(w.real, n, np.cos(theta))
+        if kinv is None or not regular.all():
             raise SingularImaginaryPartError(
                 f"imaginary part has sigma_min <= {DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1) "
                 "after the closed-form rotation"
             )
-        if kinv is not None and rotated is not None:
-            kinv[rejected] = rotated
-        else:
-            kinv = None
-    k, g = w.real, w.imag
-    if kinv is None:
-        # A stack whose solve raised, solved again on its final cores: an
-        # exactly singular one, which only an exact verdict could accept, raises.
-        kinv = np.linalg.solve(k, _identity(r)[(None,) * (k.ndim - 2)])
     # With Y = Im(e^{j theta} Q'), which acts on range(a) as G = Im W, the
     # side's (Im, Re) pair (M, R) is (X, -Y), or (-X, Y) on the receive side:
     # M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either way, and only the
     # symbol-antenna block -M^-1[:s] changes sign.  Its coordinates are
     # (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
     top = kinv[..., :s, :]
-    negated = -g
+    negated = -w.imag
     core = np.empty(trials + (s + r, s + r))
     core[..., :s, :s] = top @ negated[..., :, :s]
     np.multiply(_side_signs(receive, top.ndim), top, out=core[..., :s, s:])

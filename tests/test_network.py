@@ -594,7 +594,9 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
         svd_calls.append(1)
         return svd(*args, **kwargs)
 
+    certified = []
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(network, "_certified_regular", lambda *args: certified.append(1))
     for m in cases:
         sv = svd(m, compute_uv=False)
         singular = sv[0] == 0.0 or sv[-1] <= DEFAULT_IMAG_SV_REL * max(sv[0], 1.0)
@@ -602,11 +604,13 @@ def test_imag_part_inverse_decides_as_the_singular_value_test(monkeypatch):
         if singular:
             with pytest.raises(SingularImaginaryPartError):
                 _imag_part_inverse(m, "test")
-            # Only the zero matrix has an exact zero pivot, which rejects it without an SVD.
-            assert bool(svd_calls) == m.any()
         else:
             minv = _imag_part_inverse(m, "test")
             assert np.array_equal(minv, np.linalg.solve(m, np.eye(m.shape[0])))
+        # Only the zero matrix has an exact zero pivot, which rejects it without
+        # an SVD; every other M runs its SVD, as the reference takes no certificate.
+        assert svd_calls == [1] * bool(m.any())
+    assert not certified
 
 
 def _dense_x(a, z):
@@ -769,17 +773,31 @@ def test_an_exactly_singular_core_leaves_its_stack_to_the_singular_values(monkey
     q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0]
     rayleigh = svd_ordered(np.random.default_rng(5).standard_normal((6, 6)) * (1 + 1j), 2).v[:, :2]
     stack = np.stack([rayleigh, 1j * q, rayleigh])
-    judged = []
-    regular = network._regular_core
-    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: judged.append(len(k)) or regular(k, n, c))
+    judged, solves = [], []
+    regular, solve = network._regular_core, np.linalg.solve
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(network._completion(stack)[1].real, np.eye(6)[None])
+        solve(network._completion(stack)[1].real, np.eye(6)[None])
+    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: judged.append(len(k)) or regular(k, n, c))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(len(args[0])) or solve(*args))
     stacked = network._synthesize_factored(stack, Y0, receive=False)
-    assert judged == [3] and (stacked.theta != 0).tolist() == [False, True, False]
+    # Two core solves: the first judgment, which raises, and the guard over the final stack.
+    assert solves == [3, 3] and judged == [3] and (stacked.theta != 0).tolist() == [False, True, False]
     for t, q_bar in enumerate(stack):
         alone = network._synthesize_factored(q_bar, Y0, receive=False)
         for name in ("a", "core", "z", "theta"):
             assert getattr(stacked, name)[t].tobytes() == np.asarray(getattr(alone, name)).tobytes()
+
+
+def test_a_verdict_that_accepts_an_exactly_singular_core_meets_the_guard(monkeypatch):
+    # With every core accepted, an exactly singular one (a zero column in
+    # K = Re z) keeps theta = 0, and the guard's solve over the final stack
+    # raises the synthesis's own error, alone or in a stack.
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0]
+    rayleigh = svd_ordered(np.random.default_rng(5).standard_normal((6, 6)) * (1 + 1j), 2).v[:, :2]
+    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: np.ones(k.shape[:-2], bool))
+    for q_bar in (1j * q, np.stack([rayleigh, 1j * q])):
+        with pytest.raises(SingularImaginaryPartError, match="after the closed-form rotation"):
+            network._synthesize_factored(q_bar, Y0, receive=False)
 
 
 @pytest.mark.parametrize("position", [0, 1])
@@ -811,10 +829,17 @@ def test_a_stacked_synthesis_gives_each_matrix_what_it_gets_alone(repair_channel
 def test_a_rotated_network_is_the_dense_synthesis_of_its_rotated_unitary(monkeypatch, n_rx, n_tx, s, shunts):
     # Every side is rejected at theta = 0 here and rotated by theta*; on sides
     # with r < n the antenna block carries the shunt -tan(theta*) (I - a a^T).
-    # No core is certified, so the exact verdict decides each one.
-    regular = network._regular_core
+    # No core is certified, so the exact verdict decides each one, once per
+    # judgment: each synthesis judges first and then guards, so the verdict's
+    # odd calls are first judgments, which reject, and its even calls guards.
+    regular, calls = network._regular_core, []
+
+    def first_judgments_reject(k, n, c):
+        calls.append(c)
+        return regular(k, n, c) & (len(calls) % 2 == 0)
+
     monkeypatch.setattr(network, "_certified_regular", lambda k, *_: np.zeros(k.shape[:-2], bool))
-    monkeypatch.setattr(network, "_regular_core", lambda k, n, c: regular(k, n, c) & (np.ndim(c) > 0))
+    monkeypatch.setattr(network, "_regular_core", first_judgments_reject)
     rng = np.random.default_rng(n_rx * n_tx + s)
     h = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
     design = design_milac(h, SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=1.0, noise_power=1.0))
