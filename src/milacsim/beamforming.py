@@ -291,8 +291,8 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
         _check_finite(("channel matrix", h))
         u, sigma, v = _economy_triplets(h, s)
     else:
-        u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u, sigma, v = _gram_triplets(h, s)  # rejects a non-finite h
             # NaN fails each test, so a garbage triplet cannot pass.  The
             # residual of the side _gram_triplets builds from the other is zero
             # by construction, so only the other one is the test: the adjoint
@@ -361,7 +361,8 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     quotients, accurate to about eps sigma_1, where the square roots of
     dstemr's eigenvalues are not.  Nothing here is checked: a trial for which
     dstemr returns fewer than s pairs, or any routine an error, holds NaN, and
-    one of rank below s holds NaN or vectors that are not orthonormal.
+    one of rank below s holds NaN or vectors that are not orthonormal.  The
+    caller silences the divide by a zero norm that such a trial makes.
 
     Raises:
         NonFiniteInputError: if h contains NaN or infinite entries (the max
@@ -378,11 +379,12 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
     lwork = _hetrd_lwork(k)
     z = np.empty(h.shape[:-2] + (k, s), dtype=complex)
     off_diagonal = np.empty(k)  # dstemr's e has one spare entry, its workspace
-    for t in np.ndindex(h.shape[:-2]):
+    # One channel at a time, through flat views of the stacks.
+    for at, zt in zip(a.reshape((-1,) + a.shape[-2:]), z.reshape(-1, k, s)):
         # a is row-major, so a^T is column-major and zherk reads it without a
         # copy: a^T conj(a) = conj(a^H a) (trans=0), or conj(a a^H) (trans=2).
         # The eigenvectors of that lower triangle are the conjugated z.
-        gram = _HERK(1.0, a[t].T, trans=0 if tall else 2, lower=1)
+        gram = _HERK(1.0, at.T, trans=0 if tall else 2, lower=1)
         c, d, off_diagonal[:-1], tau, info_t = _HETRD(gram, lower=1, lwork=lwork, overwrite_a=1)
         m, _, w, info_m = _STEMR(d, off_diagonal, 2, 0.0, 0.0, k - s + 1, k)  # by index, ascending
         # zunmtr for the lower triangle, which SciPy does not wrap: the k - 1
@@ -393,7 +395,6 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
         reflectors = c.ravel(order="F")[1 : 1 + k * (k - 1)].reshape((k, k - 1), order="F")
         rows = w[1:, s - 1 :: -1].astype(complex, order="F")
         rows, _, info_q = _UNMQR(b"L", b"N", reflectors, tau, rows, s, overwrite_c=1)
-        zt = z[t]
         zt[0] = w[0, s - 1 :: -1]
         np.conjugate(rows, out=zt[1:])
         if m != s or info_t != 0 or info_m != 0 or info_q != 0:
@@ -402,15 +403,16 @@ def _gram_triplets(h: np.ndarray, s: int) -> tuple:
         y = a @ z
     else:
         y = (z.conj().swapaxes(-1, -2) @ a).conj().swapaxes(-1, -2)
-    # The column norms, formed as np.linalg.norm(y, axis=-2) forms them.
-    root = np.sqrt(np.add.reduce((y.conj() * y).real, axis=-2))
+    # The column norms, formed as np.linalg.norm(y, axis=-2) forms them, in one buffer.
+    squares = y.conj()
+    squares *= y
+    root = np.sqrt(np.add.reduce(squares.real, axis=-2))
     # On an exact cluster the norms can come out of order; reorder only there.
     if (root[..., 1:] > root[..., :-1]).any():
         order = np.argsort(-root, axis=-1, kind="stable")
         root = np.take_along_axis(root, order, axis=-1)
         y, z = (np.take_along_axis(x, order[..., None, :], axis=-1) for x in (y, z))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = y / root[..., None, :]
+    x = y / root[..., None, :]  # a zero norm divides by zero, which the caller silences
     sigma = np.ldexp(root, e[..., None])
     return (x, sigma, z) if tall else (z, sigma, x)
 
@@ -506,7 +508,7 @@ def _check_spectrum(lam: np.ndarray) -> None:
 
 def _per_power(values):
     """A float for a single power (of a single channel), else the array of values."""
-    return float(values) if np.ndim(values) == 0 else values
+    return float(values) if values.ndim == 0 else values
 
 
 def _check_powers(power: np.ndarray, name: str = "total_power") -> None:
@@ -514,7 +516,7 @@ def _check_powers(power: np.ndarray, name: str = "total_power") -> None:
     and normal double; its extremes decide, and numpy's min and max pass a NaN
     through to both."""
     if power.ndim == 0:
-        _check_positive_finite(**{name: power})
+        _check_positive_finite(**{name: power.item()})
     elif power.size:
         _check_positive_finite(**{name: power.min()})
         _check_positive_finite(**{name: power.max()})
@@ -633,20 +635,22 @@ def milac_rate(
     squared = np.abs(g)
     squared *= squared
     row_power = squared.sum(axis=-1)
-    if (row_power == 0.0).any():
+    if not row_power.all():
         raise ZeroCombinerRowError("a combining row of g is identically zero")
 
-    effective = g @ h @ f
-    powered = power * p
-    sinr = _per_stream_sinr(effective, powered, p, power, _at_each_power(row_power, power) * noise_power)
-    rate = np.log1p(sinr).sum(axis=-1) / _LN2
-
-    # Row-normalized form: divide each combining row by its norm, which scales
-    # the noise identically (to noise_power on every unit row); the rate must
-    # not change.
-    normalized = effective / np.sqrt(row_power)[..., None]
-    sinr_norm = _per_stream_sinr(normalized, powered, p, power, noise_power)
-    rate_norm = np.log1p(sinr_norm).sum(axis=-1) / _LN2
+    # Both forms on one leading axis, rated in one pass: the raw E with each
+    # stream's noise row_power * noise_power, and the row-normalized form,
+    # each combining row divided by its norm, which scales the noise
+    # identically (to noise_power on every unit row); the rate must not change.
+    effective = np.empty((2,) + h.shape[:-2] + (n_streams, n_streams), dtype=complex)
+    np.matmul(g @ h, f, out=effective[0])
+    np.divide(effective[0], np.sqrt(row_power)[..., None], out=effective[1])
+    row_power = _at_each_power(row_power, power)
+    noise = np.empty((2,) + row_power.shape)
+    np.multiply(row_power, noise_power, out=noise[0])
+    noise[1] = noise_power
+    sinr = _per_stream_sinr(effective, power * p, p, power, noise)
+    rate, rate_norm = np.log1p(sinr).sum(axis=-1) / _LN2
     agree = np.abs(rate - rate_norm) <= RATE_FORM_CHECK_TOL * np.maximum(1.0, np.abs(rate))
     if not agree.all():
         _check_finite(("combiner g", g), ("channel matrix", h), ("precoder f", f))
@@ -654,14 +658,15 @@ def milac_rate(
         raise RateFormMismatchError(
             f"rate forms disagree: {float(np.ravel(rate)[k])!r} vs {float(np.ravel(rate_norm)[k])!r}"
         )
-    return _per_power(rate), sinr
+    return _per_power(rate), sinr[0]
 
 
 def _per_stream_sinr(effective, powered, p, power, noise) -> np.ndarray:
     """SINR of each stream (last axis) for an effective channel at the powers
     `power` (as _power_axis returns them), with powered = power * p and noise
-    the noise power of each stream's combining row (a float, or broadcast
-    like the SINRs)."""
+    the noise power of each stream's combining row (broadcast like the
+    SINRs); extra leading axes of effective and noise rate several channels
+    at once."""
     abs_sq = np.abs(effective)
     abs_sq *= abs_sq
     signal = powered * _at_each_power(abs_sq.diagonal(axis1=-2, axis2=-1), power)

@@ -190,14 +190,15 @@ def _merge_options(command: str, args: argparse.Namespace) -> dict:
 
 
 def _print_sweep(result, out_path: str) -> None:
-    print(f"{'sweep_value':>12} {'milac':>12} {'digital':>12} {'capacity':>12} {'max_rel_gap':>12}")
-    for row in result.rows:
-        print(
-            f"{row.sweep_value:>12.4f} {row.mean_milac_rate:>12.6f} "
-            f"{row.mean_digital_rate:>12.6f} {row.mean_capacity:>12.6f} "
-            f"{row.max_rel_gap:>12.3e}"
-        )
-    print(f"wrote {out_path} and {out_path}.manifest.txt")
+    # The whole table in one write.
+    lines = [f"{'sweep_value':>12} {'milac':>12} {'digital':>12} {'capacity':>12} {'max_rel_gap':>12}"]
+    lines += [
+        f"{row.sweep_value:>12.4f} {row.mean_milac_rate:>12.6f} {row.mean_digital_rate:>12.6f} "
+        f"{row.mean_capacity:>12.6f} {row.max_rel_gap:>12.3e}"
+        for row in result.rows
+    ]
+    lines.append(f"wrote {out_path} and {out_path}.manifest.txt")
+    print("\n".join(lines))
 
 
 def _ref_admittance(opts: dict) -> float:

@@ -205,12 +205,12 @@ def _lu_checked(a: np.ndarray, context: str, source: tuple | None = None, kappa_
     return lu, piv
 
 
-@np.errstate(over="ignore")  # a huge entry makes the bound inf, which fails any cap
 def _lossless_kappa_bound(rows: np.ndarray, m: int) -> float:
     """A bound of kappa_1(A) for every m x m matrix A = I + S of a stack, S
     skew-Hermitian, from rows of A's real and imaginary parts: each row holds
     one column of an A, or all of an A's entries.  The bound is m times the
-    largest 2-norm of a row (a NaN entry makes it NaN).
+    largest 2-norm of a row (a NaN entry makes it NaN).  A huge entry makes
+    it inf, which fails any cap; callers silence that overflow.
 
     The lemma: Re x^H A x = ||x||^2 for every x, so ||A x|| >= ||x||,
     sigma_min(A) >= 1, ||A^-1||_1 <= sqrt(m) ||A^-1||_2 <= sqrt(m), and
@@ -337,19 +337,21 @@ def transfer_block_from_admittance(
     # A column-major copy of Y, whatever y.y's layout, so that getrf factors
     # it in place and its flat column-major view is a view.  That view lists
     # Y^T row by row, so against Y's own rows it gives y_ij + conj(y_ji) for
-    # every (i, j), in one contiguous pass: Y + Y^H = 0 exactly, the
-    # certificate (a NaN or inf entry fails it: inf - inf is NaN).
+    # every (i, j), in one contiguous pass into one buffer: Y + Y^H = 0
+    # exactly, the certificate (a NaN or inf entry fails it: inf - inf is NaN).
     a = np.array(y.y, order="F")
     entries = a.reshape(-1, order="F")
     with np.errstate(invalid="ignore", over="ignore"):
-        lossless = not (y.y.reshape(-1) + entries.conj()).any()
+        test = entries.conj()
+        test += y.y.reshape(-1)
+        lossless = not test.any()
         # Y / y0 + I in place, bit for bit as numpy's complex division by y0
         # and the sum with np.eye(n) give it: that division multiplies by
-        # 1 / y0, and the sum's + 0.0 turns every -0.0 into +0.0.  An inf
+        # 1 / y0, and the sum, here with the cached complex identity, adds
+        # + 0.0 off the diagonal, which turns every -0.0 into +0.0.  An inf
         # entry makes a NaN here, which the LU check names.
         a *= 1.0 / y0
-        a += 0.0
-        entries[:: n + 1] += 1.0
+        a += _unit_columns(n, n, 0)
         # One row of all of A's entries: n ||A||_F.
         kappa_bound = _lossless_kappa_bound(entries.view(float), n) if lossless else np.inf
     lu, piv = _lu_checked(a, "transfer_block_from_admittance", ("admittance matrix", y.y), kappa_bound)
@@ -516,7 +518,7 @@ def _certified_regular(k: np.ndarray, x: np.ndarray, n: int, outside) -> np.ndar
     # K X - I, X and K, stacked so that one call takes the three Frobenius norms.
     parts = np.empty((3,) + k.shape)
     np.matmul(k, x, out=parts[0])
-    parts[0].reshape(k.shape[:-2] + (r * r,))[..., :: r + 1] -= 1.0
+    parts[0] -= _identity(r)
     parts[1] = x
     parts[2] = k
     residual, x_norm, k_norm = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
@@ -544,12 +546,7 @@ def _synthesize_susceptance(q, n_streams: int, y0: float, receive: bool) -> Susc
 
 
 def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> SusceptanceMatrix:
-    """y0 [[bss, bsa], [bsa^T, baa]] in the side's port order, mirrored to exact symmetry.
-
-    The buffer the blocks are assembled in is scaled and mirrored in place
-    and then held by the SusceptanceMatrix: exactly symmetric, it needs the
-    finite-entry check alone.
-    """
+    """y0 [[bss, bsa], [bsa^T, baa]] in the side's port order, mirrored to exact symmetry."""
     n, s = baa.shape[0], bss.shape[0]
     sym, ant = _port_slices(n, s, receive)
     b = np.empty((n + s, n + s))
@@ -557,6 +554,15 @@ def _assemble_susceptance(bss, bsa, baa, y0: float, receive: bool) -> Susceptanc
     b[sym, ant] = bsa
     b[ant, sym] = bsa.T
     b[ant, ant] = baa
+    return _held_susceptance(b, y0)
+
+
+def _held_susceptance(b: np.ndarray, y0: float) -> SusceptanceMatrix:
+    """y0 b, b the unscaled blocks in the side's port order, as a SusceptanceMatrix.
+
+    b is scaled and mirrored in place and then held by the SusceptanceMatrix:
+    exactly symmetric, it needs the finite-entry check alone.
+    """
     b *= y0
     _mirror_upper(b, out=b)
     if not np.isfinite(b).all():
@@ -656,12 +662,17 @@ class _FactoredSusceptance:
         a, core = self.a, self.core
         if a.ndim != 2:
             raise DimensionMismatchError(f"a stack of {a.shape[:-2]} networks has no single susceptance matrix")
-        s = core.shape[0] - a.shape[1]
-        bsa = core[:s, s:] @ a.T
-        baa = a @ core[s:, s:] @ a.T
+        n, s = a.shape[0], core.shape[0] - a.shape[1]
+        sym, ant = _port_slices(n, s, self.receive)
+        # The blocks of _assemble_susceptance, each product written into its block.
+        b = np.empty((n + s, n + s))
+        b[sym, sym] = core[:s, :s]
+        np.matmul(core[:s, s:], a.T, out=b[sym, ant])
+        b[ant, sym] = b[sym, ant].T
+        np.matmul(a @ core[s:, s:], a.T, out=b[ant, ant])
         if self.theta:
-            baa -= np.tan(self.theta) * (np.eye(len(a)) - a @ a.T)
-        return _assemble_susceptance(core[:s, :s], bsa, baa, self.y0, self.receive)
+            b[ant, ant] -= np.tan(self.theta) * (np.eye(n) - a @ a.T)
+        return _held_susceptance(b, self.y0)
 
     def unitary(self) -> np.ndarray:
         """The dense V (U on the receive side) whose susceptance_tx (susceptance_rx) is this network."""
@@ -685,7 +696,7 @@ def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
     columns.
 
     The lemma: core is exactly symmetric (the synthesis averages it with its
-    transpose) and 1j * core has real part +-0, so C is I plus a
+    transpose) and C has real part I and imaginary part core, so C is I plus a
     skew-Hermitian matrix and kappa_1(C) <= sqrt(m) ||C||_1 <= m max_j
     ||c_j||_2 (_lossless_kappa_bound, over C's columns).  Within
     DEFAULT_COND_CAP only the s columns [I_s; 0] are solved; numpy's inv is
@@ -707,9 +718,16 @@ def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
     blocks = []
     for group in [networks] if shared else [(net,) for net in networks]:
         m = group[0].core.shape[-1]
-        c = _identity(m) + 1j * np.stack([net.core for net in group])
+        # C built in place, bit for bit as _identity(m) + 1j * core for a
+        # finite core: its real part is I, and its imaginary part core + 0.0.
+        c = np.empty((len(group),) + group[0].core.shape, dtype=complex)
+        c.real[...] = _identity(m)
+        for net, net_c in zip(group, c):
+            np.add(net.core, 0.0, out=net_c.imag)
         # C is symmetric, so its rows are its columns.
-        if _lossless_kappa_bound(c.view(float), m) <= DEFAULT_COND_CAP:
+        with np.errstate(over="ignore"):
+            bound = _lossless_kappa_bound(c.view(float), m)
+        if bound <= DEFAULT_COND_CAP:
             # The symbol columns of C^-1: numpy's inv is gesv against I, so these are its bits.
             s = max(m - net.a.shape[-1] for net in group)
             cols = np.linalg.solve(c, _unit_columns(m, s, 0)[(None,) * (c.ndim - 2)])
@@ -768,7 +786,10 @@ def _synthesize_factored(q_bar, y0: float, receive):
     Raises:
         SingularImaginaryPartError: if the guard rejects a core or its solve
             raises, which only a DEFAULT_IMAG_SV_REL above the bound, or a
-            verdict that accepts an exactly singular core, allows.
+            verdict that accepts an exactly singular core, allows.  When
+            every core was accepted and the solve raised, the message names
+            the side and the exact zero pivot, as the dense synthesis does;
+            otherwise it names the rotation.
     """
     n, s = q_bar.shape[-2:]
     trials = q_bar.shape[:-2]
@@ -783,6 +804,9 @@ def _synthesize_factored(q_bar, y0: float, receive):
         w = z.copy()
         w[rejected] *= np.exp(1j * theta[rejected])[:, None, None]
         kinv, regular = _judged_inverse(w.real, n, np.cos(theta))
+        if kinv is None and regular.all():  # an unrotated side the verdict accepted
+            side = _singular_side(w.real, receive)
+            raise SingularImaginaryPartError(f"{side}: imaginary part has an exact zero pivot")
         if kinv is None or not regular.all():
             raise SingularImaginaryPartError(
                 f"imaginary part has sigma_min <= {DEFAULT_IMAG_SV_REL:.1e} * max(sigma_max, 1) "
@@ -792,20 +816,35 @@ def _synthesize_factored(q_bar, y0: float, receive):
     # side's (Im, Re) pair (M, R) is (X, -Y), or (-X, Y) on the receive side:
     # M^-1 R = -X^-1 Y and R M^-1 = -Y X^-1 either way, and only the
     # symbol-antenna block -M^-1[:s] changes sign.  Its coordinates are
-    # (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].
+    # (X^-1 a)[:s] = (a K^-1)[:s] = K^-1[:s], as a[:s] = [I_s, 0].  Each
+    # product is written into its block of core.
     top = kinv[..., :s, :]
     negated = -w.imag
     core = np.empty(trials + (s + r, s + r))
-    core[..., :s, :s] = top @ negated[..., :, :s]
+    np.matmul(top, negated[..., :, :s], out=core[..., :s, :s])
     np.multiply(_side_signs(receive, top.ndim), top, out=core[..., :s, s:])
     core[..., s:, :s] = core[..., :s, s:].swapaxes(-1, -2)
-    core[..., s:, s:] = negated @ kinv
+    np.matmul(negated, kinv, out=core[..., s:, s:])
     # Symmetric in exact arithmetic; averaged with its transpose, exactly.
     core = core + core.swapaxes(-1, -2)
     core *= 0.5
     if np.ndim(receive):
         return tuple([_FactoredSusceptance(a[i], core[i], z[i], y0, side, theta[i]) for i, side in enumerate(receive)])
     return _FactoredSusceptance(a, core, z, y0, receive, theta)
+
+
+def _singular_side(k: np.ndarray, receive) -> str:
+    """The side, susceptance_tx or susceptance_rx, whose cores make the
+    stacked solve of k raise (an exact zero pivot), the first if both do:
+    with a tuple of per-side flags the leading axis of k holds the sides,
+    else k is one side's."""
+    sides, stacks = (receive, k) if np.ndim(receive) else ((receive,), k[None])
+    for side, side_k in zip(sides, stacks):
+        try:
+            np.linalg.solve(side_k, _identity(k.shape[-1])[(None,) * (side_k.ndim - 2)])
+        except np.linalg.LinAlgError:
+            break
+    return "susceptance_rx" if side else "susceptance_tx"
 
 
 @functools.lru_cache(maxsize=8)

@@ -791,13 +791,18 @@ def test_an_exactly_singular_core_leaves_its_stack_to_the_singular_values(monkey
 def test_a_verdict_that_accepts_an_exactly_singular_core_meets_the_guard(monkeypatch):
     # With every core accepted, an exactly singular one (a zero column in
     # K = Re z) keeps theta = 0, and the guard's solve over the final stack
-    # raises the synthesis's own error, alone or in a stack.
+    # raises the synthesis's own error, alone or in a stack.  It names the
+    # cause and the side, as the dense synthesis does: no side was rotated.
     q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))[0]
     rayleigh = svd_ordered(np.random.default_rng(5).standard_normal((6, 6)) * (1 + 1j), 2).v[:, :2]
     monkeypatch.setattr(network, "_regular_core", lambda k, n, c: np.ones(k.shape[:-2], bool))
-    for q_bar in (1j * q, np.stack([rayleigh, 1j * q])):
-        with pytest.raises(SingularImaginaryPartError, match="after the closed-form rotation"):
-            network._synthesize_factored(q_bar, Y0, receive=False)
+    cases = [(1j * q, False, "tx"), (1j * q, True, "rx"), (np.stack([rayleigh, 1j * q]), False, "tx")]
+    # Both sides of a link in one stack: the singular one is named.
+    cases += [(np.stack([rayleigh, 1j * q]), (False, True), "rx"), (np.stack([1j * q, rayleigh]), (False, True), "tx")]
+    for q_bar, receive, side in cases:
+        message = f"^susceptance_{side}: imaginary part has an exact zero pivot$"
+        with pytest.raises(SingularImaginaryPartError, match=message):
+            network._synthesize_factored(q_bar, Y0, receive=receive)
 
 
 @pytest.mark.parametrize("position", [0, 1])
