@@ -31,13 +31,13 @@ from .exceptions import (
     PhaseSearchExhaustedError,  # noqa: F401  kept for perfbench until ROADMAP item 1
     RateFormMismatchError,
     ZeroCombinerRowError,
+    _as_complex,
     _as_doubles,
     _check_finite,
     _check_integers,
     _check_positive_finite,
     _held,
 )
-from . import network
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     SusceptanceMatrix,
@@ -124,9 +124,9 @@ class SvdFactors:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        sigma = np.asarray(self.sigma, dtype=float)
+        u = _as_complex(self.u, "u")
+        v = _as_complex(self.v, "v")
+        sigma = _as_doubles(self.sigma, "singular values")
         if u.ndim < 2 or v.ndim != u.ndim or sigma.ndim != u.ndim - 1:
             raise DimensionMismatchError("u and v must be matrices and sigma a vector, or stacks of them")
         k = min(u.shape[-2], v.shape[-2])
@@ -187,9 +187,8 @@ class Design:
         b_tx, b_rx: the dense susceptance matrices, built from tx and rx in
             O(n^2 s) on first access (of a single link's design).
         f, g: the circuit-realized precoder (n_tx x s) and combiner (s x n_rx),
-            the transfer blocks of tx and rx (network._transfer_blocks), built
-            in O(n s^2) on first access; a square link's two circuit solves are
-            one call.
+            the transfer blocks of tx and rx (each network's transfer_block()),
+            built in O(n s^2) on first access, each from its own circuit solve.
 
     The design of a stack of T channels holds T of each, along a leading axis.
     """
@@ -200,16 +199,12 @@ class Design:
     rx: _FactoredSusceptance
 
     @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        return network._transfer_blocks(self.tx, self.rx)
-
-    @property
     def f(self) -> np.ndarray:
-        return self._blocks[0]
+        return self.tx.transfer_block()
 
-    @property
+    @cached_property
     def g(self) -> np.ndarray:
-        return self._blocks[1]
+        return self.rx.transfer_block()
 
     @cached_property
     def b_tx(self) -> SusceptanceMatrix:
@@ -279,7 +274,7 @@ def svd_ordered(h, n_streams=None) -> SvdFactors:
         NonFiniteInputError: if h contains NaN or infinite entries.
         ValueError: if n_streams is not an integer from 1 to k.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _as_complex(h, "channel matrix")
     if h.ndim < 2:
         raise DimensionMismatchError(f"channel matrix must be 2-D, or a stack of them, got shape {h.shape}")
     n_rx, n_tx = h.shape[-2:]
@@ -618,9 +613,9 @@ def milac_rate(
             normal double.
     """
     _check_positive_finite(noise_power=noise_power)
-    g = np.asarray(g, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    f = np.asarray(f, dtype=complex)
+    g = _as_complex(g, "combiner g")
+    h = _as_complex(h, "channel matrix")
+    f = _as_complex(f, "precoder f")
     p = allocation.p
     n_streams = p.shape[-1]
     if min(g.ndim, h.ndim, f.ndim) < 2:
@@ -715,7 +710,7 @@ def design_milac(h, config: SystemConfig, _seed=None) -> Design:
         DimensionMismatchError: if h is neither a channel of the config's
             shape nor a nonempty stack of them.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _as_complex(h, "channel matrix")
     if h.ndim not in (2, 3) or h.shape[-2:] != (config.n_rx, config.n_tx) or len(h) == 0:
         raise DimensionMismatchError(
             f"channel shape {h.shape} does not match config ({config.n_rx}, {config.n_tx}), "
@@ -771,7 +766,7 @@ def digital_design_and_rate(h, design: Design, total_power, noise_power: float) 
             normal double.
     """
     _check_positive_finite(noise_power=noise_power)
-    h = np.asarray(h, dtype=complex)
+    h = _as_complex(h, "channel matrix")
     factors = design.factors
     if h.shape != factors.u.shape[:-1] + factors.v.shape[-2:-1]:
         raise DimensionMismatchError(

@@ -81,37 +81,6 @@ _SWEEP_FLAGS = {
     "workers": None,
 }
 
-# Per subcommand: its help line, and the default of each flag it takes
-# (_REQUIRED for a flag that must be given, None where the handler resolves it).
-_COMMANDS = {
-    "sweep-snr": (
-        "mean rate versus SNR at a fixed antenna count",
-        {**_SWEEP_FLAGS, "antennas": _REQUIRED, "snr_min": -10.0, "snr_max": 20.0, "snr_step": 2.0},
-    ),
-    "sweep-antennas": (
-        "mean rate versus antenna count at a fixed SNR",
-        {**_SWEEP_FLAGS, "antenna_points": (16, 32, 64, 128), "snr_db": 0.0},
-    ),
-    "verify": (
-        "run the randomized invariant suite and print a pass/fail table",
-        {"seed": 0, "cases": 25},
-    ),
-    "design-dump": (
-        "write one seeded design (matrices and allocation) as CSV files",
-        {
-            "streams": 2,
-            "tx_antennas": 4,
-            "rx_antennas": 4,
-            "snr_db": 0.0,
-            "seed": 0,
-            "noise_power": 1.0,
-            "z0": 50.0,
-            "out_dir": _REQUIRED,
-        },
-    ),
-}
-
-
 def _flag_help(name: str, default) -> str:
     text = _FLAGS[name][1]
     if default is _REQUIRED:
@@ -132,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"Default worker count comes from ${WORKERS_ENV_VAR} or the CPU count.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, (summary, defaults) in _COMMANDS.items():
+    for command, (summary, defaults, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name, default in defaults.items():
             p.add_argument(
@@ -318,11 +287,39 @@ def _cmd_design_dump(opts: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "sweep-snr": _cmd_sweep_snr,
-    "sweep-antennas": _cmd_sweep_antennas,
-    "verify": _cmd_verify,
-    "design-dump": _cmd_design_dump,
+# Per subcommand: its help line, the default of each flag it takes (_REQUIRED
+# for a flag that must be given, None where the handler resolves it), and its
+# handler, which returns the exit code.
+_COMMANDS = {
+    "sweep-snr": (
+        "mean rate versus SNR at a fixed antenna count",
+        {**_SWEEP_FLAGS, "antennas": _REQUIRED, "snr_min": -10.0, "snr_max": 20.0, "snr_step": 2.0},
+        _cmd_sweep_snr,
+    ),
+    "sweep-antennas": (
+        "mean rate versus antenna count at a fixed SNR",
+        {**_SWEEP_FLAGS, "antenna_points": (16, 32, 64, 128), "snr_db": 0.0},
+        _cmd_sweep_antennas,
+    ),
+    "verify": (
+        "run the randomized invariant suite and print a pass/fail table",
+        {"seed": 0, "cases": 25},
+        _cmd_verify,
+    ),
+    "design-dump": (
+        "write one seeded design (matrices and allocation) as CSV files",
+        {
+            "streams": 2,
+            "tx_antennas": 4,
+            "rx_antennas": 4,
+            "snr_db": 0.0,
+            "seed": 0,
+            "noise_power": 1.0,
+            "z0": 50.0,
+            "out_dir": _REQUIRED,
+        },
+        _cmd_design_dump,
+    ),
 }
 
 
@@ -335,7 +332,7 @@ def main(argv=None) -> int:
             print("milacsim: a command is required", file=sys.stderr)
             return 1
         opts = _merge_options(args.command, args)
-        return _HANDLERS[args.command](opts)
+        return _COMMANDS[args.command][2](opts)
     except SystemExit as exc:
         # argparse exits directly for --help; propagate its status.
         return int(exc.code or 0)

@@ -5,10 +5,11 @@ shapes, singular matrices, a singular imaginary part) derive from
 MilacError, so callers can catch the whole family with one clause; the CLI
 exits 2 on them.
 A value that breaks an input rule (a count or seed that is not an integer, a
-power or admittance that is not a positive, finite and normal double) is a
-plain ValueError naming the field, on which the CLI exits 1.  The rule
-helpers live here, in the leaf module that every other one imports, and so
-does _held, which builds a record from fields that already meet its rules.
+power or admittance that is not a positive, finite and normal double, an
+array argument with no complex form) is a plain ValueError naming the field,
+on which the CLI exits 1.  The rule helpers live here, in the leaf module
+that every other one imports, and so does _held, which builds a record from
+fields that already meet its rules.
 """
 
 import numbers
@@ -79,6 +80,18 @@ def _as_doubles(value, name: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be a double or a vector of doubles: {exc}") from None
+
+
+def _as_complex(value, name: str) -> np.ndarray:
+    """np.asarray(value, dtype=complex), or the ValueError naming `name` when
+    that conversion fails: a dict, a malformed string, a ragged list or an
+    entry beyond the double range.  A complex ndarray is returned as it is."""
+    if type(value) is np.ndarray and value.dtype == np.complex128:
+        return value
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of complex numbers: {exc}") from None
 
 
 class MilacError(Exception):

@@ -35,7 +35,7 @@ from .beamforming import (
     water_filling,
 )
 from .channel import ChannelEnsembleSpec, rayleigh_channel
-from .exceptions import _as_doubles, _check_integers, _check_positive_finite, _check_seed
+from .exceptions import _as_complex, _as_doubles, _check_integers, _check_positive_finite, _check_seed
 from .network import (
     DEFAULT_REF_ADMITTANCE,
     AdmittanceMatrix,
@@ -179,8 +179,10 @@ def run_trial(h, config: SystemConfig, _seed=None) -> RateReport:
     """
     design = design_milac(h, config)
     # The capacity takes its own spectrum, so it checks the design independently.
-    lam = np.linalg.svd(np.asarray(h, dtype=complex), compute_uv=False)[..., : config.n_streams] ** 2
-    rate, sinr = milac_rate(design.g, h, design.f, design.allocation, config.tx_power, config.noise_power)
+    lam = np.linalg.svd(_as_complex(h, "channel matrix"), compute_uv=False)[..., : config.n_streams] ** 2
+    # f first: when both circuits are past the cap, the transmit side is the one named.
+    f = design.f
+    rate, sinr = milac_rate(design.g, h, f, design.allocation, config.tx_power, config.noise_power)
     capacity = capacity_closed_form(lam, design.allocation, config.tx_power, config.noise_power)
     _, digital = digital_design_and_rate(h, design, config.tx_power, config.noise_power)
     return RateReport(milac_rate=rate, digital_rate=digital, capacity=capacity, per_stream_sinr=sinr, design=design)

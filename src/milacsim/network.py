@@ -38,6 +38,7 @@ from .exceptions import (
     NotUnitaryInputError,
     SingularImaginaryPartError,
     SingularMatrixError,
+    _as_complex,
     _check_finite,
     _check_integers,
     _check_positive_finite,
@@ -65,10 +66,11 @@ _EPS = np.finfo(float).eps
 
 
 def _as_square_complex(a, name: str) -> np.ndarray:
-    a = np.asarray(a)
+    """A complex copy of the square matrix a, never a view of the caller's array."""
+    a = _as_complex(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    return np.array(a, dtype=complex)
+    return a.copy()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -683,68 +685,57 @@ class _FactoredSusceptance:
         q = np.where(theta == 0, q, np.exp(1j * theta) * q)
         return 1j * (np.conj(q) if self.receive else q)
 
+    def transfer_block(self) -> np.ndarray:
+        """transfer_block_from_admittance of the dense form, in O(n s^2).
 
-def _transfer_blocks(*networks: _FactoredSusceptance) -> tuple:
-    """transfer_block_from_admittance of each network's dense form, in O(n s^2).
+        N = I + jB/y0 maps the range of E onto itself, where it acts as the
+        m-port core C = I + j core, m = s + r; the symbol columns of N^-1 are
+        E C^-1 [I_s; 0].  N is symmetric, so the receive block (symbol rows,
+        antenna columns) is the transpose of the antenna rows of the symbol
+        columns.
 
-    N = I + jB/y0 maps the range of E onto itself, where it acts as the
-    m-port core C = I + j core, m = s + r; the symbol columns of N^-1 are
-    E C^-1 [I_s; 0].  Cores that share one shape, as both sides of a square
-    link do, are solved in one stacked call; otherwise each network is
-    solved on its own.  N is symmetric, so the receive block (symbol rows,
-    antenna columns) is the transpose of the antenna rows of the symbol
-    columns.
-
-    The lemma: core is exactly symmetric (the synthesis averages it with its
-    transpose) and C has real part I and imaginary part core, so C is I plus a
-    skew-Hermitian matrix and kappa_1(C) <= sqrt(m) ||C||_1 <= m max_j
-    ||c_j||_2 (_lossless_kappa_bound, over C's columns).  Within
-    DEFAULT_COND_CAP only the s columns [I_s; 0] are solved; numpy's inv is
-    gesv against I, so they hold its bits.  Its proven range at the default
-    floors: an accepted side has ||K^-1||_2 < 1 / DEFAULT_IMAG_SV_REL = 1e8,
-    a rotated one ||K^-1||_2 <= 1 / sin(pi / (2 (r + 1))), and each block of
-    core is K^-1 or rows of it, times at most a block of Im W (norm <= 1),
-    so ||core||_2 <= 3e8 and the bound is at most m ||C||_2 <= m (1 + 3e8):
-    within the cap of 1e12 for m <= 3,333, so for every link with n <= 1,666
-    antennas or s <= 833.  Past the bound (a NaN or huge core, or a cap set
-    lower) the group is inverted in full and
-    a network (each matrix of a stack) is rejected unless its exact kappa_1
-    = ||C||_1 ||C^-1||_1 is at most DEFAULT_COND_CAP (a NaN fails), checked
-    in order, so the error names the first side past the cap.  gecon's
-    figure, which _solve_checked judges, is a lower bound of kappa_1, so
-    every core it rejects is rejected here too.
-    """
-    shared = len({net.core.shape for net in networks}) == 1
-    blocks = []
-    for group in [networks] if shared else [(net,) for net in networks]:
-        m = group[0].core.shape[-1]
+        The lemma: core is exactly symmetric (the synthesis averages it with its
+        transpose) and C has real part I and imaginary part core, so C is I plus a
+        skew-Hermitian matrix and kappa_1(C) <= sqrt(m) ||C||_1 <= m max_j
+        ||c_j||_2 (_lossless_kappa_bound, over C's columns).  Within
+        DEFAULT_COND_CAP only the s columns [I_s; 0] are solved; numpy's inv is
+        gesv against I, so they hold its bits.  Its proven range at the default
+        floors: an accepted side has ||K^-1||_2 < 1 / DEFAULT_IMAG_SV_REL = 1e8,
+        a rotated one ||K^-1||_2 <= 1 / sin(pi / (2 (r + 1))), and each block of
+        core is K^-1 or rows of it, times at most a block of Im W (norm <= 1),
+        so ||core||_2 <= 3e8 and the bound is at most m ||C||_2 <= m (1 + 3e8):
+        within the cap of 1e12 for m <= 3,333, so for every link with n <= 1,666
+        antennas or s <= 833.  Past the bound (a NaN or huge core, or a cap set
+        lower) C is inverted in full, and the network is rejected unless the
+        exact kappa_1 = ||C||_1 ||C^-1||_1 of every matrix of its stack is at
+        most DEFAULT_COND_CAP (a NaN fails).  gecon's figure, which
+        _solve_checked judges, is a lower bound of kappa_1, so every core it
+        rejects is rejected here too.
+        """
+        a, core = self.a, self.core
+        m = core.shape[-1]
+        s = m - a.shape[-1]
         # C built in place, bit for bit as _identity(m) + 1j * core for a
         # finite core: its real part is I, and its imaginary part core + 0.0.
-        c = np.empty((len(group),) + group[0].core.shape, dtype=complex)
+        c = np.empty(core.shape, dtype=complex)
         c.real[...] = _identity(m)
-        for net, net_c in zip(group, c):
-            np.add(net.core, 0.0, out=net_c.imag)
+        np.add(core, 0.0, out=c.imag)
         # C is symmetric, so its rows are its columns.
         with np.errstate(over="ignore"):
             bound = _lossless_kappa_bound(c.view(float), m)
         if bound <= DEFAULT_COND_CAP:
             # The symbol columns of C^-1: numpy's inv is gesv against I, so these are its bits.
-            s = max(m - net.a.shape[-1] for net in group)
             cols = np.linalg.solve(c, _unit_columns(m, s, 0)[(None,) * (c.ndim - 2)])
         else:
             cols = np.linalg.inv(c)
             kappa = np.linalg.norm(c, 1, axis=(-2, -1)) * np.linalg.norm(cols, 1, axis=(-2, -1))
-            for net, net_kappa in zip(group, kappa):
-                if not (net_kappa <= DEFAULT_COND_CAP).all():
-                    side = "susceptance_rx" if net.receive else "susceptance_tx"
-                    raise SingularMatrixError(
-                        f"{side} circuit: condition number {np.max(net_kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
-                    )
-        for net, net_cols in zip(group, cols):
-            s = m - net.a.shape[-1]
-            x = net.a @ net_cols[..., s:, :s]
-            blocks.append(x.swapaxes(-1, -2) if net.receive else x)
-    return tuple(blocks)
+            if not (kappa <= DEFAULT_COND_CAP).all():
+                side = "susceptance_rx" if self.receive else "susceptance_tx"
+                raise SingularMatrixError(
+                    f"{side} circuit: condition number {np.max(kappa):.3e} exceeds cap {DEFAULT_COND_CAP:.3e}"
+                )
+        x = a @ cols[..., s:, :s]
+        return x.swapaxes(-1, -2) if self.receive else x
 
 
 def _synthesize_factored(q_bar, y0: float, receive):

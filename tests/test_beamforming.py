@@ -731,26 +731,49 @@ def test_a_stack_with_a_repaired_trial_keeps_both_sides_equal_to_two_calls(monke
     ids=["square_stack", "square", "wide_stack", "tall", "tall_stack"],
 )
 def test_the_designs_f_and_g_are_the_networks_transfer_blocks_bit_for_bit(monkeypatch, shape, s):
-    # The design hands both networks to one _transfer_blocks call, built once.
-    # A square link solves both sides' cores in one stacked call; any other
-    # shape makes one call per side.  Within the lemma's bound no core is
-    # inverted in full.  Either way f and g are what each network's own solve gives.
+    # Each of f and g is its own network's transfer_block(), built once: one
+    # circuit solve per side, on that side's stack, whatever the link's shape.
+    # Within the lemma's bound no core is inverted in full.  Either way f and g
+    # are what each network's own solve gives.
     h = np.random.default_rng(len(shape) * shape[-1]).standard_normal(shape) * (1.0 + 1.0j)
     h = h + np.random.default_rng(7).standard_normal(shape)
     design = design_milac(h, _config(s, shape[-1], shape[-2]))
-    calls, inversions, solves = [], [], []
-    blocks, inv, solve = network._transfer_blocks, np.linalg.inv, np.linalg.solve
-    monkeypatch.setattr(network, "_transfer_blocks", lambda *nets: calls.append(len(nets)) or blocks(*nets))
+    block, inv, solve = network._FactoredSusceptance.transfer_block, np.linalg.inv, np.linalg.solve
+    calls, inversions, solves = _spy_transfer_blocks(monkeypatch), [], []
     monkeypatch.setattr(np.linalg, "inv", lambda c: inversions.append(len(c)) or inv(c))
-    monkeypatch.setattr(np.linalg, "solve", lambda c, b: solves.append(len(c)) or solve(c, b))
+    monkeypatch.setattr(np.linalg, "solve", lambda c, b: solves.append(np.shape(c)[:-2]) or solve(c, b))
     f, g = design.f, design.g
     assert design.f is f and design.g is g
-    assert calls == [2]
+    assert calls == [False, True]
     assert inversions == []
-    assert solves == ([2] if shape[-1] == shape[-2] else [1, 1])
-    assert f.tobytes() == blocks(design.tx)[0].tobytes()
-    assert g.tobytes() == blocks(design.rx)[0].tobytes()
+    assert solves == [shape[:-2]] * 2
+    assert f.tobytes() == block(design.tx).tobytes()
+    assert g.tobytes() == block(design.rx).tobytes()
     assert f.shape == shape[:-2] + (shape[-1], s) and g.shape == shape[:-2] + (s, shape[-2])
+
+
+def _spy_transfer_blocks(monkeypatch) -> list:
+    """The receive flag of each network whose transfer_block() runs, in call order."""
+    calls, block = [], network._FactoredSusceptance.transfer_block
+
+    def spy(net):
+        calls.append(net.receive)
+        return block(net)
+
+    monkeypatch.setattr(network._FactoredSusceptance, "transfer_block", spy)
+    return calls
+
+
+def test_reading_f_alone_solves_only_the_transmit_circuit(monkeypatch):
+    # The two circuits are independent: f needs the transmit network's solve
+    # and nothing of the receive one.
+    rng = np.random.default_rng(36)
+    design = design_milac(rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6)), _config(2, 6, 6))
+    calls = _spy_transfer_blocks(monkeypatch)
+    design.f
+    assert calls == [False]
+    design.g
+    assert calls == [False, True]
 
 
 def test_a_wide_link_synthesizes_each_side_in_its_own_call(monkeypatch):
@@ -889,6 +912,11 @@ _NOT_DOUBLES = (_BEYOND_DOUBLE, [1.0, _BEYOND_DOUBLE], {"p": 1.0}, 1 + 1j, np.ar
 # Entries appended to a vector of doubles: a negative, NaN or infinite one,
 # and ones with no double form (np.append makes an object array of a dict).
 _BAD_ENTRIES = (-1.0, np.nan, np.inf, _BEYOND_DOUBLE, {"p": 1.0}, 1 + 1j, np.array([1.0, "x"], dtype=object))
+# Array arguments with no complex form: a dict, a malformed string, a ragged
+# list, an entry beyond the double range and an object array holding a dict.
+_NOT_COMPLEX = (
+    {}, "x", [[1.0], [1.0, 2.0]], [[1.0, _BEYOND_DOUBLE], [1.0, 1.0]], np.array([[1.0, {"h": 1.0}]], dtype=object)
+)
 
 # Entry point -> (field its error names, values that break the field's rule).
 _INPUT_RULES = {
@@ -915,16 +943,28 @@ _INPUT_RULES = {
     "susceptance_tx.n_streams": ("n_streams", (2.5, True)),
     "susceptance_rx.n_streams": ("n_streams", (2.5, True)),
     "svd_ordered.n_streams": ("n_streams", (2.5, True)),
-    # An array with a NaN or inf entry is a NonFiniteInputError naming it.
-    "milac_rate.g": ("combiner g", (np.nan, np.inf)),
-    "milac_rate.h": ("channel matrix", (np.nan, np.inf)),
-    "milac_rate.f": ("precoder f", (np.nan, np.inf)),
-    "digital_design_and_rate.h": ("channel matrix", (np.nan, np.inf)),
+    # An array with a NaN or inf entry is a NonFiniteInputError naming it; an
+    # array argument with no complex form is a ValueError naming it.
+    "milac_rate.g": ("combiner g", (np.nan, np.inf) + _NOT_COMPLEX),
+    "milac_rate.h": ("channel matrix", (np.nan, np.inf) + _NOT_COMPLEX),
+    "milac_rate.f": ("precoder f", (np.nan, np.inf) + _NOT_COMPLEX),
+    "digital_design_and_rate.h": ("channel matrix", (np.nan, np.inf) + _NOT_COMPLEX),
+    "svd_ordered.h": ("channel matrix", _NOT_COMPLEX),
+    "design_milac.h": ("channel matrix", _NOT_COMPLEX),
+    "run_trial.h": ("channel matrix", _NOT_COMPLEX),
+    "SvdFactors.u": ("u", _NOT_COMPLEX),
+    "SvdFactors.v": ("v", _NOT_COMPLEX),
+    "SvdFactors.sigma": ("singular values", (_BEYOND_DOUBLE, {"p": 1.0}, 1 + 1j, [[1.0], [1.0, 2.0]])),
+    "AdmittanceMatrix.y": ("admittance matrix", _NOT_COMPLEX),
+    "susceptance_tx.v": ("unitary factor", _NOT_COMPLEX),
 }
 _ARRAYS = ("combiner g", "channel matrix", "precoder f")
 
 
 def _spoiled(x, value):
+    """x with one entry set to value, a NaN or inf; any other value replaces x whole."""
+    if not isinstance(value, float):
+        return value
     x = x.copy()
     x[0, 1] = value
     return x
@@ -968,6 +1008,14 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         "susceptance_tx.n_streams": lambda x: susceptance_tx(v, x),
         "susceptance_rx.n_streams": lambda x: susceptance_rx(u, x),
         "svd_ordered.n_streams": lambda x: svd_ordered(h, x),
+        "svd_ordered.h": lambda x: svd_ordered(x, 2),
+        "design_milac.h": lambda x: design_milac(x, config),
+        "run_trial.h": lambda x: run_trial(x, config),
+        "SvdFactors.u": lambda x: SvdFactors(x, economy.sigma, v),
+        "SvdFactors.v": lambda x: SvdFactors(u, economy.sigma, x),
+        "SvdFactors.sigma": lambda x: SvdFactors(u, x, v),
+        "AdmittanceMatrix.y": lambda x: AdmittanceMatrix(x),
+        "susceptance_tx.v": lambda x: susceptance_tx(x, 2),
         "milac_rate.g": lambda x: milac_rate(_spoiled(g, x), h, f, alloc, 1.0, 1.0),
         "milac_rate.h": lambda x: milac_rate(g, _spoiled(h, x), f, alloc, 1.0, 1.0),
         "milac_rate.f": lambda x: milac_rate(g, h, _spoiled(f, x), alloc, 1.0, 1.0),
@@ -977,7 +1025,7 @@ def test_entry_points_reject_values_that_break_the_input_rules(entry, value):
         ),
     }[entry]
     field = _INPUT_RULES[entry][0]
-    if field in _ARRAYS:
+    if field in _ARRAYS and isinstance(value, float):
         error, rule = NonFiniteInputError, "contains NaN or infinite entries"
     else:
         error, rule = ValueError, "must be"

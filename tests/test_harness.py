@@ -20,6 +20,7 @@ from milacsim import (
     ChannelEnsembleSpec,
     DimensionMismatchError,
     PortPartition,
+    SingularMatrixError,
     SvdFactors,
     SweepResult,
     SweepRow,
@@ -98,8 +99,9 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     # SVDs are told apart by their operand: the complex channel, or a real
     # r x r Woodbury core with r <= min(n, 3s), which the core's own solve
     # certifies instead.  Solves are counted by operand stack size, one of the
-    # core and one of the circuit per side: a square link's two sides share
-    # one (2, r, r) operand, a 5 x 6 link makes one call per side.
+    # core and one of the circuit per side: a square link's two cores share
+    # one (2, r, r) operand, while each circuit solves on its own; a 5 x 6
+    # link makes one call per side for both.
     svds = {"channel_full": 0, "channel_values": 0, "core_values": 0, "other": 0}
     solves = []
     svd, solve = np.linalg.svd, np.linalg.solve
@@ -126,7 +128,18 @@ def test_run_trial_takes_two_svds_and_one_solve_per_side(monkeypatch, n_rx, mast
     run_trial(h.real if real else h, config)
     assert svds == {"channel_full": 1, "channel_values": 1, "core_values": 0, "other": 0}
     assert sum(solves) == 4
-    assert len(solves) == (2 if n_rx == n_tx else 4)
+    assert len(solves) == (3 if n_rx == n_tx else 4)
+
+
+@pytest.mark.parametrize("n_rx", [6, 5], ids=["square", "tall"])
+def test_run_trial_names_the_transmit_circuit_when_both_are_past_the_cap(monkeypatch, n_rx):
+    # Every circuit's kappa_1 exceeds 1, so a cap of 1 rejects both sides;
+    # run_trial solves f before g, so the transmit side is the one named.
+    monkeypatch.setattr(network, "DEFAULT_COND_CAP", 1.0)
+    h = rayleigh_channel(ChannelEnsembleSpec(n_rx=n_rx, n_tx=6, n_trials=1, master_seed=3), 0)
+    config = SystemConfig(n_streams=2, n_tx=6, n_rx=n_rx, tx_power=1.0, noise_power=1.0)
+    with pytest.raises(SingularMatrixError, match="^susceptance_tx circuit: condition number"):
+        run_trial(h, config)
 
 
 def test_run_trial_repairs_only_a_singular_imaginary_part_and_reaches_capacity(repair_channel):
@@ -600,7 +613,7 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
 
     counted(beamforming, "svd_ordered", "svd_ordered", lambda h: stack_size(h, 2))
     counted(beamforming, "_synthesize_factored", "synthesis", lambda q_bar, *_: stack_size(q_bar, 2))
-    counted(network, "_transfer_blocks", "transfer_block", lambda *nets: sum(stack_size(net.a, 2) for net in nets))
+    counted(network._FactoredSusceptance, "transfer_block", "transfer_block", lambda net: stack_size(net.a, 2))
     counted(harness, "transfer_block_from_admittance", "dense_transfer_block", lambda y, *_: 1)
     # The harness may do no water-filling of its own; any call through its name counts too.
     for owner in (beamforming, harness):
@@ -630,8 +643,11 @@ def test_snr_sweep_designs_each_channel_once(monkeypatch):
         "digital": n_trials,
     }
     # ... in one stacked call per chunk; both sides of a square link share one
-    # synthesis and one circuit solve.
-    assert calls == {**dict.fromkeys(work, 2), "core_svd_values": 0, "other_svd_values": 0, "dense_transfer_block": 0}
+    # synthesis, and each side's network makes its own circuit solve.
+    assert calls == {
+        **dict.fromkeys(work, 2), "transfer_block": 4, "core_svd_values": 0, "other_svd_values": 0,
+        "dense_transfer_block": 0,
+    }
 
 
 def test_sweep_spec_validation():

@@ -890,12 +890,12 @@ def _factored_stack(cores, receive):
 @pytest.mark.parametrize("receive", [False, True], ids=["tx", "rx"])
 def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receive):
     # I + j c x x^T has eigenvalues 1 and 1 + j c |x|^2, so its kappa_1 grows
-    # with c; one such core, or one NaN entry, rejects the whole stack.  A
-    # core whose squared entries overflow is rejected with no warning.
+    # with c; one such core, or one NaN entry, rejects the network's whole
+    # stack.  A core whose squared entries overflow is rejected with no warning.
     x = np.random.default_rng(2).standard_normal(6)
     side = "susceptance_rx circuit" if receive else "susceptance_tx circuit"
     fine = np.stack([np.outer(x, x)] * 3)
-    network._transfer_blocks(_factored_stack(fine, receive))
+    _factored_stack(fine, receive).transfer_block()
     scaled, holed, huge = fine.copy(), fine.copy(), fine.copy()
     scaled[1] *= 1e13
     holed[1, 0, 0] = np.nan
@@ -903,13 +903,14 @@ def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receiv
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError, match=side + ": condition number"):
-            network._transfer_blocks(_factored_stack(huge, receive))
+            _factored_stack(huge, receive).transfer_block()
     for cores in (scaled, holed):
         with pytest.raises(SingularMatrixError, match=side + ": condition number"):
-            network._transfer_blocks(_factored_stack(cores, receive))
-        # The other side's cores have the same shape, as on a square link (one
-        # stacked solve), or one port fewer (one solve per side).  Only the
-        # side past the cap is named, whichever of the two it is.
+            _factored_stack(cores, receive).transfer_block()
+        # The other side's cores have the same shape, as on a square link, or
+        # one port fewer.  Solving both sides, transmit first as a design's f
+        # and g are read, names only the side past the cap, whichever of the
+        # two it is; the other side solves on its own.
         for other in (fine, fine[:, :-1, :-1]):
             tx, rx = _factored_stack(other, False), _factored_stack(other, True)
             if receive:
@@ -917,7 +918,8 @@ def test_the_circuit_solve_rejects_a_core_beyond_the_cap_or_holding_a_nan(receiv
             else:
                 tx = _factored_stack(cores, False)
             with pytest.raises(SingularMatrixError, match=side + ": condition number"):
-                network._transfer_blocks(tx, rx)
+                [net.transfer_block() for net in (tx, rx)]
+            (tx if receive else rx).transfer_block()
 
 
 def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
@@ -936,7 +938,7 @@ def test_the_exact_condition_number_bounds_the_lu_estimate(monkeypatch):
             with pytest.raises(SingularMatrixError):
                 _solve_checked(c, np.eye(8)[:, :2], "test")
             with pytest.raises(SingularMatrixError):
-                network._transfer_blocks(_factored_stack(scale * (g + g.T), False))
+                _factored_stack(scale * (g + g.T), False).transfer_block()
 
 
 @pytest.mark.parametrize("n_rx, n_tx, s", [(8, 8, 2), (6, 6, 6), (5, 9, 3), (9, 5, 2), (64, 64, 4), (128, 128, 8)])
@@ -950,23 +952,23 @@ def test_past_the_lemmas_bound_the_circuit_solve_inverts_in_full_with_the_same_b
     design = design_milac(h, SystemConfig(n_streams=s, n_tx=n_tx, n_rx=n_rx, tx_power=1.0, noise_power=1.0))
     inversions, inv = [], np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda c: inversions.append(len(c)) or inv(c))
-    blocks = network._transfer_blocks(design.tx, design.rx)
+    blocks = [net.transfer_block() for net in (design.tx, design.rx)]
     assert [b.tobytes() for b in blocks] == [design.f.tobytes(), design.g.tobytes()] and not inversions
     c = [np.eye(net.core.shape[-1]) + 1j * net.core for net in (design.tx, design.rx)]
     bound = max(network._lossless_kappa_bound(x.view(float), x.shape[-1]) for x in c)
     kappa = [np.linalg.norm(x, 1, axis=(-2, -1)) * np.linalg.norm(inv(x), 1, axis=(-2, -1)) for x in c]
     assert max(np.max(k) for k in kappa) <= bound <= 1e12
     monkeypatch.setattr(network, "DEFAULT_COND_CAP", bound * (1.0 - 1e-12))
-    exact = network._transfer_blocks(design.tx, design.rx)
+    exact = [net.transfer_block() for net in (design.tx, design.rx)]
     assert [b.tobytes() for b in exact] == [b.tobytes() for b in blocks] and inversions
     worst = {"susceptance_tx": float(np.max(kappa[0])), "susceptance_rx": float(np.max(kappa[1]))}
     for cap in (0.999 * worst["susceptance_tx"], 0.999 * worst["susceptance_rx"]):
         monkeypatch.setattr(network, "DEFAULT_COND_CAP", cap)
-        # The first side past the cap is named, with its worst kappa_1.
+        # Solving transmit first, the first side past the cap is named, with its worst kappa_1.
         side = next(side for side, k in worst.items() if k > cap)
         message = f"{side} circuit: condition number {worst[side]:.3e} exceeds cap {cap:.3e}"
         with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
-            network._transfer_blocks(design.tx, design.rx)
+            [net.transfer_block() for net in (design.tx, design.rx)]
 
 
 def test_designing_a_wide_link_holds_no_dense_antenna_square_matrix():

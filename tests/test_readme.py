@@ -3,7 +3,8 @@
 import re
 from pathlib import Path
 
-from milacsim import SweepSpec, write_manifest
+import milacsim
+from milacsim import MilacError, SweepSpec, write_manifest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +28,16 @@ def test_the_readme_lists_the_manifest_keys_in_order(tmp_path):
     write_manifest(spec, tmp_path / "manifest.txt", csv_path="r.csv", workers=1)
     keys = [line.split(" = ", 1)[0] for line in (tmp_path / "manifest.txt").read_text().splitlines()]
     assert re.findall(r"`(\w+)`", listed.group(1)) == keys
+
+
+def test_the_readme_names_every_exported_error_and_exit_code():
+    text = README.read_text(encoding="utf-8")
+    assert "\n### Errors and exit codes\n" in text
+    section = text.split("\n### Errors and exit codes\n", 1)[1].split("\n#", 1)[0]
+    errors = [
+        name for name in milacsim.__all__
+        if isinstance(getattr(milacsim, name), type) and issubclass(getattr(milacsim, name), MilacError)
+    ]
+    assert "MilacError" in errors and len(errors) > 1
+    assert [name for name in errors if f"`{name}`" not in section] == []
+    assert all(f"- `{code}`: " in section for code in (0, 1, 2))

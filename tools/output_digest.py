@@ -17,7 +17,12 @@ Two checkouts whose digests match produce the same bits on these inputs;
 two fresh processes on one checkout must print the same lines.  The inputs:
 the gauge table of tests/test_gauge_channels.py, the repair and diagonal
 channels of tests/conftest.py, one Rayleigh and one real 64x64 link (s = 4),
-a five-trial 8x8 chunk (s = 2) and one 128x128 link (s = 8).
+a five-trial 8x8 chunk (s = 2), one 128x128 link (s = 8), the non-square
+Rayleigh links 6x5 (s = 3) and 16x64 (s = 4), and one 8x8 link (s = 3) run
+with network.DEFAULT_COND_CAP lowered to 100.  That cap lies between the
+lemma's bounds of its two circuits (about 125 and 53) and above their exact
+condition numbers, so the transmit circuit is inverted in full and the
+receive circuit solves its symbol columns, and the dense solves meet gecon.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from milacsim import network  # noqa: E402
 from milacsim import (  # noqa: E402
     AdmittanceMatrix,
     ChannelEnsembleSpec,
@@ -88,31 +94,42 @@ def _config(n_rx, n_tx, s, powers) -> SystemConfig:
 
 
 def _cases():
-    """(name, channel or stack, config, single) of every input, in a fixed order."""
+    """(name, channel or stack, config, single, cap) of every input, in a fixed
+    order; cap is the DEFAULT_COND_CAP the case runs with, None for the default."""
     powers = tuple(snr_db_to_tx_power(snr, 1.0) for snr in (-10.0, 10.0, 30.0))
     for n_rx, n_tx, s in LINKS:
-        yield f"gauge-{n_rx}x{n_tx}-s{s}", gauge_channels(n_rx, n_tx), _config(n_rx, n_tx, s, POWERS), False
+        yield f"gauge-{n_rx}x{n_tx}-s{s}", gauge_channels(n_rx, n_tx), _config(n_rx, n_tx, s, POWERS), False, None
     o = np.linalg.qr(np.array([[3, -2, -2, 1], [2, 3, -1, 1], [-1, -2, 3, 1], [2, 3, 1, 1]], float))[0]
     repair = np.diag([4.0, 3.0, 2.0, 1.0]) @ (np.diag([1, 1, 1, 1j]) @ o).conj().T
-    yield "repair-4x4-s4", repair, _config(4, 4, 4, powers), True
+    yield "repair-4x4-s4", repair, _config(4, 4, 4, powers), True, None
     k = np.arange(8)
     diagonal = np.diag(np.arange(8, 0.0, -1.0) * np.exp(1j * (np.pi / 2 - np.pi * k / 8)))
-    yield "diagonal-8x8-s8", diagonal, _config(8, 8, 8, powers), True
+    yield "diagonal-8x8-s8", diagonal, _config(8, 8, 8, powers), True, None
 
-    def rayleigh(n, trials):
-        return rayleigh_channel(ChannelEnsembleSpec(n_rx=n, n_tx=n, n_trials=5, master_seed=35), trials)
+    def rayleigh(n, trials, n_tx=None, master_seed=35):
+        spec = ChannelEnsembleSpec(n_rx=n, n_tx=n_tx or n, n_trials=5, master_seed=master_seed)
+        return rayleigh_channel(spec, trials)
 
-    yield "rayleigh-64x64-s4", rayleigh(64, 0), _config(64, 64, 4, powers), True
-    yield "real-64x64-s4", np.random.default_rng(35).standard_normal((64, 64)), _config(64, 64, 4, powers), True
-    yield "rayleigh-8x8-s2-chunk5", rayleigh(8, range(5)), _config(8, 8, 2, powers), False
-    yield "rayleigh-128x128-s8", rayleigh(128, 0), _config(128, 128, 8, powers), True
+    yield "rayleigh-64x64-s4", rayleigh(64, 0), _config(64, 64, 4, powers), True, None
+    real = np.random.default_rng(35).standard_normal((64, 64))
+    yield "real-64x64-s4", real, _config(64, 64, 4, powers), True, None
+    yield "rayleigh-8x8-s2-chunk5", rayleigh(8, range(5)), _config(8, 8, 2, powers), False, None
+    yield "rayleigh-128x128-s8", rayleigh(128, 0), _config(128, 128, 8, powers), True, None
+    yield "rayleigh-6x5-s3", rayleigh(6, 0, n_tx=5), _config(6, 5, 3, powers), True, None
+    yield "rayleigh-16x64-s4", rayleigh(16, 0, n_tx=64), _config(16, 64, 4, powers), True, None
+    yield "rayleigh-8x8-s3-cap100", rayleigh(8, 0, master_seed=36), _config(8, 8, 3, powers), True, 100.0
 
 
 def main() -> int:
     total = hashlib.sha256()
-    for name, h, config, single in _cases():
+    default_cap = network.DEFAULT_COND_CAP
+    for name, h, config, single, cap in _cases():
         digest = hashlib.sha256()
-        _link(digest, h, config, single)
+        network.DEFAULT_COND_CAP = default_cap if cap is None else cap
+        try:
+            _link(digest, h, config, single)
+        finally:
+            network.DEFAULT_COND_CAP = default_cap
         line = f"{name} {digest.hexdigest()}"
         total.update(line.encode())
         print(line)
